@@ -73,7 +73,7 @@ def train_layer(
     config seed. Every ``eval_every`` iterations the layer is evaluated on
     ``val_sequences`` (when given): the best-validation parameters are
     retained and training stops early after ``patience`` consecutive
-    validation-loss increases. Without validation data the loop runs to
+    validation-loss increases. The final iteration is evaluated as well. Without validation data the loop runs to
     ``max_iterations`` (or until ``stop_at_accuracy`` is reached on the
     training set, for deliberate overfitting runs).
     """
@@ -125,7 +125,9 @@ def train_layer(
         adam_update(params, grads, adam)
         recent_losses.append(result.loss)
 
-        if iteration % config.eval_every == 0:
+        # The last iteration is evaluated even off the grid, so that the
+        # returned weights are never ones no evaluation has scored.
+        if iteration % config.eval_every == 0 or iteration == config.max_iterations:
             row = {
                 "iteration": iteration,
                 "train_loss": float(np.mean(recent_losses)),

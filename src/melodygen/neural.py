@@ -4,7 +4,7 @@ The model is a stack of LSTM layers followed by a linear projection to
 per-symbol logits. Per layer, with gate order [input | forget | output |
 cell] packed along the last axis of the combined matrices:
 
-    a   = x @ w_x + m_prev @ w_m + b          a is (B, 4H)
+    a   = x @ w_x + b + m_prev @ w_m      a is (B, 4H)
     i   = sigmoid(a[:, 0H:1H])
     f   = sigmoid(a[:, 1H:2H])
     o   = sigmoid(a[:, 2H:3H])
@@ -13,7 +13,8 @@ cell] packed along the last axis of the combined matrices:
     m   = o * cell_act(c)      cell_act = tanh (default) or identity
 
 ``cell_activation="identity"`` reproduces the variant with an unsquashed
-cell output; the tanh default is the numerically safe choice.
+cell output; the tanh default is the numerically safe choice. One cell
+function, :func:`_cell`, serves both :func:`lstm_step` and the sequence loop.
 
 Dropout (inverted, scale 1/keep) is applied to up-going connections only:
 each layer's output as it feeds the next layer and the projection. The
@@ -22,6 +23,12 @@ recurrent path m_prev is never dropped. A fresh mask is drawn per step.
 Batched sequences are time-major: inputs (T, B, D), integer targets (T, B),
 optional validity mask (T, B) for padded batches. The loss is the mean
 negative log-likelihood over valid steps.
+
+The sequence pass runs layer by layer over a layer-major (L, T, B, .) cache.
+Only ``m_prev @ w_m`` (forward) and ``da @ w_m.T`` (backward) stay in the time
+loop; the input and output projections and the weight gradients are GEMMs
+over all T*B rows, in blocks of ``GEMM_ROWS``. Gate gradients overwrite the
+cached gates, so :func:`backward` consumes its cache.
 """
 
 from __future__ import annotations
@@ -38,13 +45,17 @@ DEFAULT_FORGET_BIAS = 1.0
 DEFAULT_CLIP_NORM = 5.0
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z, dtype=np.float64)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    expz = np.exp(z[~positive])
-    out[~positive] = expz / (1.0 + expz)
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as ``0.5 * (1 + tanh(z / 2))``, never overflowing.
+
+    The absolute error is at most 2**-53 everywhere. Relative accuracy is lost
+    below about z = -37, where the result is smaller than the spacing of the
+    doubles near -1 that ``tanh`` returns; it is 0 below about z = -38.
+    """
+    out = np.multiply(z, 0.5, out=np.empty(np.shape(z)) if out is None else out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -182,8 +193,20 @@ class LstmState:
         return LstmState(self.c.copy(), self.m.copy())
 
 
-def _cell_act(c: np.ndarray, kind: str) -> np.ndarray:
-    return np.tanh(c) if kind == "tanh" else c
+def _cell(a: np.ndarray, c_prev: np.ndarray, kind: str, c: np.ndarray, m: np.ndarray) -> None:
+    """One step of one layer in place: the gate pre-activations ``a`` (B, 4H)
+    become the activations [i | f | o | g]; c and m receive the new state."""
+    hidden = c.shape[-1]
+    sigmoid(a[:, : 3 * hidden], out=a[:, : 3 * hidden])
+    i, f, o, g = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
+    np.tanh(g, out=g)
+    np.multiply(f, c_prev, out=c)
+    c += i * g
+    if kind == "tanh":
+        np.tanh(c, out=m)
+        m *= o
+    else:
+        np.multiply(o, c, out=m)
 
 
 def lstm_step(
@@ -200,21 +223,14 @@ def lstm_step(
     batch = x.shape[0]
     if state is None:
         state = LstmState.zeros(params, batch)
-    hidden = params.hidden_size
     new_c = np.empty_like(state.c)
     new_m = np.empty_like(state.m)
     below = x
     for index, layer in enumerate(params.layers):
-        a = below @ layer.w_x + state.m[index] @ layer.w_m + layer.b
-        i = sigmoid(a[:, :hidden])
-        f = sigmoid(a[:, hidden : 2 * hidden])
-        o = sigmoid(a[:, 2 * hidden : 3 * hidden])
-        g = np.tanh(a[:, 3 * hidden :])
-        c = f * state.c[index] + i * g
-        m = o * _cell_act(c, params.cell_activation)
-        new_c[index] = c
-        new_m[index] = m
-        below = m if dropout_masks is None else m * dropout_masks[index]
+        a = below @ layer.w_x + layer.b
+        a += state.m[index] @ layer.w_m
+        _cell(a, state.c[index], params.cell_activation, new_c[index], new_m[index])
+        below = new_m[index] if dropout_masks is None else new_m[index] * dropout_masks[index]
     logits = below @ params.w_out + params.b_out
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits; model state diverged")
@@ -242,6 +258,39 @@ def make_dropout_masks(
     return (rng.random((steps, n_layers, batch, hidden)) < keep) / keep
 
 
+# Rows per hoisted GEMM. At the CLI note shape (8192 rows), one unblocked GEMM
+# was no faster than blocks of 512-1024 rows and took 11 MB more peak memory.
+GEMM_ROWS = 1024
+
+
+def _row_blocks(steps: int, batch: int) -> list[slice]:
+    per = max(1, GEMM_ROWS // batch)
+    return [slice(t, t + per) for t in range(0, steps, per)]
+
+
+def _project(x, scale, w, out, b=None) -> None:
+    """out = (x * scale) @ w + b over (T, B, .) arrays; scale and b may be None."""
+    for s in _row_blocks(*x.shape[:2]):
+        rows = x[s] if scale is None else x[s] * scale[s]
+        block = out[s].reshape(-1, w.shape[1])
+        np.matmul(rows.reshape(-1, w.shape[0]), w, out=block)
+        if b is not None:
+            block += b
+
+
+def _weight_grad(x, scale, d, out) -> None:
+    """out += (x * scale)^T @ d, summed over all T*B rows; scale may be None."""
+    for s in _row_blocks(*x.shape[:2]):
+        rows = x[s] if scale is None else x[s] * scale[s]
+        out += rows.reshape(-1, out.shape[0]).T @ d[s].reshape(-1, out.shape[1])
+
+
+def _feeds(inputs, outs, dropout_masks) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """(input, dropout mask) of each layer, then of the output projection."""
+    masks = [None if dropout_masks is None else dropout_masks[:, l] for l in range(len(outs))]
+    return list(zip([inputs, *outs], [None, *masks]))
+
+
 def forward_sequence(
     params: GeneratorParams,
     inputs: np.ndarray,
@@ -257,7 +306,7 @@ def forward_sequence(
 
     Returns the mean negative log-likelihood over valid steps and per-step
     probabilities. With ``collect_cache`` the result carries everything
-    :func:`backward` needs.
+    :func:`backward` needs, once.
     """
     if inputs.ndim == 2:
         inputs = inputs[:, None, :]
@@ -286,136 +335,95 @@ def forward_sequence(
             raise ValueError("dropout requires an rng (or explicit masks)")
         dropout_masks = make_dropout_masks(rng, dropout, steps, n_layers, batch, hidden)
 
-    gates = np.empty((steps, n_layers, batch, 4 * hidden))
-    cells = np.empty((steps, n_layers, batch, hidden))
-    outs = np.empty((steps, n_layers, batch, hidden))
+    gates = np.empty((n_layers, steps, batch, 4 * hidden))
+    cells = np.empty((n_layers, steps, batch, hidden))
+    outs = np.empty((n_layers, steps, batch, hidden))
+    feeds = _feeds(inputs, outs, dropout_masks)
+    zeros = np.zeros((batch, hidden))
+    recurrent = np.empty((batch, 4 * hidden))
+    for l, layer in enumerate(params.layers):
+        a = gates[l]
+        _project(*feeds[l], layer.w_x, a, layer.b)
+        for t in range(steps):
+            if t:
+                a[t] += np.matmul(outs[l, t - 1], layer.w_m, out=recurrent)
+            c_prev = cells[l, t - 1] if t else zeros
+            _cell(a[t], c_prev, params.cell_activation, cells[l, t], outs[l, t])
     logits = np.empty((steps, batch, params.n_outputs))
-
-    c_prev = np.zeros((n_layers, batch, hidden))
-    m_prev = np.zeros((n_layers, batch, hidden))
-    for t in range(steps):
-        below = inputs[t]
-        for l, layer in enumerate(params.layers):
-            a = below @ layer.w_x + m_prev[l] @ layer.w_m + layer.b
-            i = sigmoid(a[:, :hidden])
-            f = sigmoid(a[:, hidden : 2 * hidden])
-            o = sigmoid(a[:, 2 * hidden : 3 * hidden])
-            g = np.tanh(a[:, 3 * hidden :])
-            c = f * c_prev[l] + i * g
-            m = o * _cell_act(c, params.cell_activation)
-            gates[t, l] = np.concatenate([i, f, o, g], axis=1)
-            cells[t, l] = c
-            outs[t, l] = m
-            c_prev[l] = c
-            m_prev[l] = m
-            below = m if dropout_masks is None else m * dropout_masks[t, l]
-        logits[t] = below @ params.w_out + params.b_out
+    _project(*feeds[-1], params.w_out, logits, params.b_out)
 
     logp = log_softmax(logits)
     probs = np.exp(logp)
-    rows = np.arange(batch)
-    picked = np.stack([logp[t, rows, targets[t]] for t in range(steps)])
+    picked = np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
     loss = float(-(picked * mask).sum() / n_valid)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss; training diverged")
 
-    cache = None
-    if collect_cache:
-        cache = {
-            "inputs": inputs,
-            "targets": targets,
-            "mask": mask,
-            "n_valid": n_valid,
-            "gates": gates,
-            "cells": cells,
-            "outs": outs,
-            "dropout_masks": dropout_masks,
-            "probs": probs,
-        }
+    cache = None if not collect_cache else dict(
+        inputs=inputs, targets=targets, mask=mask, n_valid=n_valid, gates=gates,
+        cells=cells, outs=outs, dropout_masks=dropout_masks, probs=probs, consumed=False,
+    )
     return ForwardResult(loss=loss, probs=probs, n_valid=n_valid, cache=cache)
 
 
 def backward(params: GeneratorParams, cache: dict) -> dict[str, np.ndarray]:
-    """Exact gradients of the mean NLL from a cached forward pass."""
-    inputs = cache["inputs"]
-    targets = cache["targets"]
-    mask = cache["mask"]
-    n_valid = cache["n_valid"]
-    gates = cache["gates"]
-    cells = cache["cells"]
-    outs = cache["outs"]
-    dropout_masks = cache["dropout_masks"]
-    probs = cache["probs"]
+    """Exact gradients of the mean NLL from a cached forward pass.
 
+    The gate gradients overwrite the cached gate activations, so a cache
+    serves one call only; a second call raises ``ValueError``.
+    """
+    if cache["consumed"]:
+        raise ValueError("forward cache already consumed: backward overwrote its gates "
+                         "with their gradients; run forward_sequence again")
+    cache["consumed"] = True
+    inputs, gates, cells, outs = (cache[k] for k in ("inputs", "gates", "cells", "outs"))
+    feeds = _feeds(inputs, outs, cache["dropout_masks"])
     steps, batch, _ = inputs.shape
     hidden = params.hidden_size
-    n_layers = params.n_layers
     tanh_cell = params.cell_activation == "tanh"
 
-    dlogits = probs.copy()
-    rows = np.arange(batch)
-    for t in range(steps):
-        dlogits[t, rows, targets[t]] -= 1.0
-    dlogits *= (mask / n_valid)[:, :, None]
+    dlogits = cache["probs"].copy()
+    dlogits[np.arange(steps)[:, None], np.arange(batch), cache["targets"]] -= 1.0
+    dlogits *= (cache["mask"] / cache["n_valid"])[:, :, None]
 
     grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
-
-    top = n_layers - 1
-    if dropout_masks is None:
-        dropped_top = outs[:, top]
-    else:
-        dropped_top = outs[:, top] * dropout_masks[:, top]
-    grads["w_out"] = np.einsum("tbh,tbk->hk", dropped_top, dlogits)
+    _weight_grad(*feeds[-1], dlogits, grads["w_out"])
     grads["b_out"] = dlogits.sum(axis=(0, 1))
 
     # Gradient flowing into each layer's output via the up-going connection.
-    dm_up = np.einsum("tbk,hk->tbh", dlogits, params.w_out)
-    if dropout_masks is not None:
-        dm_up = dm_up * dropout_masks[:, top]
-
-    for l in range(n_layers - 1, -1, -1):
+    dm_up = np.empty((steps, batch, hidden))
+    up_w, up_d = params.w_out, dlogits
+    zeros = np.zeros((batch, hidden))
+    for l in range(params.n_layers - 1, -1, -1):
+        _project(up_d, None, up_w.T, dm_up)
+        if feeds[l + 1][1] is not None:
+            dm_up *= feeds[l + 1][1]
         layer = params.layers[l]
-        dw_x = grads[f"lstm{l}.w_x"]
-        dw_m = grads[f"lstm{l}.w_m"]
-        db = grads[f"lstm{l}.b"]
-        dm_rec = np.zeros((batch, hidden))
-        dc_rec = np.zeros((batch, hidden))
-        dx = np.empty((steps, batch, layer.input_dim))
+        dm_rec, dc_rec = np.zeros((batch, hidden)), zeros
         for t in range(steps - 1, -1, -1):
-            i = gates[t, l, :, :hidden]
-            f = gates[t, l, :, hidden : 2 * hidden]
-            o = gates[t, l, :, 2 * hidden : 3 * hidden]
-            g = gates[t, l, :, 3 * hidden :]
-            c = cells[t, l]
-            h_c = np.tanh(c) if tanh_cell else c
-            dm_total = dm_up[t] + dm_rec
-            da_o = dm_total * h_c * o * (1.0 - o)
+            a = gates[l, t]
+            i, f, o, g = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
+            c_prev = cells[l, t - 1] if t else zeros
+            h_c = np.tanh(cells[l, t]) if tanh_cell else cells[l, t]
+            dm_total = dm_up[t]
+            dm_total += dm_rec
             dc = dm_total * o
             if tanh_cell:
-                dc = dc * (1.0 - h_c * h_c)
-            dc = dc + dc_rec
-            da_g = dc * i * (1.0 - g * g)
-            da_i = dc * g * i * (1.0 - i)
-            c_prev = cells[t - 1, l] if t > 0 else np.zeros_like(c)
-            da_f = dc * c_prev * f * (1.0 - f)
-            da = np.concatenate([da_i, da_f, da_o, da_g], axis=1)
-
-            if l == 0:
-                x_l = inputs[t]
-            elif dropout_masks is None:
-                x_l = outs[t, l - 1]
-            else:
-                x_l = outs[t, l - 1] * dropout_masks[t, l - 1]
-            m_prev = outs[t - 1, l] if t > 0 else np.zeros((batch, hidden))
-
-            dw_x += x_l.T @ da
-            dw_m += m_prev.T @ da
-            db += da.sum(axis=0)
-            dx[t] = da @ layer.w_x.T
-            dm_rec = da @ layer.w_m.T
+                dc *= 1.0 - h_c * h_c
+            dc += dc_rec
             dc_rec = dc * f
-        if l > 0:
-            dm_up = dx if dropout_masks is None else dx * dropout_masks[:, l - 1]
+            da_i = dc * g * i * (1.0 - i)
+            o[...] = dm_total * h_c * o * (1.0 - o)
+            f[...] = dc * c_prev * f * (1.0 - f)
+            g[...] = dc * i * (1.0 - g * g)
+            i[...] = da_i
+            if t:
+                np.matmul(a, layer.w_m.T, out=dm_rec)
+        da = up_d = gates[l]
+        up_w = layer.w_x
+        grads[f"lstm{l}.b"] = da.sum(axis=(0, 1))
+        _weight_grad(*feeds[l], da, grads[f"lstm{l}.w_x"])
+        _weight_grad(outs[l, :-1], None, da[1:], grads[f"lstm{l}.w_m"])
     return grads
 
 
@@ -509,17 +517,6 @@ class GradCheckReport:
     worst_numeric: float
 
 
-def _loss_only(
-    params: GeneratorParams,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    mask: np.ndarray | None,
-) -> float:
-    return forward_sequence(
-        params, inputs, targets, mask=mask, collect_cache=False
-    ).loss
-
-
 def grad_check(
     params: GeneratorParams,
     inputs: np.ndarray,
@@ -542,8 +539,10 @@ def grad_check(
     absolute 1e-10 per unit of tolerance, which any structural bug (wrong
     sign, dropped term, misrouted state) exceeds by many orders.
     """
-    result = forward_sequence(params, inputs, targets, mask=mask)
-    grads = backward(params, result.cache)
+    def loss() -> float:
+        return forward_sequence(params, inputs, targets, mask=mask, collect_cache=False).loss
+
+    grads = backward(params, forward_sequence(params, inputs, targets, mask=mask).cache)
     named = params.named_arrays()
     sizes = np.array([arr.size for _, arr in named])
     total = int(sizes.sum())
@@ -558,9 +557,9 @@ def grad_check(
         index = int(flat - (boundaries[which - 1] if which else 0))
         original = arr.flat[index]
         arr.flat[index] = original + delta
-        loss_plus = _loss_only(params, inputs, targets, mask)
+        loss_plus = loss()
         arr.flat[index] = original - delta
-        loss_minus = _loss_only(params, inputs, targets, mask)
+        loss_minus = loss()
         arr.flat[index] = original
         numeric = (loss_plus - loss_minus) / (2.0 * delta)
         analytic = float(grads[name].flat[index])

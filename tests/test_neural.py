@@ -1,8 +1,11 @@
 """The numpy LSTM: forward against an independent oracle, exact gradients
 against finite differences, Adam, clipping, and checkpoints."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from melodygen.neural import (
     GeneratorParams,
@@ -25,7 +28,7 @@ from melodygen.neural import (
     softmax,
     log_softmax,
 )
-from support.lstm_oracle import reference_forward
+from support.lstm_oracle import reference_backward, reference_forward
 
 
 def tiny_params(din=6, hidden=5, nout=7, layers=2, seed=0, **kw):
@@ -47,6 +50,17 @@ class TestActivations:
         assert out[0] == pytest.approx(0.0, abs=1e-300)
         assert out[4] == pytest.approx(1.0)
         assert sigmoid(np.array([1.5]))[0] == pytest.approx(1 / (1 + np.exp(-1.5)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-745.0, max_value=745.0))
+    def test_sigmoid_absolute_error_within_half_ulp_of_one(self, z):
+        # Absolute, not relative: the tanh form returns 0 below about z = -38.
+        out = float(sigmoid(np.array([z]))[0])
+        assert 0.0 <= out <= 1.0
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = 1 / (1 + (-Decimal(z)).exp())
+            assert abs(Decimal(out) - exact) <= Decimal(2) ** -53
 
     def test_softmax_rows_normalize(self):
         rng = np.random.default_rng(0)
@@ -226,6 +240,69 @@ class TestForwardOracle:
         assert float(state.c[0, 0, 0]) == pytest.approx(first, rel=1e-6)
 
 
+def random_case(seed, steps, batch, layers, cell_activation, masked, dropped):
+    """Small model with N(0, 1) weights and biases, a batch, and optional masks."""
+    rng = np.random.default_rng(seed)
+    din, hidden, nout = (int(rng.integers(low, high)) for low, high in ((1, 6), (1, 5), (2, 8)))
+    stack = [
+        LstmLayerParams(
+            rng.normal(size=(din if l == 0 else hidden, 4 * hidden)),
+            rng.normal(size=(hidden, 4 * hidden)),
+            rng.normal(size=4 * hidden),
+        )
+        for l in range(layers)
+    ]
+    params = GeneratorParams(stack, rng.normal(size=(hidden, nout)), rng.normal(size=nout),
+                             cell_activation)
+    inputs, targets = random_batch(rng, steps, batch, din, nout)
+    mask = None
+    if masked:
+        mask = (rng.random((steps, batch)) < 0.6).astype(float)
+        mask[rng.integers(steps), rng.integers(batch)] = 1.0
+    masks = make_dropout_masks(rng, 0.4, steps, layers, batch, hidden) if dropped else None
+    return params, inputs, targets, mask, masks
+
+
+class TestOracleProperties:
+    """forward_sequence, backward and lstm_step against the straight-line oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 6),
+        batch=st.integers(1, 3),
+        layers=st.sampled_from([1, 2, 3]),
+        cell_activation=st.sampled_from(["tanh", "identity"]),
+        masked=st.booleans(),
+        dropped=st.booleans(),
+    )
+    @example(seed=0, steps=1, batch=1, layers=3, cell_activation="tanh", masked=False,
+             dropped=True)
+    def test_sequence_matches_oracle(
+        self, seed, steps, batch, layers, cell_activation, masked, dropped
+    ):
+        params, inputs, targets, mask, masks = random_case(
+            seed, steps, batch, layers, cell_activation, masked, dropped
+        )
+        result = forward_sequence(params, inputs, targets, mask=mask, dropout_masks=masks)
+        ref_logits, ref_loss = reference_forward(params, inputs, targets, mask, masks)
+        assert result.loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+        assert np.allclose(result.probs, np.exp(log_softmax(ref_logits)), rtol=0, atol=1e-12)
+
+        grads = backward(params, result.cache)
+        ref_grads = reference_backward(params, inputs, targets, mask, masks)
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            scale = np.abs(ref).max()
+            assert np.abs(grads[name] - ref).max() <= 1e-12 * scale, name
+
+        state = None
+        for t in range(steps):
+            step_masks = None if masks is None else masks[t]
+            state, logits = lstm_step(params, inputs[t], state, dropout_masks=step_masks)
+            assert np.allclose(softmax(logits), result.probs[t], rtol=0, atol=1e-12)
+
+
 class TestLstmStep:
     def test_batched_and_single_agree(self):
         params = tiny_params()
@@ -331,6 +408,17 @@ class TestBackward:
         inputs[:, :, 2] = 0.0
         _, grads, _ = loss_and_grads(params, inputs, targets)
         assert np.allclose(grads["lstm0.w_x"][2], 0.0)
+
+    def test_second_backward_on_one_cache_is_rejected(self):
+        # backward writes gate gradients over the cached gates; reusing the
+        # cache would silently give wrong gradients.
+        rng = np.random.default_rng(10)
+        params = tiny_params()
+        inputs, targets = random_batch(rng, 4, 2, 6, 7)
+        result = forward_sequence(params, inputs, targets)
+        backward(params, result.cache)
+        with pytest.raises(ValueError, match="already consumed"):
+            backward(params, result.cache)
 
     def test_grad_check_report_fields(self):
         rng = np.random.default_rng(9)

@@ -13,7 +13,7 @@ from melodygen.hrnn.training import (
     layer_config,
     train_layer,
 )
-from melodygen.neural import TrainConfig
+from melodygen.neural import TrainConfig, init_params
 from melodygen.synthetic import synthetic_corpus
 
 
@@ -103,6 +103,31 @@ class TestTrainLayer:
         assert result.stop_reason == "target-accuracy"
         assert result.iterations_run < 2000
         assert result.curves[-1]["train_set_combined_accuracy"] >= 0.99
+
+    def test_final_iteration_is_evaluated_off_the_grid(self):
+        # Fewer iterations than eval_every must still return trained,
+        # scored weights, not the initialization.
+        sequences = note_dataset(n_pieces=6)
+        spec = layer_specs("1L")["note"]
+        config = tiny_config(max_iterations=10, eval_every=20)
+        result = train_layer(spec, sequences[:5], sequences[5:], config)
+        assert result.curve_column("iteration") == [10]
+        assert result.best_iteration == 10
+        assert np.isfinite(result.best_val_loss)
+        assert result.best_val_loss == result.curves[0]["val_loss"]
+        initial = init_params(
+            spec.input_dim, config.hidden_size, spec.alphabet_size,
+            n_layers=config.n_lstm_layers, seed=config.seed,
+            init_scale=config.init_scale, forget_bias=config.forget_bias,
+        )
+        assert not np.array_equal(result.params.layers[0].w_x, initial.layers[0].w_x)
+
+    def test_steps_after_the_last_grid_point_are_scored(self):
+        sequences = note_dataset()
+        spec = layer_specs("1L")["note"]
+        result = train_layer(spec, sequences, None, tiny_config(max_iterations=25))
+        assert result.curve_column("iteration") == [10, 20, 25]
+        assert result.best_iteration == 25
 
     def test_best_validation_params_are_kept(self):
         sequences = note_dataset(n_pieces=6)
