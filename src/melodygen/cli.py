@@ -496,14 +496,19 @@ def cmd_eval(args) -> int:
     for level, view in sorted(metrics["levels"].items()):
         parts = ", ".join(f"{key} {value:.4f}" for key, value in sorted(view.items()))
         print(f"{level}: {parts}")
-    if adherence:
+    if "error" in adherence:
+        print(f"generation adherence not measured: {adherence['error']}", file=sys.stderr)
+    elif adherence:
         print("generation adherence:", json.dumps(adherence, sort_keys=True))
     print(f"metrics written to {out_path}")
     return EXIT_OK
 
 
 def _generation_adherence(model, grids, args) -> dict:
-    """Profile adherence of a few seeded free generations."""
+    """Profile adherence of a few seeded free generations.
+
+    If a generation is rejected, the result is ``{"error": <reason>}``.
+    """
     if "note" not in model.level_params or args.adherence_samples < 1:
         return {}
     bar_scores, beat_scores = [], []
@@ -523,8 +528,8 @@ def _generation_adherence(model, grids, args) -> dict:
         )
         try:
             result = generate(model.level_params, model.specs, plan)
-        except ValueError:
-            return {}
+        except ValueError as exc:
+            return {"error": f"generation with seed {plan.seed} failed: {exc}"}
         if result.bar_profiles is not None and model.bar_codebook is not None:
             bar_scores.append(
                 profile_adherence(result.grid, result.bar_profiles, model.bar_codebook)
@@ -630,7 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated profile indices, tiled to the bar count")
     p.add_argument("--fixed-beat-profiles", default=None,
                    help="comma-separated profile indices, tiled to the beat count")
-    p.add_argument("--sustain", action="store_true", help="extend notes to bar ends")
+    p.add_argument("--sustain", action="store_true",
+                   help="extend notes to bar ends or the next onset")
     p.add_argument("--tempo", type=int, default=120)
     p.add_argument("--out", default=None, help="output MIDI path")
     _add_common(p)

@@ -15,6 +15,7 @@ note-off is always preceded by a sounding note.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -245,15 +246,21 @@ def one_hot_matrix(events: Sequence[int] | np.ndarray, size: int) -> np.ndarray:
 
 
 def sustain_extend(notes: Iterable[GridNote]) -> list[GridNote]:
-    """Extend every note so it ends exactly at the end of the bar it ends in.
+    """Extend every note to the end of the bar it ends in, or to the next
+    note's onset if that comes first. Returns the notes in onset order.
 
-    Notes already ending at a bar end are unchanged; no note is ever
-    shortened. The result may overlap the next note's onset; it is intended
-    for smoother MIDI export, not for re-encoding.
+    Notes already ending at a bar end are unchanged, and no note is ever
+    shortened. Non-overlapping notes stay non-overlapping, so a repeated
+    pitch is released before it sounds again.
     """
+    ordered = sorted(notes, key=lambda note: note[1])
+    onsets = [on for _, on, _ in ordered]
     extended = []
-    for pitch, on, dur in notes:
+    for pitch, on, dur in ordered:
         last_step = on + dur - 1
-        bar_end = (last_step // STEPS_PER_BAR + 1) * STEPS_PER_BAR
-        extended.append((pitch, on, bar_end - on))
+        end = (last_step // STEPS_PER_BAR + 1) * STEPS_PER_BAR
+        later = bisect.bisect_right(onsets, on)
+        if later < len(onsets):
+            end = min(end, onsets[later])
+        extended.append((pitch, on, max(end, on + dur) - on))
     return extended

@@ -13,7 +13,11 @@ Two decoding modes:
             temperature 0 short-circuits to argmax (greedy)
     beam    deterministic beam search per layer; width 1 equals greedy
 
-Both are deterministic given the plan's seed.
+Both are deterministic given the plan's seed. Beam search advances all live
+hypotheses as one batched LSTM step per position and breaks ties on
+(-score, parent, symbol). A multi-row step sums its products in a different
+order than single-row steps, so beam log-probabilities can differ from a
+per-hypothesis search in the last bits.
 """
 
 from __future__ import annotations
@@ -99,15 +103,40 @@ def tile_profiles(pattern: tuple[int, ...] | list[int], length: int) -> tuple[in
     return tuple(pattern[i % len(pattern)] for i in range(length))
 
 
-def _sounding_after(sounding: bool, event: int, is_note_level: bool) -> bool:
-    """Track whether a note is sounding after emitting ``event``."""
+def _sounding_after(sounding, event, is_note_level: bool):
+    """Whether a note is sounding after emitting ``event``; elementwise on arrays."""
     if not is_note_level:
         return sounding
-    if event < N_PITCHES:
-        return True
-    if event == NOTE_OFF:
-        return False
-    return sounding
+    return (event < N_PITCHES) | ((event != NOTE_OFF) & sounding)
+
+
+def _forbid_silent_note_off(logits: np.ndarray, sounding) -> None:
+    """Mask the note-off logit, in place, in every row where nothing sounds."""
+    logits[..., NOTE_OFF] = np.where(sounding, logits[..., NOTE_OFF], -np.inf)
+
+
+def _inputs_at(
+    spec: LayerSpec,
+    conditions: np.ndarray | None,
+    histories: np.ndarray,
+    position: int,
+) -> np.ndarray:
+    """Input rows (W, input_dim) at ``position`` for W event histories (W, length).
+
+    The blocks are [previous event one-hot | condition | lookback]; only
+    history before ``position`` is read.
+    """
+    rows = len(histories)
+    x = np.zeros((rows, spec.input_dim))
+    if position > 0:
+        x[np.arange(rows), histories[:, position - 1]] = 1.0
+    column = spec.alphabet_size
+    if conditions is not None:
+        x[:, column : column + spec.condition_dim] = conditions[position]
+        column += spec.condition_dim
+    for row, history in zip(x, histories):
+        row[column:] = lookback_features(history, position, spec)
+    return x
 
 
 def _decode_sequence(
@@ -136,50 +165,34 @@ def _decode_sequence(
         raise ValueError("primer must be non-empty and no longer than the sequence")
     if any(not 0 <= e < spec.alphabet_size for e in primer):
         raise ValueError("primer event outside the layer alphabet")
-    is_note = spec.level == "note"
-
-    def input_at(history: np.ndarray, position: int) -> np.ndarray:
-        prev = np.zeros(spec.alphabet_size)
-        if position > 0:
-            prev[history[position - 1]] = 1.0
-        parts = [prev]
-        if conditions is not None:
-            parts.append(conditions[position])
-        parts.append(lookback_features(history, position, spec))
-        return np.concatenate(parts)
-
-    def masked(logits: np.ndarray, sounding: bool) -> np.ndarray:
-        if is_note and not sounding:
-            logits = logits.copy()
-            logits[NOTE_OFF] = -np.inf
-        return logits
-
     if mode == "beam":
-        return _beam_decode(params, spec, primer, length, input_at, masked, beam_width)
+        return _beam_decode(params, spec, primer, length, conditions, beam_width)
 
+    is_note = spec.level == "note"
     greedy = temperature == 0.0
-    events = np.zeros(length, dtype=np.int64)
-    events[: len(primer)] = primer
+    events = np.zeros((1, length), dtype=np.int64)
+    events[0, : len(primer)] = primer
     logprobs: list[float] = [math.nan] * len(primer)
     state: LstmState | None = None
     sounding = False
     for position in range(length):
-        x = input_at(events, position)
-        state, logits = lstm_step(params, x, state)
+        state, logits = lstm_step(params, _inputs_at(spec, conditions, events, position), state)
+        logits = logits[0]
         if position < len(primer):
-            sounding = _sounding_after(sounding, int(events[position]), is_note)
+            sounding = _sounding_after(sounding, int(events[0, position]), is_note)
             continue
-        logits = masked(logits, sounding)
+        if is_note:
+            _forbid_silent_note_off(logits, sounding)
         logp = log_softmax(logits)
         if greedy:
             choice = int(logp.argmax())
         else:
             scaled = log_softmax(logits / temperature)
             choice = int(rng.choice(spec.alphabet_size, p=np.exp(scaled)))
-        events[position] = choice
+        events[0, position] = choice
         logprobs.append(float(logp[choice]))
         sounding = _sounding_after(sounding, choice, is_note)
-    return events, logprobs
+    return events[0], logprobs
 
 
 def _beam_decode(
@@ -187,54 +200,46 @@ def _beam_decode(
     spec: LayerSpec,
     primer: list[int],
     length: int,
-    input_at,
-    masked,
+    conditions: np.ndarray | None,
     beam_width: int,
 ) -> tuple[np.ndarray, list[float]]:
-    """Deterministic beam search; ties break to the earlier hypothesis/symbol."""
-    is_note = spec.level == "note"
-    events = np.zeros(length, dtype=np.int64)
-    events[: len(primer)] = primer
-    state: LstmState | None = None
-    sounding = False
-    for position in range(len(primer)):
-        state, _ = lstm_step(params, input_at(events, position), state)
-        sounding = _sounding_after(sounding, int(events[position]), is_note)
+    """Deterministic beam search with all live hypotheses advanced as one batch.
 
-    # Hypothesis: (score, history array, state, per-step logprobs, sounding).
-    hypotheses = [(0.0, events[: len(primer)].copy(), state, [], sounding)]
-    for position in range(len(primer), length):
-        candidates = []
-        for h_index, (score, history, h_state, _, h_sounding) in enumerate(hypotheses):
-            padded = np.zeros(length, dtype=np.int64)
-            padded[: len(history)] = history
-            x = input_at(padded, position)
-            new_state, logits = lstm_step(params, x, h_state)
-            logp = log_softmax(masked(logits, h_sounding))
-            for symbol in range(spec.alphabet_size):
-                if not np.isfinite(logp[symbol]):
-                    continue
-                candidates.append(
-                    (score + float(logp[symbol]), h_index, symbol, new_state, float(logp[symbol]))
-                )
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        next_hypotheses = []
-        for total, h_index, symbol, new_state, step_logp in candidates[:beam_width]:
-            _, history, _, steps, h_sounding = hypotheses[h_index]
-            next_hypotheses.append(
-                (
-                    total,
-                    np.append(history, symbol),
-                    new_state.copy(),
-                    steps + [step_logp],
-                    _sounding_after(h_sounding, symbol, is_note),
-                )
-            )
-        hypotheses = next_hypotheses
-    # Candidates were sorted by (-score, parent, symbol), so the head is the
-    # best hypothesis with deterministic tie-breaking.
-    _, best_history, _, best_steps, _ = hypotheses[0]
-    return best_history, [math.nan] * len(primer) + best_steps
+    The W hypotheses are rows of arrays: histories (W, length), the stacked
+    LSTM state (L, W, H), scores (W,), per-step log-probs and sounding flags.
+    Each position runs one (W, D) ``lstm_step``; the next W are the best
+    finite (parent, symbol) totals, ties broken to the earlier parent, then
+    the earlier symbol, by a stable sort over the flattened (W, K) totals.
+    """
+    is_note = spec.level == "note"
+    n_primer = len(primer)
+    histories = np.zeros((1, length), dtype=np.int64)
+    histories[0, :n_primer] = primer
+    state: LstmState | None = None
+    sounding = np.zeros(1, dtype=bool)
+    for position in range(n_primer):
+        state, _ = lstm_step(params, _inputs_at(spec, conditions, histories, position), state)
+        sounding = _sounding_after(sounding, histories[:, position], is_note)
+
+    scores = np.zeros(1)
+    steps = np.empty((1, length - n_primer))
+    for position in range(n_primer, length):
+        state, logits = lstm_step(params, _inputs_at(spec, conditions, histories, position), state)
+        if is_note:
+            _forbid_silent_note_off(logits, sounding)
+        logp = log_softmax(logits)
+        totals = (scores[:, None] + logp).ravel()
+        finite = np.flatnonzero(np.isfinite(totals))
+        chosen = finite[np.argsort(-totals[finite], kind="stable")[:beam_width]]
+        parents, symbols = np.divmod(chosen, spec.alphabet_size)
+        histories = histories[parents]
+        histories[:, position] = symbols
+        state = LstmState(state.c[:, parents], state.m[:, parents])
+        steps = steps[parents]
+        steps[:, position - n_primer] = logp.ravel()[chosen]
+        scores = totals[chosen]
+        sounding = _sounding_after(sounding[parents], symbols, is_note)
+    return histories[0], [math.nan] * n_primer + steps[0].tolist()
 
 
 def generate(

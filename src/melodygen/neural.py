@@ -335,20 +335,25 @@ def forward_sequence(
             raise ValueError("dropout requires an rng (or explicit masks)")
         dropout_masks = make_dropout_masks(rng, dropout, steps, n_layers, batch, hidden)
 
-    gates = np.empty((n_layers, steps, batch, 4 * hidden))
-    cells = np.empty((n_layers, steps, batch, hidden))
-    outs = np.empty((n_layers, steps, batch, hidden))
-    feeds = _feeds(inputs, outs, dropout_masks)
+    # Without a cache all layers share one set of buffers: a layer's input
+    # projection reads every output of the layer below before its time loop
+    # overwrites them.
+    kept = n_layers if collect_cache else 1
+    gates = np.empty((kept, steps, batch, 4 * hidden))
+    cells = np.empty((kept, steps, batch, hidden))
+    outs = np.empty((kept, steps, batch, hidden))
+    layer_outs = [outs[l % kept] for l in range(n_layers)]
+    feeds = _feeds(inputs, layer_outs, dropout_masks)
     zeros = np.zeros((batch, hidden))
     recurrent = np.empty((batch, 4 * hidden))
     for l, layer in enumerate(params.layers):
-        a = gates[l]
+        a, c, m = gates[l % kept], cells[l % kept], layer_outs[l]
         _project(*feeds[l], layer.w_x, a, layer.b)
         for t in range(steps):
             if t:
-                a[t] += np.matmul(outs[l, t - 1], layer.w_m, out=recurrent)
-            c_prev = cells[l, t - 1] if t else zeros
-            _cell(a[t], c_prev, params.cell_activation, cells[l, t], outs[l, t])
+                a[t] += np.matmul(m[t - 1], layer.w_m, out=recurrent)
+            c_prev = c[t - 1] if t else zeros
+            _cell(a[t], c_prev, params.cell_activation, c[t], m[t])
     logits = np.empty((steps, batch, params.n_outputs))
     _project(*feeds[-1], params.w_out, logits, params.b_out)
 

@@ -1,0 +1,87 @@
+"""Per-hypothesis beam search reference: one single-row ``lstm_step`` per
+live hypothesis per position, candidates as Python tuples sorted on
+(-score, parent, symbol). It builds each input row by concatenating the
+feature blocks, as a single sequence would, and shares no decoding code with
+melodygen.hrnn.generation. Its signature matches ``generation._beam_decode``
+so a test can swap it in under ``generate``."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from melodygen.encode import N_PITCHES, NOTE_OFF
+from melodygen.hrnn.specs import lookback_features
+from melodygen.neural import log_softmax, lstm_step
+
+
+def _sounding_after(sounding: bool, event: int, is_note: bool) -> bool:
+    if not is_note:
+        return sounding
+    if event < N_PITCHES:
+        return True
+    if event == NOTE_OFF:
+        return False
+    return sounding
+
+
+def reference_beam_decode(params, spec, primer, length, conditions, beam_width):
+    """Events (length,) and log-probs (NaN over the primer) of the best beam."""
+    is_note = spec.level == "note"
+
+    def input_at(history: np.ndarray, position: int) -> np.ndarray:
+        prev = np.zeros(spec.alphabet_size)
+        if position > 0:
+            prev[history[position - 1]] = 1.0
+        parts = [prev]
+        if conditions is not None:
+            parts.append(conditions[position])
+        parts.append(lookback_features(history, position, spec))
+        return np.concatenate(parts)
+
+    def masked(logits: np.ndarray, sounding: bool) -> np.ndarray:
+        if is_note and not sounding:
+            logits = logits.copy()
+            logits[NOTE_OFF] = -np.inf
+        return logits
+
+    events = np.zeros(length, dtype=np.int64)
+    events[: len(primer)] = primer
+    state = None
+    sounding = False
+    for position in range(len(primer)):
+        state, _ = lstm_step(params, input_at(events, position), state)
+        sounding = _sounding_after(sounding, int(events[position]), is_note)
+
+    # Hypothesis: (score, history array, state, per-step logprobs, sounding).
+    hypotheses = [(0.0, events[: len(primer)].copy(), state, [], sounding)]
+    for position in range(len(primer), length):
+        candidates = []
+        for h_index, (score, history, h_state, _, h_sounding) in enumerate(hypotheses):
+            padded = np.zeros(length, dtype=np.int64)
+            padded[: len(history)] = history
+            new_state, logits = lstm_step(params, input_at(padded, position), h_state)
+            logp = log_softmax(masked(logits, h_sounding))
+            for symbol in range(spec.alphabet_size):
+                if not np.isfinite(logp[symbol]):
+                    continue
+                candidates.append(
+                    (score + float(logp[symbol]), h_index, symbol, new_state, float(logp[symbol]))
+                )
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        next_hypotheses = []
+        for total, h_index, symbol, new_state, step_logp in candidates[:beam_width]:
+            _, history, _, steps, h_sounding = hypotheses[h_index]
+            next_hypotheses.append(
+                (
+                    total,
+                    np.append(history, symbol),
+                    new_state.copy(),
+                    steps + [step_logp],
+                    _sounding_after(h_sounding, symbol, is_note),
+                )
+            )
+        hypotheses = next_hypotheses
+    _, best_history, _, best_steps, _ = hypotheses[0]
+    return best_history, [math.nan] * len(primer) + best_steps

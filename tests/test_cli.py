@@ -252,6 +252,21 @@ class TestEval:
     def test_missing_model_exits_one(self, pipeline):
         assert main(["eval", "--work-dir", str(pipeline), "--variant", "2L"]) == EXIT_ERROR
 
+    def test_failed_adherence_generation_is_recorded(self, pipeline, capsys, monkeypatch):
+        def reject(*args, **kwargs):
+            raise ValueError("primer event outside the layer alphabet")
+
+        monkeypatch.setattr("melodygen.cli.generate", reject)
+        code = main([
+            "eval", "--work-dir", str(pipeline), "--variant", "3L",
+            "--adherence-samples", "2", "--seed", "2",
+        ])
+        assert code == EXIT_OK
+        metrics = json.loads((pipeline / "metrics_3L.json").read_text())
+        error = metrics["generation_adherence"]["error"]
+        assert "seed 2" in error and "outside the layer alphabet" in error
+        assert error in capsys.readouterr().err
+
 
 class TestExportMidi:
     def test_renders_cached_leadsheet(self, pipeline, tmp_path):

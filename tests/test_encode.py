@@ -28,6 +28,8 @@ from melodygen.encode import (
     tonic_pitch_class,
 )
 from melodygen.leadsheet import LeadSheet, RawNote, chord_from_kind
+from melodygen.midifile import write_midi
+from support.midi_reader import read_midi
 
 
 def sheet_from_steps(step_notes, n_bars, key_fifths=0, chords=()):
@@ -349,3 +351,23 @@ class TestSustainExtend:
             [(pitch, out_on, out_dur)] = sustain_extend([(70, on, dur)])
             assert out_on == on and out_dur >= dur
             assert (out_on + out_dur) % STEPS_PER_BAR == 0
+
+    def test_repeated_pitch_released_before_it_sounds_again(self):
+        extended = sustain_extend([(60, 0, 2), (60, 4, 2)])
+        assert extended == [(60, 0, 4), (60, 4, 12)]
+        first, second = read_midi(write_midi(extended)).notes
+        assert first.end_tick <= second.start_tick
+
+    def test_non_overlapping_notes_stay_non_overlapping(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            notes, on = [], rng.randint(0, 20)
+            while on < 64:
+                dur = rng.randint(1, 6)
+                notes.append((rng.choice([60, 60, 62]), on, dur))
+                on += dur + rng.choice([0, 0, 3, 17])
+            extended = sustain_extend(notes)
+            for (_, on, dur), (_, next_on, _) in zip(extended, extended[1:]):
+                assert on + dur <= next_on
+            for (_, on, dur), (_, out_on, out_dur) in zip(notes, extended):
+                assert out_on == on and out_dur >= dur

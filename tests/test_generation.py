@@ -1,14 +1,20 @@
 """Hierarchical decoding: plans, modes, fixed profiles, determinism."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from melodygen.encode import ALPHABET_SIZE, NO_EVENT, NOTE_OFF, N_PITCHES, MelodyGrid
+from melodygen.hrnn import generation
 from melodygen.hrnn.generation import GenerationPlan, generate, tile_profiles
 from melodygen.hrnn.specs import layer_specs
 from melodygen.leadsheet import chord_from_kind
-from melodygen.neural import init_params
+from melodygen.neural import init_params, lstm_step
 from melodygen.synthetic import synthetic_corpus
+from support import beam_oracle
+from support.beam_oracle import reference_beam_decode
 
 BEAT_K = 4
 BAR_K = 3
@@ -191,6 +197,98 @@ class TestDeterminismAndModes:
         a = generate(params, specs, make_plan(mode="beam", beam_width=3))
         b = generate(params, specs, make_plan(mode="beam", beam_width=3))
         assert a.grid.events == b.grid.events
+
+
+def generate_with_reference_beam(params, specs, plan):
+    """``generate`` with every beam layer decoded by the per-hypothesis oracle."""
+    with mock.patch.object(generation, "_beam_decode", reference_beam_decode):
+        return generate(params, specs, plan)
+
+
+def assert_same_beam(batched, reference):
+    """Equal events on every level; log-probs within 1e-12 relative."""
+    assert batched.trace["levels"].keys() == reference.trace["levels"].keys()
+    for level, ref in reference.trace["levels"].items():
+        got = batched.trace["levels"][level]
+        assert got["events"] == ref["events"], level
+        got_lp, ref_lp = (
+            np.array([np.nan if lp is None else lp for lp in trace["log_probs"]])
+            for trace in (got, ref)
+        )
+        np.testing.assert_allclose(got_lp, ref_lp, rtol=1e-12, atol=0, err_msg=level)
+
+
+def record_inputs(module):
+    """A patch of ``module.lstm_step`` that records every input row it is given."""
+    rows = []
+
+    def spy(params, x, state=None, **kwargs):
+        rows.append(np.atleast_2d(x).copy())
+        return lstm_step(params, x, state, **kwargs)
+
+    return rows, mock.patch.object(module, "lstm_step", spy)
+
+
+class TestBatchedBeamMatchesReference:
+    """One (W, D) step per position against one single-row step per hypothesis."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 6),
+        layers=st.sampled_from([1, 2]),
+        hidden=st.integers(2, 12),
+        init_scale=st.sampled_from([0.08, 0.5, 2.0]),
+        chords=st.booleans(),
+        bars=st.integers(1, 2),
+    )
+    @example(seed=0, width=BAR_K + 2, layers=2, hidden=8, init_scale=0.5, chords=False,
+             bars=2)
+    def test_events_and_log_probs_match(
+        self, seed, width, layers, hidden, init_scale, chords, bars
+    ):
+        specs = layer_specs("3L", chords=chords, beat_k=BEAT_K, bar_k=BAR_K)
+        params = {
+            level: init_params(
+                spec.input_dim, hidden, spec.alphabet_size, n_layers=layers,
+                seed=(seed + i) % 2**32, init_scale=init_scale,
+            )
+            for i, (level, spec) in enumerate(sorted(specs.items()))
+        }
+        chord_track = tuple(
+            chord_from_kind(bar * 16, (seed + 7 * bar) % 12, "minor") for bar in range(bars)
+        )
+        plan = make_plan(
+            mode="beam", beam_width=width, bars=bars, chords=chord_track if chords else ()
+        )
+        assert_same_beam(
+            generate(params, specs, plan), generate_with_reference_beam(params, specs, plan)
+        )
+
+    @pytest.mark.parametrize("width", [2, 5, ALPHABET_SIZE + 2])
+    @pytest.mark.parametrize("primer", [(0, NO_EVENT, NO_EVENT, NO_EVENT), (NO_EVENT,) * 4])
+    def test_exact_ties_keep_parent_then_symbol_order(self, width, primer):
+        # With zero output weights every logit is equal, so the candidates of
+        # hypotheses in the same sounding state tie exactly and the survivors
+        # are decided by (parent, symbol) order alone. The survivors show in
+        # the input rows of the next step, so every row the batched beam
+        # feeds the LSTM must equal the reference's single-row inputs, in
+        # rank order.
+        params, specs = make_model("1L")
+        params["note"].w_out[:] = 0.0
+        params["note"].b_out[:] = 0.0
+        plan = make_plan(
+            mode="beam", beam_width=width, primer_events=primer,
+            primer_bar_profile=None, primer_beat_profile=None,
+        )
+        rows, spy = record_inputs(generation)
+        with spy:
+            batched = generate(params, specs, plan)
+        reference_rows, reference_spy = record_inputs(beam_oracle)
+        with reference_spy:
+            reference = generate_with_reference_beam(params, specs, plan)
+        assert_same_beam(batched, reference)
+        assert np.array_equal(np.concatenate(rows), np.concatenate(reference_rows))
 
 
 class TestFixedProfiles:

@@ -99,8 +99,8 @@ class TestNotes:
         assert [n.pitch for n in parsed.notes] == [60, 64]
 
     def test_overlapping_same_pitch_from_sustain(self):
-        # Sustain extension can produce overlaps; the writer must still emit
-        # parseable FIFO on/off pairs.
+        # Callers may pass overlapping same-pitch notes; the writer must still
+        # emit parseable FIFO on/off pairs.
         parsed = read_midi(write_midi([(60, 0, 16), (60, 8, 24)]))
         assert len(parsed.notes) == 2
 

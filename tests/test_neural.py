@@ -213,6 +213,23 @@ class TestForwardOracle:
         b = forward_sequence(params, inputs, targets)
         assert a.loss == b.loss
 
+    @pytest.mark.parametrize("dropped", [False, True])
+    def test_cacheless_pass_is_bit_identical(self, dropped):
+        # Without a cache all three layers share one gate, cell and output buffer.
+        params = tiny_params(layers=3)
+        rng = np.random.default_rng(4)
+        inputs, targets = random_batch(rng, 5, 3, 6, 7)
+        mask = (rng.random((5, 3)) < 0.7).astype(float)
+        mask[0, 0] = 1.0
+        masks = make_dropout_masks(rng, 0.4, 5, 3, 3, 5) if dropped else None
+        cached = forward_sequence(params, inputs, targets, mask=mask, dropout_masks=masks)
+        bare = forward_sequence(
+            params, inputs, targets, mask=mask, dropout_masks=masks, collect_cache=False
+        )
+        assert bare.cache is None
+        assert bare.loss == cached.loss
+        assert np.array_equal(bare.probs, cached.probs)
+
     def test_forget_gate_saturation_carries_cell(self):
         # With identity cell activation, +inf-ish forget bias and zero
         # input/output contributions elsewhere, the cell integrates inputs.
