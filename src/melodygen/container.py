@@ -18,6 +18,7 @@ which is what makes same-seed reruns byte-comparable.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -75,15 +76,46 @@ def unpack_arrays(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(data[20:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"corrupt container header: {exc}") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("arrays"), list):
+        raise ContainerError('corrupt container header: no "arrays" list')
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ContainerError('corrupt container header: "meta" is not an object')
     arrays: dict[str, np.ndarray] = {}
     payload = data[header_end:]
-    for entry in header["arrays"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(payload):
-            raise ContainerError(f"truncated payload for array {entry['name']!r}")
+    for position, entry in enumerate(header["arrays"]):
+        name, shape, start, nbytes = _checked_entry(entry, position, len(payload))
+        if name in arrays:
+            raise ContainerError(f"duplicate array {name!r}")
         arr = np.frombuffer(payload[start : start + nbytes], dtype="<f8")
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
-    return arrays, header.get("meta", {})
+        try:
+            arrays[name] = arr.reshape(shape).copy()
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise ContainerError(f"array {name!r}: {exc}") from exc
+    return arrays, meta
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _checked_entry(entry, position: int, payload_size: int) -> tuple[str, list[int], int, int]:
+    """An index entry's (name, shape, offset, nbytes), validated against the payload."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise ContainerError(f"array entry {position} has no name")
+    name = entry["name"]
+    shape, start, nbytes = entry.get("shape"), entry.get("offset"), entry.get("nbytes")
+    if not isinstance(shape, list) or not all(map(_is_count, shape)):
+        raise ContainerError(f"array {name!r} has an invalid shape {shape!r}")
+    if not _is_count(start) or not _is_count(nbytes):
+        raise ContainerError(f"array {name!r} has an invalid offset or size")
+    if nbytes != 8 * math.prod(shape):
+        raise ContainerError(
+            f"array {name!r}: shape {shape} does not match its {nbytes} bytes"
+        )
+    if start + nbytes > payload_size:
+        raise ContainerError(f"truncated payload for array {name!r}")
+    return name, shape, start, nbytes
 
 
 def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:

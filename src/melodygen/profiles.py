@@ -5,6 +5,12 @@ Cutting the binarized sequence into widths of 4 gives beat clips, widths of
 16 bar clips. Clip collections are clustered (k-means++ seeding, restarted
 Lloyd iterations, deterministic under a seed) into a ProfileCodebook whose
 centroid indices are the profile vocabulary used to condition generation.
+
+Clips repeat heavily (a corpus has few distinct beat rhythms), so Lloyd
+computes distances once per iteration on the distinct clips only and forms
+centroids from per-cluster counts of each distinct clip. Labels, empty-cluster
+repairs and the objective stay per clip, which keeps every fit identical to
+clustering the clips one by one.
 """
 
 from __future__ import annotations
@@ -63,12 +69,15 @@ def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
-def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(points)
-    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centroids[0] = points[first]
-    closest = np.einsum("nd,nd->n", points - centroids[0], points - centroids[0])
+def _kmeans_plus_plus(
+    distinct: np.ndarray, inverse: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    # Draws are over clips, so duplicates weigh in as often as they occur.
+    n = len(inverse)
+    centroids = np.empty((k, distinct.shape[1]), dtype=np.float64)
+    centroids[0] = distinct[inverse[int(rng.integers(n))]]
+    diff = distinct - centroids[0]
+    closest = np.einsum("nd,nd->n", diff, diff)[inverse]
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -78,31 +87,39 @@ def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> n
             pick = int(candidates[rng.integers(len(candidates))])
         else:
             pick = int(rng.choice(n, p=closest / total))
-        centroids[j] = points[pick]
-        dist = np.einsum("nd,nd->n", points - centroids[j], points - centroids[j])
-        closest = np.minimum(closest, dist)
+        centroids[j] = distinct[inverse[pick]]
+        diff = distinct - centroids[j]
+        closest = np.minimum(closest, np.einsum("nd,nd->n", diff, diff)[inverse])
     return centroids
 
 
 def _lloyd(
-    points: np.ndarray,
+    distinct: np.ndarray,
+    inverse: np.ndarray,
     centroids: np.ndarray,
     max_iter: int,
 ) -> KMeansFit:
-    k = len(centroids)
-    labels = np.full(len(points), -1, dtype=np.int64)
+    """Lloyd iterations over clips ``distinct[inverse]``.
+
+    Distances are computed once per iteration, on the distinct rows only;
+    labels, repairs and the objective stay per clip, in clip order.
+    """
+    k, u = len(centroids), len(distinct)
+    labels = np.full(len(inverse), -1, dtype=np.int64)
     previous_wcss = np.inf
     history: list[float] = []
     iterations = 0
+    # Distances of each distinct row to the current centroids: the start's,
+    # then those computed for the objective after each update.
+    d2 = _squared_distances(distinct, centroids)
     for iterations in range(1, max_iter + 1):
-        d2 = _squared_distances(points, centroids)
-        new_labels = d2.argmin(axis=1)
+        new_labels = d2.argmin(axis=1)[inverse]
 
-        # Repair empty clusters: each takes the point currently farthest from
+        # Repair empty clusters: each takes the clip currently farthest from
         # its assigned centroid (deterministic: first max, lowest cluster id).
-        # Stealing a singleton's point can empty another cluster, so loop
-        # until none are empty; repaired points get distance 0 and stay put.
-        assigned_d2 = d2[np.arange(len(points)), new_labels]
+        # Stealing a singleton's clip can empty another cluster, so loop
+        # until none are empty; repaired clips get distance 0 and stay put.
+        assigned_d2 = d2[inverse, new_labels]
         counts = np.bincount(new_labels, minlength=k)
         while np.any(counts == 0):
             cluster = int(np.flatnonzero(counts == 0)[0])
@@ -110,15 +127,14 @@ def _lloyd(
             counts[new_labels[farthest]] -= 1
             counts[cluster] += 1
             new_labels[farthest] = cluster
-            centroids[cluster] = points[farthest]
             assigned_d2[farthest] = 0.0
 
-        for cluster in range(k):
-            members = points[new_labels == cluster]
-            centroids[cluster] = members.mean(axis=0)
+        # members[c, r]: how many clips of distinct row r cluster c holds.
+        members = np.bincount(new_labels * u + inverse, minlength=k * u).reshape(k, u)
+        centroids = members @ distinct / counts[:, None]
 
-        d2_updated = _squared_distances(points, centroids)
-        wcss = float(d2_updated[np.arange(len(points)), new_labels].sum())
+        d2 = _squared_distances(distinct, centroids)
+        wcss = float(d2[inverse, new_labels].sum())
         if wcss > previous_wcss + _MONOTONE_SLACK:
             raise AssertionError(
                 f"objective increased ({previous_wcss} -> {wcss}); "
@@ -146,6 +162,12 @@ def kmeans(
 
     Requires at least k distinct clips. ``initial_centroids`` adds one extra
     deterministic warm-started candidate to the restart pool.
+
+    Each centroid is computed as its members' per-row counts times the
+    distinct rows, divided by its size. For 0/1 clips, which is all the
+    program clusters, member sums are exact and this equals the members'
+    plain mean bit for bit; for other float input a centroid may differ from
+    that mean in the last bit.
     """
     points = np.asarray(clips, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:
@@ -154,10 +176,10 @@ def kmeans(
         raise ValueError("k must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    n_distinct = len(np.unique(points, axis=0))
-    if n_distinct < k:
+    distinct, inverse = np.unique(points, axis=0, return_inverse=True)
+    if len(distinct) < k:
         raise ValueError(
-            f"cannot form {k} clusters from {n_distinct} distinct clips; "
+            f"cannot form {k} clusters from {len(distinct)} distinct clips; "
             "lower k or enlarge the corpus"
         )
     seeds = np.random.SeedSequence(seed).spawn(restarts)
@@ -167,9 +189,9 @@ def kmeans(
         starts.append(np.array(initial_centroids, dtype=np.float64))
     for child in seeds:
         rng = np.random.Generator(np.random.PCG64(child))
-        starts.append(_kmeans_plus_plus(points, k, rng))
+        starts.append(_kmeans_plus_plus(distinct, inverse, k, rng))
     for start in starts:
-        fit = _lloyd(points, start.copy(), max_iter)
+        fit = _lloyd(distinct, inverse, start, max_iter)
         if best is None or fit.wcss < best.wcss - 1e-15:
             best = fit
     assert best is not None
@@ -264,12 +286,8 @@ def build_codebook(
     )
 
 
-def assign(clip: np.ndarray, codebook: ProfileCodebook) -> int:
-    """Index of the nearest centroid (ties resolve to the lowest index)."""
-    return int(assign_many(np.asarray(clip, dtype=np.float64)[None, :], codebook)[0])
-
-
 def assign_many(clips: np.ndarray, codebook: ProfileCodebook) -> np.ndarray:
+    """Index of each clip's nearest centroid (ties resolve to the lowest index)."""
     clips = np.asarray(clips, dtype=np.float64)
     if clips.ndim != 2 or clips.shape[1] != codebook.width:
         raise ValueError(f"clips must be (n, {codebook.width})")

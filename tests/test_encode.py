@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from melodygen.encode import (
     ALPHABET_SIZE,
@@ -30,6 +31,22 @@ from melodygen.encode import (
 from melodygen.leadsheet import LeadSheet, RawNote, chord_from_kind
 from melodygen.midifile import write_midi
 from support.midi_reader import read_midi
+
+
+@st.composite
+def valid_grids(draw) -> MelodyGrid:
+    """1-4 bars of note-ons, holds, and note-offs only after a sounding note."""
+    n_bars = draw(st.integers(1, 4))
+    events, sounding = [], False
+    for _ in range(n_bars * STEPS_PER_BAR):
+        kinds = ["on", "hold", "off"] if sounding else ["on", "hold"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "on":
+            events.append(draw(st.integers(0, N_PITCHES - 1)))
+        else:
+            events.append(NOTE_OFF if kind == "off" else NO_EVENT)
+        sounding = kind == "on" or (sounding and kind == "hold")
+    return MelodyGrid(tuple(events))
 
 
 def sheet_from_steps(step_notes, n_bars, key_fifths=0, chords=()):
@@ -306,6 +323,12 @@ class TestGridDecode:
             sheet = sheet_from_steps(notes, n_bars)
             decoded = grid_decode(grid_encode(sheet))
             assert decoded == sorted(notes, key=lambda n: n[1]), f"trial {trial}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid_grids())
+    def test_every_valid_grid_survives_decode_and_encode(self, grid):
+        sheet = sheet_from_steps(grid_decode(grid), grid.n_bars)
+        assert grid_encode(sheet) == grid
 
 
 class TestOneHot:

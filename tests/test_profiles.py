@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from melodygen.encode import NO_EVENT, NOTE_OFF, MelodyGrid
 from melodygen.profiles import (
     BAR_WIDTH,
     BEAT_WIDTH,
+    KMeansFit,
     ProfileCodebook,
-    assign,
     assign_many,
     binarize,
     build_codebook,
@@ -17,7 +18,44 @@ from melodygen.profiles import (
     kmeans,
     profile_sequences,
 )
-from support.kmeans_oracle import brute_force_wcss, direct_wcss
+from support.kmeans_oracle import (
+    brute_force_wcss,
+    direct_wcss,
+    elbow_warm_start,
+    reference_elbow_report,
+    reference_kmeans,
+)
+
+
+def assert_same_fit(got: KMeansFit, expected: KMeansFit) -> None:
+    assert got.centroids.tobytes() == expected.centroids.tobytes()
+    assert got.centroids.shape == expected.centroids.shape
+    assert np.array_equal(got.labels, expected.labels)
+    assert got.wcss == expected.wcss
+    assert got.iterations == expected.iterations
+    assert got.wcss_history == expected.wcss_history
+
+
+@st.composite
+def binary_clip_sets(draw) -> np.ndarray:
+    """0/1 clips of beat or bar width: distinct rows, each repeated, shuffled."""
+    width = draw(st.sampled_from([BEAT_WIDTH, BAR_WIDTH]))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, 1), min_size=width, max_size=width),
+            min_size=1,
+            max_size=12,
+            unique_by=tuple,
+        )
+    )
+    copies = draw(st.lists(st.integers(1, 5), min_size=len(rows), max_size=len(rows)))
+    points = np.repeat(np.array(rows, dtype=np.float64), copies, axis=0)
+    order = draw(st.permutations(range(len(points))))
+    return points[list(order)]
+
+
+def n_distinct(points: np.ndarray) -> int:
+    return len(np.unique(points, axis=0))
 
 
 class TestBinarize:
@@ -139,6 +177,95 @@ class TestKMeans:
             kmeans(points, 1, seed=0, restarts=0)
 
 
+class TestExactness:
+    """kmeans over distinct clips equals the per-clip reference bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_kmeans_matches_reference(self, data):
+        points = data.draw(binary_clip_sets())
+        k = data.draw(st.integers(1, n_distinct(points)))
+        restarts = data.draw(st.integers(1, 4))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        assert_same_fit(
+            kmeans(points, k, seed=seed, restarts=restarts),
+            reference_kmeans(points, k, seed=seed, restarts=restarts),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_elbow_report_matches_reference(self, data):
+        points = data.draw(binary_clip_sets())
+        high = data.draw(st.integers(1, n_distinct(points)))
+        low = data.draw(st.integers(1, high))
+        restarts = data.draw(st.integers(1, 4))
+        seed = data.draw(st.integers(0, 2**16))
+        k_values = range(low, high + 1)
+        fits = reference_elbow_report(points, k_values, seed=seed, restarts=restarts)
+        rows = elbow_report(points, k_values, seed=seed, restarts=restarts)
+        assert rows == [{"k": k, "wcss": fit.wcss} for k, fit in zip(k_values, fits)]
+        # Each warm-started fit, not only its objective, matches too.
+        for k, previous, fit in zip(k_values[1:], fits, fits[1:]):
+            warm = elbow_warm_start(points, previous)
+            got = kmeans(
+                points, k, seed=seed + k, restarts=restarts, initial_centroids=warm
+            )
+            assert_same_fit(got, fit)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_warm_starts_that_empty_clusters(self, data):
+        # Random k-means++ starts almost never empty a cluster, so draw warm
+        # starts that do: rows of the data with repeats, one maybe far away.
+        points = data.draw(binary_clip_sets())
+        distinct = np.unique(points, axis=0)
+        k = data.draw(st.integers(1, len(distinct)))
+        picks = data.draw(
+            st.lists(st.integers(0, len(distinct) - 1), min_size=k, max_size=k)
+        )
+        start = distinct[picks].copy()
+        if data.draw(st.booleans()):
+            start[data.draw(st.integers(0, k - 1))] = 10.0
+        restarts = data.draw(st.integers(1, 4))
+        assert_same_fit(
+            kmeans(points, k, seed=1, restarts=restarts, initial_centroids=start),
+            reference_kmeans(
+                points, k, seed=1, restarts=restarts, initial_centroids=start
+            ),
+        )
+
+    # In each case below the warm start reaches the optimum, so kmeans keeps
+    # it (ties go to the first start) and its repaired first iteration shows
+    # in wcss_history.
+    @pytest.mark.parametrize(
+        "points, start",
+        [
+            pytest.param(
+                [[0, 0, 0, 0]] * 3 + [[1, 1, 1, 1]] * 3,
+                [[0, 0, 0, 0], [0, 0, 0, 0]],
+                id="duplicate-start-takes-one-of-three-identical-clips",
+            ),
+            pytest.param(
+                [[1, 1, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0]],
+                [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                id="two-repairs-from-a-triple-start",
+            ),
+            pytest.param(
+                [[0, 1, 0, 1]] * 4 + [[1, 0, 0, 0]] * 2 + [[0, 0, 0, 0]],
+                [[0, 1, 0, 1], [9, 9, 9, 9], [0, 0, 0, 0]],
+                id="far-start-empties-a-cluster",
+            ),
+        ],
+    )
+    def test_empty_cluster_repairs(self, points, start):
+        points = np.array(points, dtype=np.float64)
+        k = len(start)
+        got = kmeans(points, k, seed=0, restarts=2, initial_centroids=start)
+        expected = reference_kmeans(points, k, seed=0, restarts=2, initial_centroids=start)
+        assert_same_fit(got, expected)
+        assert got.wcss == 0.0 and len(got.wcss_history) >= 2
+
+
 class TestCodebook:
     def clips(self):
         rng = np.random.default_rng(8)
@@ -147,8 +274,8 @@ class TestCodebook:
     def test_build_and_assign(self):
         codebook = build_codebook(self.clips(), "beat", 5, seed=2)
         assert codebook.k == 5 and codebook.width == BEAT_WIDTH
-        index = assign(np.array([1.0, 0.0, 0.0, 0.0]), codebook)
-        assert 0 <= index < 5
+        indices = assign_many(np.array([[1.0, 0.0, 0.0, 0.0]]), codebook)
+        assert indices.shape == (1,) and 0 <= indices[0] < 5
 
     def test_assign_is_nearest_centroid(self):
         codebook = build_codebook(self.clips(), "beat", 4, seed=0)
@@ -168,7 +295,7 @@ class TestCodebook:
             wcss=0.0,
         )
         # Equidistant from both centroids.
-        assert assign(np.array([0.5, 0.0, 0.0, 0.5]), codebook) == 0
+        assert assign_many(np.array([[0.5, 0.0, 0.0, 0.5]]), codebook).tolist() == [0]
 
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="kind"):
