@@ -2,19 +2,19 @@
 
 Subcommands mirror the pipeline stages and share a work directory:
 
-    ingest       parse a corpus directory, cache lead sheets, write manifest
+    ingest       parse and encode a corpus directory: lead sheets, grids, manifest
     profiles     cluster rhythm clips of the training split into codebooks
     train        build datasets and train the generator hierarchy
     generate     decode a melody, write MIDI plus a trace JSON
     eval         teacher-forcing metrics and generation adherence
     export-midi  render a cached lead-sheet JSON to MIDI
 
-Every command accepts ``--seed`` and ``--config`` (a JSON file of defaults;
-explicit flags win). Derived seeds are pure functions of the user seed:
-corpus split uses the seed itself, clustering seed+7, the three layers
-seed+101/202/303, generation the seed. Outputs embed a short hash of the
-effective configuration and the tool version so artifacts can be traced to
-the settings that produced them.
+Every command accepts ``--seed`` and ``--config`` (a JSON object of option
+values, placed before the explicit flags so that those win). Derived seeds
+are pure functions of the user seed: corpus split uses the seed itself,
+clustering seed+7, the three layers seed+101/202/303, generation the seed.
+Outputs embed a short hash of the effective configuration and the tool
+version so artifacts can be traced to the settings that produced them.
 
 Exit codes: 0 success, 1 operational error (missing prerequisites, bad
 model), 2 empty or invalid input (nothing ingested, malformed arguments).
@@ -31,15 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import scan_corpus
-from .encode import (
-    NO_EVENT,
-    MelodyGrid,
-    grid_decode,
-    grid_encode,
-    normalize_sheet,
-    sustain_extend,
-)
+from .corpus import dumps_grids, loads_grids, scan_corpus
+from .encode import NO_EVENT, grid_decode, grid_encode, normalize_sheet, sustain_extend
 from .hrnn import (
     GenerationPlan,
     HrnnModel,
@@ -55,7 +48,7 @@ from .hrnn import (
     train_layer,
 )
 from .hrnn.training import LEVEL_SEED_OFFSETS, layer_config
-from .leadsheet import LeadSheet, dumps_leadsheet, loads_leadsheet
+from .leadsheet import dumps_leadsheet, loads_leadsheet
 from .midifile import write_midi
 from .neural import TrainConfig
 from .profiles import (
@@ -124,30 +117,21 @@ def _require_file(path: Path, producer: str) -> Path:
     return path
 
 
-def _load_sheets(work: Path, ids: list[str]) -> list[LeadSheet]:
-    sheets = []
-    for piece_id in ids:
-        path = work / "leadsheets" / f"{piece_id}.json"
-        if not path.exists():
-            raise CliError(
-                f"cached lead sheet {path} is missing; re-run `melodygen ingest`"
-            )
-        sheets.append(loads_leadsheet(path.read_text(encoding="utf-8")))
-    return sheets
-
-
 def _manifest(work: Path) -> dict:
     path = _require_file(work / "manifest.json", "ingest")
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _grids(sheets: list[LeadSheet]) -> tuple[list[MelodyGrid], list]:
-    grids, chord_tracks = [], []
-    for sheet in sheets:
-        normalized = normalize_sheet(sheet)
-        grids.append(grid_encode(normalized))
-        chord_tracks.append(normalized.chords)
-    return grids, chord_tracks
+def _load_encoded(work: Path, ids: list[str]) -> tuple[list, list]:
+    """Grids and chord tracks of the listed pieces, as ingest encoded them."""
+    path = work / "grids.json"
+    if not path.exists():
+        raise CliError(f"{path} is missing; re-run `melodygen ingest`")
+    try:
+        pieces = loads_grids(path.read_bytes(), ids)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}; re-run `melodygen ingest`")
+    return [piece.grid for piece in pieces], [piece.chords for piece in pieces]
 
 
 def _load_codebooks(work: Path) -> tuple[ProfileCodebook, ProfileCodebook]:
@@ -163,14 +147,26 @@ def cmd_ingest(args) -> int:
         raise CliError(f"corpus directory {corpus_dir} does not exist", EXIT_EMPTY)
     scan = scan_corpus(corpus_dir, split_seed=args.seed)
     manifest = scan.manifest
-    effective = {"command": "ingest", "corpus_dir": str(corpus_dir), "seed": args.seed}
-    payload = manifest.to_dict()
-    payload.update(_stamp(effective))
+    # The hash names the accepted pieces, not the directory they came from.
+    corpus_digest = hashlib.sha256()
     (work / "leadsheets").mkdir(exist_ok=True)
-    for piece_id, sheet in scan.sheets.items():
+    for piece_id in manifest.accepted_ids:
+        cached = dumps_leadsheet(scan.sheets[piece_id]) + "\n"
+        corpus_digest.update(cached.encode("utf-8"))
         target = work / "leadsheets" / f"{piece_id}.json"
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(dumps_leadsheet(sheet) + "\n", encoding="utf-8")
+        target.write_text(cached, encoding="utf-8")
+    effective = {
+        "command": "ingest",
+        "corpus_sha256": corpus_digest.hexdigest(),
+        "seed": args.seed,
+    }
+    stamp = _stamp(effective)
+    payload = manifest.to_dict()
+    payload.update(stamp)
+    (work / "grids.json").write_text(
+        dumps_grids(scan.encoded, stamp) + "\n", encoding="utf-8"
+    )
     (work / "manifest.json").write_text(
         json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
@@ -194,10 +190,9 @@ def cmd_ingest(args) -> int:
 def cmd_profiles(args) -> int:
     work = _workdir(args)
     manifest = _manifest(work)
-    train_sheets = _load_sheets(work, manifest["train_ids"])
-    if not train_sheets:
+    if not manifest["train_ids"]:
         raise CliError("the training split is empty", EXIT_EMPTY)
-    grids, _ = _grids(train_sheets)
+    grids, _ = _load_encoded(work, manifest["train_ids"])
     binary = [binarize(grid) for grid in grids]
     beat_clips = np.concatenate([cut_clips(b, BEAT_WIDTH) for b in binary])
     bar_clips = np.concatenate([cut_clips(b, BAR_WIDTH) for b in binary])
@@ -236,12 +231,10 @@ def cmd_train(args) -> int:
     work = _workdir(args)
     manifest = _manifest(work)
     beat_cb, bar_cb = _load_codebooks(work)
-    train_sheets = _load_sheets(work, manifest["train_ids"])
-    val_sheets = _load_sheets(work, manifest["validation_ids"])
-    if not train_sheets:
+    if not manifest["train_ids"]:
         raise CliError("the training split is empty", EXIT_EMPTY)
-    train_grids, train_chords = _grids(train_sheets)
-    val_grids, val_chords = _grids(val_sheets)
+    train_grids, train_chords = _load_encoded(work, manifest["train_ids"])
+    val_grids, val_chords = _load_encoded(work, manifest["validation_ids"])
 
     conf = TrainConfig(
         max_iterations=args.max_iterations,
@@ -440,14 +433,12 @@ def _choose_primer(work, manifest, model, rng, primer_piece: str | None):
         piece_id = pool[int(rng.integers(len(pool)))]
     else:
         raise CliError("no pieces available to draw a primer from", EXIT_EMPTY)
-    sheet = _load_sheets(work, [piece_id])[0]
-    normalized = normalize_sheet(sheet)
-    grid = grid_encode(normalized)
+    (grid,), (chords,) = _load_encoded(work, [piece_id])
     bar_idx, beat_idx = profile_sequences(grid, model.beat_codebook, model.bar_codebook)
     primer_events = tuple(int(e) for e in grid.events[:4])
     primer_bar = int(bar_idx[0]) if bar_idx is not None else None
     primer_beat = int(beat_idx[0]) if beat_idx is not None else None
-    return primer_events, primer_bar, primer_beat, normalized.chords
+    return primer_events, primer_bar, primer_beat, chords
 
 
 def cmd_eval(args) -> int:
@@ -463,8 +454,7 @@ def cmd_eval(args) -> int:
     ids = manifest["validation_ids"] or manifest["train_ids"]
     if not ids:
         raise CliError("no pieces to evaluate on", EXIT_EMPTY)
-    sheets = _load_sheets(work, ids)
-    grids, chord_tracks = _grids(sheets)
+    grids, chord_tracks = _load_encoded(work, ids)
     datasets = build_datasets(
         grids,
         model.variant,
@@ -671,38 +661,72 @@ def _parse_range(text: str) -> tuple[int, int]:
     return low, high
 
 
-def _suppress_all_defaults(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """Set every option's default to SUPPRESS so parsing reveals explicit args."""
-    stack = [parser]
-    while stack:
-        current = stack.pop()
-        for action in current._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
-            else:
-                action.default = argparse.SUPPRESS
-    return parser
+def _config_path(argv: list[str]) -> str | None:
+    """The ``--config`` value in ``argv``, if one is given well-formed."""
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        return finder.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return None  # the full parse reports it
+
+
+def _config_argv(config: dict, command: argparse.ArgumentParser) -> list[str]:
+    """A ``--config`` object as option tokens of ``command``.
+
+    Each key names one of the command's options (dashes or underscores). A
+    flag takes true or false, any other option a string or a number, which
+    the option's own type then checks.
+    """
+    options = {
+        action.dest: action
+        for action in command._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    argv = []
+    for key, value in config.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise CliError(
+                f"config key {key!r} is not an option of `{command.prog}`", EXIT_EMPTY
+            )
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise CliError(f"config key {key!r} must be true or false", EXIT_EMPTY)
+            argv += [flag] if value else []
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            argv.append(f"{flag}={value}")
+        else:
+            raise CliError(f"config key {key!r} must be a string or a number", EXIT_EMPTY)
+    return argv
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with the ``--config`` options placed right after the subcommand,
+    so that explicit flags, which come later, win."""
+    parser = build_parser()
+    path = _config_path(argv)
+    if path is not None:
+        commands = next(
+            action.choices
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        if argv[0] in commands:
+            prefix = _config_argv(_load_config_file(path), commands[argv[0]])
+            argv = argv[:1] + prefix + argv[1:]
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_EMPTY if exc.code not in (0, None) else EXIT_OK
-    # A second pass with suppressed defaults reveals which options were given
-    # explicitly; config-file values fill in only the rest.
-    explicit = vars(_suppress_all_defaults(build_parser()).parse_args(argv))
-    try:
-        file_config = _load_config_file(args.config)
-        for key, value in file_config.items():
-            attr = key.replace("-", "_")
-            if attr in ("func", "command", "config") or not hasattr(args, attr):
-                continue
-            if attr not in explicit:
-                setattr(args, attr, value)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if args.seed is None:
             args.seed = 0
         return args.func(args)
+    except SystemExit as exc:
+        return EXIT_EMPTY if exc.code not in (0, None) else EXIT_OK
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -1,26 +1,47 @@
 """Corpus scanning: parse every piece in a directory, filter, and split.
 
 ``scan_corpus`` walks a directory for ``.xml``/``.musicxml``/``.json`` files,
-parses each into a LeadSheet, records every rejection with its reason, and
-produces a deterministic train/validation split of the accepted ids. Files
-that cannot be read or parsed at all are recorded under the reason
-``"unreadable"`` and scanning continues.
+parses each into a LeadSheet, encodes it onto the event grid, records every
+rejection with its reason, and produces a deterministic train/validation
+split of the accepted ids. Files that cannot be read or parsed at all are
+recorded under the reason ``"unreadable"``, and pieces the grid encoder
+rejects under ``"unencodable"``; scanning continues.
+
+Each accepted piece is encoded once, here. ``dumps_grids`` serializes the
+encodings and ``loads_grids`` reads them back, so later stages never re-parse
+or re-quantize a lead sheet.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .encode import PITCH_MAX, PITCH_MIN, transpose_to_c
-from .leadsheet import LeadSheet, SchemaError, loads_leadsheet
+from .encode import (
+    PITCH_MAX,
+    PITCH_MIN,
+    MelodyGrid,
+    grid_encode,
+    normalize_sheet,
+    transpose_to_c,
+)
+from .leadsheet import (
+    ChordSymbol,
+    LeadSheet,
+    SchemaError,
+    chord_from_dict,
+    chord_to_dict,
+    loads_leadsheet,
+)
 from .musicxml import REJECT_WEAK_BEAT, MusicXmlParseError, Rejection, parse_musicxml
 
 REJECT_UNREADABLE = "unreadable"
+REJECT_UNENCODABLE = "unencodable"
 
 MANIFEST_SCHEMA = 1
+GRIDS_SCHEMA = 1
 
 
 @dataclass
@@ -87,10 +108,76 @@ class CorpusManifest:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
+@dataclass(frozen=True)
+class EncodedPiece:
+    """A piece as the models read it: its event grid and its chord track,
+    both transposed to C."""
+
+    grid: MelodyGrid
+    chords: tuple[ChordSymbol, ...]
+
+
 @dataclass
 class CorpusScan:
     manifest: CorpusManifest
     sheets: dict[str, LeadSheet] = field(default_factory=dict)
+    encoded: dict[str, EncodedPiece] = field(default_factory=dict)
+
+
+def dumps_grids(encoded: dict[str, EncodedPiece], stamp: dict) -> str:
+    """Serialize encoded pieces deterministically (sorted keys, compact)."""
+    pieces = {
+        piece_id: {
+            "events": list(piece.grid.events),
+            "chords": [chord_to_dict(chord) for chord in piece.chords],
+        }
+        for piece_id, piece in encoded.items()
+    }
+    return json.dumps(
+        {"schema": GRIDS_SCHEMA, "pieces": pieces, **stamp},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def loads_grids(data: str | bytes, ids: list[str]) -> list[EncodedPiece]:
+    """The listed pieces of a ``dumps_grids`` document, in order.
+
+    Every returned entry is validated as a MelodyGrid and a sorted track of
+    ChordSymbols. A missing or malformed entry raises ValueError naming it.
+    """
+    try:
+        doc = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("schema") != GRIDS_SCHEMA:
+        raise ValueError(f"not a schema-{GRIDS_SCHEMA} grids document")
+    pieces = doc.get("pieces")
+    if not isinstance(pieces, dict):
+        raise ValueError("field 'pieces' must be an object")
+    out = []
+    for piece_id in ids:
+        if piece_id not in pieces:
+            raise ValueError(f"piece {piece_id!r} is missing")
+        try:
+            out.append(_encoded_from_dict(pieces[piece_id]))
+        except ValueError as exc:
+            raise ValueError(f"piece {piece_id!r} is malformed: {exc}") from exc
+    return out
+
+
+def _encoded_from_dict(entry) -> EncodedPiece:
+    if not isinstance(entry, dict):
+        raise ValueError("entry must be an object")
+    events, chords = entry.get("events"), entry.get("chords")
+    if not isinstance(events, list) or not all(type(e) is int for e in events):
+        raise ValueError("field 'events' must be a list of integers")
+    if not isinstance(chords, list):
+        raise ValueError("field 'chords' must be a list")
+    track = tuple(chord_from_dict(chord, f"chords[{i}]") for i, chord in enumerate(chords))
+    if any(b.onset_step <= a.onset_step for a, b in zip(track, track[1:])):
+        raise ValueError("chords must be strictly sorted by onset_step")
+    return EncodedPiece(MelodyGrid(tuple(events)), track)
 
 
 def split_ids(ids: list[str], seed: int) -> tuple[list[str], list[str]]:
@@ -125,6 +212,8 @@ def scan_corpus(directory: str | Path, split_seed: int = 0) -> CorpusScan:
         if p.is_file() and p.suffix.lower() in (".xml", ".musicxml", ".json")
     )
     sheets: dict[str, LeadSheet] = {}
+    encoded: dict[str, EncodedPiece] = {}
+    transposed: list[LeadSheet] = []
     rejections: dict[str, dict[str, str]] = {}
     for path in paths:
         piece_id = path.relative_to(directory).with_suffix("").as_posix()
@@ -143,27 +232,30 @@ def scan_corpus(directory: str | Path, split_seed: int = 0) -> CorpusScan:
             continue
         if isinstance(sheet, Rejection):
             rejections[piece_id] = {"reason": sheet.reason, "detail": sheet.detail}
-        else:
-            if sheet.id != piece_id:
-                sheet = LeadSheet(
-                    id=piece_id,
-                    key_fifths=sheet.key_fifths,
-                    time_signature=sheet.time_signature,
-                    pickup=sheet.pickup,
-                    n_bars=sheet.n_bars,
-                    notes=sheet.notes,
-                    chords=sheet.chords,
-                )
-            sheets[piece_id] = sheet
+            continue
+        # Transposed once: normalize_sheet and pitch_in_range_fraction both
+        # leave a sheet already in C as it is.
+        in_c = transpose_to_c(sheet)
+        try:
+            normalized = normalize_sheet(in_c)
+            grid = grid_encode(normalized)
+        except ValueError as exc:
+            rejections[piece_id] = {"reason": REJECT_UNENCODABLE, "detail": str(exc)}
+            continue
+        if sheet.id != piece_id:
+            sheet = replace(sheet, id=piece_id)
+        sheets[piece_id] = sheet
+        encoded[piece_id] = EncodedPiece(grid, normalized.chords)
+        transposed.append(in_c)
 
     train, validation = split_ids(sorted(sheets), split_seed)
     manifest = CorpusManifest(
         scanned=len(sheets) + len(rejections),
         accepted_ids=sorted(sheets),
         rejections=rejections,
-        pitch_in_range_fraction=pitch_in_range_fraction(list(sheets.values())),
+        pitch_in_range_fraction=pitch_in_range_fraction(transposed),
         split_seed=split_seed,
         train_ids=train,
         validation_ids=validation,
     )
-    return CorpusScan(manifest=manifest, sheets=sheets)
+    return CorpusScan(manifest=manifest, sheets=sheets, encoded=encoded)

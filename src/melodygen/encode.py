@@ -133,7 +133,9 @@ def normalize_sheet(sheet: LeadSheet) -> LeadSheet:
     """Transpose to C and fold every note into the three-octave pitch range."""
     transposed = transpose_to_c(sheet)
     notes = tuple(
-        replace(note, midi_pitch=fold_octaves(note.midi_pitch))
+        note
+        if PITCH_MIN <= note.midi_pitch <= PITCH_MAX
+        else replace(note, midi_pitch=fold_octaves(note.midi_pitch))
         for note in transposed.notes
     )
     return transposed.with_notes(notes)
@@ -141,11 +143,8 @@ def normalize_sheet(sheet: LeadSheet) -> LeadSheet:
 
 def quantize_steps(value: Fraction | int) -> int:
     """Round a step position to the nearest integer, exact halves earlier."""
-    value = Fraction(value)
-    floor = value.numerator // value.denominator
-    if value - floor == Fraction(1, 2):
-        return floor
-    return (value + Fraction(1, 2)).numerator // (value + Fraction(1, 2)).denominator
+    floor, rem = divmod(value.numerator, value.denominator)
+    return floor + (2 * rem > value.denominator)
 
 
 GridNote = tuple[int, int, int]  # (midi_pitch, onset_step, duration_steps)
@@ -224,15 +223,6 @@ def grid_decode(grid: MelodyGrid | Sequence[int]) -> list[GridNote]:
     if open_pitch is not None:
         notes.append((open_pitch, open_step, len(events) - open_step))
     return notes
-
-
-def one_hot(event: int) -> np.ndarray:
-    """38-dim one-hot float vector for an event symbol."""
-    if not 0 <= event < ALPHABET_SIZE:
-        raise ValueError(f"event {event} outside alphabet")
-    vec = np.zeros(ALPHABET_SIZE, dtype=np.float64)
-    vec[event] = 1.0
-    return vec
 
 
 def one_hot_matrix(events: Sequence[int] | np.ndarray, size: int) -> np.ndarray:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..encode import NO_EVENT, MelodyGrid
@@ -83,14 +81,6 @@ def evaluate_layer(
     )
     metrics["loss"] = total_nll / total_steps
     return metrics
-
-
-@dataclass
-class ModelMetrics:
-    per_level: dict[str, dict[str, float]]
-
-    def to_dict(self) -> dict:
-        return {level: dict(view) for level, view in sorted(self.per_level.items())}
 
 
 def rhythm_match_fraction(grid_a: MelodyGrid, grid_b: MelodyGrid) -> float:

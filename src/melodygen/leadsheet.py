@@ -191,15 +191,35 @@ def leadsheet_to_dict(sheet: LeadSheet) -> dict:
             }
             for note in sheet.notes
         ],
-        "chords": [
-            {
-                "onset_step": chord.onset_step,
-                "root": chord.root_pitch_class,
-                "chroma": list(chord.chroma),
-            }
-            for chord in sheet.chords
-        ],
+        "chords": [chord_to_dict(chord) for chord in sheet.chords],
     }
+
+
+def chord_to_dict(chord: ChordSymbol) -> dict:
+    return {
+        "onset_step": chord.onset_step,
+        "root": chord.root_pitch_class,
+        "chroma": list(chord.chroma),
+    }
+
+
+def chord_from_dict(entry: Any, field: str) -> ChordSymbol:
+    """Parse one chord object; ``field`` names it in a SchemaError."""
+    if not isinstance(entry, dict):
+        raise SchemaError(f"field '{field}' must be an object")
+    chroma = _require(entry, "chroma", list)
+    if not all(isinstance(pc, int) for pc in chroma):
+        raise SchemaError(f"field '{field}.chroma' must be integers")
+    try:
+        return ChordSymbol(
+            onset_step=_require(entry, "onset_step", int),
+            root_pitch_class=_require(entry, "root", int),
+            chroma=tuple(chroma),
+        )
+    except ValueError as exc:
+        if isinstance(exc, SchemaError):
+            raise
+        raise SchemaError(f"invalid chord at {field}: {exc}") from exc
 
 
 def leadsheet_from_dict(obj: dict) -> LeadSheet:
@@ -231,25 +251,10 @@ def leadsheet_from_dict(obj: dict) -> LeadSheet:
             if isinstance(exc, SchemaError):
                 raise
             raise SchemaError(f"invalid note at notes[{i}]: {exc}") from exc
-    chords = []
-    for i, entry in enumerate(obj.get("chords", [])):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"field 'chords[{i}]' must be an object")
-        chroma = _require(entry, "chroma", list)
-        if not all(isinstance(pc, int) for pc in chroma):
-            raise SchemaError(f"field 'chords[{i}].chroma' must be integers")
-        try:
-            chords.append(
-                ChordSymbol(
-                    onset_step=_require(entry, "onset_step", int),
-                    root_pitch_class=_require(entry, "root", int),
-                    chroma=tuple(chroma),
-                )
-            )
-        except ValueError as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise SchemaError(f"invalid chord at chords[{i}]: {exc}") from exc
+    chords = [
+        chord_from_dict(entry, f"chords[{i}]")
+        for i, entry in enumerate(obj.get("chords", []))
+    ]
     try:
         return LeadSheet(
             id=_require(obj, "id", str),

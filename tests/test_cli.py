@@ -5,18 +5,60 @@ import json
 import numpy as np
 import pytest
 
+from fractions import Fraction
+
 from melodygen.cli import EXIT_EMPTY, EXIT_ERROR, EXIT_OK, config_hash, main
-from melodygen.leadsheet import dumps_leadsheet
+from melodygen.encode import grid_encode, normalize_sheet
+from melodygen.leadsheet import (
+    LeadSheet,
+    RawNote,
+    chord_to_dict,
+    dumps_leadsheet,
+    loads_leadsheet,
+)
 from melodygen.synthetic import synthetic_corpus
 from support.midi_reader import read_midi
+from support.musicxml_builder import harmony_xml, simple_score
 
 N_PIECES = 12
+TINY_TRAIN = [
+    "--hidden-size", "4", "--lstm-layers", "1", "--batch-size", "4",
+    "--max-iterations", "2", "--eval-every", "2",
+]
 
 
-def write_corpus(directory, n_pieces=N_PIECES, seed=5):
+def write_corpus(directory, n_pieces=N_PIECES, seed=5, random_keys=False):
     directory.mkdir(parents=True, exist_ok=True)
-    for sheet in synthetic_corpus(n_pieces, seed=seed, n_bars=4):
+    for sheet in synthetic_corpus(n_pieces, seed=seed, n_bars=4, random_keys=random_keys):
         (directory / f"{sheet.id}.json").write_text(dumps_leadsheet(sheet) + "\n")
+
+
+def write_mixed_corpus(directory):
+    """JSON pieces in random keys, and MusicXML pieces in triplet and
+    quintuplet divisions, in sharp and flat keys, with chords and with
+    pitches outside the grid's three octaves."""
+    write_corpus(directory, n_pieces=8, seed=11, random_keys=True)
+    (directory / "xml").mkdir()
+    (directory / "xml" / "triplets.musicxml").write_text(simple_score(
+        [(62, 1), (64, 1), (66, 1), (None, 3), (69, 6), (30, 4), (90, 8)],
+        divisions=3, key_fifths=2,
+        harmonies={0: harmony_xml("D"), 1: harmony_xml("A", "dominant")},
+    ))
+    (directory / "xml" / "quintuplets.xml").write_text(simple_score(
+        [(53, 2), (57, 3), (60, 5), (None, 5), (65, 5), (58, 20)],
+        divisions=5, key_fifths=-1,
+        harmonies={0: harmony_xml("F"), 1: harmony_xml("B", "major", -1)},
+    ))
+
+
+def overlapping_piece() -> LeadSheet:
+    """A cached-format piece whose two notes overlap: the grid cannot hold it."""
+    notes = (RawNote(60, Fraction(0), Fraction(2)), RawNote(62, Fraction(1), Fraction(1)))
+    return LeadSheet("overlap", 0, (4, 4), False, 1, notes)
+
+
+def ingest(corpus, work, *extra):
+    return main(["ingest", "--corpus-dir", str(corpus), "--work-dir", str(work), *extra])
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +115,118 @@ class TestIngest:
         assert "scanned   3" in out
         assert "accepted  3" in out
         assert "split" in out
+
+
+class TestEncodedAtIngest:
+    def test_stored_grids_equal_a_fresh_encoding(self, tmp_path):
+        corpus, work = tmp_path / "corpus", tmp_path / "work"
+        write_mixed_corpus(corpus)
+        assert ingest(corpus, work) == EXIT_OK
+        manifest = json.loads((work / "manifest.json").read_text())
+        assert manifest["accepted"] == 10
+        text = (work / "grids.json").read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert doc["config_hash"] == manifest["config_hash"]
+        assert sorted(doc["pieces"]) == manifest["accepted_ids"]
+        for piece_id in manifest["accepted_ids"]:
+            cached = (work / "leadsheets" / f"{piece_id}.json").read_text()
+            normalized = normalize_sheet(loads_leadsheet(cached))
+            entry = doc["pieces"][piece_id]
+            assert entry["events"] == list(grid_encode(normalized).events), piece_id
+            assert entry["chords"] == [chord_to_dict(c) for c in normalized.chords], piece_id
+
+    def test_later_stages_read_no_lead_sheet(self, tmp_path):
+        corpus, work = tmp_path / "corpus", tmp_path / "work"
+        write_corpus(corpus, n_pieces=6)
+        assert ingest(corpus, work) == EXIT_OK
+        for cached in (work / "leadsheets").glob("*.json"):
+            cached.unlink()
+        assert main(["profiles", "--work-dir", str(work), "--beat-k", "2", "--bar-k", "2"]) == EXIT_OK
+        assert main(["train", "--work-dir", str(work), "--chords", *TINY_TRAIN]) == EXIT_OK
+        assert main(["eval", "--work-dir", str(work), "--adherence-samples", "1"]) == EXIT_OK
+        assert main(["generate", "--work-dir", str(work), "--bars", "1"]) == EXIT_OK
+
+    @pytest.mark.parametrize("damage,named", [
+        ("delete file", "grids.json"),
+        ("drop piece", "synthetic-0000"),
+        ("event outside alphabet", "synthetic-0000"),
+        ("note-off in silence", "synthetic-0000"),
+        ("events not a list", "synthetic-0000"),
+        ("chord root outside its chroma", "synthetic-0000"),
+        ("entry not an object", "synthetic-0000"),
+        ("not JSON", "grids.json"),
+    ])
+    def test_damaged_grids_exit_one_naming_what(self, tmp_path, capsys, damage, named):
+        corpus, work = tmp_path / "corpus", tmp_path / "work"
+        write_corpus(corpus, n_pieces=6)
+        assert ingest(corpus, work) == EXIT_OK
+        manifest = json.loads((work / "manifest.json").read_text())
+        assert "synthetic-0000" in manifest["train_ids"]
+        path = work / "grids.json"
+        doc = json.loads(path.read_text())
+        entry = doc["pieces"]["synthetic-0000"]
+        if damage == "delete file":
+            path.unlink()
+        elif damage == "not JSON":
+            path.write_text("{")
+        else:
+            if damage == "drop piece":
+                del doc["pieces"]["synthetic-0000"]
+            elif damage == "event outside alphabet":
+                entry["events"][0] = 38
+            elif damage == "note-off in silence":
+                entry["events"] = [36] + [37] * 15
+            elif damage == "events not a list":
+                entry["events"] = "0,37"
+            elif damage == "chord root outside its chroma":
+                entry["chords"] = [{"onset_step": 0, "root": 1, "chroma": [0, 4, 7]}]
+            elif damage == "entry not an object":
+                doc["pieces"]["synthetic-0000"] = 3
+            path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["profiles", "--work-dir", str(work), "--beat-k", "2", "--bar-k", "2"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert named in err and "melodygen ingest" in err
+
+    def test_unencodable_piece_is_rejected_by_id(self, tmp_path, capsys):
+        corpus, work = tmp_path / "corpus", tmp_path / "work"
+        write_corpus(corpus, n_pieces=8)
+        (corpus / "overlap.json").write_text(dumps_leadsheet(overlapping_piece()))
+        assert ingest(corpus, work) == EXIT_OK
+        assert "unencodable: 1" in capsys.readouterr().out
+        manifest = json.loads((work / "manifest.json").read_text())
+        rejection = manifest["rejections"]["overlap"]
+        assert rejection["reason"] == "unencodable"
+        assert "notes overlap after quantization" in rejection["detail"]
+        assert manifest["accepted"] == 8
+        assert "overlap" not in manifest["train_ids"] + manifest["validation_ids"]
+        assert "overlap" not in json.loads((work / "grids.json").read_text())["pieces"]
+        assert main(["profiles", "--work-dir", str(work), "--beat-k", "2", "--bar-k", "2"]) == EXIT_OK
+        assert main(["train", "--work-dir", str(work), *TINY_TRAIN]) == EXIT_OK
+
+    def test_hash_names_the_corpus_not_its_directory(self, tmp_path):
+        artifacts = {}
+        for name in ("a", "b", "edited"):
+            corpus = tmp_path / name / "corpus"
+            write_corpus(corpus, n_pieces=6)
+            if name == "edited":
+                path = corpus / "synthetic-0003.json"
+                sheet = loads_leadsheet(path.read_text())
+                first = sheet.notes[0]
+                pitch = first.midi_pitch + (1 if first.midi_pitch < 127 else -1)
+                moved = (RawNote(pitch, first.onset, first.duration),) + sheet.notes[1:]
+                path.write_text(dumps_leadsheet(sheet.with_notes(moved)))
+            work = tmp_path / name / "work"
+            assert ingest(corpus, work) == EXIT_OK
+            artifacts[name] = [(work / f).read_bytes() for f in ("manifest.json", "grids.json")]
+        assert artifacts["a"] == artifacts["b"]
+        hashes = {
+            name: json.loads(manifest)["config_hash"]
+            for name, (manifest, _) in artifacts.items()
+        }
+        assert hashes["edited"] != hashes["a"]
 
 
 class TestProfiles:
@@ -319,6 +473,33 @@ class TestConfigFile:
         trace = json.loads(out.with_suffix(".json").read_text())
         assert trace["plan"]["mode"] == "beam"
         assert trace["plan"]["beam_width"] == 2
+
+    @pytest.mark.parametrize("config,named", [
+        ({"bars": "eight"}, "--bars"),
+        ({"barz": 3}, "barz"),
+        ({"bars": True}, "bars"),
+        ({"sustain": 1}, "sustain"),
+        ({"out": None}, "out"),
+    ])
+    def test_bad_config_key_or_value_exits_two(self, pipeline, tmp_path, capsys, config, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main([
+            "generate", "--work-dir", str(pipeline), "--config", str(path),
+            "--bars", "2", "--out", str(tmp_path / "x.mid"),
+        ])
+        assert code == EXIT_EMPTY
+        assert named in capsys.readouterr().err
+
+    def test_config_may_give_a_required_option(self, pipeline, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"work_dir": str(pipeline), "sustain": True}))
+        out = tmp_path / "w.mid"
+        assert main([
+            "generate", "--config", str(config), "--bars", "2", "--out", str(out),
+        ]) == EXIT_OK
+        trace = json.loads(out.with_suffix(".json").read_text())
+        assert trace["config"]["sustain"] is True
 
     def test_invalid_config_json_exits_two(self, pipeline, tmp_path):
         config = tmp_path / "config.json"

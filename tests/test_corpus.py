@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from melodygen.corpus import (
+    REJECT_UNENCODABLE,
     CorpusManifest,
     pitch_in_range_fraction,
     scan_corpus,
@@ -122,6 +123,22 @@ class TestScanCorpus:
         )
         scan = scan_corpus(tmp_path)
         assert scan.manifest.rejections["three"]["reason"] == REJECT_TIME_SIGNATURE
+
+    @pytest.mark.parametrize("notes,detail", [
+        (((60, 0, 2), (62, 1, 1)), "notes overlap"),
+        (((60, 3, 2),), "past the final bar"),
+    ])
+    def test_unencodable_rejected_before_the_split(self, tmp_path, notes, detail):
+        corpus = self.make_corpus(tmp_path)
+        raw = tuple(RawNote(p, Fraction(on), Fraction(d)) for p, on, d in notes)
+        sheet = LeadSheet("bad", 0, (4, 4), False, 1, raw)
+        (corpus / "bad.json").write_text(dumps_leadsheet(sheet))
+        scan = scan_corpus(corpus, split_seed=1)
+        rejection = scan.manifest.rejections["bad"]
+        assert rejection["reason"] == REJECT_UNENCODABLE
+        assert detail in rejection["detail"]
+        assert sorted(scan.encoded) == scan.manifest.accepted_ids == sorted(scan.sheets)
+        assert "bad" not in scan.manifest.train_ids + scan.manifest.validation_ids
 
     def test_split_partitions_accepted(self, tmp_path):
         scan = scan_corpus(self.make_corpus(tmp_path), split_seed=1)

@@ -20,7 +20,6 @@ from melodygen.encode import (
     grid_decode,
     grid_encode,
     normalize_sheet,
-    one_hot,
     one_hot_matrix,
     quantize_steps,
     sustain_extend,
@@ -31,6 +30,7 @@ from melodygen.encode import (
 from melodygen.leadsheet import LeadSheet, RawNote, chord_from_kind
 from melodygen.midifile import write_midi
 from support.midi_reader import read_midi
+from support.quantize_oracle import reference_quantize
 
 
 @st.composite
@@ -216,6 +216,19 @@ class TestQuantize:
         quantized = [quantize_steps(v) for v in values]
         assert quantized == sorted(quantized)
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(-10**6, 10**6),
+            st.fractions(),
+            st.integers(-10**6, 10**6).map(lambda n: Fraction(2 * n + 1, 2)),
+        )
+    )
+    def test_matches_the_fraction_formula(self, value):
+        quantized = quantize_steps(value)
+        assert quantized == reference_quantize(value)
+        assert type(quantized) is int
+
 
 class TestGridEncode:
     def test_simple_bar(self):
@@ -332,15 +345,6 @@ class TestGridDecode:
 
 
 class TestOneHot:
-    def test_one_hot_vector(self):
-        vec = one_hot(NOTE_OFF)
-        assert vec.shape == (ALPHABET_SIZE,)
-        assert vec[NOTE_OFF] == 1.0 and vec.sum() == 1.0
-
-    def test_one_hot_range(self):
-        with pytest.raises(ValueError):
-            one_hot(ALPHABET_SIZE)
-
     def test_one_hot_matrix(self):
         mat = one_hot_matrix([0, 37, 5], ALPHABET_SIZE)
         assert mat.shape == (3, ALPHABET_SIZE)

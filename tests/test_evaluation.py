@@ -6,7 +6,6 @@ import pytest
 from melodygen.encode import NO_EVENT, MelodyGrid, grid_encode
 from melodygen.hrnn.datasets import TrainingSequence, build_datasets
 from melodygen.hrnn.evaluation import (
-    ModelMetrics,
     classification_metrics,
     evaluate_layer,
     profile_adherence,
@@ -110,12 +109,6 @@ class TestEvaluateLayer:
         params = init_params(6, 8, 5, n_layers=1, seed=1)
         with pytest.raises(ValueError, match="nothing to evaluate"):
             evaluate_layer(params, [])
-
-
-class TestModelMetrics:
-    def test_to_dict_sorted_by_level(self):
-        metrics = ModelMetrics({"note": {"loss": 1.0}, "bar": {"loss": 2.0}})
-        assert list(metrics.to_dict()) == ["bar", "note"]
 
 
 class TestRhythmMatch:
