@@ -92,6 +92,15 @@ def _shift_into_midi_range(pitch: int) -> int:
     return pitch
 
 
+def _sorted_notes(notes: Iterable[RawNote]) -> tuple[RawNote, ...]:
+    """Notes in the (onset, pitch) order a LeadSheet requires.
+
+    Moving some pitches by octaves (folding, or wrapping at the ends of the
+    MIDI range) can swap the pitch order of notes that share an onset.
+    """
+    return tuple(sorted(notes, key=lambda note: (note.onset, note.midi_pitch)))
+
+
 def transpose_to_c(sheet: LeadSheet) -> LeadSheet:
     """Transpose a lead sheet so its notated major key becomes C.
 
@@ -107,6 +116,8 @@ def transpose_to_c(sheet: LeadSheet) -> LeadSheet:
         replace(note, midi_pitch=_shift_into_midi_range(note.midi_pitch + shift))
         for note in sheet.notes
     )
+    if any(not 0 <= note.midi_pitch + shift <= 127 for note in sheet.notes):
+        notes = _sorted_notes(notes)
     chords = tuple(
         ChordSymbol(
             onset_step=chord.onset_step,
@@ -132,7 +143,9 @@ def fold_octaves(pitch: int) -> int:
 def normalize_sheet(sheet: LeadSheet) -> LeadSheet:
     """Transpose to C and fold every note into the three-octave pitch range."""
     transposed = transpose_to_c(sheet)
-    notes = tuple(
+    if all(PITCH_MIN <= note.midi_pitch <= PITCH_MAX for note in transposed.notes):
+        return transposed
+    notes = _sorted_notes(
         note
         if PITCH_MIN <= note.midi_pitch <= PITCH_MAX
         else replace(note, midi_pitch=fold_octaves(note.midi_pitch))

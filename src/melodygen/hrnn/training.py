@@ -104,7 +104,9 @@ def train_layer(
     best_iteration = 0
     best_val_loss = float("inf")
     curves: list[dict] = []
+    # Per-step loss and pre-clip gradient norm since the last curve row.
     recent_losses: list[float] = []
+    recent_norms: list[float] = []
     stop_reason = "max-iterations"
     iteration = 0
 
@@ -121,7 +123,7 @@ def train_layer(
             rng=rng,
         )
         grads = backward(params, result.cache)
-        clip_global_norm(grads, config.clip_norm)
+        recent_norms.append(clip_global_norm(grads, config.clip_norm))
         adam_update(params, grads, adam)
         recent_losses.append(result.loss)
 
@@ -131,8 +133,12 @@ def train_layer(
             row = {
                 "iteration": iteration,
                 "train_loss": float(np.mean(recent_losses)),
+                "grad_norm": float(np.mean(recent_norms)),
+                # Steps whose gradients clip_global_norm scaled down.
+                "clipped": sum(n > config.clip_norm and n > 0.0 for n in recent_norms),
             }
             recent_losses = []
+            recent_norms = []
             eval_on = val_sequences if val_sequences else train_sequences
             metrics = evaluate_layer(params, eval_on, no_event_index=no_event)
             prefix = "val" if val_sequences else "train_set"

@@ -251,10 +251,8 @@ def leadsheet_from_dict(obj: dict) -> LeadSheet:
             if isinstance(exc, SchemaError):
                 raise
             raise SchemaError(f"invalid note at notes[{i}]: {exc}") from exc
-    chords = [
-        chord_from_dict(entry, f"chords[{i}]")
-        for i, entry in enumerate(obj.get("chords", []))
-    ]
+    raw_chords = _require(obj, "chords", list) if "chords" in obj else []
+    chords = [chord_from_dict(entry, f"chords[{i}]") for i, entry in enumerate(raw_chords)]
     try:
         return LeadSheet(
             id=_require(obj, "id", str),
@@ -279,6 +277,8 @@ def dumps_leadsheet(sheet: LeadSheet) -> str:
 def loads_leadsheet(data: str | bytes) -> LeadSheet:
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides malformed JSON: undecodable bytes, integers over Python's
+        # digit limit and nesting deeper than the recursion limit.
         raise SchemaError(f"not valid JSON: {exc}") from exc
     return leadsheet_from_dict(obj)

@@ -16,6 +16,9 @@ TICKS_PER_QUARTER = 480
 TICKS_PER_STEP = TICKS_PER_QUARTER // 4  # 120
 DEFAULT_VELOCITY = 90
 CHANNEL = 0
+# Set-tempo stores microseconds per quarter in 3 bytes, from 1 to 0xFFFFFF.
+MIN_TEMPO_BPM = 60_000_000 // 0xFFFFFF + 1  # 4
+MAX_TEMPO_BPM = 60_000_000
 
 
 def _variable_length(value: int) -> bytes:
@@ -43,8 +46,10 @@ def write_midi(
     outputs with the producing configuration). An empty note list still
     produces a valid file containing only the tempo event.
     """
-    if tempo_bpm <= 0:
-        raise ValueError(f"tempo must be positive, got {tempo_bpm}")
+    if not MIN_TEMPO_BPM <= tempo_bpm <= MAX_TEMPO_BPM:
+        raise ValueError(
+            f"tempo {tempo_bpm} bpm outside {MIN_TEMPO_BPM}..{MAX_TEMPO_BPM}"
+        )
     if not 1 <= velocity <= 127:
         raise ValueError(f"velocity {velocity} outside 1..127")
 

@@ -82,9 +82,9 @@ def _note_pitch(note: ET.Element) -> int:
     if alter_el is not None and alter_el.text is not None:
         try:
             alter = round(float(alter_el.text.strip()))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # non-numeric, nan or inf
             raise MusicXmlParseError(
-                f"pitch alter is not numeric: {alter_el.text!r}"
+                f"pitch alter is not a finite number: {alter_el.text!r}"
             ) from exc
     midi = (octave + 1) * 12 + _STEP_SEMITONES[step] + alter
     if not 0 <= midi <= 127:
@@ -157,6 +157,9 @@ def parse_musicxml(document: bytes | str, piece_id: str = "") -> LeadSheet | Rej
         raise MusicXmlParseError(
             f"malformed XML at line {line}, column {column}: {exc.msg}"
         ) from exc
+    except (ValueError, LookupError) as exc:
+        # The declared encoding is unknown, or multi-byte, which expat lacks.
+        raise MusicXmlParseError(f"unsupported XML encoding: {exc}") from exc
     if root.tag != "score-partwise":
         raise MusicXmlParseError(f"expected score-partwise document, got {root.tag!r}")
     part = root.find("part")
@@ -244,7 +247,7 @@ def parse_musicxml(document: bytes | str, piece_id: str = "") -> LeadSheet | Rej
                 if alter_el is not None and alter_el.text is not None:
                     try:
                         alter = round(float(alter_el.text.strip()))
-                    except ValueError:
+                    except (ValueError, OverflowError):
                         alter = 0
                 kind_el = element.find("kind")
                 kind = "major"

@@ -7,10 +7,18 @@ Lloyd iterations, deterministic under a seed) into a ProfileCodebook whose
 centroid indices are the profile vocabulary used to condition generation.
 
 Clips repeat heavily (a corpus has few distinct beat rhythms), so Lloyd
-computes distances once per iteration on the distinct clips only and forms
-centroids from per-cluster counts of each distinct clip. Labels, empty-cluster
-repairs and the objective stay per clip, which keeps every fit identical to
-clustering the clips one by one.
+works on the distinct clips and forms centroids from per-cluster counts of
+each distinct clip. Every start of one ``kmeans`` call (the seeded k-means++
+starts plus an optional warm start) iterates in lockstep as one (R, k, d)
+batch, and a start leaves the batch when its labels stop changing.
+
+Each iteration labels the distinct clips of every start with one GEMM screen
+of |c|^2 - 2x.c. The screen has an a-priori rounding bound, so a clip whose
+screened minimum beats every other cluster by more than the bound has a
+certified nearest centroid. Any other clip (a near or exact tie) is labelled
+by the per-element distance |x - c|^2 itself. Labels, empty-cluster repairs
+and the objective stay per start and per clip, which keeps every fit
+identical to clustering the clips one by one, one start at a time.
 """
 
 from __future__ import annotations
@@ -69,6 +77,91 @@ def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
+def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(points, axis=0, return_inverse=True)`` by one stable lexsort.
+
+    Rows come out in the same (lexicographic) order with the same inverse.
+    As in ``np.unique``, -0.0 equals 0.0, so a group's representative row may
+    carry either sign of zero.
+    """
+    order = np.lexsort(points.T[::-1])
+    ordered = points[order]
+    starts_group = np.empty(len(points), dtype=bool)
+    starts_group[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts_group[1:])
+    inverse = np.empty(len(points), dtype=np.int64)
+    inverse[order] = np.cumsum(starts_group) - 1
+    return ordered[starts_group], inverse
+
+
+# Screen rounding bound (see _screen). u = _EPS / 2 is the unit roundoff and
+# gamma_m = m*u / (1 - m*u) the bound of an m-term dot product. Per cluster,
+# the screen |c|^2 - 2x.c is within gamma_(d+1) * (|x|^2 + 2|c|^2) of exact,
+# and the reference's diff-form distance within gamma_(d+2) * 2(|x|^2 + |c|^2).
+# Comparing two clusters therefore errs by at most
+# 8 * gamma_(d+2) * S ~ 4(d+2) * eps * S, where S = |x|^2 + max |c|^2, and
+# forming min + bound costs up to another eps * S. A bound of
+# 4(d+3) * eps * S covers both. The _TINY term covers underflow, whose
+# absolute error is below d times half the smallest subnormal per dot product.
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def _screen(
+    points: np.ndarray, norms: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified nearest centroids per start: (u, d) points, (A, k, d) centroids.
+
+    ``norms`` holds each point's |x|^2. One GEMM screens |c|^2 - 2x.c for
+    every start and cluster; a cluster is a candidate when its screen lies
+    within the rounding bound of the row's minimum. Returns (A, u) labels and
+    an (A, u) mask of uncertain rows: those with more than one candidate (a
+    near or exact tie) or too large for the bound. Every other label equals
+    ``_squared_distances(points, centroids[a]).argmin(axis=1)``.
+    """
+    n_starts, k, d = centroids.shape
+    # Cluster-major rows, so every reduction below runs over the leading axis.
+    by_cluster = centroids.transpose(1, 0, 2).reshape(k * n_starts, d)
+    centroid_norms = np.einsum("md,md->m", by_cluster, by_cluster)
+    screen = (-2.0 * by_cluster) @ points.T
+    screen += centroid_norms[:, None]
+    screen = screen.reshape(k, n_starts, len(points))
+    low = screen.min(axis=0)
+    scale = norms + centroid_norms.reshape(k, n_starts).max(axis=0)[:, None]
+    bound = 4 * (d + 3) * (_EPS * scale + _TINY)
+    candidates = np.less_equal(screen, low + bound, out=np.empty_like(screen))
+    # One small exact GEMM: each row's candidate count and candidate index sum.
+    count_and_index = np.stack([np.ones(k), np.arange(k, dtype=np.float64)])
+    count, index = (count_and_index @ candidates.reshape(k, -1)).reshape(2, n_starts, -1)
+    return index.astype(np.int64), (count != 1) | ~np.isfinite(4 * scale)
+
+
+def _nearest(points: np.ndarray, norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``_screen``'s labels, with uncertain rows labelled by diff-form distances.
+
+    The result equals ``_squared_distances(points, centroids[a]).argmin(axis=1)``
+    for every start a, first minimum first.
+    """
+    labels, uncertain = _screen(points, norms, centroids)
+    starts, rows = np.nonzero(uncertain)
+    if len(rows):
+        diff = points[rows][:, None, :] - centroids[starts]
+        labels[starts, rows] = np.einsum("nkd,nkd->nk", diff, diff).argmin(axis=1)
+    return labels
+
+
+def _own_distances(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Squared distance of each point to its labelled centroid, per start.
+
+    (m, d) points, (A, k, d) centroids and (A, m) labels give (A, m), with
+    the same per-element arithmetic as ``_squared_distances``.
+    """
+    n_starts, k, d = centroids.shape
+    flat = labels + k * np.arange(n_starts)[:, None]
+    diff = points - np.take(centroids.reshape(n_starts * k, d), flat, axis=0)
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
 def _kmeans_plus_plus(
     distinct: np.ndarray, inverse: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -93,60 +186,121 @@ def _kmeans_plus_plus(
     return centroids
 
 
+@dataclass
+class LloydRuns:
+    """The fit of every start of one ``kmeans`` call, in start order."""
+
+    fits: list[KMeansFit]
+
+    @property
+    def iterations(self) -> int:
+        """Lloyd iterations summed over the starts."""
+        return sum(fit.iterations for fit in self.fits)
+
+
 def _lloyd(
     distinct: np.ndarray,
     inverse: np.ndarray,
-    centroids: np.ndarray,
+    starts: np.ndarray,
     max_iter: int,
-) -> KMeansFit:
-    """Lloyd iterations over clips ``distinct[inverse]``.
+) -> LloydRuns:
+    """Lloyd iterations over clips ``distinct[inverse]`` from (R, k, d) starts.
 
-    Distances are computed once per iteration, on the distinct rows only;
-    labels, repairs and the objective stay per clip, in clip order.
+    The starts advance in lockstep, and each leaves the batch when its labels
+    stop changing. Labels, repairs, the objective and the stopping rule stay
+    per start and per clip, so each fit equals running its start alone.
     """
-    k, u = len(centroids), len(distinct)
-    labels = np.full(len(inverse), -1, dtype=np.int64)
-    previous_wcss = np.inf
-    history: list[float] = []
-    iterations = 0
-    # Distances of each distinct row to the current centroids: the start's,
-    # then those computed for the objective after each update.
-    d2 = _squared_distances(distinct, centroids)
-    for iterations in range(1, max_iter + 1):
-        new_labels = d2.argmin(axis=1)[inverse]
-
-        # Repair empty clusters: each takes the clip currently farthest from
-        # its assigned centroid (deterministic: first max, lowest cluster id).
-        # Stealing a singleton's clip can empty another cluster, so loop
-        # until none are empty; repaired clips get distance 0 and stay put.
-        assigned_d2 = d2[inverse, new_labels]
-        counts = np.bincount(new_labels, minlength=k)
-        while np.any(counts == 0):
-            cluster = int(np.flatnonzero(counts == 0)[0])
-            farthest = int(assigned_d2.argmax())
-            counts[new_labels[farthest]] -= 1
-            counts[cluster] += 1
-            new_labels[farthest] = cluster
-            assigned_d2[farthest] = 0.0
-
-        # members[c, r]: how many clips of distinct row r cluster c holds.
-        members = np.bincount(new_labels * u + inverse, minlength=k * u).reshape(k, u)
-        centroids = members @ distinct / counts[:, None]
-
-        d2 = _squared_distances(distinct, centroids)
-        wcss = float(d2[inverse, new_labels].sum())
-        if wcss > previous_wcss + _MONOTONE_SLACK:
-            raise AssertionError(
-                f"objective increased ({previous_wcss} -> {wcss}); "
-                "Lloyd iteration is broken"
-            )
-        history.append(wcss)
-        converged = np.array_equal(new_labels, labels)
-        labels = new_labels
-        previous_wcss = wcss
-        if converged:
+    n_starts, k, _ = starts.shape
+    u = len(distinct)
+    norms = np.einsum("ud,ud->u", distinct, distinct)
+    multiplicity = np.bincount(inverse, minlength=u).astype(np.float64)
+    centroids = np.array(starts, dtype=np.float64)
+    labels = np.full((n_starts, len(inverse)), -1, dtype=np.int64)
+    wcss = np.full(n_starts, np.inf)
+    histories: list[list[float]] = [[] for _ in range(n_starts)]
+    iterations = np.zeros(n_starts, dtype=np.int64)
+    active = np.arange(n_starts)
+    for _ in range(max_iter):
+        if len(active) == 0:
             break
-    return KMeansFit(centroids, labels, previous_wcss, iterations, history)
+        n_active = len(active)
+        batch = centroids[active]
+        row_labels = _nearest(distinct, norms, batch)
+        new_labels = row_labels[:, inverse]
+        # members[a*k + c, r]: how many clips of distinct row r cluster c of
+        # start a holds; _repair moves single clips between clusters.
+        slots = (row_labels + k * np.arange(n_active)[:, None]).ravel()
+        weights = np.tile(multiplicity, n_active)
+        members = np.bincount(
+            slots * u + np.tile(np.arange(u), n_active), weights, n_active * k * u
+        ).reshape(n_active * k, u)
+        counts = np.bincount(slots, weights, n_active * k).astype(np.int64).reshape(n_active, k)
+        repaired = {
+            a: _repair(distinct, inverse, batch[a], row_labels[a], new_labels[a],
+                       counts[a], members[a * k:(a + 1) * k])
+            for a in np.flatnonzero((counts == 0).any(axis=1))
+        }
+        updated = (members @ distinct).reshape(batch.shape) / counts[:, :, None]
+        row_d2 = _own_distances(distinct, updated, row_labels)
+        converged = np.zeros(n_active, dtype=bool)
+        for a, start in enumerate(active):
+            clip_d2 = row_d2[a, inverse]
+            clips = repaired.get(a)
+            if clips is not None:
+                clip_d2[clips] = _own_distances(
+                    distinct[inverse[clips]], updated[a:a + 1], new_labels[a:a + 1, clips]
+                )[0]
+            # Summed per start as a 1-D array, in clip order, like the reference.
+            value = float(clip_d2.sum())
+            if value > wcss[start] + _MONOTONE_SLACK:
+                raise AssertionError(
+                    f"objective increased ({wcss[start]} -> {value}); "
+                    "Lloyd iteration is broken"
+                )
+            histories[start].append(value)
+            wcss[start] = value
+            converged[a] = np.array_equal(new_labels[a], labels[start])
+        iterations[active] += 1
+        labels[active] = new_labels
+        centroids[active] = updated
+        active = active[~converged]
+    return LloydRuns([
+        KMeansFit(centroids[r].copy(), labels[r].copy(), float(wcss[r]),
+                  int(iterations[r]), histories[r])
+        for r in range(n_starts)
+    ])
+
+
+def _repair(
+    distinct: np.ndarray,
+    inverse: np.ndarray,
+    centroids: np.ndarray,
+    row_labels: np.ndarray,
+    labels: np.ndarray,
+    counts: np.ndarray,
+    members: np.ndarray,
+) -> np.ndarray:
+    """Refill one start's empty clusters in place; returns the moved clips.
+
+    Each empty cluster takes the clip currently farthest from its assigned
+    centroid (deterministic: first max, lowest cluster id). Stealing a
+    singleton's clip can empty another cluster, so this loops until none are
+    empty; moved clips get distance 0 and stay put.
+    """
+    assigned_d2 = _own_distances(distinct, centroids[None], row_labels[None])[0][inverse]
+    moved = []
+    while np.any(counts == 0):
+        cluster = int(np.flatnonzero(counts == 0)[0])
+        farthest = int(assigned_d2.argmax())
+        old, row = labels[farthest], inverse[farthest]
+        counts[old] -= 1
+        counts[cluster] += 1
+        members[old, row] -= 1
+        members[cluster, row] += 1
+        labels[farthest] = cluster
+        assigned_d2[farthest] = 0.0
+        moved.append(farthest)
+    return np.array(moved, dtype=np.int64)
 
 
 def kmeans(
@@ -176,22 +330,20 @@ def kmeans(
         raise ValueError("k must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    distinct, inverse = np.unique(points, axis=0, return_inverse=True)
+    distinct, inverse = _distinct_rows(points)
     if len(distinct) < k:
         raise ValueError(
             f"cannot form {k} clusters from {len(distinct)} distinct clips; "
             "lower k or enlarge the corpus"
         )
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
-    best: KMeansFit | None = None
     starts: list[np.ndarray] = []
     if initial_centroids is not None:
         starts.append(np.array(initial_centroids, dtype=np.float64))
-    for child in seeds:
+    for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.Generator(np.random.PCG64(child))
         starts.append(_kmeans_plus_plus(distinct, inverse, k, rng))
-    for start in starts:
-        fit = _lloyd(distinct, inverse, start, max_iter)
+    best: KMeansFit | None = None
+    for fit in _lloyd(distinct, inverse, np.stack(starts), max_iter).fits:
         if best is None or fit.wcss < best.wcss - 1e-15:
             best = fit
     assert best is not None

@@ -192,6 +192,23 @@ class TestNormalizeSheet:
         sheet = sheet_from_steps([(74, 0, 4)], 1, key_fifths=1)
         assert normalize_sheet(sheet).notes[0].midi_pitch == 67
 
+    def test_folding_past_a_note_at_the_same_onset_keeps_the_sheet_sorted(self):
+        # 30 folds up to 42, past the 40 that shares its onset.
+        sheet = sheet_from_steps([(30, 0, 4), (40, 0, 8)], 1)
+        normalized = normalize_sheet(sheet)
+        assert [(n.midi_pitch, n.duration) for n in normalized.notes] == [
+            (40, Fraction(2)),
+            (42, Fraction(1)),
+        ]
+        assert grid_encode(normalized) == grid_encode(transpose_to_c(sheet))
+
+    def test_wrapping_at_the_top_of_midi_range_keeps_the_sheet_sorted(self):
+        # B-flat major shifts up 2: 127 wraps down an octave to 117, below
+        # the 125 that shares its onset and becomes 127.
+        sheet = sheet_from_steps([(125, 0, 4), (127, 0, 8)], 1, key_fifths=-2)
+        assert [n.midi_pitch for n in transpose_to_c(sheet).notes] == [117, 127]
+        assert [n.midi_pitch for n in normalize_sheet(sheet).notes] == [67, 69]
+
 
 class TestQuantize:
     @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """Lead-sheet types and the JSON cache format."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from melodygen.leadsheet import (
     CHORD_KIND_INTERVALS,
@@ -203,3 +205,70 @@ class TestJson:
     def test_top_level_must_be_object(self):
         with pytest.raises(SchemaError):
             leadsheet_from_dict([1, 2, 3])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=10),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=10,
+)
+
+
+def loads_or_schema_error(data: bytes) -> None:
+    try:
+        result = loads_leadsheet(data)
+    except SchemaError:
+        return
+    assert isinstance(result, LeadSheet)
+
+
+class TestArbitraryInput:
+    """Any bytes load as a lead sheet or raise SchemaError; nothing else."""
+
+    def document(self) -> dict:
+        return leadsheet_to_dict(TestJson().example())
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=500))
+    def test_arbitrary_bytes(self, data):
+        loads_or_schema_error(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_field_replaced_by_any_json_value(self, data):
+        obj = self.document()
+        target = obj
+        if data.draw(st.booleans()):
+            target = obj["notes"][data.draw(st.integers(0, len(obj["notes"]) - 1))]
+        target[data.draw(st.sampled_from(sorted(target)))] = data.draw(JSON_VALUES)
+        loads_or_schema_error(json.dumps(obj).encode())
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_byte_span_replaced(self, data):
+        document = dumps_leadsheet(TestJson().example()).encode()
+        start = data.draw(st.integers(0, len(document)))
+        end = data.draw(st.integers(start, min(len(document), start + 16)))
+        patch = data.draw(st.binary(max_size=16))
+        loads_or_schema_error(document[:start] + patch + document[end:])
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(b"\x80", id="invalid-utf8"),
+            pytest.param(b"\xff\xfe\x00", id="truncated-utf16"),
+            pytest.param(b"[" * 100_000, id="nesting-deeper-than-recursion-limit"),
+            pytest.param(b"1" * 5000, id="integer-over-digit-limit"),
+        ],
+    )
+    def test_undecodable_json_is_a_schema_error(self, data):
+        with pytest.raises(SchemaError, match="JSON"):
+            loads_leadsheet(data)
+
+    def test_chords_must_be_a_list(self):
+        obj = self.document()
+        obj["chords"] = 5
+        with pytest.raises(SchemaError, match="chords"):
+            leadsheet_from_dict(obj)

@@ -1,8 +1,11 @@
 """MIDI writer, cross-checked by an independent reader."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from melodygen.midifile import (
+    MAX_TEMPO_BPM,
+    MIN_TEMPO_BPM,
     TICKS_PER_QUARTER,
     TICKS_PER_STEP,
     _variable_length,
@@ -61,6 +64,19 @@ class TestTempo:
     def test_invalid_tempo(self):
         with pytest.raises(ValueError):
             write_midi([], tempo_bpm=0)
+
+    @pytest.mark.parametrize("bpm", [-1, MIN_TEMPO_BPM - 1, MAX_TEMPO_BPM + 1])
+    def test_tempo_the_event_cannot_hold_is_rejected(self, bpm):
+        # Below 4 bpm a quarter lasts more than 0xFFFFFF microseconds, which
+        # the 3-byte set-tempo field would silently truncate.
+        with pytest.raises(ValueError, match="tempo"):
+            write_midi([], tempo_bpm=bpm)
+
+    @pytest.mark.parametrize(
+        "bpm,expected_us", [(MIN_TEMPO_BPM, 15_000_000), (MAX_TEMPO_BPM, 1)]
+    )
+    def test_extreme_tempos_round_trip(self, bpm, expected_us):
+        assert read_midi(write_midi([], tempo_bpm=bpm)).tempo_us == expected_us
 
 
 class TestNotes:
@@ -143,3 +159,52 @@ class TestDeterminism:
         data = write_midi([(60, 0, 4)])
         track_len = int.from_bytes(data[18:22], "big")
         assert len(data) == 22 + track_len
+
+
+def _overlaps_same_pitch(notes) -> bool:
+    spans = sorted((pitch, on, on + dur) for pitch, on, dur in notes)
+    return any(
+        a[0] == b[0] and b[1] < a[2] for a, b in zip(spans, spans[1:])
+    )
+
+
+class TestRoundTrip:
+    """Whatever write_midi writes, the independent reader reads back."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        notes=st.lists(
+            st.tuples(st.integers(0, 127), st.integers(0, 5000), st.integers(1, 64)),
+            max_size=30,
+        ),
+        tempo=st.integers(MIN_TEMPO_BPM, MAX_TEMPO_BPM),
+        velocity=st.integers(1, 127),
+        texts=st.lists(st.text(max_size=200), max_size=3),
+    )
+    def test_notes_ticks_velocity_and_text(self, notes, tempo, velocity, texts):
+        parsed = read_midi(
+            write_midi(notes, tempo, velocity=velocity, text_events=texts)
+        )
+        assert (parsed.format, parsed.n_tracks, parsed.division) == (0, 1, TICKS_PER_QUARTER)
+        assert parsed.tempo_us == 60_000_000 // tempo
+        assert parsed.texts == texts
+        ticks = [tick for tick, _, _ in parsed.events]
+        assert ticks == sorted(ticks) and ticks[-1] == max(
+            [0] + [(on + dur) * TICKS_PER_STEP for _, on, dur in notes]
+        )
+        ons = sorted((tick, p[0]) for tick, kind, p in parsed.events if kind == "on")
+        offs = sorted((tick, p[0]) for tick, kind, p in parsed.events if kind == "off")
+        assert ons == sorted((on * TICKS_PER_STEP, pitch) for pitch, on, _ in notes)
+        assert offs == sorted(
+            ((on + dur) * TICKS_PER_STEP, pitch) for pitch, on, dur in notes
+        )
+        assert all(note.velocity == velocity for note in parsed.notes)
+        # Same-pitch overlaps pair first-in first-out, so only notes that do
+        # not overlap one of their own pitch come back whole.
+        if not _overlaps_same_pitch(notes):
+            assert sorted(
+                (n.pitch, n.start_tick, n.end_tick) for n in parsed.notes
+            ) == sorted(
+                (pitch, on * TICKS_PER_STEP, (on + dur) * TICKS_PER_STEP)
+                for pitch, on, dur in notes
+            )

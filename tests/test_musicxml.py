@@ -1,9 +1,13 @@
 """MusicXML subset parser: accepted shapes, rejections, and error context."""
 
+import re
 from fractions import Fraction
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from melodygen.leadsheet import LeadSheet
 from melodygen.musicxml import (
     REJECT_IRREGULAR,
     REJECT_TIME_SIGNATURE,
@@ -312,3 +316,86 @@ class TestAlterSpelling:
         )
         sheet = parse_musicxml(score_xml([measure_xml(body)]))
         assert sheet.notes[0].midi_pitch == 61
+
+
+# One bar that reaches every element the parser reads: divisions, key, time,
+# a harmony, an altered and tied pitch, a chord note, a rest, backup and
+# forward.
+FUZZ_DOCUMENT = score_xml([
+    measure_xml(
+        attributes_xml(divisions=4, key_fifths=-2, time=(4, 4))
+        + harmony_xml("B", "minor", root_alter=-1)
+        + note_xml(61, 4, tie="start")
+        + note_xml(68, 4, chord=True)
+        + note_xml(61, 4, tie="stop")
+        + note_xml(None, 4)
+        + backup_xml(2)
+        + forward_xml(2)
+        + note_xml(70, 4)
+    )
+])
+HOSTILE_TEXT = st.sampled_from(
+    ["inf", "-inf", "nan", "1e400", "-1", "0", "9" * 5000, "", "H", "1.5"]
+)
+
+
+def parse_or_declared_error(document: bytes) -> None:
+    try:
+        result = parse_musicxml(document, "fuzz")
+    except MusicXmlParseError:
+        return
+    assert isinstance(result, (LeadSheet, Rejection))
+
+
+class TestArbitraryInput:
+    """Any bytes parse, are rejected, or raise MusicXmlParseError; nothing else."""
+
+    def test_fuzz_document_parses(self):
+        sheet = parse_musicxml(FUZZ_DOCUMENT)
+        assert isinstance(sheet, LeadSheet) and sheet.chords and sheet.notes
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=st.binary(max_size=500))
+    def test_arbitrary_bytes(self, document):
+        parse_or_declared_error(document)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_element_text_replaced(self, data):
+        spans = [m.span(1) for m in re.finditer(r">([^<]*)<", FUZZ_DOCUMENT)]
+        start, end = data.draw(st.sampled_from(spans))
+        text = data.draw(st.text(max_size=30) | HOSTILE_TEXT)
+        parse_or_declared_error(
+            (FUZZ_DOCUMENT[:start] + escape(text) + FUZZ_DOCUMENT[end:]).encode()
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_byte_span_replaced(self, data):
+        document = FUZZ_DOCUMENT.encode()
+        start = data.draw(st.integers(0, len(document)))
+        end = data.draw(st.integers(start, min(len(document), start + 16)))
+        patch = data.draw(st.binary(max_size=16))
+        parse_or_declared_error(document[:start] + patch + document[end:])
+
+    @pytest.mark.parametrize("encoding", ["euc-jp", "no-such-codec"])
+    def test_undecodable_declared_encoding(self, encoding):
+        document = f'<?xml version="1.0" encoding="{encoding}"?><score-partwise/>'
+        with pytest.raises(MusicXmlParseError, match="encoding"):
+            parse_musicxml(document.encode("ascii"))
+
+    def test_infinite_pitch_alter_is_a_parse_error(self):
+        body = FULL_BAR + (
+            "<note><pitch><step>C</step><alter>inf</alter><octave>4</octave></pitch>"
+            "<duration>16</duration></note>"
+        )
+        with pytest.raises(MusicXmlParseError, match="alter"):
+            parse_musicxml(score_xml([measure_xml(body)]))
+
+    def test_infinite_harmony_alter_is_ignored_like_a_non_numeric_one(self):
+        body = FULL_BAR + (
+            "<harmony><root><root-step>D</root-step><root-alter>inf</root-alter>"
+            "</root><kind>major</kind></harmony>"
+        ) + note_xml(60, 16)
+        sheet = parse_musicxml(score_xml([measure_xml(body)]))
+        assert sheet.chords[0].root_pitch_class == 2

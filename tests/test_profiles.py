@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from melodygen import profiles
 
 from melodygen.encode import NO_EVENT, NOTE_OFF, MelodyGrid
 from melodygen.profiles import (
@@ -17,6 +20,13 @@ from melodygen.profiles import (
     elbow_report,
     kmeans,
     profile_sequences,
+)
+from melodygen.profiles import (
+    _distinct_rows,
+    _lloyd,
+    _nearest,
+    _screen,
+    _squared_distances,
 )
 from support.kmeans_oracle import (
     brute_force_wcss,
@@ -264,6 +274,151 @@ class TestExactness:
         expected = reference_kmeans(points, k, seed=0, restarts=2, initial_centroids=start)
         assert_same_fit(got, expected)
         assert got.wcss == 0.0 and len(got.wcss_history) >= 2
+
+
+class TestLockstep:
+    """All starts of one call advance together; each fit is its start's own."""
+
+    # Five distinct clips with repeats; k = 3.
+    POINTS = np.array(
+        [[0, 0, 0, 0]] * 4 + [[1, 1, 0, 0]] * 3 + [[1, 1, 1, 0]] * 2
+        + [[0, 0, 1, 1]] * 3 + [[0, 1, 1, 1]],
+        dtype=np.float64,
+    )
+    STARTS = np.array(
+        [
+            [[0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]],  # near the optimum
+            [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 1, 1]],  # duplicate: one repair
+            [[1, 1, 1, 0], [1, 1, 0, 0], [0, 1, 1, 1]],  # several moves
+        ],
+        dtype=np.float64,
+    )
+
+    def test_batch_equals_each_start_alone(self, monkeypatch):
+        distinct, inverse = _distinct_rows(self.POINTS)
+        repairs = []
+        original = profiles._repair
+
+        def counting_repair(*args):
+            repairs.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(profiles, "_repair", counting_repair)
+        alone = []
+        repaired_alone = []
+        for start in self.STARTS:
+            before = len(repairs)
+            alone.append(_lloyd(distinct, inverse, start[None], 100).fits[0])
+            repaired_alone.append(len(repairs) > before)
+        batch_repairs_before = len(repairs)
+        batch = _lloyd(distinct, inverse, self.STARTS, 100)
+        # The starts stop at different iterations, and only one repairs.
+        assert len({fit.iterations for fit in alone}) > 1
+        assert repaired_alone == [False, True, False]
+        assert len(repairs) - batch_repairs_before == 1
+        for got, expected in zip(batch.fits, alone):
+            assert_same_fit(got, expected)
+        assert batch.iterations == sum(fit.iterations for fit in alone)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_batch_equals_each_start_alone_on_drawn_starts(self, data):
+        points = data.draw(binary_clip_sets())
+        distinct, inverse = _distinct_rows(points)
+        k = data.draw(st.integers(1, len(distinct)))
+        n_starts = data.draw(st.integers(1, 5))
+        # Rows of the data with repeats (which empty clusters), one maybe far.
+        picks = data.draw(
+            st.lists(
+                st.lists(st.integers(0, len(distinct) - 1), min_size=k, max_size=k),
+                min_size=n_starts,
+                max_size=n_starts,
+            )
+        )
+        starts = distinct[np.array(picks)]
+        if data.draw(st.booleans()):
+            starts[data.draw(st.integers(0, n_starts - 1)), 0] = 10.0
+        max_iter = data.draw(st.integers(1, 6))
+        batch = _lloyd(distinct, inverse, starts, max_iter)
+        assert len(batch.fits) == n_starts
+        for got, start in zip(batch.fits, starts):
+            assert_same_fit(got, _lloyd(distinct, inverse, start[None], max_iter).fits[0])
+
+
+class TestCertifiedScreen:
+    """The GEMM screen certifies a label only where the diff form agrees."""
+
+    # At x = 0 both centroids are exactly 1/3 away: the mean of three clips
+    # (1/3, 1/3, 1/3, 0) and the mean of six (1/2, 1/6, 1/6, 1/6). Rounded,
+    # the float distances may order them either way.
+    TIE = np.array([[1, 1, 1, 0], [3, 1, 1, 1]], dtype=np.float64) / np.array([[3.0], [6.0]])
+
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+    def test_cross_size_exact_tie_takes_the_diff_form(self, order):
+        point = np.zeros((1, 4))
+        centroids = self.TIE[order][None]
+        labels, uncertain = _screen(point, np.zeros(1), centroids)
+        assert uncertain.tolist() == [[True]]
+        expected = _squared_distances(point, centroids[0]).argmin(axis=1)
+        assert _nearest(point, np.zeros(1), centroids).tolist() == [expected.tolist()]
+
+    def test_cross_size_tie_inside_kmeans_matches_reference(self):
+        # Clusters {e1, e2, e3} and {1100, 1010, 1001, 0000 x 3} have those
+        # means, so a warm start at them ties the three zero clips.
+        points = np.array(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 0, 0], [1, 0, 1, 0],
+             [1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            dtype=np.float64,
+        )
+        for start in (self.TIE, self.TIE[::-1].copy()):
+            distinct, inverse = _distinct_rows(points)
+            norms = np.einsum("ud,ud->u", distinct, distinct)
+            _, uncertain = _screen(distinct, norms, start[None])
+            assert uncertain[0, 0]  # the zero row sorts first
+            assert_same_fit(
+                kmeans(points, 2, seed=5, restarts=2, initial_centroids=start),
+                reference_kmeans(points, 2, seed=5, restarts=2, initial_centroids=start),
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_certified_labels_are_the_diff_form_argmin(self, data):
+        d = data.draw(st.integers(1, 16))
+        u = data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(1, 5))
+        n_starts = data.draw(st.integers(1, 3))
+        # Any finite value, or a few small ones that make exact ties likely.
+        values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+            [0.0, 1.0, 0.5, 1 / 3, 1 / 6, -1.0]
+        )
+        points = data.draw(hnp.arrays(np.float64, (u, d), elements=values))
+        centroids = data.draw(hnp.arrays(np.float64, (n_starts, k, d), elements=values))
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.einsum("ud,ud->u", points, points)
+            labels, uncertain = _screen(points, norms, centroids)
+            nearest = _nearest(points, norms, centroids)
+            expected = np.stack(
+                [_squared_distances(points, c).argmin(axis=1) for c in centroids]
+            )
+        assert np.array_equal(labels[~uncertain], expected[~uncertain])
+        assert np.array_equal(nearest, expected)
+
+
+class TestDistinctRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+            elements=st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0]),
+        )
+    )
+    def test_rows_and_inverse_equal_np_unique(self, points):
+        distinct, inverse = _distinct_rows(points)
+        expected, expected_inverse = np.unique(points, axis=0, return_inverse=True)
+        assert distinct.shape == expected.shape
+        assert distinct.tobytes() == expected.tobytes()
+        assert np.array_equal(inverse, expected_inverse.reshape(-1))
 
 
 class TestCodebook:

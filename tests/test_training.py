@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from melodygen.encode import grid_encode
+from melodygen.hrnn import training
 from melodygen.hrnn.datasets import build_datasets
 from melodygen.hrnn.specs import layer_specs
 from melodygen.hrnn.training import (
@@ -191,6 +192,46 @@ class TestTrainLayer:
         )
         losses = result.curve_column("train_loss")
         assert np.isfinite(losses).all()
+
+
+class TestGradientColumns:
+    """Each curve row carries the pre-clip gradient norms since the last row."""
+
+    def run(self, monkeypatch, clip_norm):
+        norms = []
+        original = training.clip_global_norm
+
+        def recording_clip(grads, max_norm):
+            norm = original(grads, max_norm)
+            norms.append(norm)
+            return norm
+
+        monkeypatch.setattr(training, "clip_global_norm", recording_clip)
+        result = train_layer(
+            layer_specs("1L")["note"],
+            note_dataset(),
+            None,
+            tiny_config(max_iterations=25, clip_norm=clip_norm),
+        )
+        return result, norms
+
+    @pytest.mark.parametrize("clip_norm", [1e-3, 1.0, 1e9])
+    def test_mean_norm_and_clipped_count_per_row(self, monkeypatch, clip_norm):
+        result, norms = self.run(monkeypatch, clip_norm)
+        windows = [norms[0:10], norms[10:20], norms[20:25]]
+        assert result.curve_column("grad_norm") == [float(np.mean(w)) for w in windows]
+        assert result.curve_column("clipped") == [
+            sum(n > clip_norm for n in w) for w in windows
+        ]
+
+    def test_every_step_clips_under_a_tiny_bound_and_none_under_a_huge_one(
+        self, monkeypatch
+    ):
+        tiny, _ = self.run(monkeypatch, 1e-3)
+        huge, _ = self.run(monkeypatch, 1e9)
+        assert tiny.curve_column("clipped") == [10, 10, 5]
+        assert huge.curve_column("clipped") == [0, 0, 0]
+        assert all(norm > 0.0 for norm in huge.curve_column("grad_norm"))
 
 
 class TestLayerConfig:
