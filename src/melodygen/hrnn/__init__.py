@@ -8,64 +8,24 @@ the note layer alone.
 """
 
 from .bundle import HrnnModel, load_bundle, save_bundle
-from .datasets import TrainingSequence, build_datasets, pad_batch, piece_level_sequences
-from .evaluation import (
-    classification_metrics,
-    evaluate_layer,
-    profile_adherence,
-    rhythm_match_fraction,
-)
-from .generation import GenerationPlan, GenerationResult, generate, tile_profiles
-from .specs import (
-    FEATURE_LAYOUT_VERSION,
-    LOOKBACK_DISTANCES,
-    LayerSpec,
-    build_layer_inputs,
-    chord_chroma_by_beat,
-    fan_out,
-    layer_specs,
-    lookback_feature_matrix,
-    lookback_features,
-    position_counter_bits,
-    previous_event_matrix,
-)
-from .training import (
-    EarlyStopping,
-    LayerTrainResult,
-    curves_to_csv,
-    layer_config,
-    train_layer,
-)
+from .datasets import build_datasets
+from .evaluation import evaluate_layer, profile_adherence, rhythm_match_fraction
+from .generation import GenerationPlan, generate, tile_profiles
+from .specs import layer_specs
+from .training import curves_to_csv, layer_config, train_layer
 
 __all__ = [
     "HrnnModel",
     "load_bundle",
     "save_bundle",
-    "TrainingSequence",
     "build_datasets",
-    "pad_batch",
-    "piece_level_sequences",
-    "classification_metrics",
     "evaluate_layer",
     "profile_adherence",
     "rhythm_match_fraction",
     "GenerationPlan",
-    "GenerationResult",
     "generate",
     "tile_profiles",
-    "FEATURE_LAYOUT_VERSION",
-    "LOOKBACK_DISTANCES",
-    "LayerSpec",
-    "build_layer_inputs",
-    "chord_chroma_by_beat",
-    "fan_out",
     "layer_specs",
-    "lookback_feature_matrix",
-    "lookback_features",
-    "position_counter_bits",
-    "previous_event_matrix",
-    "EarlyStopping",
-    "LayerTrainResult",
     "curves_to_csv",
     "layer_config",
     "train_layer",

@@ -65,6 +65,18 @@ class HrnnModel:
             raise ValueError("model uses beat profiles but has no beat codebook")
         if needs_bar and self.bar_codebook is None:
             raise ValueError("model uses bar profiles but has no bar codebook")
+        sizes = {}
+        if self.beat_codebook is not None:
+            sizes["beat_k"] = self.beat_codebook.k
+        if self.bar_codebook is not None:
+            sizes["bar_k"] = self.bar_codebook.k
+        layout = layer_specs(self.variant, chords=self.chords, **sizes)
+        for level in sorted(self.specs):
+            if self.specs[level] != layout[level]:
+                raise ValueError(
+                    f"{level} layer spec {self.specs[level].to_dict()} differs from the "
+                    f"{self.variant} layout {layout[level].to_dict()}"
+                )
 
 
 def save_bundle(model: HrnnModel, directory: str | Path) -> None:
@@ -116,8 +128,7 @@ def load_bundle(directory: str | Path) -> HrnnModel:
     for level, entry in manifest["levels"].items():
         specs[level] = LayerSpec.from_dict(entry["spec"])
         if "checkpoint" in entry:
-            checkpoint = load_checkpoint(directory / entry["checkpoint"])
-            level_params[level] = checkpoint.params
+            level_params[level] = load_checkpoint(directory / entry["checkpoint"])
     beat_codebook = None
     bar_codebook = None
     if "beat" in manifest["codebooks"]:

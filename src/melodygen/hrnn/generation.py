@@ -13,6 +13,10 @@ Two decoding modes:
             temperature 0 short-circuits to argmax (greedy)
     beam    deterministic beam search per layer; width 1 equals greedy
 
+Both build each step's input rows with the builder training uses,
+:func:`specs.layer_features`, over the (W, length) event histories, with the
+conditions fanned out once per layer by :func:`specs.condition_block`.
+
 Both are deterministic given the plan's seed. Beam search advances all live
 hypotheses as one batched LSTM step per position and breaks ties on
 (-score, parent, symbol). A multi-row step sums its products in a different
@@ -27,18 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..encode import N_PITCHES, NOTE_OFF, MelodyGrid, one_hot_matrix
+from ..encode import N_PITCHES, NOTE_OFF, MelodyGrid
 from ..leadsheet import ChordSymbol
 from ..neural import GeneratorParams, LstmState, log_softmax, lstm_step
 from .specs import (
     BEATS_PER_BAR,
-    CHROMA_DIM,
     STEPS_PER_BAR,
     STEPS_PER_BEAT,
     LayerSpec,
     chord_chroma_by_beat,
-    fan_out,
-    lookback_features,
+    condition_block,
+    layer_features,
 )
 
 
@@ -115,30 +118,6 @@ def _forbid_silent_note_off(logits: np.ndarray, sounding) -> None:
     logits[..., NOTE_OFF] = np.where(sounding, logits[..., NOTE_OFF], -np.inf)
 
 
-def _inputs_at(
-    spec: LayerSpec,
-    conditions: np.ndarray | None,
-    histories: np.ndarray,
-    position: int,
-) -> np.ndarray:
-    """Input rows (W, input_dim) at ``position`` for W event histories (W, length).
-
-    The blocks are [previous event one-hot | condition | lookback]; only
-    history before ``position`` is read.
-    """
-    rows = len(histories)
-    x = np.zeros((rows, spec.input_dim))
-    if position > 0:
-        x[np.arange(rows), histories[:, position - 1]] = 1.0
-    column = spec.alphabet_size
-    if conditions is not None:
-        x[:, column : column + spec.condition_dim] = conditions[position]
-        column += spec.condition_dim
-    for row, history in zip(x, histories):
-        row[column:] = lookback_features(history, position, spec)
-    return x
-
-
 def _decode_sequence(
     params: GeneratorParams,
     spec: LayerSpec,
@@ -176,7 +155,8 @@ def _decode_sequence(
     state: LstmState | None = None
     sounding = False
     for position in range(length):
-        state, logits = lstm_step(params, _inputs_at(spec, conditions, events, position), state)
+        x = layer_features(spec, events, position, position + 1, conditions)[:, 0]
+        state, logits = lstm_step(params, x, state)
         logits = logits[0]
         if position < len(primer):
             sounding = _sounding_after(sounding, int(events[0, position]), is_note)
@@ -218,13 +198,15 @@ def _beam_decode(
     state: LstmState | None = None
     sounding = np.zeros(1, dtype=bool)
     for position in range(n_primer):
-        state, _ = lstm_step(params, _inputs_at(spec, conditions, histories, position), state)
+        x = layer_features(spec, histories, position, position + 1, conditions)[:, 0]
+        state, _ = lstm_step(params, x, state)
         sounding = _sounding_after(sounding, histories[:, position], is_note)
 
     scores = np.zeros(1)
     steps = np.empty((1, length - n_primer))
     for position in range(n_primer, length):
-        state, logits = lstm_step(params, _inputs_at(spec, conditions, histories, position), state)
+        x = layer_features(spec, histories, position, position + 1, conditions)[:, 0]
+        state, logits = lstm_step(params, x, state)
         if is_note:
             _forbid_silent_note_off(logits, sounding)
         logp = log_softmax(logits)
@@ -323,13 +305,8 @@ def generate(
             beat_profiles = np.asarray(plan.fixed_beat_profiles, dtype=np.int64)
             trace["levels"]["beat"] = {"fixed": [int(v) for v in beat_profiles]}
         else:
-            conditions = _condition_block(
-                spec,
-                bar_block=(bar_profiles, BEATS_PER_BAR),
-                beat_block=None,
-                chroma=chroma_beats,
-                chroma_repeat=1,
-                length=n_beats,
+            conditions = condition_block(
+                spec, n_beats, bar_profiles=bar_profiles, chroma_by_beat=chroma_beats
             )
             if plan.primer_beat_profile is None:
                 raise ValueError("beat layer needs a primer profile or fixed profiles")
@@ -343,13 +320,12 @@ def generate(
 
     # Note level.
     note_spec = specs["note"]
-    conditions = _condition_block(
+    conditions = condition_block(
         note_spec,
-        bar_block=(bar_profiles, STEPS_PER_BAR),
-        beat_block=(beat_profiles, STEPS_PER_BEAT),
-        chroma=chroma_beats,
-        chroma_repeat=STEPS_PER_BEAT,
-        length=n_steps,
+        n_steps,
+        bar_profiles=bar_profiles,
+        beat_profiles=beat_profiles,
+        chroma_by_beat=chroma_beats,
     )
     primer = list(plan.primer_events) if plan.primer_events is not None else None
     if primer is None:
@@ -363,36 +339,3 @@ def generate(
         beat_profiles=beat_profiles,
         trace=trace,
     )
-
-
-def _condition_block(
-    spec: LayerSpec,
-    *,
-    bar_block: tuple[np.ndarray | None, int] | None,
-    beat_block: tuple[np.ndarray | None, int] | None,
-    chroma: np.ndarray | None,
-    chroma_repeat: int,
-    length: int,
-) -> np.ndarray | None:
-    """Fan conditions out to per-position rows in the canonical block order."""
-    parts = []
-    if spec.bar_condition:
-        profiles, repeat = bar_block
-        if profiles is None:
-            raise ValueError(f"{spec.level} layer is conditioned on missing bar profiles")
-        parts.append(one_hot_matrix(fan_out(profiles, repeat), spec.bar_condition))
-    if spec.beat_condition:
-        profiles, repeat = beat_block
-        if profiles is None:
-            raise ValueError(f"{spec.level} layer is conditioned on missing beat profiles")
-        parts.append(one_hot_matrix(fan_out(profiles, repeat), spec.beat_condition))
-    if spec.chroma:
-        if chroma is None:
-            chroma = np.zeros((0, CHROMA_DIM))
-        parts.append(np.repeat(chroma, chroma_repeat, axis=0))
-    if not parts:
-        return None
-    block = np.concatenate(parts, axis=1)
-    if len(block) != length:
-        raise ValueError(f"conditions cover {len(block)} positions, need {length}")
-    return block

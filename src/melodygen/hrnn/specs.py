@@ -15,6 +15,11 @@ y_{p-d} (zeros when p < d), then one repeat flag per distance
 the position within the layer's cycle (4 bits of p mod 16 for the note
 level, 2 bits of p mod 4 for the beat level, none for bars).
 
+One builder writes this layout, :func:`layer_features`, over W symbol
+histories and a range of positions: training asks it for every position of
+one sequence (:func:`build_layer_inputs`), decoding for one position of W
+hypotheses. :func:`condition_block` fans the conditions out for both.
+
 Variants: "3L" is the full bar/beat/note stack; "2L" drops the bar level
 (its beat layer is unconditioned); "1L" is the note level alone with no
 profile conditions, which reduces it to a plain lookback sequence model.
@@ -138,69 +143,6 @@ def layer_specs(
     return {"note": spec("note", ALPHABET_SIZE, 0, 0, chords)}
 
 
-def position_counter_bits(position: int, n_bits: int) -> np.ndarray:
-    """Little-endian binary counter of position mod 2**n_bits."""
-    value = position % (1 << n_bits) if n_bits else 0
-    return np.array([(value >> j) & 1 for j in range(n_bits)], dtype=np.float64)
-
-
-def lookback_features(history: np.ndarray, position: int, spec: LayerSpec) -> np.ndarray:
-    """Lookback block at one position, reading only history before it.
-
-    ``history`` must cover at least positions < ``position``; entries at or
-    beyond it are never read.
-    """
-    a = spec.alphabet_size
-    out = np.zeros(spec.lookback_dim, dtype=np.float64)
-    offset = 0
-    for d in spec.lookback_distances:
-        if position - d >= 0:
-            out[offset + int(history[position - d])] = 1.0
-        offset += a
-    for j, d in enumerate(spec.lookback_distances):
-        back = position - 1 - d
-        if back >= 0 and history[position - 1] == history[back]:
-            out[offset + j] = 1.0
-    offset += len(spec.lookback_distances)
-    out[offset : offset + spec.position_bits] = position_counter_bits(
-        position, spec.position_bits
-    )
-    return out
-
-
-def lookback_feature_matrix(events: np.ndarray, spec: LayerSpec) -> np.ndarray:
-    """Lookback blocks for every position of a complete sequence (T, dims)."""
-    events = np.asarray(events, dtype=np.int64)
-    steps = len(events)
-    a = spec.alphabet_size
-    out = np.zeros((steps, spec.lookback_dim), dtype=np.float64)
-    offset = 0
-    for d in spec.lookback_distances:
-        if steps > d:
-            out[np.arange(d, steps), offset + events[: steps - d]] = 1.0
-        offset += a
-    for j, d in enumerate(spec.lookback_distances):
-        start = d + 1
-        if steps > start:
-            repeat = events[start - 1 : steps - 1] == events[: steps - start]
-            out[start:, offset + j] = repeat.astype(np.float64)
-    offset += len(spec.lookback_distances)
-    if spec.position_bits:
-        positions = np.arange(steps) % (1 << spec.position_bits)
-        for j in range(spec.position_bits):
-            out[:, offset + j] = (positions >> j) & 1
-    return out
-
-
-def previous_event_matrix(events: np.ndarray, alphabet_size: int) -> np.ndarray:
-    """Row p holds one-hot(events[p-1]); row 0 is zeros."""
-    events = np.asarray(events, dtype=np.int64)
-    out = np.zeros((len(events), alphabet_size), dtype=np.float64)
-    if len(events) > 1:
-        out[1:] = one_hot_matrix(events[:-1], alphabet_size)
-    return out
-
-
 def fan_out(indices: np.ndarray, repeat: int) -> np.ndarray:
     """Repeat each index ``repeat`` times (profile -> finer positions)."""
     return np.repeat(np.asarray(indices, dtype=np.int64), repeat)
@@ -231,6 +173,95 @@ def chord_chroma_by_beat(
     return out
 
 
+# Positions of each level that one bar and one beat cover, for fanning the
+# per-bar profiles and the per-beat profiles and chroma out to the level.
+FAN_OUT_REPEATS = {
+    "bar": (1, 1),
+    "beat": (BEATS_PER_BAR, 1),
+    "note": (STEPS_PER_BAR, STEPS_PER_BEAT),
+}
+
+
+def condition_block(
+    spec: LayerSpec,
+    length: int,
+    *,
+    bar_profiles: np.ndarray | None = None,
+    beat_profiles: np.ndarray | None = None,
+    chroma_by_beat: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """The condition columns (length, condition_dim) of one sequence, or None.
+
+    Profile indices are given per bar and per beat, chroma per beat; each is
+    fanned out to the level's positions. Missing chroma is rejected like any
+    other length mismatch.
+    """
+    if not spec.condition_dim:
+        return None
+    per_bar, per_beat = FAN_OUT_REPEATS[spec.level]
+    parts = []
+    for name, size, profiles, repeat in (
+        ("bar", spec.bar_condition, bar_profiles, per_bar),
+        ("beat", spec.beat_condition, beat_profiles, per_beat),
+    ):
+        if size:
+            if profiles is None:
+                raise ValueError(f"{spec.level} layer requires {name} profile indices")
+            block = one_hot_matrix(fan_out(profiles, repeat), size)
+            parts.append((f"{name} profiles cover", block))
+    if spec.chroma:
+        chroma = np.zeros((0, CHROMA_DIM)) if chroma_by_beat is None else chroma_by_beat
+        parts.append(("chroma covers", np.repeat(chroma, per_beat, axis=0)))
+    for what, part in parts:
+        if len(part) != length:
+            raise ValueError(f"{what} {len(part)} positions, need {length}")
+    return np.concatenate([part for _, part in parts], axis=1)
+
+
+def layer_features(
+    spec: LayerSpec,
+    histories: np.ndarray,
+    start: int,
+    stop: int,
+    conditions: np.ndarray | None = None,
+) -> np.ndarray:
+    """Input rows (W, stop - start, input_dim) at positions [start, stop).
+
+    ``histories`` (W, length) holds W symbol sequences of the level; row w at
+    position p reads only ``histories[w, :p]``. ``conditions`` is the
+    :func:`condition_block` of the sequence, shared by all W rows.
+    """
+    rows = len(histories)
+    out = np.zeros((rows, stop - start, spec.input_dim))
+    which = np.arange(rows)[:, None]
+
+    def one_hot_back(column: int, distance: int) -> None:
+        first = max(start, distance)
+        if first < stop:
+            symbols = histories[:, first - distance : stop - distance]
+            out[which, np.arange(first - start, stop - start), column + symbols] = 1.0
+
+    a = spec.alphabet_size
+    one_hot_back(0, 1)
+    column = a
+    if conditions is not None:
+        out[:, :, column : column + spec.condition_dim] = conditions[start:stop]
+        column += spec.condition_dim
+    for d in spec.lookback_distances:
+        one_hot_back(column, d)
+        column += a
+    for d in spec.lookback_distances:
+        first = max(start, d + 1)
+        if first < stop:
+            recent = histories[:, first - 1 : stop - 1]
+            out[:, first - start :, column] = recent == histories[:, first - 1 - d : stop - 1 - d]
+        column += 1
+    if spec.position_bits:
+        positions = np.arange(start, stop)[:, None]
+        out[:, :, column:] = (positions >> np.arange(spec.position_bits)) & 1
+    return out
+
+
 def build_layer_inputs(
     spec: LayerSpec,
     events: np.ndarray,
@@ -242,48 +273,17 @@ def build_layer_inputs(
     """Assemble the full (T, input_dim) input matrix for one sequence.
 
     ``events`` is the layer's own symbol sequence (its prediction targets).
-    Profile indices are given per bar / per beat and fanned out to the
-    layer's positions; chroma is given per beat.
+    Profile indices are given per bar / per beat and chroma per beat, as
+    :func:`condition_block` takes them.
     """
     events = np.asarray(events, dtype=np.int64)
-    steps = len(events)
-    blocks = [previous_event_matrix(events, spec.alphabet_size)]
-
-    per_bar = {"bar": 1, "beat": BEATS_PER_BAR, "note": STEPS_PER_BAR}[spec.level]
-    per_beat = {"bar": 0, "beat": 1, "note": STEPS_PER_BEAT}[spec.level]
-
-    if spec.bar_condition:
-        if bar_indices is None:
-            raise ValueError(f"{spec.level} layer requires bar profile indices")
-        expanded = fan_out(bar_indices, per_bar)
-        if len(expanded) != steps:
-            raise ValueError(
-                f"bar profiles cover {len(expanded)} positions, need {steps}"
-            )
-        blocks.append(one_hot_matrix(expanded, spec.bar_condition))
-    if spec.beat_condition:
-        if beat_indices is None:
-            raise ValueError(f"{spec.level} layer requires beat profile indices")
-        expanded = fan_out(beat_indices, per_beat)
-        if len(expanded) != steps:
-            raise ValueError(
-                f"beat profiles cover {len(expanded)} positions, need {steps}"
-            )
-        blocks.append(one_hot_matrix(expanded, spec.beat_condition))
-    if spec.chroma:
-        if chroma_by_beat is None:
-            chroma_by_beat = np.zeros((0, CHROMA_DIM))
-        if spec.level == "note":
-            expanded_chroma = np.repeat(chroma_by_beat, STEPS_PER_BEAT, axis=0)
-        else:
-            expanded_chroma = np.asarray(chroma_by_beat, dtype=np.float64)
-        if len(expanded_chroma) != steps:
-            raise ValueError(
-                f"chroma covers {len(expanded_chroma)} positions, need {steps}"
-            )
-        blocks.append(expanded_chroma)
-
-    blocks.append(lookback_feature_matrix(events, spec))
-    inputs = np.concatenate(blocks, axis=1)
-    assert inputs.shape == (steps, spec.input_dim)
-    return inputs
+    if events.size and (events.min() < 0 or events.max() >= spec.alphabet_size):
+        raise ValueError(f"{spec.level} event index outside alphabet")
+    conditions = condition_block(
+        spec,
+        len(events),
+        bar_profiles=bar_indices,
+        beat_profiles=beat_indices,
+        chroma_by_beat=chroma_by_beat,
+    )
+    return layer_features(spec, events[None], 0, len(events), conditions)[0]

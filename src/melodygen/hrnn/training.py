@@ -88,7 +88,6 @@ def train_layer(
         seed=config.seed,
         init_scale=config.init_scale,
         forget_bias=config.forget_bias,
-        cell_activation=config.cell_activation,
     )
     adam = init_adam(
         params,

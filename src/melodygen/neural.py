@@ -10,11 +10,10 @@ cell] packed along the last axis of the combined matrices:
     o   = sigmoid(a[:, 2H:3H])
     g   = tanh(a[:, 3H:4H])
     c   = f * c_prev + i * g
-    m   = o * cell_act(c)      cell_act = tanh (default) or identity
+    m   = o * tanh(c)
 
-``cell_activation="identity"`` reproduces the variant with an unsquashed
-cell output; the tanh default is the numerically safe choice. One cell
-function, :func:`_cell`, serves both :func:`lstm_step` and the sequence loop.
+One cell function, :func:`_cell`, serves both :func:`lstm_step` and the
+sequence loop.
 
 Dropout (inverted, scale 1/keep) is applied to up-going connections only:
 each layer's output as it feeds the next layer and the projection. The
@@ -29,6 +28,9 @@ Only ``m_prev @ w_m`` (forward) and ``da @ w_m.T`` (backward) stay in the time
 loop; the input and output projections and the weight gradients are GEMMs
 over all T*B rows, in blocks of ``GEMM_ROWS``. Gate gradients overwrite the
 cached gates, so :func:`backward` consumes its cache.
+
+Checkpoints hold the parameters and the layer count; optimizer state is not
+saved.
 """
 
 from __future__ import annotations
@@ -95,11 +97,8 @@ class GeneratorParams:
     layers: list[LstmLayerParams]
     w_out: np.ndarray  # (hidden, n_outputs)
     b_out: np.ndarray  # (n_outputs,)
-    cell_activation: str = "tanh"
 
     def __post_init__(self) -> None:
-        if self.cell_activation not in ("tanh", "identity"):
-            raise ValueError(f"unknown cell activation {self.cell_activation!r}")
         if not self.layers:
             raise ValueError("at least one LSTM layer is required")
 
@@ -138,7 +137,6 @@ class GeneratorParams:
             ],
             w_out=self.w_out.copy(),
             b_out=self.b_out.copy(),
-            cell_activation=self.cell_activation,
         )
 
     def n_parameters(self) -> int:
@@ -154,7 +152,6 @@ def init_params(
     seed: int = 0,
     init_scale: float = DEFAULT_INIT_SCALE,
     forget_bias: float = DEFAULT_FORGET_BIAS,
-    cell_activation: str = "tanh",
 ) -> GeneratorParams:
     """Seeded initialization: uniform weights, zero biases, forget bias set.
 
@@ -174,7 +171,7 @@ def init_params(
         layers.append(LstmLayerParams(w_x, w_m, b))
     w_out = rng.uniform(-init_scale, init_scale, size=(hidden_size, n_outputs))
     b_out = np.zeros(n_outputs)
-    return GeneratorParams(layers, w_out, b_out, cell_activation)
+    return GeneratorParams(layers, w_out, b_out)
 
 
 @dataclass
@@ -193,7 +190,7 @@ class LstmState:
         return LstmState(self.c.copy(), self.m.copy())
 
 
-def _cell(a: np.ndarray, c_prev: np.ndarray, kind: str, c: np.ndarray, m: np.ndarray) -> None:
+def _cell(a: np.ndarray, c_prev: np.ndarray, c: np.ndarray, m: np.ndarray) -> None:
     """One step of one layer in place: the gate pre-activations ``a`` (B, 4H)
     become the activations [i | f | o | g]; c and m receive the new state."""
     hidden = c.shape[-1]
@@ -202,11 +199,8 @@ def _cell(a: np.ndarray, c_prev: np.ndarray, kind: str, c: np.ndarray, m: np.nda
     np.tanh(g, out=g)
     np.multiply(f, c_prev, out=c)
     c += i * g
-    if kind == "tanh":
-        np.tanh(c, out=m)
-        m *= o
-    else:
-        np.multiply(o, c, out=m)
+    np.tanh(c, out=m)
+    m *= o
 
 
 def lstm_step(
@@ -229,7 +223,7 @@ def lstm_step(
     for index, layer in enumerate(params.layers):
         a = below @ layer.w_x + layer.b
         a += state.m[index] @ layer.w_m
-        _cell(a, state.c[index], params.cell_activation, new_c[index], new_m[index])
+        _cell(a, state.c[index], new_c[index], new_m[index])
         below = new_m[index] if dropout_masks is None else new_m[index] * dropout_masks[index]
     logits = below @ params.w_out + params.b_out
     if not np.all(np.isfinite(logits)):
@@ -353,7 +347,7 @@ def forward_sequence(
             if t:
                 a[t] += np.matmul(m[t - 1], layer.w_m, out=recurrent)
             c_prev = c[t - 1] if t else zeros
-            _cell(a[t], c_prev, params.cell_activation, c[t], m[t])
+            _cell(a[t], c_prev, c[t], m[t])
     logits = np.empty((steps, batch, params.n_outputs))
     _project(*feeds[-1], params.w_out, logits, params.b_out)
 
@@ -385,7 +379,6 @@ def backward(params: GeneratorParams, cache: dict) -> dict[str, np.ndarray]:
     feeds = _feeds(inputs, outs, cache["dropout_masks"])
     steps, batch, _ = inputs.shape
     hidden = params.hidden_size
-    tanh_cell = params.cell_activation == "tanh"
 
     dlogits = cache["probs"].copy()
     dlogits[np.arange(steps)[:, None], np.arange(batch), cache["targets"]] -= 1.0
@@ -409,12 +402,10 @@ def backward(params: GeneratorParams, cache: dict) -> dict[str, np.ndarray]:
             a = gates[l, t]
             i, f, o, g = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
             c_prev = cells[l, t - 1] if t else zeros
-            h_c = np.tanh(cells[l, t]) if tanh_cell else cells[l, t]
+            h_c = np.tanh(cells[l, t])
             dm_total = dm_up[t]
             dm_total += dm_rec
-            dc = dm_total * o
-            if tanh_cell:
-                dc *= 1.0 - h_c * h_c
+            dc = dm_total * o * (1.0 - h_c * h_c)
             dc += dc_rec
             dc_rec = dc * f
             da_i = dc * g * i * (1.0 - i)
@@ -596,7 +587,6 @@ class TrainConfig:
     n_lstm_layers: int = 2
     init_scale: float = DEFAULT_INIT_SCALE
     forget_bias: float = DEFAULT_FORGET_BIAS
-    cell_activation: str = "tanh"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -622,71 +612,26 @@ class TrainConfig:
 CHECKPOINT_META_KEY = "generator"
 
 
-def save_checkpoint(
-    path: str | Path,
-    params: GeneratorParams,
-    *,
-    adam: AdamState | None = None,
-    meta: dict | None = None,
-) -> None:
-    """Write parameters (and optionally optimizer state) deterministically."""
-    arrays = {name: arr for name, arr in params.named_arrays()}
-    header: dict = {
-        CHECKPOINT_META_KEY: {
-            "n_layers": params.n_layers,
-            "cell_activation": params.cell_activation,
-        },
-        "user": meta or {},
-    }
-    if adam is not None:
-        for name in list(arrays):
-            arrays[f"adam.m.{name}"] = adam.m[name]
-            arrays[f"adam.v.{name}"] = adam.v[name]
-        header["adam"] = {
-            "t": adam.t,
-            "learning_rate": adam.learning_rate,
-            "beta1": adam.beta1,
-            "beta2": adam.beta2,
-            "epsilon": adam.epsilon,
-        }
-    save_arrays(path, arrays, header)
+def save_checkpoint(path: str | Path, params: GeneratorParams) -> None:
+    """Write the parameters deterministically."""
+    header = {CHECKPOINT_META_KEY: {"n_layers": params.n_layers}}
+    save_arrays(path, dict(params.named_arrays()), header)
 
 
-@dataclass
-class Checkpoint:
-    params: GeneratorParams
-    adam: AdamState | None
-    meta: dict
-
-
-def load_checkpoint(path: str | Path) -> Checkpoint:
+def load_checkpoint(path: str | Path) -> GeneratorParams:
     arrays, header = load_arrays(path)
     info = header[CHECKPOINT_META_KEY]
-    layers = []
-    for index in range(info["n_layers"]):
-        layers.append(
-            LstmLayerParams(
-                w_x=arrays[f"lstm{index}.w_x"],
-                w_m=arrays[f"lstm{index}.w_m"],
-                b=arrays[f"lstm{index}.b"],
-            )
+    # Older checkpoints record their cell activation; only tanh cells remain.
+    activation = info.get("cell_activation", "tanh")
+    if activation != "tanh":
+        raise ValueError(f"{path}: checkpoint uses the {activation!r} cell activation; "
+                         "only 'tanh' cells are supported")
+    layers = [
+        LstmLayerParams(
+            w_x=arrays[f"lstm{index}.w_x"],
+            w_m=arrays[f"lstm{index}.w_m"],
+            b=arrays[f"lstm{index}.b"],
         )
-    params = GeneratorParams(
-        layers=layers,
-        w_out=arrays["w_out"],
-        b_out=arrays["b_out"],
-        cell_activation=info["cell_activation"],
-    )
-    adam = None
-    if "adam" in header:
-        names = [name for name, _ in params.named_arrays()]
-        adam = AdamState(
-            m={name: arrays[f"adam.m.{name}"] for name in names},
-            v={name: arrays[f"adam.v.{name}"] for name in names},
-            t=header["adam"]["t"],
-            learning_rate=header["adam"]["learning_rate"],
-            beta1=header["adam"]["beta1"],
-            beta2=header["adam"]["beta2"],
-            epsilon=header["adam"]["epsilon"],
-        )
-    return Checkpoint(params=params, adam=adam, meta=header.get("user", {}))
+        for index in range(info["n_layers"])
+    ]
+    return GeneratorParams(layers=layers, w_out=arrays["w_out"], b_out=arrays["b_out"])

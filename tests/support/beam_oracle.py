@@ -1,8 +1,8 @@
 """Per-hypothesis beam search reference: one single-row ``lstm_step`` per
 live hypothesis per position, candidates as Python tuples sorted on
-(-score, parent, symbol). It builds each input row by concatenating the
-feature blocks, as a single sequence would, and shares no decoding code with
-melodygen.hrnn.generation. Its signature matches ``generation._beam_decode``
+(-score, parent, symbol). It builds each input row with the scalar
+``feature_oracle``, and shares no decoding or feature code with
+melodygen.hrnn. Its signature matches ``generation._beam_decode``
 so a test can swap it in under ``generate``."""
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ import math
 import numpy as np
 
 from melodygen.encode import N_PITCHES, NOTE_OFF
-from melodygen.hrnn.specs import lookback_features
 from melodygen.neural import log_softmax, lstm_step
+
+from .feature_oracle import reference_input_row
 
 
 def _sounding_after(sounding: bool, event: int, is_note: bool) -> bool:
@@ -31,14 +32,8 @@ def reference_beam_decode(params, spec, primer, length, conditions, beam_width):
     is_note = spec.level == "note"
 
     def input_at(history: np.ndarray, position: int) -> np.ndarray:
-        prev = np.zeros(spec.alphabet_size)
-        if position > 0:
-            prev[history[position - 1]] = 1.0
-        parts = [prev]
-        if conditions is not None:
-            parts.append(conditions[position])
-        parts.append(lookback_features(history, position, spec))
-        return np.concatenate(parts)
+        condition = None if conditions is None else conditions[position]
+        return reference_input_row(spec, history, position, condition)
 
     def masked(logits: np.ndarray, sounding: bool) -> np.ndarray:
         if is_note and not sounding:

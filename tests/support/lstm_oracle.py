@@ -56,7 +56,6 @@ def reference_forward(
     """
     steps, batch, _ = inputs.shape
     layers = [_GateWeights(l.w_x, l.w_m, l.b) for l in params.layers]
-    tanh_cell = params.cell_activation == "tanh"
     n_out = params.w_out.shape[1]
 
     logits = np.zeros((steps, batch, n_out))
@@ -71,7 +70,7 @@ def reference_forward(
                 o = _logistic(below @ lay.wxo + m[li] @ lay.wmo + lay.bo)
                 g = _tanh_vec(below @ lay.wxg + m[li] @ lay.wmg + lay.bg)
                 c[li] = f * c[li] + i * g
-                m[li] = o * (_tanh_vec(c[li]) if tanh_cell else c[li])
+                m[li] = o * _tanh_vec(c[li])
                 below = m[li]
                 if dropout_masks is not None:
                     below = below * dropout_masks[t, li, row]
@@ -112,7 +111,6 @@ def reference_backward(
     layers = [_GateWeights(l.w_x, l.w_m, l.b) for l in params.layers]
     n_layers = len(layers)
     top = n_layers - 1
-    tanh_cell = params.cell_activation == "tanh"
     if mask is None:
         mask = np.ones((steps, batch))
     count = int(sum(1 for t in range(steps) for row in range(batch) if mask[t, row] != 0))
@@ -142,7 +140,7 @@ def reference_backward(
                 o = _logistic(below @ lay.wxo + m[li] @ lay.wmo + lay.bo)
                 g = _tanh_vec(below @ lay.wxg + m[li] @ lay.wmg + lay.bg)
                 c_new = f * c[li] + i * g
-                h = _tanh_vec(c_new) if tanh_cell else c_new
+                h = _tanh_vec(c_new)
                 rec[t][li] = dict(x=below, m_prev=m[li], c_prev=c[li],
                                   i=i, f=f, o=o, g=g, c=c_new, h=h)
                 c[li] = c_new
@@ -167,7 +165,7 @@ def reference_backward(
                 lay, r = layers[li], rec[t][li]
                 dm = dm_from_above + dm_next[li]
                 dh = dm * r["o"]
-                dcell = dh * (1.0 - r["h"] * r["h"]) if tanh_cell else dh
+                dcell = dh * (1.0 - r["h"] * r["h"])
                 dcell = dcell + dc_next[li]
                 da = {
                     "i": dcell * r["g"] * r["i"] * (1.0 - r["i"]),

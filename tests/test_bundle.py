@@ -179,3 +179,26 @@ class TestModelValidation:
                 specs=model.specs,
                 beat_codebook=model.beat_codebook,
             )
+
+
+def test_manifest_spec_off_the_variant_layout_rejected(tmp_path):
+    # A distance of 0 keeps input_dim but would feed each row its own target.
+    save_bundle(make_model("3L"), tmp_path / "bundle")
+    manifest_path = tmp_path / "bundle" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["levels"]["note"]["spec"]["lookback_distances"] = [0, 4]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="note layer spec .* differs from the 3L layout"):
+        load_bundle(tmp_path / "bundle")
+
+
+def test_spec_sized_off_the_codebooks_rejected():
+    model = make_model("2L")
+    specs = layer_specs("2L", beat_k=BEAT_K + 1)
+    params = {
+        level: init_params(spec.input_dim, 10, spec.alphabet_size, n_layers=1, seed=3)
+        for level, spec in specs.items()
+    }
+    with pytest.raises(ValueError, match="beat layer spec"):
+        HrnnModel(variant="2L", level_params=params, specs=specs,
+                  beat_codebook=model.beat_codebook)

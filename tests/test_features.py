@@ -7,6 +7,7 @@ and block placement, not just shapes.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from melodygen.encode import ALPHABET_SIZE, NO_EVENT, MelodyGrid, grid_encode
 from melodygen.hrnn.datasets import (
@@ -20,15 +21,13 @@ from melodygen.hrnn.specs import (
     build_layer_inputs,
     chord_chroma_by_beat,
     fan_out,
+    layer_features,
     layer_specs,
-    lookback_feature_matrix,
-    lookback_features,
-    position_counter_bits,
-    previous_event_matrix,
 )
 from melodygen.leadsheet import chord_from_kind
 from melodygen.profiles import build_codebook, cut_clips, binarize, profile_sequences
 from melodygen.synthetic import synthetic_corpus
+from support.feature_oracle import reference_input_row, reference_lookback
 
 
 def note_spec(**overrides):
@@ -43,6 +42,19 @@ def note_spec(**overrides):
     )
     base.update(overrides)
     return LayerSpec(**base)
+
+
+def lookback_at(history, position, spec):
+    """The builder's lookback block at one position of one history."""
+    row = layer_features(spec, np.asarray(history)[None], position, position + 1)[0, 0]
+    return row[spec.alphabet_size + spec.condition_dim :]
+
+
+def position_counter_bits(position, n_bits):
+    """The builder's position counter at one position."""
+    spec = note_spec(alphabet_size=2, lookback_distances=(1, 2), position_bits=n_bits)
+    history = np.zeros((1, position + 1), dtype=np.int64)
+    return layer_features(spec, history, position, position + 1)[0, 0, spec.input_dim - n_bits :]
 
 
 class TestLayerSpecs:
@@ -120,14 +132,14 @@ class TestLookback:
     def test_position_zero_is_all_zero(self):
         spec = note_spec()
         history = np.arange(40) % ALPHABET_SIZE
-        assert not lookback_features(history, 0, spec).any()
+        assert not lookback_at(history, 0, spec).any()
 
     def test_lookback_one_hot_placement(self):
         spec = note_spec()
         history = np.full(40, NO_EVENT, dtype=np.int64)
         history[0] = 7
         history[16] = 9
-        feat = lookback_features(history, 32, spec)
+        feat = lookback_at(history, 32, spec)
         # distance 16 block first: one-hot of history[16] == 9
         assert feat[9] == 1.0 and feat[:38].sum() == 1.0
         # distance 32 block second: one-hot of history[0] == 7
@@ -137,14 +149,14 @@ class TestLookback:
         spec = note_spec(lookback_distances=(2, 4), position_bits=0)
         # flag j at position p compares history[p-1] with history[p-1-d]
         history = np.array([5, 1, 5, 2, 9], dtype=np.int64)
-        feat = lookback_features(history, 3, spec)
+        feat = lookback_at(history, 3, spec)
         flags = feat[2 * ALPHABET_SIZE : 2 * ALPHABET_SIZE + 2]
         assert flags.tolist() == [1.0, 0.0]  # history[2]==history[0], d=4 o.o.r.
 
     def test_repeat_flag_zero_before_range(self):
         spec = note_spec(lookback_distances=(2, 4), position_bits=0)
         history = np.array([5, 5, 5, 5, 5], dtype=np.int64)
-        feat = lookback_features(history, 2, spec)  # p-1-2 = -1: out of range
+        feat = lookback_at(history, 2, spec)  # p-1-2 = -1: out of range
         flags = feat[2 * ALPHABET_SIZE : 2 * ALPHABET_SIZE + 2]
         assert flags.tolist() == [0.0, 0.0]
 
@@ -156,24 +168,26 @@ class TestLookback:
             note_spec(level="bar", alphabet_size=16, lookback_distances=(2, 4), position_bits=0),
         ):
             events = rng.integers(0, spec.alphabet_size, size=48)
-            matrix = lookback_feature_matrix(events, spec)
+            matrix = layer_features(spec, events[None], 0, 48)[0, :, spec.alphabet_size :]
             assert matrix.shape == (48, spec.lookback_dim)
             for position in range(48):
-                expected = lookback_features(events, position, spec)
+                expected = reference_lookback(events, position, spec)
                 assert np.array_equal(matrix[position], expected), position
+                assert np.array_equal(lookback_at(events, position, spec), expected), position
 
     def test_never_reads_at_or_after_position(self):
         spec = note_spec()
         events = np.zeros(40, dtype=np.int64)
-        a = lookback_features(events, 20, spec)
+        a = lookback_at(events, 20, spec)
         events[20:] = 11  # mutate the "future"
-        b = lookback_features(events, 20, spec)
+        b = lookback_at(events, 20, spec)
         assert np.array_equal(a, b)
 
 
 class TestPreviousEvents:
     def test_shifted_one_hot(self):
-        out = previous_event_matrix(np.array([2, 0, 1]), 4)
+        spec = note_spec(level="bar", alphabet_size=4, lookback_distances=(2, 4), position_bits=0)
+        out = layer_features(spec, np.array([[2, 0, 1]]), 0, 3)[0, :, :4]
         assert out.tolist() == [
             [0, 0, 0, 0],
             [0, 0, 1, 0],
@@ -252,7 +266,8 @@ class TestBuildLayerInputs:
         assert chroma_block[:, 0].all() and chroma_block[:, 1:].sum() == 0
         # lookback block occupies the tail
         tail = inputs[:, a + 20 :]
-        assert np.array_equal(tail, lookback_feature_matrix(events, spec))
+        expected = [reference_lookback(events, position, spec) for position in range(32)]
+        assert np.array_equal(tail, np.array(expected))
 
     def test_missing_conditions_rejected(self):
         spec = self.spec()
@@ -287,6 +302,45 @@ class TestBuildLayerInputs:
         chroma = np.arange(96, dtype=np.float64).reshape(8, 12)
         inputs = build_layer_inputs(spec, events, chroma_by_beat=chroma)
         assert np.array_equal(inputs[:, 8:20], chroma)
+
+    def test_events_outside_alphabet_rejected(self):
+        spec = note_spec()
+        events = np.zeros(16, dtype=np.int64)
+        events[5] = ALPHABET_SIZE
+        with pytest.raises(ValueError, match="outside alphabet"):
+            build_layer_inputs(spec, events)
+
+
+class TestBuilderMatchesOracle:
+    """Any range of positions of W histories equals the scalar oracle row by row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        level=st.sampled_from(["bar", "beat", "note"]),
+        chords=st.booleans(),
+        rows=st.integers(1, 6),
+        length=st.integers(1, 48),
+        data=st.data(),
+    )
+    def test_rows_equal_oracle(self, level, chords, rows, length, data):
+        spec = layer_specs("3L", chords=chords, beat_k=3, bar_k=4)[level]
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        start = data.draw(st.integers(0, length - 1), label="start")
+        stop = data.draw(st.integers(start + 1, length), label="stop")
+        rng = np.random.default_rng(seed)
+        # Few distinct symbols, so that repeat flags fire.
+        symbols = rng.integers(0, spec.alphabet_size, size=2)
+        histories = symbols[rng.integers(0, 2, size=(rows, length))]
+        conditions = None
+        if spec.condition_dim:
+            conditions = (rng.random((length, spec.condition_dim)) < 0.3).astype(np.float64)
+        out = layer_features(spec, histories, start, stop, conditions)
+        assert out.shape == (rows, stop - start, spec.input_dim)
+        for w in range(rows):
+            for position in range(start, stop):
+                condition = None if conditions is None else conditions[position]
+                expected = reference_input_row(spec, histories[w], position, condition)
+                assert np.array_equal(out[w, position - start], expected), (w, position)
 
 
 def corpus_grids(n=6, **kwargs):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from melodygen.container import load_arrays, save_arrays
 from melodygen.neural import (
     GeneratorParams,
     LstmLayerParams,
@@ -121,17 +122,12 @@ class TestInit:
         with pytest.raises(ValueError):
             init_params(4, 4, 3, n_layers=0)
 
-    def test_rejects_unknown_cell_activation(self):
-        with pytest.raises(ValueError, match="activation"):
-            tiny_params(cell_activation="relu")
-
 
 class TestForwardOracle:
-    @pytest.mark.parametrize("cell_activation", ["tanh", "identity"])
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_matches_reference(self, cell_activation, layers):
-        rng = np.random.default_rng(layers * 10 + (cell_activation == "tanh"))
-        params = tiny_params(layers=layers, cell_activation=cell_activation, seed=layers)
+    @pytest.mark.parametrize("layers", [1, 2, 3], ids=lambda layers: f"{layers}-tanh")
+    def test_matches_reference(self, layers):
+        rng = np.random.default_rng(layers * 10 + 1)
+        params = tiny_params(layers=layers, seed=layers)
         inputs, targets = random_batch(rng, steps=7, batch=3, din=6, nout=7)
         result = forward_sequence(params, inputs, targets)
         ref_logits, ref_loss = reference_forward(params, inputs, targets)
@@ -231,8 +227,8 @@ class TestForwardOracle:
         assert np.array_equal(bare.probs, cached.probs)
 
     def test_forget_gate_saturation_carries_cell(self):
-        # With identity cell activation, +inf-ish forget bias and zero
-        # input/output contributions elsewhere, the cell integrates inputs.
+        # With +inf-ish forget bias and zero input/output contributions
+        # elsewhere, the cell integrates inputs.
         hidden = 1
         w_x = np.zeros((1, 4))
         w_x[0, 0] = 100.0  # input gate driven fully open by any positive x
@@ -242,7 +238,6 @@ class TestForwardOracle:
             layers=[LstmLayerParams(w_x, np.zeros((1, 4)), b)],
             w_out=np.ones((1, 1)),
             b_out=np.zeros(1),
-            cell_activation="identity",
         )
         state = None
         for _ in range(3):
@@ -257,7 +252,7 @@ class TestForwardOracle:
         assert float(state.c[0, 0, 0]) == pytest.approx(first, rel=1e-6)
 
 
-def random_case(seed, steps, batch, layers, cell_activation, masked, dropped):
+def random_case(seed, steps, batch, layers, masked, dropped):
     """Small model with N(0, 1) weights and biases, a batch, and optional masks."""
     rng = np.random.default_rng(seed)
     din, hidden, nout = (int(rng.integers(low, high)) for low, high in ((1, 6), (1, 5), (2, 8)))
@@ -269,8 +264,7 @@ def random_case(seed, steps, batch, layers, cell_activation, masked, dropped):
         )
         for l in range(layers)
     ]
-    params = GeneratorParams(stack, rng.normal(size=(hidden, nout)), rng.normal(size=nout),
-                             cell_activation)
+    params = GeneratorParams(stack, rng.normal(size=(hidden, nout)), rng.normal(size=nout))
     inputs, targets = random_batch(rng, steps, batch, din, nout)
     mask = None
     if masked:
@@ -289,17 +283,13 @@ class TestOracleProperties:
         steps=st.integers(1, 6),
         batch=st.integers(1, 3),
         layers=st.sampled_from([1, 2, 3]),
-        cell_activation=st.sampled_from(["tanh", "identity"]),
         masked=st.booleans(),
         dropped=st.booleans(),
     )
-    @example(seed=0, steps=1, batch=1, layers=3, cell_activation="tanh", masked=False,
-             dropped=True)
-    def test_sequence_matches_oracle(
-        self, seed, steps, batch, layers, cell_activation, masked, dropped
-    ):
+    @example(seed=0, steps=1, batch=1, layers=3, masked=False, dropped=True)
+    def test_sequence_matches_oracle(self, seed, steps, batch, layers, masked, dropped):
         params, inputs, targets, mask, masks = random_case(
-            seed, steps, batch, layers, cell_activation, masked, dropped
+            seed, steps, batch, layers, masked, dropped
         )
         result = forward_sequence(params, inputs, targets, mask=mask, dropout_masks=masks)
         ref_logits, ref_loss = reference_forward(params, inputs, targets, mask, masks)
@@ -348,13 +338,10 @@ class TestLstmStep:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("cell_activation", ["tanh", "identity"])
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_grad_check_all_configurations(self, cell_activation, layers):
+    @pytest.mark.parametrize("layers", [1, 2, 3], ids=lambda layers: f"{layers}-tanh")
+    def test_grad_check_all_configurations(self, layers):
         rng = np.random.default_rng(layers)
-        params = tiny_params(
-            layers=layers, cell_activation=cell_activation, seed=layers + 1
-        )
+        params = tiny_params(layers=layers, seed=layers + 1)
         inputs, targets = random_batch(rng, steps=8, batch=2, din=6, nout=7)
         report = grad_check(params, inputs, targets, n_samples=120, seed=0)
         assert report.max_rel_error < 1e-4, report
@@ -507,41 +494,40 @@ class TestClip:
 
 
 class TestCheckpoints:
-    def test_round_trip_params_and_adam(self, tmp_path):
-        params = tiny_params(seed=21)
-        adam = init_adam(params, learning_rate=0.002)
-        grads = {name: np.ones_like(arr) * 0.1 for name, arr in params.named_arrays()}
-        adam_update(params, grads, adam)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, adam=adam, meta={"level": "note"})
-        loaded = load_checkpoint(path)
-        for (name, arr), (name2, arr2) in zip(
-            params.named_arrays(), loaded.params.named_arrays()
-        ):
-            assert name == name2 and np.array_equal(arr, arr2)
-        assert loaded.adam is not None and loaded.adam.t == 1
-        assert loaded.adam.learning_rate == 0.002
-        assert np.array_equal(loaded.adam.m["w_out"], adam.m["w_out"])
-        assert loaded.meta == {"level": "note"}
-
     def test_params_only_checkpoint(self, tmp_path):
-        params = tiny_params()
+        params = tiny_params(seed=21)
         path = tmp_path / "bare.ckpt"
         save_checkpoint(path, params)
         loaded = load_checkpoint(path)
-        assert loaded.adam is None
-        assert loaded.params.cell_activation == "tanh"
+        assert isinstance(loaded, GeneratorParams)
+        for (name, arr), (name2, arr2) in zip(params.named_arrays(), loaded.named_arrays()):
+            assert name == name2 and np.array_equal(arr, arr2)
+        assert load_arrays(path)[1] == {"generator": {"n_layers": 2}}
 
     def test_checkpoint_bytes_identical_across_runs(self, tmp_path):
         for run in ("a", "b"):
             params = tiny_params(seed=33)
-            save_checkpoint(tmp_path / f"{run}.ckpt", params, meta={"x": 1})
+            save_checkpoint(tmp_path / f"{run}.ckpt", params)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
-    def test_cell_activation_preserved(self, tmp_path):
-        params = tiny_params(cell_activation="identity")
-        save_checkpoint(tmp_path / "id.ckpt", params)
-        assert load_checkpoint(tmp_path / "id.ckpt").params.cell_activation == "identity"
+    @staticmethod
+    def old_checkpoint(path, params, activation):
+        """A checkpoint as written before the header lost its activation and user keys."""
+        header = {"generator": {"n_layers": params.n_layers, "cell_activation": activation},
+                  "user": {"level": "note"}}
+        save_arrays(path, dict(params.named_arrays()), header)
+
+    def test_old_tanh_checkpoint_loads(self, tmp_path):
+        params = tiny_params(seed=5)
+        self.old_checkpoint(tmp_path / "old.ckpt", params, "tanh")
+        loaded = load_checkpoint(tmp_path / "old.ckpt")
+        for (_, arr), (_, arr2) in zip(params.named_arrays(), loaded.named_arrays()):
+            assert np.array_equal(arr, arr2)
+
+    def test_old_identity_checkpoint_rejected_by_name(self, tmp_path):
+        self.old_checkpoint(tmp_path / "old.ckpt", tiny_params(), "identity")
+        with pytest.raises(ValueError, match="'identity' cell activation"):
+            load_checkpoint(tmp_path / "old.ckpt")
 
 
 class TestParamsContainer:
