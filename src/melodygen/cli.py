@@ -188,6 +188,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_profiles(args) -> int:
+    for option, k in (("--beat-k", args.beat_k), ("--bar-k", args.bar_k)):
+        if k < 1:
+            raise CliError(f"{option} must be >= 1, got {k}", EXIT_EMPTY)
     work = _workdir(args)
     manifest = _manifest(work)
     if not manifest["train_ids"]:
@@ -228,6 +231,19 @@ def cmd_profiles(args) -> int:
 
 
 def cmd_train(args) -> int:
+    try:
+        conf = TrainConfig(
+            max_iterations=args.max_iterations,
+            batch_size=args.batch_size,
+            dropout=args.dropout,
+            hidden_size=args.hidden_size,
+            n_lstm_layers=args.lstm_layers,
+            eval_every=args.eval_every,
+            patience=args.patience,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_EMPTY)
     work = _workdir(args)
     manifest = _manifest(work)
     beat_cb, bar_cb = _load_codebooks(work)
@@ -236,16 +252,6 @@ def cmd_train(args) -> int:
     train_grids, train_chords = _load_encoded(work, manifest["train_ids"])
     val_grids, val_chords = _load_encoded(work, manifest["validation_ids"])
 
-    conf = TrainConfig(
-        max_iterations=args.max_iterations,
-        batch_size=args.batch_size,
-        dropout=args.dropout,
-        hidden_size=args.hidden_size,
-        n_lstm_layers=args.lstm_layers,
-        eval_every=args.eval_every,
-        patience=args.patience,
-        seed=args.seed,
-    )
     effective = {
         "command": "train",
         "variant": args.variant,
@@ -334,15 +340,27 @@ def _parse_profile_list(text: str | None, name: str) -> tuple[int, ...] | None:
     return values
 
 
-def cmd_generate(args) -> int:
-    work = _workdir(args)
-    bundle_dir = work / "model" / args.variant
+def _load_model(work: Path, variant: str) -> HrnnModel:
+    bundle_dir = work / "model" / variant
     try:
-        model = load_bundle(bundle_dir)
+        return load_bundle(bundle_dir)
     except FileNotFoundError:
         raise CliError(
-            f"no trained {args.variant} bundle in {bundle_dir}; run `melodygen train` first"
+            f"no trained {variant} bundle in {bundle_dir}; run `melodygen train` first"
         )
+
+
+def _generation_plan(**fields) -> GenerationPlan:
+    """A plan from option values; an invalid value is a usage error."""
+    try:
+        return GenerationPlan(**fields)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_EMPTY)
+
+
+def cmd_generate(args) -> int:
+    work = _workdir(args)
+    model = _load_model(work, args.variant)
     manifest = _manifest(work)
 
     rng = np.random.default_rng(args.seed)
@@ -359,7 +377,7 @@ def cmd_generate(args) -> int:
         fixed_beat = tile_profiles(fixed_beat, args.bars * 4)
         _check_profile_range(fixed_beat, model.beat_codebook, "beat")
 
-    plan = GenerationPlan(
+    plan = _generation_plan(
         bars=args.bars,
         mode=args.mode,
         temperature=args.temperature,
@@ -434,22 +452,22 @@ def _choose_primer(work, manifest, model, rng, primer_piece: str | None):
     else:
         raise CliError("no pieces available to draw a primer from", EXIT_EMPTY)
     (grid,), (chords,) = _load_encoded(work, [piece_id])
+    return (*_primer_of(grid, model), chords)
+
+
+def _primer_of(grid, model) -> tuple[tuple[int, ...], int | None, int | None]:
+    """A grid's first beat of events and its first bar and beat profiles."""
     bar_idx, beat_idx = profile_sequences(grid, model.beat_codebook, model.bar_codebook)
-    primer_events = tuple(int(e) for e in grid.events[:4])
-    primer_bar = int(bar_idx[0]) if bar_idx is not None else None
-    primer_beat = int(beat_idx[0]) if beat_idx is not None else None
-    return primer_events, primer_bar, primer_beat, chords
+    return (
+        tuple(int(e) for e in grid.events[:4]),
+        int(bar_idx[0]) if bar_idx is not None else None,
+        int(beat_idx[0]) if beat_idx is not None else None,
+    )
 
 
 def cmd_eval(args) -> int:
     work = _workdir(args)
-    bundle_dir = work / "model" / args.variant
-    try:
-        model = load_bundle(bundle_dir)
-    except FileNotFoundError:
-        raise CliError(
-            f"no trained {args.variant} bundle in {bundle_dir}; run `melodygen train` first"
-        )
+    model = _load_model(work, args.variant)
     manifest = _manifest(work)
     ids = manifest["validation_ids"] or manifest["train_ids"]
     if not ids:
@@ -504,17 +522,15 @@ def _generation_adherence(model, grids, args) -> dict:
     bar_scores, beat_scores = [], []
     for index in range(args.adherence_samples):
         source = grids[index % len(grids)]
-        bar_idx, beat_idx = profile_sequences(
-            source, model.beat_codebook, model.bar_codebook
-        )
-        plan = GenerationPlan(
+        primer_events, primer_bar, primer_beat = _primer_of(source, model)
+        plan = _generation_plan(
             bars=source.n_bars,
             mode="sample",
             temperature=args.temperature,
             seed=args.seed + index,
-            primer_events=tuple(int(e) for e in source.events[:4]),
-            primer_bar_profile=int(bar_idx[0]) if bar_idx is not None else None,
-            primer_beat_profile=int(beat_idx[0]) if beat_idx is not None else None,
+            primer_events=primer_events,
+            primer_bar_profile=primer_bar,
+            primer_beat_profile=primer_beat,
         )
         try:
             result = generate(model.level_params, model.specs, plan)

@@ -1,27 +1,30 @@
 """Hierarchical generation: profiles first, then notes, coarse to fine.
 
-Each present layer decodes its whole sequence autoregressively; its output
-is fanned out as the condition of the layer below (one bar profile covers 16
-steps, one beat profile 4 steps). A layer is bypassed entirely when the plan
-fixes its output ("fixed profile" generation). Primers occupy the start of
-each decoded sequence: one profile for the bar and beat layers, one beat (4
-events) for the note layer.
+:func:`generate` walks the levels bar, beat, note once. Each present level
+either takes the plan's fixed profiles ("fixed profile" generation, which
+bypasses the layer entirely) or decodes its whole sequence autoregressively
+from its primer; its output is fanned out as the condition of the levels
+below (one bar profile covers 16 steps, one beat profile 4 steps). Primers
+occupy the start of each decoded sequence: one profile for the bar and beat
+layers, one beat (4 events) for the note layer.
 
-Two decoding modes:
+One loop, :func:`_decode_sequence`, decodes every level in both modes:
 
     sample  draw each symbol from softmax(logits / temperature);
             temperature 0 short-circuits to argmax (greedy)
     beam    deterministic beam search per layer; width 1 equals greedy
 
-Both build each step's input rows with the builder training uses,
-:func:`specs.layer_features`, over the (W, length) event histories, with the
-conditions fanned out once per layer by :func:`specs.condition_block`.
+It keeps the live hypotheses as rows of arrays: sampling keeps one row, beam
+search W. Each position builds the rows' inputs with the builder training
+uses, :func:`specs.layer_features`, runs one batched LSTM step, and masks
+note-off in every silent row; only the choice of the next symbols depends
+on the mode. The conditions are fanned out once per level by
+:func:`specs.condition_block`.
 
-Both are deterministic given the plan's seed. Beam search advances all live
-hypotheses as one batched LSTM step per position and breaks ties on
-(-score, parent, symbol). A multi-row step sums its products in a different
-order than single-row steps, so beam log-probabilities can differ from a
-per-hypothesis search in the last bits.
+Both modes are deterministic given the plan's seed. Beam search breaks ties
+on (-score, parent, symbol). A multi-row step sums its products in a
+different order than single-row steps, so beam log-probabilities can differ
+from a per-hypothesis search in the last bits.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ class GenerationPlan:
             raise ValueError("bars must be >= 1")
         if self.mode not in ("sample", "beam"):
             raise ValueError(f"unknown generation mode {self.mode!r}")
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.beam_width < 1:
@@ -106,16 +111,20 @@ def tile_profiles(pattern: tuple[int, ...] | list[int], length: int) -> tuple[in
     return tuple(pattern[i % len(pattern)] for i in range(length))
 
 
-def _sounding_after(sounding, event, is_note_level: bool):
-    """Whether a note is sounding after emitting ``event``; elementwise on arrays."""
-    if not is_note_level:
-        return sounding
-    return (event < N_PITCHES) | ((event != NOTE_OFF) & sounding)
+# Per level: the error for a missing primer, and for an output outside the
+# level's alphabet.
+_LEVEL_ERRORS = {
+    "bar": ("bar layer needs a primer profile or fixed profiles",
+            "bar profile index outside the codebook"),
+    "beat": ("beat layer needs a primer profile or fixed profiles",
+             "beat profile index outside the codebook"),
+    "note": ("a one-beat primer (4 note events) is required", "note event outside the alphabet"),
+}
 
 
-def _forbid_silent_note_off(logits: np.ndarray, sounding) -> None:
-    """Mask the note-off logit, in place, in every row where nothing sounds."""
-    logits[..., NOTE_OFF] = np.where(sounding, logits[..., NOTE_OFF], -np.inf)
+def _sounding_after(sounding: np.ndarray, events: np.ndarray) -> np.ndarray:
+    """Per row, whether a note is sounding after emitting ``events``."""
+    return (events < N_PITCHES) | ((events != NOTE_OFF) & sounding)
 
 
 def _decode_sequence(
@@ -136,6 +145,17 @@ def _decode_sequence(
     ((length, condition_dim)), or None. Returns the events and the chosen
     symbols' log-probabilities (NaN over the primer).
 
+    The live hypotheses are rows of arrays: histories (W, length), the
+    stacked LSTM state (L, W, H), scores (W,), per-step log-probs and
+    sounding flags. Sampling keeps W = 1; beam search up to ``beam_width``.
+    Each position runs one (W, D) ``lstm_step``, then picks (parent, symbol)
+    pairs of the flattened (W, K) log-probs:
+
+    - beam: the best finite totals, ties broken to the earlier parent, then
+      the earlier symbol, by a stable sort;
+    - temperature 0: the argmax of the one row;
+    - sampling: one draw from softmax(logits / temperature) of the one row.
+
     Note-level decoding is constrained: while nothing is sounding, the
     note-off symbol's logit is masked out before normalization, so every
     decoded sequence is a structurally valid melody grid by construction.
@@ -144,83 +164,40 @@ def _decode_sequence(
         raise ValueError("primer must be non-empty and no longer than the sequence")
     if any(not 0 <= e < spec.alphabet_size for e in primer):
         raise ValueError("primer event outside the layer alphabet")
-    if mode == "beam":
-        return _beam_decode(params, spec, primer, length, conditions, beam_width)
-
-    is_note = spec.level == "note"
-    greedy = temperature == 0.0
-    events = np.zeros((1, length), dtype=np.int64)
-    events[0, : len(primer)] = primer
-    logprobs: list[float] = [math.nan] * len(primer)
-    state: LstmState | None = None
-    sounding = False
-    for position in range(length):
-        x = layer_features(spec, events, position, position + 1, conditions)[:, 0]
-        state, logits = lstm_step(params, x, state)
-        logits = logits[0]
-        if position < len(primer):
-            sounding = _sounding_after(sounding, int(events[0, position]), is_note)
-            continue
-        if is_note:
-            _forbid_silent_note_off(logits, sounding)
-        logp = log_softmax(logits)
-        if greedy:
-            choice = int(logp.argmax())
-        else:
-            scaled = log_softmax(logits / temperature)
-            choice = int(rng.choice(spec.alphabet_size, p=np.exp(scaled)))
-        events[0, position] = choice
-        logprobs.append(float(logp[choice]))
-        sounding = _sounding_after(sounding, choice, is_note)
-    return events[0], logprobs
-
-
-def _beam_decode(
-    params: GeneratorParams,
-    spec: LayerSpec,
-    primer: list[int],
-    length: int,
-    conditions: np.ndarray | None,
-    beam_width: int,
-) -> tuple[np.ndarray, list[float]]:
-    """Deterministic beam search with all live hypotheses advanced as one batch.
-
-    The W hypotheses are rows of arrays: histories (W, length), the stacked
-    LSTM state (L, W, H), scores (W,), per-step log-probs and sounding flags.
-    Each position runs one (W, D) ``lstm_step``; the next W are the best
-    finite (parent, symbol) totals, ties broken to the earlier parent, then
-    the earlier symbol, by a stable sort over the flattened (W, K) totals.
-    """
     is_note = spec.level == "note"
     n_primer = len(primer)
     histories = np.zeros((1, length), dtype=np.int64)
     histories[0, :n_primer] = primer
     state: LstmState | None = None
     sounding = np.zeros(1, dtype=bool)
-    for position in range(n_primer):
-        x = layer_features(spec, histories, position, position + 1, conditions)[:, 0]
-        state, _ = lstm_step(params, x, state)
-        sounding = _sounding_after(sounding, histories[:, position], is_note)
-
     scores = np.zeros(1)
     steps = np.empty((1, length - n_primer))
-    for position in range(n_primer, length):
+    for position in range(length):
         x = layer_features(spec, histories, position, position + 1, conditions)[:, 0]
         state, logits = lstm_step(params, x, state)
+        if position < n_primer:
+            sounding = _sounding_after(sounding, histories[:, position])
+            continue
         if is_note:
-            _forbid_silent_note_off(logits, sounding)
+            logits[~sounding, NOTE_OFF] = -np.inf
         logp = log_softmax(logits)
-        totals = (scores[:, None] + logp).ravel()
-        finite = np.flatnonzero(np.isfinite(totals))
-        chosen = finite[np.argsort(-totals[finite], kind="stable")[:beam_width]]
+        if mode == "beam":
+            totals = (scores[:, None] + logp).ravel()
+            finite = np.flatnonzero(np.isfinite(totals))
+            chosen = finite[np.argsort(-totals[finite], kind="stable")[:beam_width]]
+            scores = totals[chosen]
+        elif temperature == 0.0:
+            chosen = logp[0].argmax(keepdims=True)
+        else:
+            scaled = log_softmax(logits[0] / temperature)
+            chosen = np.array([rng.choice(spec.alphabet_size, p=np.exp(scaled))])
         parents, symbols = np.divmod(chosen, spec.alphabet_size)
-        histories = histories[parents]
+        histories = histories.take(parents, axis=0)
         histories[:, position] = symbols
-        state = LstmState(state.c[:, parents], state.m[:, parents])
-        steps = steps[parents]
-        steps[:, position - n_primer] = logp.ravel()[chosen]
-        scores = totals[chosen]
-        sounding = _sounding_after(sounding[parents], symbols, is_note)
+        state = LstmState(state.c.take(parents, axis=1), state.m.take(parents, axis=1))
+        steps = steps.take(parents, axis=0)
+        steps[:, position - n_primer] = logp.take(chosen)
+        sounding = _sounding_after(sounding.take(parents), symbols)
     return histories[0], [math.nan] * n_primer + steps[0].tolist()
 
 
@@ -234,15 +211,13 @@ def generate(
     ``level_params`` holds the trained layers; a layer may be absent when the
     plan fixes its output. The note layer is always required.
     """
-    rng_streams = {
-        level: np.random.default_rng(seed)
-        for level, seed in zip(
-            ("bar", "beat", "note"),
-            np.random.SeedSequence(plan.seed).generate_state(3),
-        )
-    }
     n_beats = plan.bars * BEATS_PER_BAR
-    n_steps = plan.bars * STEPS_PER_BAR
+    levels = (  # (level, sequence length, fixed output, primer)
+        ("bar", plan.bars, plan.fixed_bar_profiles, plan.primer_bar_profile),
+        ("beat", n_beats, plan.fixed_beat_profiles, plan.primer_beat_profile),
+        ("note", plan.bars * STEPS_PER_BAR, None, plan.primer_events),
+    )
+    seeds = np.random.SeedSequence(plan.seed).generate_state(len(levels))
     trace: dict = {
         "plan": {
             "bars": plan.bars,
@@ -253,89 +228,59 @@ def generate(
         },
         "levels": {},
     }
-
-    def decode(level: str, primer: list[int], length: int, conditions):
-        spec = specs[level]
-        if level not in level_params:
-            raise ValueError(
-                f"no parameters for the {level} layer and no fixed profiles given"
-            )
-        events, logprobs = _decode_sequence(
-            level_params[level],
-            spec,
-            primer,
-            length,
-            conditions,
-            mode=plan.mode,
-            temperature=plan.temperature,
-            beam_width=plan.beam_width,
-            rng=rng_streams[level],
-        )
-        trace["levels"][level] = {
-            "primer_length": len(primer),
-            "events": [int(e) for e in events],
-            "log_probs": [None if math.isnan(lp) else lp for lp in logprobs],
-        }
-        return events
-
     chroma_beats = None
     if any(spec.chroma for spec in specs.values()):
         chroma_beats = chord_chroma_by_beat(plan.chords, n_beats)
 
-    # Bar level.
-    bar_profiles: np.ndarray | None = None
-    if "bar" in specs:
-        if plan.fixed_bar_profiles is not None:
-            bar_profiles = np.asarray(plan.fixed_bar_profiles, dtype=np.int64)
-            trace["levels"]["bar"] = {"fixed": [int(v) for v in bar_profiles]}
+    outputs: dict[str, np.ndarray] = {}
+    for (level, length, fixed, primer), seed in zip(levels, seeds):
+        if level not in specs:
+            if fixed is not None:
+                raise ValueError(f"this variant has no {level} level to fix profiles for")
+            continue
+        spec = specs[level]
+        missing_primer, outside = _LEVEL_ERRORS[level]
+        if fixed is not None:
+            events = np.asarray(fixed, dtype=np.int64)
+            trace["levels"][level] = {"fixed": [int(v) for v in events]}
         else:
-            if plan.primer_bar_profile is None:
-                raise ValueError("bar layer needs a primer profile or fixed profiles")
-            bar_profiles = decode("bar", [plan.primer_bar_profile], plan.bars, None)
-        if bar_profiles.min() < 0 or bar_profiles.max() >= specs["bar"].alphabet_size:
-            raise ValueError("bar profile index outside the codebook")
-    elif plan.fixed_bar_profiles is not None:
-        raise ValueError("this variant has no bar level to fix profiles for")
-
-    # Beat level.
-    beat_profiles: np.ndarray | None = None
-    if "beat" in specs:
-        spec = specs["beat"]
-        if plan.fixed_beat_profiles is not None:
-            beat_profiles = np.asarray(plan.fixed_beat_profiles, dtype=np.int64)
-            trace["levels"]["beat"] = {"fixed": [int(v) for v in beat_profiles]}
-        else:
+            if primer is None:
+                raise ValueError(missing_primer)
+            primer = np.ravel(primer).tolist()  # one profile, or one beat of events
+            if level not in level_params:
+                raise ValueError(
+                    f"no parameters for the {level} layer and no fixed profiles given"
+                )
             conditions = condition_block(
-                spec, n_beats, bar_profiles=bar_profiles, chroma_by_beat=chroma_beats
+                spec,
+                length,
+                bar_profiles=outputs.get("bar"),
+                beat_profiles=outputs.get("beat"),
+                chroma_by_beat=chroma_beats,
             )
-            if plan.primer_beat_profile is None:
-                raise ValueError("beat layer needs a primer profile or fixed profiles")
-            beat_profiles = decode(
-                "beat", [plan.primer_beat_profile], n_beats, conditions
+            events, logprobs = _decode_sequence(
+                level_params[level],
+                spec,
+                primer,
+                length,
+                conditions,
+                mode=plan.mode,
+                temperature=plan.temperature,
+                beam_width=plan.beam_width,
+                rng=np.random.default_rng(seed),
             )
-        if beat_profiles.min() < 0 or beat_profiles.max() >= spec.alphabet_size:
-            raise ValueError("beat profile index outside the codebook")
-    elif plan.fixed_beat_profiles is not None:
-        raise ValueError("this variant has no beat level to fix profiles for")
+            trace["levels"][level] = {
+                "primer_length": len(primer),
+                "events": [int(e) for e in events],
+                "log_probs": [None if math.isnan(lp) else lp for lp in logprobs],
+            }
+        if events.min() < 0 or events.max() >= spec.alphabet_size:
+            raise ValueError(outside)
+        outputs[level] = events
 
-    # Note level.
-    note_spec = specs["note"]
-    conditions = condition_block(
-        note_spec,
-        n_steps,
-        bar_profiles=bar_profiles,
-        beat_profiles=beat_profiles,
-        chroma_by_beat=chroma_beats,
-    )
-    primer = list(plan.primer_events) if plan.primer_events is not None else None
-    if primer is None:
-        raise ValueError("a one-beat primer (4 note events) is required")
-    events = decode("note", primer, n_steps, conditions)
-
-    grid = MelodyGrid(tuple(int(e) for e in events))
     return GenerationResult(
-        grid=grid,
-        bar_profiles=bar_profiles,
-        beat_profiles=beat_profiles,
+        grid=MelodyGrid(tuple(int(e) for e in outputs["note"])),
+        bar_profiles=outputs.get("bar"),
+        beat_profiles=outputs.get("beat"),
         trace=trace,
     )

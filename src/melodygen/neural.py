@@ -139,9 +139,6 @@ class GeneratorParams:
             b_out=self.b_out.copy(),
         )
 
-    def n_parameters(self) -> int:
-        return sum(arr.size for _, arr in self.named_arrays())
-
 
 def init_params(
     input_dim: int,
@@ -185,9 +182,6 @@ class LstmState:
     def zeros(cls, params: GeneratorParams, batch_size: int) -> "LstmState":
         shape = (params.n_layers, batch_size, params.hidden_size)
         return cls(np.zeros(shape), np.zeros(shape))
-
-    def copy(self) -> "LstmState":
-        return LstmState(self.c.copy(), self.m.copy())
 
 
 def _cell(a: np.ndarray, c_prev: np.ndarray, c: np.ndarray, m: np.ndarray) -> None:
@@ -600,13 +594,13 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.hidden_size < 1:
+            raise ValueError("hidden_size must be >= 1")
+        if self.n_lstm_layers < 1:
+            raise ValueError("n_lstm_layers must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TrainConfig":
-        return cls(**obj)
 
 
 CHECKPOINT_META_KEY = "generator"

@@ -2,8 +2,8 @@
 live hypothesis per position, candidates as Python tuples sorted on
 (-score, parent, symbol). It builds each input row with the scalar
 ``feature_oracle``, and shares no decoding or feature code with
-melodygen.hrnn. Its signature matches ``generation._beam_decode``
-so a test can swap it in under ``generate``."""
+melodygen.hrnn. A test swaps it in for ``generation._decode_sequence``
+under ``generate`` for beam plans."""
 
 from __future__ import annotations
 
@@ -12,12 +12,12 @@ import math
 import numpy as np
 
 from melodygen.encode import N_PITCHES, NOTE_OFF
-from melodygen.neural import log_softmax, lstm_step
+from melodygen.neural import LstmState, log_softmax, lstm_step
 
 from .feature_oracle import reference_input_row
 
 
-def _sounding_after(sounding: bool, event: int, is_note: bool) -> bool:
+def sounding_after(sounding: bool, event: int, is_note: bool) -> bool:
     if not is_note:
         return sounding
     if event < N_PITCHES:
@@ -47,7 +47,7 @@ def reference_beam_decode(params, spec, primer, length, conditions, beam_width):
     sounding = False
     for position in range(len(primer)):
         state, _ = lstm_step(params, input_at(events, position), state)
-        sounding = _sounding_after(sounding, int(events[position]), is_note)
+        sounding = sounding_after(sounding, int(events[position]), is_note)
 
     # Hypothesis: (score, history array, state, per-step logprobs, sounding).
     hypotheses = [(0.0, events[: len(primer)].copy(), state, [], sounding)]
@@ -72,9 +72,9 @@ def reference_beam_decode(params, spec, primer, length, conditions, beam_width):
                 (
                     total,
                     np.append(history, symbol),
-                    new_state.copy(),
+                    LstmState(new_state.c.copy(), new_state.m.copy()),
                     steps + [step_logp],
-                    _sounding_after(h_sounding, symbol, is_note),
+                    sounding_after(h_sounding, symbol, is_note),
                 )
             )
         hypotheses = next_hypotheses

@@ -422,6 +422,33 @@ class TestEval:
         assert error in capsys.readouterr().err
 
 
+class TestInvalidOptionValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("generate", "--bars=0"),
+            ("generate", "--beam-width=0"),
+            ("generate", "--temperature=-1"),
+            ("generate", "--temperature=nan"),
+            ("generate", "--temperature=inf"),
+            ("train", "--max-iterations=0"),
+            ("train", "--dropout=1.5"),
+            ("train", "--batch-size=0"),
+            ("train", "--hidden-size=0"),
+            ("train", "--lstm-layers=0"),
+            ("profiles", "--beat-k=0"),
+            ("profiles", "--bar-k=0"),
+            ("eval", "--temperature=-1"),
+        ],
+        ids=" ".join,
+    )
+    def test_exits_two_naming_the_option(self, pipeline, capsys, argv):
+        command, option = argv
+        assert main([command, "--work-dir", str(pipeline), option]) == EXIT_EMPTY
+        err = capsys.readouterr().err.replace("_", "-").replace(" ", "-")
+        assert option.split("=")[0].lstrip("-") in err
+
+
 class TestExportMidi:
     def test_renders_cached_leadsheet(self, pipeline, tmp_path):
         source = next(iter((pipeline / "leadsheets").glob("*.json")))

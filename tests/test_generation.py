@@ -15,6 +15,7 @@ from melodygen.neural import init_params, lstm_step
 from melodygen.synthetic import synthetic_corpus
 from support import beam_oracle
 from support.beam_oracle import reference_beam_decode
+from support.sample_oracle import reference_sample_decode
 
 BEAT_K = 4
 BAR_K = 3
@@ -58,6 +59,11 @@ class TestPlanValidation:
     def test_negative_temperature(self):
         with pytest.raises(ValueError, match="temperature"):
             make_plan(temperature=-0.1)
+
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_temperature(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            make_plan(temperature=temperature)
 
     def test_bad_beam_width(self):
         with pytest.raises(ValueError, match="beam width"):
@@ -201,7 +207,23 @@ class TestDeterminismAndModes:
 
 def generate_with_reference_beam(params, specs, plan):
     """``generate`` with every beam layer decoded by the per-hypothesis oracle."""
-    with mock.patch.object(generation, "_beam_decode", reference_beam_decode):
+    assert plan.mode == "beam"
+
+    def decode(params, spec, primer, length, conditions, *, beam_width, **_):
+        return reference_beam_decode(params, spec, primer, length, conditions, beam_width)
+
+    with mock.patch.object(generation, "_decode_sequence", decode):
+        return generate(params, specs, plan)
+
+
+def generate_with_reference_sample(params, specs, plan):
+    """``generate`` with every sampled layer decoded by the single-row oracle."""
+    assert plan.mode == "sample"
+
+    def decode(params, spec, primer, length, conditions, *, temperature, rng, **_):
+        return reference_sample_decode(params, spec, primer, length, conditions, temperature, rng)
+
+    with mock.patch.object(generation, "_decode_sequence", decode):
         return generate(params, specs, plan)
 
 
@@ -289,6 +311,52 @@ class TestBatchedBeamMatchesReference:
             reference = generate_with_reference_beam(params, specs, plan)
         assert_same_beam(batched, reference)
         assert np.array_equal(np.concatenate(rows), np.concatenate(reference_rows))
+
+
+class TestSamplingMatchesReference:
+    """The one decode loop, keeping one row, against the single-row oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        temperature=st.sampled_from([0.0, 0.7, 1.0]),
+        variant=st.sampled_from(["1L", "2L", "3L"]),
+        chords=st.booleans(),
+        fix_bars=st.booleans(),
+        fix_beats=st.booleans(),
+        layers=st.sampled_from([1, 2]),
+        hidden=st.integers(2, 12),
+        bars=st.integers(1, 2),
+    )
+    @example(seed=3, temperature=0.7, variant="3L", chords=True, fix_bars=False,
+             fix_beats=False, layers=2, hidden=8, bars=2)
+    def test_events_and_log_probs_equal(
+        self, seed, temperature, variant, chords, fix_bars, fix_beats, layers, hidden, bars
+    ):
+        specs = layer_specs(variant, chords=chords, beat_k=BEAT_K, bar_k=BAR_K)
+        params = {
+            level: init_params(
+                spec.input_dim, hidden, spec.alphabet_size, n_layers=layers,
+                seed=(seed + i) % 2**32, init_scale=0.5,
+            )
+            for i, (level, spec) in enumerate(sorted(specs.items()))
+        }
+        chord_track = tuple(
+            chord_from_kind(bar * 16, (seed + 5 * bar) % 12, "major") for bar in range(bars)
+        )
+        fixed = {}
+        if fix_bars and "bar" in specs:
+            fixed["fixed_bar_profiles"] = tile_profiles((seed % BAR_K, 1), bars)
+        if fix_beats and "beat" in specs:
+            fixed["fixed_beat_profiles"] = tile_profiles((2, seed % BEAT_K, 0), 4 * bars)
+        plan = make_plan(
+            temperature=temperature, seed=seed % 2**31, bars=bars,
+            chords=chord_track if chords else (), **fixed,
+        )
+        merged = generate(params, specs, plan)
+        reference = generate_with_reference_sample(params, specs, plan)
+        assert merged.trace == reference.trace
+        assert merged.grid == reference.grid
 
 
 class TestFixedProfiles:

@@ -111,11 +111,6 @@ class TestInit:
         params = tiny_params(seed=3, init_scale=0.02)
         assert np.abs(params.layers[0].w_x).max() <= 0.02
 
-    def test_n_parameters(self):
-        params = tiny_params(din=6, hidden=5, nout=7, layers=2)
-        expected = (6 * 20 + 5 * 20 + 20) + (5 * 20 + 5 * 20 + 20) + 5 * 7 + 7
-        assert params.n_parameters() == expected
-
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             init_params(0, 4, 3)
@@ -548,10 +543,6 @@ class TestParamsContainer:
 
 
 class TestTrainConfig:
-    def test_round_trip(self):
-        conf = TrainConfig(max_iterations=50, dropout=0.3, hidden_size=32, seed=4)
-        assert TrainConfig.from_dict(conf.to_dict()) == conf
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -561,8 +552,11 @@ class TestTrainConfig:
             dict(dropout=-0.1),
             dict(eval_every=0),
             dict(patience=0),
+            dict(hidden_size=0),
+            dict(n_lstm_layers=0),
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             TrainConfig(**kwargs)
