@@ -9,12 +9,19 @@ Subcommands mirror the pipeline stages and share a work directory:
     eval         teacher-forcing metrics and generation adherence
     export-midi  render a cached lead-sheet JSON to MIDI
 
-Every command accepts ``--seed`` and ``--config`` (a JSON object of option
-values, placed before the explicit flags so that those win). Derived seeds
-are pure functions of the user seed: corpus split uses the seed itself,
-clustering seed+7, the three layers seed+101/202/303, generation the seed.
-Outputs embed a short hash of the effective configuration and the tool
-version so artifacts can be traced to the settings that produced them.
+Every command accepts ``--seed`` (default 0) and ``--config`` (a JSON object
+of option values, placed before the explicit flags so that those win).
+Derived seeds are pure functions of the user seed: corpus split uses the
+seed itself, clustering seed+7, the three layers seed+101/202/303,
+generation the seed.
+
+Artifacts carry the tool version and ``config_hash``, a short hash of every
+option value of the command except the paths ``--work-dir``, ``--corpus-dir``,
+``--leadsheet``, ``--out`` and ``--config``; ingest adds the digest of the
+accepted pieces. The stamped artifacts are ingest's manifest.json and
+grids.json, profiles' elbow.json, train's bundle manifest and curves, eval's
+metrics, and the MIDI files of generate (with its trace) and export-midi.
+Codebooks, cached lead sheets and checkpoints carry no stamp.
 
 Exit codes: 0 success, 1 operational error (missing prerequisites, bad
 model), 2 empty or invalid input (nothing ingested, malformed arguments).
@@ -40,20 +47,22 @@ from .hrnn import (
     curves_to_csv,
     evaluate_layer,
     generate,
-    layer_specs,
     load_bundle,
     profile_adherence,
     save_bundle,
     tile_profiles,
     train_layer,
 )
-from .hrnn.training import LEVEL_SEED_OFFSETS, layer_config
+from .hrnn.specs import VARIANTS, variant_specs
+from .hrnn.training import layer_config
 from .leadsheet import dumps_leadsheet, loads_leadsheet
-from .midifile import write_midi
+from .midifile import DEFAULT_TEMPO_BPM, MAX_TEMPO_BPM, MIN_TEMPO_BPM, write_midi
 from .neural import TrainConfig
 from .profiles import (
     BAR_WIDTH,
     BEAT_WIDTH,
+    DEFAULT_BAR_K,
+    DEFAULT_BEAT_K,
     ProfileCodebook,
     binarize,
     build_codebook,
@@ -67,6 +76,10 @@ EXIT_ERROR = 1
 EXIT_EMPTY = 2
 
 KMEANS_SEED_OFFSET = 7
+
+# Options that only say where files are read or written; the config hash
+# leaves them out, so the same settings hash alike from any directory.
+PATH_OPTIONS = ("work_dir", "corpus_dir", "leadsheet", "out", "config")
 
 
 class CliError(Exception):
@@ -89,17 +102,25 @@ def _load_config_file(path: str | None) -> dict:
     return obj
 
 
-def config_hash(effective: dict) -> str:
+def config_hash(config: dict) -> str:
     """Short stable digest of the effective configuration."""
-    canonical = json.dumps(effective, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _stamp(effective: dict) -> dict:
+def _stamp(args: argparse.Namespace, **derived) -> dict:
+    """Tool version and hash of the command's option values but the paths,
+    plus ``derived`` settings that no option holds."""
+    config = {
+        key: value
+        for key, value in vars(args).items()
+        if key != "func" and key not in PATH_OPTIONS
+    }
+    config.update(derived)
     return {
         "tool_version": __version__,
-        "config_hash": config_hash(effective),
-        "config": effective,
+        "config_hash": config_hash(config),
+        "config": config,
     }
 
 
@@ -156,12 +177,7 @@ def cmd_ingest(args) -> int:
         target = work / "leadsheets" / f"{piece_id}.json"
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(cached, encoding="utf-8")
-    effective = {
-        "command": "ingest",
-        "corpus_sha256": corpus_digest.hexdigest(),
-        "seed": args.seed,
-    }
-    stamp = _stamp(effective)
+    stamp = _stamp(args, corpus_sha256=corpus_digest.hexdigest())
     payload = manifest.to_dict()
     payload.update(stamp)
     (work / "grids.json").write_text(
@@ -188,9 +204,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_profiles(args) -> int:
-    for option, k in (("--beat-k", args.beat_k), ("--bar-k", args.bar_k)):
-        if k < 1:
-            raise CliError(f"{option} must be >= 1, got {k}", EXIT_EMPTY)
     work = _workdir(args)
     manifest = _manifest(work)
     if not manifest["train_ids"]:
@@ -200,13 +213,6 @@ def cmd_profiles(args) -> int:
     beat_clips = np.concatenate([cut_clips(b, BEAT_WIDTH) for b in binary])
     bar_clips = np.concatenate([cut_clips(b, BAR_WIDTH) for b in binary])
     seed = args.seed + KMEANS_SEED_OFFSET
-    effective = {
-        "command": "profiles",
-        "beat_k": args.beat_k,
-        "bar_k": args.bar_k,
-        "seed": args.seed,
-    }
-    stamp = _stamp(effective)
     try:
         beat_cb = build_codebook(beat_clips, "beat", args.beat_k, seed=seed)
         bar_cb = build_codebook(bar_clips, "bar", args.bar_k, seed=seed)
@@ -221,7 +227,7 @@ def cmd_profiles(args) -> int:
         report = {
             "beat": elbow_report(beat_clips, range(low, high + 1), seed=seed),
             "bar": elbow_report(bar_clips, range(low, high + 1), seed=seed),
-            **stamp,
+            **_stamp(args),
         }
         (work / "elbow.json").write_text(
             json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8"
@@ -251,17 +257,9 @@ def cmd_train(args) -> int:
         raise CliError("the training split is empty", EXIT_EMPTY)
     train_grids, train_chords = _load_encoded(work, manifest["train_ids"])
     val_grids, val_chords = _load_encoded(work, manifest["validation_ids"])
-
-    effective = {
-        "command": "train",
-        "variant": args.variant,
-        "chords": args.chords,
-        "train_config": conf.to_dict(),
-    }
-    stamp = _stamp(effective)
-
-    specs = layer_specs(
-        args.variant, chords=args.chords, beat_k=beat_cb.k, bar_k=bar_cb.k
+    stamp = _stamp(args)
+    specs = variant_specs(
+        args.variant, chords=args.chords, beat_codebook=beat_cb, bar_codebook=bar_cb
     )
     datasets = build_datasets(
         train_grids,
@@ -289,11 +287,9 @@ def cmd_train(args) -> int:
     bundle_dir = work / "model" / args.variant
     bundle_dir.mkdir(parents=True, exist_ok=True)
     level_params = {}
-    for level in ("bar", "beat", "note"):
-        if level not in specs:
-            continue
+    for level, spec in specs.items():
         result = train_layer(
-            specs[level],
+            spec,
             datasets[level],
             val_datasets[level] if val_datasets else None,
             layer_config(conf, level),
@@ -317,7 +313,6 @@ def cmd_train(args) -> int:
     model = HrnnModel(
         variant=args.variant,
         level_params=level_params,
-        specs=specs,
         beat_codebook=beat_cb,
         bar_codebook=bar_cb,
         chords=args.chords,
@@ -363,10 +358,9 @@ def cmd_generate(args) -> int:
     model = _load_model(work, args.variant)
     manifest = _manifest(work)
 
-    rng = np.random.default_rng(args.seed)
-    primer_events, primer_bar, primer_beat, primer_chords = _choose_primer(
-        work, manifest, model, rng, args.primer_piece
-    )
+    piece_id = _primer_piece(manifest, np.random.default_rng(args.seed), args.primer_piece)
+    (grid,), (primer_chords,) = _load_encoded(work, [piece_id])
+    primer_events, primer_bar, primer_beat = _primer_of(grid, model)
 
     fixed_bar = _parse_profile_list(args.fixed_bar_profiles, "fixed-bar-profiles")
     fixed_beat = _parse_profile_list(args.fixed_beat_profiles, "fixed-beat-profiles")
@@ -390,24 +384,27 @@ def cmd_generate(args) -> int:
         fixed_beat_profiles=fixed_beat,
         chords=primer_chords if model.chords else (),
     )
-    effective = {
-        "command": "generate",
-        "variant": args.variant,
-        "bars": args.bars,
-        "mode": args.mode,
-        "temperature": args.temperature,
-        "beam_width": args.beam_width,
-        "seed": args.seed,
-        "sustain": args.sustain,
-        "tempo": args.tempo,
-    }
-    stamp = _stamp(effective)
     try:
         result = generate(model.level_params, model.specs, plan)
     except ValueError as exc:
         raise CliError(str(exc))
 
-    notes = grid_decode(result.grid)
+    stamp = _stamp(args)
+    out_path = Path(args.out) if args.out else work / "generated" / f"melody_{args.seed}.mid"
+    n_notes = _write_midi(grid_decode(result.grid), args, stamp, out_path)
+    trace = {**result.trace, "primer_piece": piece_id, **stamp}
+    trace_path = out_path.with_suffix(".json")
+    trace_path.write_text(
+        json.dumps(trace, sort_keys=True, indent=1) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {out_path} and {trace_path.name} "
+          f"({len(result.grid)} steps, {n_notes} notes)")
+    return EXIT_OK
+
+
+def _write_midi(notes, args, stamp: dict, path: Path) -> int:
+    """Write notes as MIDI at ``--tempo``, extended under ``--sustain``, with
+    the stamp as a text event; returns the number of notes written."""
     if args.sustain:
         notes = sustain_extend(notes)
     midi = write_midi(
@@ -415,18 +412,9 @@ def cmd_generate(args) -> int:
         tempo_bpm=args.tempo,
         text_events=(f"melodygen {stamp['tool_version']} config {stamp['config_hash']}",),
     )
-    out_path = Path(args.out) if args.out else work / "generated" / f"melody_{args.seed}.mid"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_bytes(midi)
-    trace = dict(result.trace)
-    trace.update(stamp)
-    trace_path = out_path.with_suffix(".json")
-    trace_path.write_text(
-        json.dumps(trace, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {out_path} and {trace_path.name} "
-          f"({len(result.grid)} steps, {len(notes)} notes)")
-    return EXIT_OK
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(midi)
+    return len(notes)
 
 
 def _check_profile_range(values, codebook, kind) -> None:
@@ -440,19 +428,16 @@ def _check_profile_range(values, codebook, kind) -> None:
         )
 
 
-def _choose_primer(work, manifest, model, rng, primer_piece: str | None):
-    """Primer from an explicit piece id, else a seeded validation draw."""
+def _primer_piece(manifest, rng, primer_piece: str | None) -> str:
+    """The primer's piece id: the one given, else a seeded validation draw."""
     pool = manifest["validation_ids"] or manifest["train_ids"]
     if primer_piece is not None:
         if primer_piece not in manifest["accepted_ids"]:
             raise CliError(f"primer piece {primer_piece!r} is not in the corpus", EXIT_EMPTY)
-        piece_id = primer_piece
-    elif pool:
-        piece_id = pool[int(rng.integers(len(pool)))]
-    else:
+        return primer_piece
+    if not pool:
         raise CliError("no pieces available to draw a primer from", EXIT_EMPTY)
-    (grid,), (chords,) = _load_encoded(work, [piece_id])
-    return (*_primer_of(grid, model), chords)
+    return pool[int(rng.integers(len(pool)))]
 
 
 def _primer_of(grid, model) -> tuple[tuple[int, ...], int | None, int | None]:
@@ -482,7 +467,6 @@ def cmd_eval(args) -> int:
         chords=model.chords,
         piece_ids=ids,
     )
-    effective = {"command": "eval", "variant": args.variant, "seed": args.seed}
     metrics: dict = {"levels": {}, "pieces": len(ids)}
     for level, sequences in datasets.items():
         if level not in model.level_params:
@@ -496,7 +480,7 @@ def cmd_eval(args) -> int:
     adherence = _generation_adherence(model, grids, args)
     if adherence:
         metrics["generation_adherence"] = adherence
-    metrics.update(_stamp(effective))
+    metrics.update(_stamp(args))
     out_path = work / f"metrics_{args.variant}.json"
     out_path.write_text(
         json.dumps(metrics, sort_keys=True, indent=1) + "\n", encoding="utf-8"
@@ -557,32 +541,39 @@ def cmd_export_midi(args) -> int:
     if not path.exists():
         raise CliError(f"lead sheet {path} does not exist", EXIT_EMPTY)
     sheet = loads_leadsheet(path.read_text(encoding="utf-8"))
-    grid = grid_encode(normalize_sheet(sheet))
-    notes = grid_decode(grid)
-    if args.sustain:
-        notes = sustain_extend(notes)
-    effective = {
-        "command": "export-midi",
-        "sustain": args.sustain,
-        "tempo": args.tempo,
-        "seed": args.seed,
-    }
-    stamp = _stamp(effective)
-    midi = write_midi(
-        notes,
-        tempo_bpm=args.tempo,
-        text_events=(f"melodygen {stamp['tool_version']} config {stamp['config_hash']}",),
-    )
+    notes = grid_decode(grid_encode(normalize_sheet(sheet)))
     out_path = Path(args.out) if args.out else path.with_suffix(".mid")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_bytes(midi)
-    print(f"wrote {out_path} ({len(notes)} notes)")
+    n_notes = _write_midi(notes, args, _stamp(args), out_path)
+    print(f"wrote {out_path} ({n_notes} notes)")
     return EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master random seed")
+    parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument("--config", default=None, help="JSON file of option defaults")
+
+
+def _add_midi_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--sustain", action="store_true",
+                        help="extend notes to bar ends or the next onset")
+    parser.add_argument("--tempo", type=_int_in(MIN_TEMPO_BPM, MAX_TEMPO_BPM),
+                        default=DEFAULT_TEMPO_BPM)
+    parser.add_argument("--out", default=None, help="output MIDI path")
+
+
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an integer of at least ``low`` and at most ``high``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -603,8 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("profiles", "build rhythm-profile codebooks")
     p.add_argument("--work-dir", required=True)
-    p.add_argument("--beat-k", type=int, default=8)
-    p.add_argument("--bar-k", type=int, default=16)
+    p.add_argument("--beat-k", type=_int_in(1), default=DEFAULT_BEAT_K)
+    p.add_argument("--bar-k", type=_int_in(1), default=DEFAULT_BAR_K)
     p.add_argument(
         "--elbow",
         type=_parse_range,
@@ -617,50 +608,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("train", "train the generator hierarchy")
     p.add_argument("--work-dir", required=True)
-    p.add_argument("--variant", choices=("1L", "2L", "3L"), default="3L")
+    p.add_argument("--variant", choices=VARIANTS, default="3L")
     p.add_argument("--chords", action="store_true", help="condition on chord chroma")
-    p.add_argument("--max-iterations", type=int, default=2000)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--hidden-size", type=int, default=256)
-    p.add_argument("--lstm-layers", type=int, default=2)
-    p.add_argument("--eval-every", type=int, default=20)
-    p.add_argument("--patience", type=int, default=5)
+    p.add_argument("--max-iterations", type=int, default=TrainConfig.max_iterations)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--dropout", type=float, default=TrainConfig.dropout)
+    p.add_argument("--hidden-size", type=int, default=TrainConfig.hidden_size)
+    p.add_argument("--lstm-layers", type=int, default=TrainConfig.n_lstm_layers)
+    p.add_argument("--eval-every", type=int, default=TrainConfig.eval_every)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
     p = add_command("generate", "decode a melody from a trained bundle")
     p.add_argument("--work-dir", required=True)
-    p.add_argument("--variant", choices=("1L", "2L", "3L"), default="3L")
+    p.add_argument("--variant", choices=VARIANTS, default="3L")
     p.add_argument("--bars", type=int, default=16)
-    p.add_argument("--mode", choices=("sample", "beam"), default="sample")
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--beam-width", type=int, default=3)
+    p.add_argument("--mode", choices=("sample", "beam"), default=GenerationPlan.mode)
+    p.add_argument("--temperature", type=float, default=GenerationPlan.temperature)
+    p.add_argument("--beam-width", type=int, default=GenerationPlan.beam_width)
     p.add_argument("--primer-piece", default=None, help="corpus id to take the primer from")
     p.add_argument("--fixed-bar-profiles", default=None,
                    help="comma-separated profile indices, tiled to the bar count")
     p.add_argument("--fixed-beat-profiles", default=None,
                    help="comma-separated profile indices, tiled to the beat count")
-    p.add_argument("--sustain", action="store_true",
-                   help="extend notes to bar ends or the next onset")
-    p.add_argument("--tempo", type=int, default=120)
-    p.add_argument("--out", default=None, help="output MIDI path")
+    _add_midi_options(p)
     _add_common(p)
     p.set_defaults(func=cmd_generate)
 
     p = add_command("eval", "teacher-forcing metrics on the validation split")
     p.add_argument("--work-dir", required=True)
-    p.add_argument("--variant", choices=("1L", "2L", "3L"), default="3L")
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--adherence-samples", type=int, default=4)
+    p.add_argument("--variant", choices=VARIANTS, default="3L")
+    p.add_argument("--temperature", type=float, default=GenerationPlan.temperature)
+    p.add_argument("--adherence-samples", type=_int_in(0), default=4,
+                   help="seeded generations to score profile adherence on; 0 skips it")
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = add_command("export-midi", "render a cached lead-sheet JSON to MIDI")
     p.add_argument("--leadsheet", required=True, help="path to a lead-sheet JSON file")
-    p.add_argument("--sustain", action="store_true")
-    p.add_argument("--tempo", type=int, default=120)
-    p.add_argument("--out", default=None)
+    _add_midi_options(p)
     _add_common(p)
     p.set_defaults(func=cmd_export_midi)
     return parser
@@ -738,8 +725,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
-        if args.seed is None:
-            args.seed = 0
         return args.func(args)
     except SystemExit as exc:
         return EXIT_EMPTY if exc.code not in (0, None) else EXIT_OK

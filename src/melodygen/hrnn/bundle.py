@@ -20,30 +20,34 @@ from pathlib import Path
 
 from ..neural import GeneratorParams, load_checkpoint, save_checkpoint
 from ..profiles import ProfileCodebook
-from .specs import FEATURE_LAYOUT_VERSION, LayerSpec, layer_specs
+from .specs import FEATURE_LAYOUT_VERSION, LayerSpec, variant_specs
 
 BUNDLE_SCHEMA = 1
 
 
 @dataclass
 class HrnnModel:
-    """A trained hierarchy: parameters and specs per level, plus codebooks."""
+    """A trained hierarchy: parameters per level, plus codebooks.
+
+    ``specs`` holds every level's spec, derived from the variant, the chord
+    flag and the codebooks by :func:`variant_specs`.
+    """
 
     variant: str
     level_params: dict[str, GeneratorParams]
-    specs: dict[str, LayerSpec]
     beat_codebook: ProfileCodebook | None = None
     bar_codebook: ProfileCodebook | None = None
     chords: bool = False
     metadata: dict = field(default_factory=dict)
+    specs: dict[str, LayerSpec] = field(init=False)
 
     def __post_init__(self) -> None:
-        expected = set(layer_specs(self.variant, chords=self.chords))
-        if set(self.specs) != expected:
-            raise ValueError(
-                f"variant {self.variant} expects levels {sorted(expected)}, "
-                f"got {sorted(self.specs)}"
-            )
+        self.specs = variant_specs(
+            self.variant,
+            chords=self.chords,
+            beat_codebook=self.beat_codebook,
+            bar_codebook=self.bar_codebook,
+        )
         unknown = set(self.level_params) - set(self.specs)
         if unknown:
             raise ValueError(f"parameters for levels outside the variant: {unknown}")
@@ -58,24 +62,6 @@ class HrnnModel:
                 raise ValueError(
                     f"{level} layer expects {spec.alphabet_size} outputs, "
                     f"parameters have {params.n_outputs}"
-                )
-        needs_beat = any(s.level == "beat" or s.beat_condition for s in self.specs.values())
-        needs_bar = any(s.level == "bar" or s.bar_condition for s in self.specs.values())
-        if needs_beat and self.beat_codebook is None:
-            raise ValueError("model uses beat profiles but has no beat codebook")
-        if needs_bar and self.bar_codebook is None:
-            raise ValueError("model uses bar profiles but has no bar codebook")
-        sizes = {}
-        if self.beat_codebook is not None:
-            sizes["beat_k"] = self.beat_codebook.k
-        if self.bar_codebook is not None:
-            sizes["bar_k"] = self.bar_codebook.k
-        layout = layer_specs(self.variant, chords=self.chords, **sizes)
-        for level in sorted(self.specs):
-            if self.specs[level] != layout[level]:
-                raise ValueError(
-                    f"{level} layer spec {self.specs[level].to_dict()} differs from the "
-                    f"{self.variant} layout {layout[level].to_dict()}"
                 )
 
 
@@ -123,24 +109,35 @@ def load_bundle(directory: str | Path) -> HrnnModel:
             f"{manifest.get('feature_layout_version')}, this build expects "
             f"{FEATURE_LAYOUT_VERSION}"
         )
-    specs = {}
-    level_params = {}
-    for level, entry in manifest["levels"].items():
-        specs[level] = LayerSpec.from_dict(entry["spec"])
-        if "checkpoint" in entry:
-            level_params[level] = load_checkpoint(directory / entry["checkpoint"])
-    beat_codebook = None
-    bar_codebook = None
-    if "beat" in manifest["codebooks"]:
-        beat_codebook = ProfileCodebook.load(directory / manifest["codebooks"]["beat"])
-    if "bar" in manifest["codebooks"]:
-        bar_codebook = ProfileCodebook.load(directory / manifest["codebooks"]["bar"])
-    return HrnnModel(
+    level_params = {
+        level: load_checkpoint(directory / entry["checkpoint"])
+        for level, entry in manifest["levels"].items()
+        if "checkpoint" in entry
+    }
+    codebooks = {
+        kind: ProfileCodebook.load(directory / name)
+        for kind, name in manifest["codebooks"].items()
+    }
+    model = HrnnModel(
         variant=manifest["variant"],
         level_params=level_params,
-        specs=specs,
-        beat_codebook=beat_codebook,
-        bar_codebook=bar_codebook,
+        beat_codebook=codebooks.get("beat"),
+        bar_codebook=codebooks.get("bar"),
         chords=manifest["chords"],
         metadata=manifest.get("metadata", {}),
     )
+    # The manifest's specs are a record of the layout the weights were
+    # trained on; each must equal the one this build derives.
+    stored = {level: entry["spec"] for level, entry in manifest["levels"].items()}
+    if set(stored) != set(model.specs):
+        raise ValueError(
+            f"variant {model.variant} expects levels {sorted(model.specs)}, "
+            f"got {sorted(stored)}"
+        )
+    for level, spec in sorted(model.specs.items()):
+        if stored[level] != spec.to_dict():
+            raise ValueError(
+                f"{level} layer spec {stored[level]} differs from the "
+                f"{model.variant} layout {spec.to_dict()}"
+            )
+    return model

@@ -20,7 +20,7 @@ from .specs import (
     LayerSpec,
     build_layer_inputs,
     chord_chroma_by_beat,
-    layer_specs,
+    variant_specs,
 )
 
 
@@ -48,13 +48,15 @@ def piece_level_sequences(
     chords: tuple[ChordSymbol, ...] = (),
     piece_id: str = "",
 ) -> dict[str, TrainingSequence]:
-    """Build the per-level training sequences for one melody grid."""
-    need_bar = any(s.level == "bar" or s.bar_condition for s in specs.values())
-    need_beat = any(s.level == "beat" or s.beat_condition for s in specs.values())
+    """Build the per-level training sequences for one melody grid.
+
+    ``specs`` come from :func:`variant_specs`, so each profile level's
+    codebook is given.
+    """
     bar_idx, beat_idx = profile_sequences(
         grid,
-        beat_codebook if need_beat else None,
-        bar_codebook if need_bar else None,
+        beat_codebook if "beat" in specs else None,
+        bar_codebook if "bar" in specs else None,
     )
     need_chroma = any(s.chroma for s in specs.values())
     chroma = (
@@ -63,13 +65,7 @@ def piece_level_sequences(
         else None
     )
 
-    level_events = {}
-    if "bar" in specs:
-        level_events["bar"] = bar_idx
-    if "beat" in specs:
-        level_events["beat"] = beat_idx
-    level_events["note"] = grid.to_array()
-
+    level_events = {"bar": bar_idx, "beat": beat_idx, "note": grid.to_array()}
     out: dict[str, TrainingSequence] = {}
     for level, spec in specs.items():
         events = level_events[level]
@@ -99,13 +95,9 @@ def build_datasets(
     ``chord_tracks`` aligns with ``grids`` and is only consulted when the
     variant is chord-conditioned.
     """
-    specs = layer_specs(
-        variant,
-        chords=chords,
-        beat_k=beat_codebook.k if beat_codebook else 8,
-        bar_k=bar_codebook.k if bar_codebook else 16,
+    specs = variant_specs(
+        variant, chords=chords, beat_codebook=beat_codebook, bar_codebook=bar_codebook
     )
-    _validate_codebooks(specs, beat_codebook, bar_codebook)
     datasets: dict[str, list[TrainingSequence]] = {level: [] for level in specs}
     for index, grid in enumerate(grids):
         track = chord_tracks[index] if (chords and chord_tracks) else ()
@@ -121,15 +113,6 @@ def build_datasets(
         for level, sequence in sequences.items():
             datasets[level].append(sequence)
     return datasets
-
-
-def _validate_codebooks(specs, beat_codebook, bar_codebook) -> None:
-    needs_beat = any(s.level == "beat" or s.beat_condition for s in specs.values())
-    needs_bar = any(s.level == "bar" or s.bar_condition for s in specs.values())
-    if needs_beat and beat_codebook is None:
-        raise ValueError("this variant needs a beat codebook")
-    if needs_bar and bar_codebook is None:
-        raise ValueError("this variant needs a bar codebook")
 
 
 def pad_batch(

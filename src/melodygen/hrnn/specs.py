@@ -24,7 +24,8 @@ Variants: "3L" is the full bar/beat/note stack; "2L" drops the bar level
 (its beat layer is unconditioned); "1L" is the note level alone with no
 profile conditions, which reduces it to a plain lookback sequence model.
 Chord conditioning adds the chroma block to the beat and note levels (the
-note level in every variant).
+note level in every variant). :func:`variant_specs` sizes a variant's specs
+off its profile codebooks.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import numpy as np
 
 from ..encode import ALPHABET_SIZE, one_hot_matrix
 from ..leadsheet import ChordSymbol
+from ..profiles import DEFAULT_BAR_K, DEFAULT_BEAT_K, ProfileCodebook
 
 VARIANTS = ("1L", "2L", "3L")
 LEVELS = ("bar", "beat", "note")
@@ -94,25 +96,13 @@ class LayerSpec:
             "position_bits": self.position_bits,
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "LayerSpec":
-        return cls(
-            level=obj["level"],
-            alphabet_size=obj["alphabet_size"],
-            bar_condition=obj["bar_condition"],
-            beat_condition=obj["beat_condition"],
-            chroma=obj["chroma"],
-            lookback_distances=tuple(obj["lookback_distances"]),
-            position_bits=obj["position_bits"],
-        )
-
 
 def layer_specs(
     variant: str,
     *,
     chords: bool = False,
-    beat_k: int = 8,
-    bar_k: int = 16,
+    beat_k: int = DEFAULT_BEAT_K,
+    bar_k: int = DEFAULT_BAR_K,
 ) -> dict[str, LayerSpec]:
     """The LayerSpec for every level present in a variant."""
     if variant not in VARIANTS:
@@ -141,6 +131,31 @@ def layer_specs(
             "note": spec("note", ALPHABET_SIZE, 0, beat_k, chords),
         }
     return {"note": spec("note", ALPHABET_SIZE, 0, 0, chords)}
+
+
+def variant_specs(
+    variant: str,
+    *,
+    chords: bool,
+    beat_codebook: ProfileCodebook | None,
+    bar_codebook: ProfileCodebook | None,
+) -> dict[str, LayerSpec]:
+    """The LayerSpec for every level of a variant, sized off its codebooks.
+
+    A variant needs the codebook of each profile level it has: the level's
+    alphabet, and the condition of the levels below it. A missing one is
+    rejected; one the variant does not need is ignored.
+    """
+    codebooks = {"beat": beat_codebook, "bar": bar_codebook}
+    specs = layer_specs(
+        variant,
+        chords=chords,
+        **{f"{kind}_k": book.k for kind, book in codebooks.items() if book is not None},
+    )
+    for kind, book in codebooks.items():
+        if kind in specs and book is None:
+            raise ValueError(f"this variant needs a {kind} codebook")
+    return specs
 
 
 def fan_out(indices: np.ndarray, repeat: int) -> np.ndarray:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +24,9 @@ from .specs import LayerSpec
 # Deterministic per-level offsets applied to the user seed so the three
 # layers train on distinct but reproducible random streams.
 LEVEL_SEED_OFFSETS = {"bar": 101, "beat": 202, "note": 303}
+
+# Bound on the global L2 norm of each step's gradients.
+CLIP_NORM = 5.0
 
 
 class EarlyStopping:
@@ -86,16 +88,8 @@ def train_layer(
         spec.alphabet_size,
         n_layers=config.n_lstm_layers,
         seed=config.seed,
-        init_scale=config.init_scale,
-        forget_bias=config.forget_bias,
     )
-    adam = init_adam(
-        params,
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-    )
+    adam = init_adam(params, learning_rate=config.learning_rate)
     no_event = NO_EVENT if spec.level == "note" else None
 
     stopper = EarlyStopping(config.patience)
@@ -122,7 +116,7 @@ def train_layer(
             rng=rng,
         )
         grads = backward(params, result.cache)
-        recent_norms.append(clip_global_norm(grads, config.clip_norm))
+        recent_norms.append(clip_global_norm(grads, CLIP_NORM))
         adam_update(params, grads, adam)
         recent_losses.append(result.loss)
 
@@ -134,7 +128,7 @@ def train_layer(
                 "train_loss": float(np.mean(recent_losses)),
                 "grad_norm": float(np.mean(recent_norms)),
                 # Steps whose gradients clip_global_norm scaled down.
-                "clipped": sum(n > config.clip_norm and n > 0.0 for n in recent_norms),
+                "clipped": sum(n > CLIP_NORM and n > 0.0 for n in recent_norms),
             }
             recent_losses = []
             recent_norms = []
@@ -178,9 +172,7 @@ def train_layer(
 
 def layer_config(base: TrainConfig, level: str) -> TrainConfig:
     """The per-level config: same settings, level-specific seed stream."""
-    cfg = copy.deepcopy(base)
-    cfg.seed = base.seed + LEVEL_SEED_OFFSETS[level]
-    return cfg
+    return replace(base, seed=base.seed + LEVEL_SEED_OFFSETS[level])
 
 
 def curves_to_csv(curves: list[dict]) -> str:

@@ -19,6 +19,7 @@ CHANNEL = 0
 # Set-tempo stores microseconds per quarter in 3 bytes, from 1 to 0xFFFFFF.
 MIN_TEMPO_BPM = 60_000_000 // 0xFFFFFF + 1  # 4
 MAX_TEMPO_BPM = 60_000_000
+DEFAULT_TEMPO_BPM = 120
 
 
 def _variable_length(value: int) -> bytes:
@@ -35,7 +36,7 @@ def _variable_length(value: int) -> bytes:
 
 def write_midi(
     notes: Iterable[Sequence[int]],
-    tempo_bpm: int = 120,
+    tempo_bpm: int = DEFAULT_TEMPO_BPM,
     *,
     velocity: int = DEFAULT_VELOCITY,
     text_events: Sequence[str] = (),

@@ -35,7 +35,7 @@ saved.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +43,11 @@ import numpy as np
 from .container import load_arrays, save_arrays
 
 DEFAULT_INIT_SCALE = 0.08
-DEFAULT_FORGET_BIAS = 1.0
-DEFAULT_CLIP_NORM = 5.0
+FORGET_BIAS = 1.0
+# Adam's moment decay rates and denominator floor, as Kingma and Ba suggest.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -148,9 +151,9 @@ def init_params(
     n_layers: int = 2,
     seed: int = 0,
     init_scale: float = DEFAULT_INIT_SCALE,
-    forget_bias: float = DEFAULT_FORGET_BIAS,
 ) -> GeneratorParams:
-    """Seeded initialization: uniform weights, zero biases, forget bias set.
+    """Seeded initialization: uniform weights, zero biases but forget biases of
+    ``FORGET_BIAS``.
 
     Weights draw from uniform(-init_scale, init_scale) in a fixed order, so
     the same seed always produces the same parameters.
@@ -164,7 +167,7 @@ def init_params(
         w_x = rng.uniform(-init_scale, init_scale, size=(d, 4 * hidden_size))
         w_m = rng.uniform(-init_scale, init_scale, size=(hidden_size, 4 * hidden_size))
         b = np.zeros(4 * hidden_size)
-        b[hidden_size : 2 * hidden_size] = forget_bias
+        b[hidden_size : 2 * hidden_size] = FORGET_BIAS
         layers.append(LstmLayerParams(w_x, w_m, b))
     w_out = rng.uniform(-init_scale, init_scale, size=(hidden_size, n_outputs))
     b_out = np.zeros(n_outputs)
@@ -454,28 +457,14 @@ class AdamState:
     v: dict[str, np.ndarray]
     t: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def init_adam(
-    params: GeneratorParams,
-    *,
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
+def init_adam(params: GeneratorParams, *, learning_rate: float = 1e-3) -> AdamState:
     zeros = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
     return AdamState(
         m=zeros,
         v={name: arr.copy() for name, arr in zeros.items()},
-        t=0,
         learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
     )
 
 
@@ -484,7 +473,7 @@ def adam_update(
 ) -> GeneratorParams:
     """One in-place Adam step: theta -= lr * mhat / (sqrt(vhat) + eps)."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
     for name, arr in params.named_arrays():
@@ -493,7 +482,7 @@ def adam_update(
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
         m_hat = state.m[name] / bias1
         v_hat = state.v[name] / bias2
-        arr -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        arr -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return params
 
 
@@ -571,16 +560,10 @@ class TrainConfig:
     batch_size: int = 64
     dropout: float = 0.5
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    clip_norm: float = DEFAULT_CLIP_NORM
     eval_every: int = 20
     patience: int = 5
     hidden_size: int = 256
     n_lstm_layers: int = 2
-    init_scale: float = DEFAULT_INIT_SCALE
-    forget_bias: float = DEFAULT_FORGET_BIAS
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -598,9 +581,6 @@ class TrainConfig:
             raise ValueError("hidden_size must be >= 1")
         if self.n_lstm_layers < 1:
             raise ValueError("n_lstm_layers must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 CHECKPOINT_META_KEY = "generator"

@@ -417,7 +417,7 @@ class ProfileCodebook:
 def build_codebook(
     clips: np.ndarray,
     kind: str,
-    k: int | None = None,
+    k: int,
     *,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
@@ -426,8 +426,6 @@ def build_codebook(
     """Cluster clips of one kind ("beat" or "bar") into a codebook."""
     if kind not in ("beat", "bar"):
         raise ValueError(f"unknown codebook kind {kind!r}")
-    if k is None:
-        k = DEFAULT_BEAT_K if kind == "beat" else DEFAULT_BAR_K
     fit = kmeans(clips, k, seed=seed, restarts=restarts, max_iter=max_iter)
     return ProfileCodebook(
         kind=kind,

@@ -31,14 +31,11 @@ def make_model(variant="3L", *, chords=False, metadata=None):
         level: init_params(spec.input_dim, 10, spec.alphabet_size, n_layers=1, seed=3)
         for level, spec in specs.items()
     }
-    needs_beat = any(s.level == "beat" or s.beat_condition for s in specs.values())
-    needs_bar = any(s.level == "bar" or s.bar_condition for s in specs.values())
     return HrnnModel(
         variant=variant,
         level_params=params,
-        specs=specs,
-        beat_codebook=beat if needs_beat else None,
-        bar_codebook=bar if needs_bar else None,
+        beat_codebook=beat if "beat" in specs else None,
+        bar_codebook=bar if "bar" in specs else None,
         chords=chords,
         metadata=metadata or {},
     )
@@ -133,35 +130,44 @@ def test_wrong_feature_layout_rejected(tmp_path):
         load_bundle(tmp_path / "bundle")
 
 
+def edit_manifest(directory, edit):
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
 class TestModelValidation:
-    def test_wrong_level_set_rejected(self):
-        model = make_model("3L")
-        with pytest.raises(ValueError, match="expects levels"):
-            HrnnModel(
-                variant="1L",
-                level_params={"note": model.level_params["note"]},
-                specs=model.specs,  # has three levels, 1L wants one
-            )
+    def test_specs_are_derived_from_the_codebooks(self):
+        model = make_model("3L", chords=True)
+        assert model.specs == layer_specs("3L", chords=True, beat_k=BEAT_K, bar_k=BAR_K)
+
+    def test_wrong_level_set_rejected(self, tmp_path):
+        # A 3L bundle whose manifest lists no bar level.
+        save_bundle(make_model("3L"), tmp_path / "bundle")
+        edit_manifest(tmp_path / "bundle", lambda m: m["levels"].pop("bar"))
+        with pytest.raises(ValueError, match="3L expects levels"):
+            load_bundle(tmp_path / "bundle")
 
     def test_params_for_unknown_level_rejected(self):
         model = make_model("1L")
         extra = dict(model.level_params)
         extra["beat"] = model.level_params["note"]
         with pytest.raises(ValueError, match="outside the variant"):
-            HrnnModel(variant="1L", level_params=extra, specs=model.specs)
+            HrnnModel(variant="1L", level_params=extra)
 
     def test_input_dim_mismatch_rejected(self):
         model = make_model("1L")
         bad = {"note": init_params(7, 10, 38, n_layers=1, seed=0)}
         with pytest.raises(ValueError, match="input dim"):
-            HrnnModel(variant="1L", level_params=bad, specs=model.specs)
+            HrnnModel(variant="1L", level_params=bad)
 
     def test_output_dim_mismatch_rejected(self):
         model = make_model("1L")
         spec = model.specs["note"]
         bad = {"note": init_params(spec.input_dim, 10, 5, n_layers=1, seed=0)}
         with pytest.raises(ValueError, match="outputs"):
-            HrnnModel(variant="1L", level_params=bad, specs=model.specs)
+            HrnnModel(variant="1L", level_params=bad)
 
     def test_missing_codebooks_rejected(self):
         model = make_model("3L")
@@ -169,14 +175,12 @@ class TestModelValidation:
             HrnnModel(
                 variant="3L",
                 level_params=model.level_params,
-                specs=model.specs,
                 bar_codebook=model.bar_codebook,
             )
         with pytest.raises(ValueError, match="bar codebook"):
             HrnnModel(
                 variant="3L",
                 level_params=model.level_params,
-                specs=model.specs,
                 beat_codebook=model.beat_codebook,
             )
 
@@ -192,13 +196,13 @@ def test_manifest_spec_off_the_variant_layout_rejected(tmp_path):
         load_bundle(tmp_path / "bundle")
 
 
-def test_spec_sized_off_the_codebooks_rejected():
-    model = make_model("2L")
-    specs = layer_specs("2L", beat_k=BEAT_K + 1)
-    params = {
-        level: init_params(spec.input_dim, 10, spec.alphabet_size, n_layers=1, seed=3)
-        for level, spec in specs.items()
-    }
-    with pytest.raises(ValueError, match="beat layer spec"):
-        HrnnModel(variant="2L", level_params=params, specs=specs,
-                  beat_codebook=model.beat_codebook)
+def test_spec_sized_off_the_codebooks_rejected(tmp_path):
+    # The manifest's beat spec has one more profile than the stored codebook.
+    save_bundle(make_model("2L"), tmp_path / "bundle")
+
+    def resize(manifest):
+        manifest["levels"]["beat"]["spec"]["alphabet_size"] = BEAT_K + 1
+
+    edit_manifest(tmp_path / "bundle", resize)
+    with pytest.raises(ValueError, match="beat layer spec .* differs from the 2L layout"):
+        load_bundle(tmp_path / "bundle")

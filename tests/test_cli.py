@@ -1,13 +1,15 @@
 """End-to-end pipeline through the command-line entry point."""
 
+import argparse
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from fractions import Fraction
 
-from melodygen.cli import EXIT_EMPTY, EXIT_ERROR, EXIT_OK, config_hash, main
+from melodygen.cli import EXIT_EMPTY, EXIT_ERROR, EXIT_OK, build_parser, config_hash, main
 from melodygen.encode import grid_encode, normalize_sheet
 from melodygen.leadsheet import (
     LeadSheet,
@@ -306,6 +308,8 @@ class TestGenerate:
         assert trace["plan"]["bars"] == 2
         assert len(trace["levels"]["note"]["events"]) == 32
         assert len(trace["config_hash"]) == 16
+        manifest = json.loads((pipeline / "manifest.json").read_text())
+        assert trace["primer_piece"] in manifest["validation_ids"]  # drawn from the seed
 
     def test_same_seed_same_bytes(self, pipeline, tmp_path):
         outs = []
@@ -369,6 +373,8 @@ class TestGenerate:
             "generate", "--work-dir", str(pipeline), "--bars", "2",
             "--primer-piece", piece_id, "--out", str(out), "--seed", "4",
         ]) == EXIT_OK
+        trace = json.loads(out.with_suffix(".json").read_text())
+        assert trace["primer_piece"] == piece_id
 
     def test_tempo_flag_lands_in_the_file(self, pipeline, tmp_path):
         out = tmp_path / "slow.mid"
@@ -439,14 +445,24 @@ class TestInvalidOptionValues:
             ("profiles", "--beat-k=0"),
             ("profiles", "--bar-k=0"),
             ("eval", "--temperature=-1"),
+            ("eval", "--adherence-samples=-1"),
+            ("generate", "--tempo=0"),
+            ("export-midi", "--tempo=0"),
         ],
         ids=" ".join,
     )
-    def test_exits_two_naming_the_option(self, pipeline, capsys, argv):
+    def test_exits_two_naming_the_option(self, pipeline, tmp_path, capsys, argv):
         command, option = argv
-        assert main([command, "--work-dir", str(pipeline), option]) == EXIT_EMPTY
+        out = tmp_path / "out.mid"
+        if command == "export-midi":
+            source = ["--leadsheet", str(next((pipeline / "leadsheets").glob("*.json")))]
+        else:
+            source = ["--work-dir", str(pipeline)]
+        writes = ["--out", str(out)] if command in ("generate", "export-midi") else []
+        assert main([command, *source, *writes, option]) == EXIT_EMPTY
         err = capsys.readouterr().err.replace("_", "-").replace(" ", "-")
         assert option.split("=")[0].lstrip("-") in err
+        assert not out.exists()
 
 
 class TestExportMidi:
@@ -545,6 +561,122 @@ class TestConfigFile:
             "--bars", "2",
         ])
         assert code == EXIT_EMPTY
+
+
+# Options that only say where files are read or written.
+PATH_OPTIONS = {"--work-dir", "--corpus-dir", "--leadsheet", "--out", "--config"}
+# A value other than the one in `stamp_argv` for every other option; None
+# marks a flag, which the base run leaves off.
+OTHER_VALUES = {
+    "--seed": "1",
+    "--beat-k": "3", "--bar-k": "3", "--elbow": "1:3",
+    "--variant": "2L", "--chords": None, "--max-iterations": "3", "--batch-size": "3",
+    "--dropout": "0.25", "--hidden-size": "5", "--lstm-layers": "2", "--eval-every": "1",
+    "--patience": "4",
+    "--bars": "2", "--mode": "beam", "--temperature": "0.5", "--beam-width": "2",
+    "--primer-piece": "synthetic-0000", "--fixed-bar-profiles": "0",
+    "--fixed-beat-profiles": "0", "--sustain": None, "--tempo": "90",
+    "--adherence-samples": "2",
+}
+
+
+def command_options():
+    """(command, option) for every option of every subcommand."""
+    parser = build_parser()
+    (commands,) = [
+        action.choices for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return [
+        (command, action.option_strings[0])
+        for command, sub in commands.items()
+        for action in sub._actions
+        if action.option_strings and action.dest != "help"
+    ]
+
+
+def stamp_argv(command, root):
+    """A run of ``command`` on the files under ``root`` that writes a stamp."""
+    work, out = root / "work", root / "out" / "melody.mid"
+    return {
+        "ingest": ["--corpus-dir", root / "corpus", "--work-dir", root / "ingested"],
+        "profiles": ["--work-dir", work, "--beat-k", "2", "--bar-k", "2", "--elbow", "1:2"],
+        "train": ["--work-dir", work, *TINY_TRAIN],
+        "eval": ["--work-dir", work, "--adherence-samples", "1"],
+        "generate": ["--work-dir", work, "--bars", "1", "--out", out],
+        "export-midi": ["--leadsheet", root / "piece.json", "--out", out],
+    }[command]
+
+
+def with_option(argv, option, value):
+    """``argv`` with ``option`` set to ``value``, or with the flag when None."""
+    if option in argv:
+        at = argv.index(option) + 1
+        return argv[:at] + [value] + argv[at + 1:]
+    return argv + [option] + ([] if value is None else [value])
+
+
+def moved_path(root, option, argv):
+    """The same input or output as ``option``'s in ``argv``, at another path."""
+    if option == "--config":
+        (root / "empty.json").write_text("{}")
+        return root / "empty.json"
+    current = argv[argv.index(option) + 1]
+    moved = root / "moved" / current.name
+    if option in ("--work-dir", "--corpus-dir"):
+        shutil.copytree(current, moved)
+    elif option == "--leadsheet":
+        moved.parent.mkdir()
+        shutil.copy(current, moved)
+    return moved
+
+
+def stamped_hash(command, argv):
+    """The config hash in the artifact a run of ``command`` with ``argv`` wrote."""
+    def value(option, default=None):
+        return argv[argv.index(option) + 1] if option in argv else default
+
+    if command == "export-midi":
+        (text,) = read_midi(value("--out").read_bytes()).texts
+        return text.split()[-1]
+    if command == "generate":
+        return json.loads(value("--out").with_suffix(".json").read_text())["config_hash"]
+    work, variant = value("--work-dir"), value("--variant", "3L")
+    if command == "train":
+        bundle = json.loads((work / "model" / variant / "manifest.json").read_text())
+        return bundle["metadata"]["config_hash"]
+    name = {"ingest": "manifest.json", "profiles": "elbow.json", "eval": f"metrics_{variant}.json"}
+    return json.loads((work / name[command]).read_text())["config_hash"]
+
+
+@pytest.fixture(scope="module")
+def stamp_root(tmp_path_factory, pipeline):
+    """The pipeline's corpus and work directory with a 2L bundle too, and a
+    cached lead sheet."""
+    root = tmp_path_factory.mktemp("stamp")
+    shutil.copytree(pipeline.parent / "corpus", root / "corpus")
+    shutil.copytree(pipeline, root / "work")
+    shutil.copy(next((pipeline / "leadsheets").glob("*.json")), root / "piece.json")
+    assert main(["train", "--work-dir", str(root / "work"), "--variant", "2L", *TINY_TRAIN]) == EXIT_OK
+    return root
+
+
+class TestConfigHashCoversTheOptions:
+    @pytest.mark.parametrize("case", command_options(), ids=" ".join)
+    def test_option_changes_the_hash_unless_a_path(self, stamp_root, tmp_path, case):
+        command, option = case
+        root = tmp_path / "root"
+        shutil.copytree(stamp_root, root)
+        argv = stamp_argv(command, root)
+        assert main([command, *map(str, argv)]) == EXIT_OK
+        before = stamped_hash(command, argv)
+        if option in PATH_OPTIONS:
+            changed = with_option(argv, option, moved_path(root, option, argv))
+        else:
+            assert option in OTHER_VALUES, f"no second value for {command} {option}"
+            changed = with_option(argv, option, OTHER_VALUES[option])
+        assert main([command, *map(str, changed)]) == EXIT_OK
+        assert (stamped_hash(command, changed) == before) == (option in PATH_OPTIONS)
 
 
 class TestArgumentHandling:

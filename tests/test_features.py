@@ -107,12 +107,6 @@ class TestLayerSpecs:
         with pytest.raises(ValueError, match="level"):
             note_spec(level="chorus")
 
-    def test_round_trip_through_dict(self):
-        for level, spec in layer_specs("3L", chords=True).items():
-            again = LayerSpec.from_dict(spec.to_dict())
-            assert again == spec
-            assert isinstance(again.lookback_distances, tuple)
-
 
 class TestPositionBits:
     def test_little_endian_counter(self):

@@ -119,7 +119,6 @@ class TestTrainLayer:
         initial = init_params(
             spec.input_dim, config.hidden_size, spec.alphabet_size,
             n_layers=config.n_lstm_layers, seed=config.seed,
-            init_scale=config.init_scale, forget_bias=config.forget_bias,
         )
         assert not np.array_equal(result.params.layers[0].w_x, initial.layers[0].w_x)
 
@@ -207,11 +206,9 @@ class TestGradientColumns:
             return norm
 
         monkeypatch.setattr(training, "clip_global_norm", recording_clip)
+        monkeypatch.setattr(training, "CLIP_NORM", clip_norm)
         result = train_layer(
-            layer_specs("1L")["note"],
-            note_dataset(),
-            None,
-            tiny_config(max_iterations=25, clip_norm=clip_norm),
+            layer_specs("1L")["note"], note_dataset(), None, tiny_config(max_iterations=25)
         )
         return result, norms
 
