@@ -53,7 +53,7 @@ from .hrnn import (
     tile_profiles,
     train_layer,
 )
-from .hrnn.specs import VARIANTS, variant_specs
+from .hrnn.specs import VARIANTS, profile_levels, variant_specs
 from .hrnn.training import layer_config
 from .leadsheet import dumps_leadsheet, loads_leadsheet
 from .midifile import DEFAULT_TEMPO_BPM, MAX_TEMPO_BPM, MIN_TEMPO_BPM, write_midi
@@ -139,8 +139,16 @@ def _require_file(path: Path, producer: str) -> Path:
 
 
 def _manifest(work: Path) -> dict:
+    """Ingest's manifest, holding the split's id lists."""
     path = _require_file(work / "manifest.json", "ingest")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}; re-run `melodygen ingest`")
+    for key in ("accepted_ids", "train_ids", "validation_ids"):
+        if not isinstance(manifest, dict) or not isinstance(manifest.get(key), list):
+            raise CliError(f"{path}: no {key} list; re-run `melodygen ingest`")
+    return manifest
 
 
 def _load_encoded(work: Path, ids: list[str]) -> tuple[list, list]:
@@ -155,10 +163,22 @@ def _load_encoded(work: Path, ids: list[str]) -> tuple[list, list]:
     return [piece.grid for piece in pieces], [piece.chords for piece in pieces]
 
 
-def _load_codebooks(work: Path) -> tuple[ProfileCodebook, ProfileCodebook]:
-    beat = ProfileCodebook.load(_require_file(work / "beat_codebook.json", "profiles"))
-    bar = ProfileCodebook.load(_require_file(work / "bar_codebook.json", "profiles"))
-    return beat, bar
+def _load_codebooks(work: Path, variant: str) -> dict[str, ProfileCodebook]:
+    """The codebooks of the variant's profile levels, keyed by level."""
+    codebooks = {}
+    for level in profile_levels(variant):
+        path = _require_file(work / f"{level}_codebook.json", "profiles")
+        try:
+            codebooks[level] = ProfileCodebook.load(path)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"{path}: {exc}; re-run `melodygen profiles`")
+    return codebooks
+
+
+def _by_keyword(codebooks: dict[str, ProfileCodebook]) -> dict[str, ProfileCodebook]:
+    """Codebooks keyed by level as the ``<level>_codebook`` keywords of
+    :func:`build_datasets` and :func:`variant_specs`."""
+    return {f"{level}_codebook": codebook for level, codebook in codebooks.items()}
 
 
 def cmd_ingest(args) -> int:
@@ -252,20 +272,17 @@ def cmd_train(args) -> int:
         raise CliError(str(exc), EXIT_EMPTY)
     work = _workdir(args)
     manifest = _manifest(work)
-    beat_cb, bar_cb = _load_codebooks(work)
+    codebooks = _load_codebooks(work, args.variant)
     if not manifest["train_ids"]:
         raise CliError("the training split is empty", EXIT_EMPTY)
     train_grids, train_chords = _load_encoded(work, manifest["train_ids"])
     val_grids, val_chords = _load_encoded(work, manifest["validation_ids"])
     stamp = _stamp(args)
-    specs = variant_specs(
-        args.variant, chords=args.chords, beat_codebook=beat_cb, bar_codebook=bar_cb
-    )
+    specs = variant_specs(args.variant, chords=args.chords, **_by_keyword(codebooks))
     datasets = build_datasets(
         train_grids,
         args.variant,
-        beat_codebook=beat_cb,
-        bar_codebook=bar_cb,
+        **_by_keyword(codebooks),
         chord_tracks=train_chords,
         chords=args.chords,
         piece_ids=manifest["train_ids"],
@@ -274,8 +291,7 @@ def cmd_train(args) -> int:
         build_datasets(
             val_grids,
             args.variant,
-            beat_codebook=beat_cb,
-            bar_codebook=bar_cb,
+            **_by_keyword(codebooks),
             chord_tracks=val_chords,
             chords=args.chords,
             piece_ids=manifest["validation_ids"],
@@ -313,8 +329,7 @@ def cmd_train(args) -> int:
     model = HrnnModel(
         variant=args.variant,
         level_params=level_params,
-        beat_codebook=beat_cb,
-        bar_codebook=bar_cb,
+        codebooks=codebooks,
         chords=args.chords,
         metadata={"tool_version": stamp["tool_version"], "config_hash": stamp["config_hash"]},
     )
@@ -323,15 +338,27 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _parse_profile_list(text: str | None, name: str) -> tuple[int, ...] | None:
+def _fixed_profiles(text: str | None, model: HrnnModel, level: str, count: int):
+    """``--fixed-<level>-profiles`` tiled to ``count`` positions, or None."""
     if text is None:
         return None
+    option = f"--fixed-{level}-profiles"
     try:
         values = tuple(int(part) for part in text.replace(" ", "").split(",") if part)
     except ValueError:
-        raise CliError(f"--{name} must be a comma-separated list of integers", EXIT_EMPTY)
+        raise CliError(f"{option} must be a comma-separated list of integers", EXIT_EMPTY)
     if not values:
-        raise CliError(f"--{name} is empty", EXIT_EMPTY)
+        raise CliError(f"{option} is empty", EXIT_EMPTY)
+    if level not in model.codebooks:
+        raise CliError(f"{option}: the {model.variant} model has no {level} level", EXIT_EMPTY)
+    values = tile_profiles(values, count)
+    k = model.codebooks[level].k
+    bad = [v for v in values if not 0 <= v < k]
+    if bad:
+        raise CliError(
+            f"{option}: fixed {level} profile index {bad[0]} outside codebook 0..{k - 1}",
+            EXIT_EMPTY,
+        )
     return values
 
 
@@ -343,6 +370,8 @@ def _load_model(work: Path, variant: str) -> HrnnModel:
         raise CliError(
             f"no trained {variant} bundle in {bundle_dir}; run `melodygen train` first"
         )
+    except ValueError as exc:
+        raise CliError(f"{exc}; re-run `melodygen train --variant {variant}`")
 
 
 def _generation_plan(**fields) -> GenerationPlan:
@@ -356,20 +385,13 @@ def _generation_plan(**fields) -> GenerationPlan:
 def cmd_generate(args) -> int:
     work = _workdir(args)
     model = _load_model(work, args.variant)
+    fixed_bar = _fixed_profiles(args.fixed_bar_profiles, model, "bar", args.bars)
+    fixed_beat = _fixed_profiles(args.fixed_beat_profiles, model, "beat", args.bars * 4)
     manifest = _manifest(work)
 
     piece_id = _primer_piece(manifest, np.random.default_rng(args.seed), args.primer_piece)
     (grid,), (primer_chords,) = _load_encoded(work, [piece_id])
     primer_events, primer_bar, primer_beat = _primer_of(grid, model)
-
-    fixed_bar = _parse_profile_list(args.fixed_bar_profiles, "fixed-bar-profiles")
-    fixed_beat = _parse_profile_list(args.fixed_beat_profiles, "fixed-beat-profiles")
-    if fixed_bar is not None:
-        fixed_bar = tile_profiles(fixed_bar, args.bars)
-        _check_profile_range(fixed_bar, model.bar_codebook, "bar")
-    if fixed_beat is not None:
-        fixed_beat = tile_profiles(fixed_beat, args.bars * 4)
-        _check_profile_range(fixed_beat, model.beat_codebook, "beat")
 
     plan = _generation_plan(
         bars=args.bars,
@@ -417,17 +439,6 @@ def _write_midi(notes, args, stamp: dict, path: Path) -> int:
     return len(notes)
 
 
-def _check_profile_range(values, codebook, kind) -> None:
-    if codebook is None:
-        raise CliError(f"model has no {kind} codebook to interpret fixed profiles")
-    bad = [v for v in values if not 0 <= v < codebook.k]
-    if bad:
-        raise CliError(
-            f"fixed {kind} profile index {bad[0]} outside codebook 0..{codebook.k - 1}",
-            EXIT_EMPTY,
-        )
-
-
 def _primer_piece(manifest, rng, primer_piece: str | None) -> str:
     """The primer's piece id: the one given, else a seeded validation draw."""
     pool = manifest["validation_ids"] or manifest["train_ids"]
@@ -442,7 +453,9 @@ def _primer_piece(manifest, rng, primer_piece: str | None) -> str:
 
 def _primer_of(grid, model) -> tuple[tuple[int, ...], int | None, int | None]:
     """A grid's first beat of events and its first bar and beat profiles."""
-    bar_idx, beat_idx = profile_sequences(grid, model.beat_codebook, model.bar_codebook)
+    bar_idx, beat_idx = profile_sequences(
+        grid, model.codebooks.get("beat"), model.codebooks.get("bar")
+    )
     return (
         tuple(int(e) for e in grid.events[:4]),
         int(bar_idx[0]) if bar_idx is not None else None,
@@ -461,16 +474,13 @@ def cmd_eval(args) -> int:
     datasets = build_datasets(
         grids,
         model.variant,
-        beat_codebook=model.beat_codebook,
-        bar_codebook=model.bar_codebook,
+        **_by_keyword(model.codebooks),
         chord_tracks=chord_tracks,
         chords=model.chords,
         piece_ids=ids,
     )
     metrics: dict = {"levels": {}, "pieces": len(ids)}
     for level, sequences in datasets.items():
-        if level not in model.level_params:
-            continue
         metrics["levels"][level] = evaluate_layer(
             model.level_params[level],
             sequences,
@@ -499,11 +509,12 @@ def cmd_eval(args) -> int:
 def _generation_adherence(model, grids, args) -> dict:
     """Profile adherence of a few seeded free generations.
 
-    If a generation is rejected, the result is ``{"error": <reason>}``.
+    One score per profile level of the model; a 1L model has none. If a
+    generation is rejected, the result is ``{"error": <reason>}``.
     """
-    if "note" not in model.level_params or args.adherence_samples < 1:
+    if not model.codebooks or args.adherence_samples < 1:
         return {}
-    bar_scores, beat_scores = [], []
+    scores = {level: [] for level in model.codebooks}
     for index in range(args.adherence_samples):
         source = grids[index % len(grids)]
         primer_events, primer_bar, primer_beat = _primer_of(source, model)
@@ -520,20 +531,10 @@ def _generation_adherence(model, grids, args) -> dict:
             result = generate(model.level_params, model.specs, plan)
         except ValueError as exc:
             return {"error": f"generation with seed {plan.seed} failed: {exc}"}
-        if result.bar_profiles is not None and model.bar_codebook is not None:
-            bar_scores.append(
-                profile_adherence(result.grid, result.bar_profiles, model.bar_codebook)
-            )
-        if result.beat_profiles is not None and model.beat_codebook is not None:
-            beat_scores.append(
-                profile_adherence(result.grid, result.beat_profiles, model.beat_codebook)
-            )
-    out = {}
-    if bar_scores:
-        out["bar"] = float(np.mean(bar_scores))
-    if beat_scores:
-        out["beat"] = float(np.mean(beat_scores))
-    return out
+        intended = {"bar": result.bar_profiles, "beat": result.beat_profiles}
+        for level, codebook in model.codebooks.items():
+            scores[level].append(profile_adherence(result.grid, intended[level], codebook))
+    return {level: float(np.mean(values)) for level, values in scores.items()}
 
 
 def cmd_export_midi(args) -> int:

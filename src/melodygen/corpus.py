@@ -92,18 +92,6 @@ class CorpusManifest:
             "validation_ids": list(self.validation_ids),
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CorpusManifest":
-        return cls(
-            scanned=obj["scanned"],
-            accepted_ids=list(obj["accepted_ids"]),
-            rejections={k: dict(v) for k, v in obj["rejections"].items()},
-            pitch_in_range_fraction=obj["pitch_in_range_fraction"],
-            split_seed=obj["split_seed"],
-            train_ids=list(obj["train_ids"]),
-            validation_ids=list(obj["validation_ids"]),
-        )
-
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 

@@ -1,12 +1,12 @@
-"""Model bundles: every trained layer plus its codebooks in one directory.
+"""Model bundles: every level of a variant plus the codebooks it reads.
 
 Layout of a bundle directory:
 
     manifest.json        variant, per-level specs and checkpoint names,
                          feature layout version, config hash, tool version
-    <level>.ckpt         deterministic checkpoint per trained level
-    beat_codebook.json   present when any level uses beat profiles
-    bar_codebook.json    present when any level uses bar profiles
+    <level>.ckpt         deterministic checkpoint of every level
+    <level>_codebook.json  the codebook of every profile level: beat for
+                         2L, bar and beat for 3L, none for 1L
 
 Serialization is deterministic: identical models produce byte-identical
 bundles.
@@ -20,14 +20,15 @@ from pathlib import Path
 
 from ..neural import GeneratorParams, load_checkpoint, save_checkpoint
 from ..profiles import ProfileCodebook
-from .specs import FEATURE_LAYOUT_VERSION, LayerSpec, variant_specs
+from .specs import FEATURE_LAYOUT_VERSION, LayerSpec, profile_levels, variant_specs
 
 BUNDLE_SCHEMA = 1
 
 
 @dataclass
 class HrnnModel:
-    """A trained hierarchy: parameters per level, plus codebooks.
+    """A trained hierarchy: parameters for every level of the variant, and
+    the codebook of every profile level, keyed by level.
 
     ``specs`` holds every level's spec, derived from the variant, the chord
     flag and the codebooks by :func:`variant_specs`.
@@ -35,8 +36,7 @@ class HrnnModel:
 
     variant: str
     level_params: dict[str, GeneratorParams]
-    beat_codebook: ProfileCodebook | None = None
-    bar_codebook: ProfileCodebook | None = None
+    codebooks: dict[str, ProfileCodebook] = field(default_factory=dict)
     chords: bool = False
     metadata: dict = field(default_factory=dict)
     specs: dict[str, LayerSpec] = field(init=False)
@@ -45,12 +45,25 @@ class HrnnModel:
         self.specs = variant_specs(
             self.variant,
             chords=self.chords,
-            beat_codebook=self.beat_codebook,
-            bar_codebook=self.bar_codebook,
+            beat_codebook=self.codebooks.get("beat"),
+            bar_codebook=self.codebooks.get("bar"),
         )
-        unknown = set(self.level_params) - set(self.specs)
-        if unknown:
-            raise ValueError(f"parameters for levels outside the variant: {unknown}")
+        for what, given, expected in (
+            ("parameters", set(self.level_params), set(self.specs)),
+            ("codebooks", set(self.codebooks), set(profile_levels(self.variant))),
+        ):
+            if given - expected:
+                raise ValueError(
+                    f"{what} for levels outside the variant {self.variant}: "
+                    f"{sorted(given - expected)}"
+                )
+            if expected - given:
+                raise ValueError(
+                    f"no {what} for the {self.variant} levels {sorted(expected - given)}"
+                )
+        for level, codebook in self.codebooks.items():
+            if codebook.kind != level:
+                raise ValueError(f"the {level} codebook holds {codebook.kind} profiles")
         for level, params in self.level_params.items():
             spec = self.specs[level]
             if params.input_dim != spec.input_dim:
@@ -77,25 +90,22 @@ def save_bundle(model: HrnnModel, directory: str | Path) -> None:
         "codebooks": {},
         "metadata": model.metadata,
     }
-    for level in sorted(model.specs):
-        entry = {"spec": model.specs[level].to_dict()}
-        if level in model.level_params:
-            filename = f"{level}.ckpt"
-            save_checkpoint(directory / filename, model.level_params[level])
-            entry["checkpoint"] = filename
-        manifest["levels"][level] = entry
-    if model.beat_codebook is not None:
-        model.beat_codebook.save(directory / "beat_codebook.json")
-        manifest["codebooks"]["beat"] = "beat_codebook.json"
-    if model.bar_codebook is not None:
-        model.bar_codebook.save(directory / "bar_codebook.json")
-        manifest["codebooks"]["bar"] = "bar_codebook.json"
+    for level, spec in sorted(model.specs.items()):
+        filename = f"{level}.ckpt"
+        save_checkpoint(directory / filename, model.level_params[level])
+        manifest["levels"][level] = {"checkpoint": filename, "spec": spec.to_dict()}
+    for level, codebook in sorted(model.codebooks.items()):
+        filename = f"{level}_codebook.json"
+        codebook.save(directory / filename)
+        manifest["codebooks"][level] = filename
     (directory / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
 
 
 def load_bundle(directory: str | Path) -> HrnnModel:
+    """The model a bundle directory holds; a manifest that does not list
+    exactly its variant's levels and codebooks is rejected by name."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -109,35 +119,31 @@ def load_bundle(directory: str | Path) -> HrnnModel:
             f"{manifest.get('feature_layout_version')}, this build expects "
             f"{FEATURE_LAYOUT_VERSION}"
         )
-    level_params = {
-        level: load_checkpoint(directory / entry["checkpoint"])
-        for level, entry in manifest["levels"].items()
-        if "checkpoint" in entry
-    }
-    codebooks = {
-        kind: ProfileCodebook.load(directory / name)
-        for kind, name in manifest["codebooks"].items()
-    }
-    model = HrnnModel(
-        variant=manifest["variant"],
-        level_params=level_params,
-        beat_codebook=codebooks.get("beat"),
-        bar_codebook=codebooks.get("bar"),
-        chords=manifest["chords"],
-        metadata=manifest.get("metadata", {}),
-    )
+    level_params = {}
+    for level, entry in manifest["levels"].items():
+        if entry.get("checkpoint") is None:
+            raise ValueError(f"{manifest_path}: the {level} level names no checkpoint")
+        level_params[level] = load_checkpoint(directory / entry["checkpoint"])
+    try:
+        model = HrnnModel(
+            variant=manifest["variant"],
+            level_params=level_params,
+            codebooks={
+                level: ProfileCodebook.load(directory / name)
+                for level, name in manifest["codebooks"].items()
+            },
+            chords=manifest["chords"],
+            metadata=manifest.get("metadata", {}),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
     # The manifest's specs are a record of the layout the weights were
     # trained on; each must equal the one this build derives.
-    stored = {level: entry["spec"] for level, entry in manifest["levels"].items()}
-    if set(stored) != set(model.specs):
-        raise ValueError(
-            f"variant {model.variant} expects levels {sorted(model.specs)}, "
-            f"got {sorted(stored)}"
-        )
     for level, spec in sorted(model.specs.items()):
-        if stored[level] != spec.to_dict():
+        stored = manifest["levels"][level]["spec"]
+        if stored != spec.to_dict():
             raise ValueError(
-                f"{level} layer spec {stored[level]} differs from the "
+                f"{level} layer spec {stored} differs from the "
                 f"{model.variant} layout {spec.to_dict()}"
             )
     return model

@@ -6,14 +6,7 @@ import numpy as np
 
 from ..encode import NO_EVENT, MelodyGrid
 from ..neural import GeneratorParams, forward_sequence
-from ..profiles import (
-    BAR_WIDTH,
-    BEAT_WIDTH,
-    ProfileCodebook,
-    assign_many,
-    binarize,
-    cut_clips,
-)
+from ..profiles import ProfileCodebook, assign_many, binarize, cut_clips
 from .datasets import TrainingSequence, pad_batch
 
 
@@ -103,8 +96,7 @@ def profile_adherence(
     was conditioned on: binarize the output, cut it at the codebook's width,
     assign each clip to its nearest centroid, and compare.
     """
-    width = BEAT_WIDTH if codebook.kind == "beat" else BAR_WIDTH
-    clips = cut_clips(binarize(grid), width)
+    clips = cut_clips(binarize(grid), codebook.width)
     intended = np.asarray(intended, dtype=np.int64)
     if len(clips) != len(intended):
         raise ValueError(

@@ -133,12 +133,18 @@ def layer_specs(
     return {"note": spec("note", ALPHABET_SIZE, 0, 0, chords)}
 
 
+def profile_levels(variant: str) -> tuple[str, ...]:
+    """The levels of a variant that emit rhythm profiles; the variant reads
+    the codebook of each and of no other."""
+    return tuple(level for level in layer_specs(variant) if level != "note")
+
+
 def variant_specs(
     variant: str,
     *,
     chords: bool,
-    beat_codebook: ProfileCodebook | None,
-    bar_codebook: ProfileCodebook | None,
+    beat_codebook: ProfileCodebook | None = None,
+    bar_codebook: ProfileCodebook | None = None,
 ) -> dict[str, LayerSpec]:
     """The LayerSpec for every level of a variant, sized off its codebooks.
 

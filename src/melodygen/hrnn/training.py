@@ -57,9 +57,6 @@ class LayerTrainResult:
     stop_reason: str
     final_train_loss: float
 
-    def curve_column(self, key: str) -> list[float]:
-        return [row[key] for row in self.curves]
-
 
 def train_layer(
     spec: LayerSpec,

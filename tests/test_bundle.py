@@ -34,8 +34,7 @@ def make_model(variant="3L", *, chords=False, metadata=None):
     return HrnnModel(
         variant=variant,
         level_params=params,
-        beat_codebook=beat if "beat" in specs else None,
-        bar_codebook=bar if "bar" in specs else None,
+        codebooks={level: book for level, book in (("beat", beat), ("bar", bar)) if level in specs},
         chords=chords,
         metadata=metadata or {},
     )
@@ -55,14 +54,9 @@ def test_round_trip(tmp_path, variant):
             params.named_arrays(), loaded.level_params[level].named_arrays()
         ):
             assert np.array_equal(arr, arr2), (level, name)
-    if model.beat_codebook is not None:
-        assert np.array_equal(
-            loaded.beat_codebook.centroids, model.beat_codebook.centroids
-        )
-    if model.bar_codebook is not None:
-        assert np.array_equal(
-            loaded.bar_codebook.centroids, model.bar_codebook.centroids
-        )
+    assert set(loaded.codebooks) == set(model.codebooks)
+    for level, codebook in model.codebooks.items():
+        assert np.array_equal(loaded.codebooks[level].centroids, codebook.centroids)
 
 
 def test_chord_flag_round_trips(tmp_path):
@@ -93,16 +87,6 @@ def test_expected_files_exist(tmp_path):
         "beat_codebook.json",
         "bar_codebook.json",
     }
-
-
-def test_partial_model_skips_missing_checkpoints(tmp_path):
-    model = make_model("3L")
-    del model.level_params["bar"]  # e.g. bar level will be fixed at generation
-    save_bundle(model, tmp_path / "bundle")
-    loaded = load_bundle(tmp_path / "bundle")
-    assert set(loaded.level_params) == {"beat", "note"}
-    assert set(loaded.specs) == {"bar", "beat", "note"}
-    assert not (tmp_path / "bundle" / "bar.ckpt").exists()
 
 
 def test_missing_bundle_names_the_manifest(tmp_path):
@@ -146,8 +130,42 @@ class TestModelValidation:
         # A 3L bundle whose manifest lists no bar level.
         save_bundle(make_model("3L"), tmp_path / "bundle")
         edit_manifest(tmp_path / "bundle", lambda m: m["levels"].pop("bar"))
-        with pytest.raises(ValueError, match="3L expects levels"):
+        with pytest.raises(ValueError, match=r"no parameters for the 3L levels \['bar'\]"):
             load_bundle(tmp_path / "bundle")
+
+    def test_level_without_checkpoint_rejected(self, tmp_path):
+        save_bundle(make_model("3L"), tmp_path / "bundle")
+        edit_manifest(tmp_path / "bundle", lambda m: m["levels"]["bar"].pop("checkpoint"))
+        with pytest.raises(ValueError, match="manifest.json: the bar level names no checkpoint"):
+            load_bundle(tmp_path / "bundle")
+
+    @pytest.mark.parametrize("variant, extra", [("1L", "bar"), ("1L", "beat"), ("2L", "bar")])
+    def test_codebook_of_a_level_the_variant_lacks_rejected(self, tmp_path, variant, extra):
+        # As an older 1L or 2L bundle holds them.
+        save_bundle(make_model(variant), tmp_path / "bundle")
+        book = codebooks()[0 if extra == "beat" else 1]
+        book.save(tmp_path / "bundle" / f"{extra}_codebook.json")
+        edit_manifest(
+            tmp_path / "bundle",
+            lambda m: m["codebooks"].update({extra: f"{extra}_codebook.json"}),
+        )
+        with pytest.raises(
+            ValueError,
+            match=rf"manifest.json: codebooks for levels outside the variant {variant}: \['{extra}'\]",
+        ):
+            load_bundle(tmp_path / "bundle")
+
+    def test_missing_params_rejected(self):
+        model = make_model("3L")
+        partial = {level: model.level_params[level] for level in ("beat", "note")}
+        with pytest.raises(ValueError, match=r"no parameters for the 3L levels \['bar'\]"):
+            HrnnModel(variant="3L", level_params=partial, codebooks=model.codebooks)
+
+    def test_codebook_under_another_level_rejected(self):
+        model = make_model("2L")
+        _, bar = codebooks()
+        with pytest.raises(ValueError, match="the beat codebook holds bar profiles"):
+            HrnnModel(variant="2L", level_params=model.level_params, codebooks={"beat": bar})
 
     def test_params_for_unknown_level_rejected(self):
         model = make_model("1L")
@@ -175,13 +193,13 @@ class TestModelValidation:
             HrnnModel(
                 variant="3L",
                 level_params=model.level_params,
-                bar_codebook=model.bar_codebook,
+                codebooks={"bar": model.codebooks["bar"]},
             )
         with pytest.raises(ValueError, match="bar codebook"):
             HrnnModel(
                 variant="3L",
                 level_params=model.level_params,
-                beat_codebook=model.beat_codebook,
+                codebooks={"beat": model.codebooks["beat"]},
             )
 
 

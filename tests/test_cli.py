@@ -84,6 +84,40 @@ def pipeline(tmp_path_factory):
     return work
 
 
+@pytest.fixture(scope="module")
+def every_variant(tmp_path_factory):
+    """A work directory with a tiny bundle of every variant."""
+    root = tmp_path_factory.mktemp("variants")
+    write_corpus(root / "corpus", n_pieces=6)
+    work = root / "work"
+    assert ingest(root / "corpus", work) == EXIT_OK
+    assert main(["profiles", "--work-dir", str(work), "--beat-k", "2", "--bar-k", "2"]) == EXIT_OK
+    for variant in ("1L", "2L", "3L"):
+        assert main([
+            "train", "--work-dir", str(work), "--variant", variant, *TINY_TRAIN,
+        ]) == EXIT_OK
+    return work
+
+
+def damaged_copy(work, tmp_path, name, damage):
+    """A copy of ``work`` whose file ``name`` holds ``damage(text)``."""
+    copy = tmp_path / "work"
+    shutil.copytree(work, copy)
+    path = copy / name
+    path.write_text(damage(path.read_text()))
+    return copy
+
+
+def edited_json(edit):
+    """A ``damage`` for :func:`damaged_copy` that edits a JSON object."""
+    def damage(text):
+        obj = json.loads(text)
+        edit(obj)
+        return json.dumps(obj)
+
+    return damage
+
+
 class TestIngest:
     def test_artifacts_and_split(self, pipeline):
         manifest = json.loads((pipeline / "manifest.json").read_text())
@@ -251,6 +285,16 @@ class TestProfiles:
         assert code == EXIT_ERROR
         assert "melodygen ingest" in capsys.readouterr().err
 
+    def test_manifest_without_split_names_the_file(self, pipeline, tmp_path, capsys):
+        work = damaged_copy(
+            pipeline, tmp_path, "manifest.json", edited_json(lambda m: m.pop("train_ids"))
+        )
+        capsys.readouterr()
+        assert main(["profiles", "--work-dir", str(work)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"{work / 'manifest.json'}: no train_ids list" in err
+        assert "melodygen ingest" in err
+
     def test_bad_elbow_argument_exits_two(self, pipeline):
         assert main([
             "profiles", "--work-dir", str(pipeline), "--elbow", "banana",
@@ -279,6 +323,38 @@ class TestTrain:
         assert "iteration" in header and "train_loss" in header
         iterations = [int(line.split(",")[0]) for line in lines[2:]]
         assert iterations == [6, 12]
+
+    def test_truncated_codebook_names_the_file(self, pipeline, tmp_path, capsys):
+        work = damaged_copy(pipeline, tmp_path, "beat_codebook.json", lambda text: text[:20])
+        capsys.readouterr()
+        assert main(["train", "--work-dir", str(work), *TINY_TRAIN]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"{work / 'beat_codebook.json'}: " in err
+        assert "melodygen profiles" in err
+
+    @pytest.mark.parametrize("variant, files", [
+        ("1L", {"manifest.json", "note.ckpt"}),
+        ("2L", {"manifest.json", "note.ckpt", "beat.ckpt", "beat_codebook.json"}),
+        ("3L", {
+            "manifest.json", "note.ckpt", "beat.ckpt", "beat_codebook.json",
+            "bar.ckpt", "bar_codebook.json",
+        }),
+    ])
+    def test_bundle_holds_exactly_its_variant(self, every_variant, variant, files):
+        bundle = every_variant / "model" / variant
+        levels = {name.split(".")[0] for name in files if name.endswith(".ckpt")}
+        curves = {f"curves_{level}.csv" for level in levels}
+        assert {p.name for p in bundle.iterdir()} == files | curves
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        assert set(manifest["levels"]) == levels
+        assert set(manifest["codebooks"]) == levels - {"note"}
+
+    def test_1L_needs_no_profiles(self, tmp_path):
+        corpus, work = tmp_path / "corpus", tmp_path / "work"
+        write_corpus(corpus, n_pieces=3)
+        assert ingest(corpus, work) == EXIT_OK
+        assert main(["train", "--work-dir", str(work), "--variant", "1L", *TINY_TRAIN]) == EXIT_OK
+        assert not (work / "beat_codebook.json").exists()
 
     def test_requires_profiles_first(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -358,6 +434,24 @@ class TestGenerate:
         assert code == EXIT_EMPTY
         assert "outside codebook" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant, level", [("1L", "bar"), ("1L", "beat"), ("2L", "bar")])
+    def test_fixed_profiles_of_a_missing_level_exit_two(
+        self, every_variant, tmp_path, capsys, monkeypatch, variant, level
+    ):
+        def decode(*args, **kwargs):
+            raise AssertionError("decoded despite an invalid option")
+
+        monkeypatch.setattr("melodygen.cli.generate", decode)
+        out = tmp_path / "out.mid"
+        code = main([
+            "generate", "--work-dir", str(every_variant), "--variant", variant,
+            "--bars", "2", f"--fixed-{level}-profiles", "0", "--out", str(out),
+        ])
+        assert code == EXIT_EMPTY
+        err = capsys.readouterr().err
+        assert f"--fixed-{level}-profiles" in err and f"no {level} level" in err
+        assert not out.exists()
+
     def test_primer_piece_must_exist(self, pipeline, capsys):
         code = main([
             "generate", "--work-dir", str(pipeline), "--bars", "2",
@@ -411,6 +505,22 @@ class TestEval:
 
     def test_missing_model_exits_one(self, pipeline):
         assert main(["eval", "--work-dir", str(pipeline), "--variant", "2L"]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("variant, edit, named", [
+        ("3L", lambda m: m["levels"]["bar"].pop("checkpoint"), "the bar level"),
+        ("2L", lambda m: m["codebooks"].update(bar="../../bar_codebook.json"), "['bar']"),
+    ], ids=["level without checkpoint", "codebook of a level the variant lacks"])
+    def test_bundle_off_its_variant_exits_one(
+        self, every_variant, tmp_path, capsys, variant, edit, named
+    ):
+        work = damaged_copy(
+            every_variant, tmp_path, f"model/{variant}/manifest.json", edited_json(edit)
+        )
+        capsys.readouterr()
+        assert main(["eval", "--work-dir", str(work), "--variant", variant]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert named in err and "manifest.json" in err and "melodygen train" in err
+        assert not (work / f"metrics_{variant}.json").exists()
 
     def test_failed_adherence_generation_is_recorded(self, pipeline, capsys, monkeypatch):
         def reject(*args, **kwargs):

@@ -1,5 +1,6 @@
 """Corpus scanning, manifests, and the train/validation split."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -212,5 +213,8 @@ class TestManifest:
             train_ids=["b"],
             validation_ids=["a"],
         )
-        recovered = CorpusManifest.from_dict(json.loads(manifest.dumps()))
+        stored = json.loads(manifest.dumps())
+        recovered = CorpusManifest(
+            **{field.name: stored[field.name] for field in dataclasses.fields(CorpusManifest)}
+        )
         assert recovered == manifest

@@ -67,7 +67,7 @@ class TestTrainLayer:
         sequences = note_dataset()
         spec = layer_specs("1L")["note"]
         result = train_layer(spec, sequences, None, tiny_config())
-        losses = result.curve_column("train_loss")
+        losses = [row["train_loss"] for row in result.curves]
         assert losses[-1] < losses[0]
         assert result.stop_reason == "max-iterations"
         assert result.iterations_run == 60
@@ -76,7 +76,7 @@ class TestTrainLayer:
         sequences = note_dataset()
         spec = layer_specs("1L")["note"]
         result = train_layer(spec, sequences, None, tiny_config())
-        assert result.curve_column("iteration") == [10, 20, 30, 40, 50, 60]
+        assert [row["iteration"] for row in result.curves] == [10, 20, 30, 40, 50, 60]
         row = result.curves[0]
         assert "train_set_combined_accuracy" in row
         assert "train_set_no_event_accuracy" in row  # note level tracks it
@@ -112,7 +112,7 @@ class TestTrainLayer:
         spec = layer_specs("1L")["note"]
         config = tiny_config(max_iterations=10, eval_every=20)
         result = train_layer(spec, sequences[:5], sequences[5:], config)
-        assert result.curve_column("iteration") == [10]
+        assert [row["iteration"] for row in result.curves] == [10]
         assert result.best_iteration == 10
         assert np.isfinite(result.best_val_loss)
         assert result.best_val_loss == result.curves[0]["val_loss"]
@@ -126,7 +126,7 @@ class TestTrainLayer:
         sequences = note_dataset()
         spec = layer_specs("1L")["note"]
         result = train_layer(spec, sequences, None, tiny_config(max_iterations=25))
-        assert result.curve_column("iteration") == [10, 20, 25]
+        assert [row["iteration"] for row in result.curves] == [10, 20, 25]
         assert result.best_iteration == 25
 
     def test_best_validation_params_are_kept(self):
@@ -135,7 +135,7 @@ class TestTrainLayer:
         result = train_layer(
             spec, sequences[:5], sequences[5:], tiny_config(max_iterations=40)
         )
-        val_losses = result.curve_column("val_loss")
+        val_losses = [row["val_loss"] for row in result.curves]
         best_row = int(np.argmin(val_losses))
         assert result.best_iteration == result.curves[best_row]["iteration"]
         assert result.best_val_loss == pytest.approx(min(val_losses))
@@ -189,7 +189,7 @@ class TestTrainLayer:
         result = train_layer(
             spec, sequences, None, tiny_config(dropout=0.3, max_iterations=30)
         )
-        losses = result.curve_column("train_loss")
+        losses = [row["train_loss"] for row in result.curves]
         assert np.isfinite(losses).all()
 
 
@@ -216,8 +216,8 @@ class TestGradientColumns:
     def test_mean_norm_and_clipped_count_per_row(self, monkeypatch, clip_norm):
         result, norms = self.run(monkeypatch, clip_norm)
         windows = [norms[0:10], norms[10:20], norms[20:25]]
-        assert result.curve_column("grad_norm") == [float(np.mean(w)) for w in windows]
-        assert result.curve_column("clipped") == [
+        assert [row["grad_norm"] for row in result.curves] == [float(np.mean(w)) for w in windows]
+        assert [row["clipped"] for row in result.curves] == [
             sum(n > clip_norm for n in w) for w in windows
         ]
 
@@ -226,9 +226,9 @@ class TestGradientColumns:
     ):
         tiny, _ = self.run(monkeypatch, 1e-3)
         huge, _ = self.run(monkeypatch, 1e9)
-        assert tiny.curve_column("clipped") == [10, 10, 5]
-        assert huge.curve_column("clipped") == [0, 0, 0]
-        assert all(norm > 0.0 for norm in huge.curve_column("grad_norm"))
+        assert [row["clipped"] for row in tiny.curves] == [10, 10, 5]
+        assert [row["clipped"] for row in huge.curves] == [0, 0, 0]
+        assert all(row["grad_norm"] > 0.0 for row in huge.curves)
 
 
 class TestLayerConfig:
