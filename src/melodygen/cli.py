@@ -23,6 +23,11 @@ grids.json, profiles' elbow.json, train's bundle manifest and curves, eval's
 metrics, and the MIDI files of generate (with its trace) and export-midi.
 Codebooks, cached lead sheets and checkpoints carry no stamp.
 
+Artifacts are written and read through :mod:`melodygen.artifacts`: a stage
+replaces its outputs whole (ingest's ``leadsheets/`` and train's
+``model/<variant>/`` as whole directories) or, when it fails or accepts no
+piece, leaves them as they were. An elbow.json exists only after ``--elbow``.
+
 Exit codes: 0 success, 1 operational error (missing prerequisites, bad
 model), 2 empty or invalid input (nothing ingested, malformed arguments).
 """
@@ -38,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .artifacts import read, replace_dir, write, write_json
 from .corpus import dumps_grids, loads_grids, scan_corpus
 from .encode import NO_EVENT, grid_decode, grid_encode, normalize_sheet, sustain_extend
 from .hrnn import (
@@ -124,55 +130,30 @@ def _stamp(args: argparse.Namespace, **derived) -> dict:
     }
 
 
-def _workdir(args) -> Path:
-    work = Path(args.work_dir)
-    work.mkdir(parents=True, exist_ok=True)
-    return work
-
-
-def _require_file(path: Path, producer: str) -> Path:
-    if not path.exists():
-        raise CliError(
-            f"missing {path.name} in the work directory; run `melodygen {producer}` first"
-        )
-    return path
-
-
 def _manifest(work: Path) -> dict:
     """Ingest's manifest, holding the split's id lists."""
-    path = _require_file(work / "manifest.json", "ingest")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}; re-run `melodygen ingest`")
-    for key in ("accepted_ids", "train_ids", "validation_ids"):
-        if not isinstance(manifest, dict) or not isinstance(manifest.get(key), list):
-            raise CliError(f"{path}: no {key} list; re-run `melodygen ingest`")
-    return manifest
+    def load(path: Path) -> dict:
+        manifest = json.loads(path.read_bytes())
+        for key in ("accepted_ids", "train_ids", "validation_ids"):
+            if not isinstance(manifest, dict) or not isinstance(manifest.get(key), list):
+                raise ValueError(f"no {key} list")
+        return manifest
+
+    return read(work / "manifest.json", "ingest", load)
 
 
 def _load_encoded(work: Path, ids: list[str]) -> tuple[list, list]:
     """Grids and chord tracks of the listed pieces, as ingest encoded them."""
-    path = work / "grids.json"
-    if not path.exists():
-        raise CliError(f"{path} is missing; re-run `melodygen ingest`")
-    try:
-        pieces = loads_grids(path.read_bytes(), ids)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}; re-run `melodygen ingest`")
+    pieces = read(work / "grids.json", "ingest", lambda path: loads_grids(path.read_bytes(), ids))
     return [piece.grid for piece in pieces], [piece.chords for piece in pieces]
 
 
 def _load_codebooks(work: Path, variant: str) -> dict[str, ProfileCodebook]:
     """The codebooks of the variant's profile levels, keyed by level."""
-    codebooks = {}
-    for level in profile_levels(variant):
-        path = _require_file(work / f"{level}_codebook.json", "profiles")
-        try:
-            codebooks[level] = ProfileCodebook.load(path)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{path}: {exc}; re-run `melodygen profiles`")
-    return codebooks
+    return {
+        level: read(work / f"{level}_codebook.json", "profiles", ProfileCodebook.load)
+        for level in profile_levels(variant)
+    }
 
 
 def _by_keyword(codebooks: dict[str, ProfileCodebook]) -> dict[str, ProfileCodebook]:
@@ -182,30 +163,12 @@ def _by_keyword(codebooks: dict[str, ProfileCodebook]) -> dict[str, ProfileCodeb
 
 
 def cmd_ingest(args) -> int:
-    work = _workdir(args)
+    work = Path(args.work_dir)
     corpus_dir = Path(args.corpus_dir)
     if not corpus_dir.is_dir():
         raise CliError(f"corpus directory {corpus_dir} does not exist", EXIT_EMPTY)
     scan = scan_corpus(corpus_dir, split_seed=args.seed)
     manifest = scan.manifest
-    # The hash names the accepted pieces, not the directory they came from.
-    corpus_digest = hashlib.sha256()
-    (work / "leadsheets").mkdir(exist_ok=True)
-    for piece_id in manifest.accepted_ids:
-        cached = dumps_leadsheet(scan.sheets[piece_id]) + "\n"
-        corpus_digest.update(cached.encode("utf-8"))
-        target = work / "leadsheets" / f"{piece_id}.json"
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(cached, encoding="utf-8")
-    stamp = _stamp(args, corpus_sha256=corpus_digest.hexdigest())
-    payload = manifest.to_dict()
-    payload.update(stamp)
-    (work / "grids.json").write_text(
-        dumps_grids(scan.encoded, stamp) + "\n", encoding="utf-8"
-    )
-    (work / "manifest.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
     print(f"scanned   {manifest.scanned}")
     print(f"accepted  {manifest.accepted} (before pickup filter: "
           f"{manifest.accepted_before_weak_beat_filter})")
@@ -220,11 +183,21 @@ def cmd_ingest(args) -> int:
           f"{len(manifest.validation_ids)} validation")
     if manifest.accepted == 0:
         raise CliError("no pieces were accepted from the corpus", EXIT_EMPTY)
+    # The hash names the accepted pieces, not the directory they came from.
+    corpus_digest = hashlib.sha256()
+    with replace_dir(work / "leadsheets") as leadsheets:
+        for piece_id in manifest.accepted_ids:
+            cached = (dumps_leadsheet(scan.sheets[piece_id]) + "\n").encode("utf-8")
+            corpus_digest.update(cached)
+            write(leadsheets / f"{piece_id}.json", cached)
+    stamp = _stamp(args, corpus_sha256=corpus_digest.hexdigest())
+    write(work / "grids.json", (dumps_grids(scan.encoded, stamp) + "\n").encode("utf-8"))
+    write_json(work / "manifest.json", {**manifest.to_dict(), **stamp})
     return EXIT_OK
 
 
 def cmd_profiles(args) -> int:
-    work = _workdir(args)
+    work = Path(args.work_dir)
     manifest = _manifest(work)
     if not manifest["train_ids"]:
         raise CliError("the training split is empty", EXIT_EMPTY)
@@ -236,6 +209,13 @@ def cmd_profiles(args) -> int:
     try:
         beat_cb = build_codebook(beat_clips, "beat", args.beat_k, seed=seed)
         bar_cb = build_codebook(bar_clips, "bar", args.bar_k, seed=seed)
+        if args.elbow:
+            low, high = args.elbow
+            report = {
+                "beat": elbow_report(beat_clips, range(low, high + 1), seed=seed),
+                "bar": elbow_report(bar_clips, range(low, high + 1), seed=seed),
+                **_stamp(args),
+            }
     except ValueError as exc:
         raise CliError(str(exc))
     beat_cb.save(work / "beat_codebook.json")
@@ -243,16 +223,10 @@ def cmd_profiles(args) -> int:
     print(f"beat codebook: k={beat_cb.k} wcss={beat_cb.wcss:.4f}")
     print(f"bar codebook:  k={bar_cb.k} wcss={bar_cb.wcss:.4f}")
     if args.elbow:
-        low, high = args.elbow
-        report = {
-            "beat": elbow_report(beat_clips, range(low, high + 1), seed=seed),
-            "bar": elbow_report(bar_clips, range(low, high + 1), seed=seed),
-            **_stamp(args),
-        }
-        (work / "elbow.json").write_text(
-            json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
+        write_json(work / "elbow.json", report)
         print(f"elbow report for k={low}..{high} written to elbow.json")
+    else:
+        (work / "elbow.json").unlink(missing_ok=True)
     return EXIT_OK
 
 
@@ -270,7 +244,7 @@ def cmd_train(args) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_EMPTY)
-    work = _workdir(args)
+    work = Path(args.work_dir)
     manifest = _manifest(work)
     codebooks = _load_codebooks(work, args.variant)
     if not manifest["train_ids"]:
@@ -300,9 +274,7 @@ def cmd_train(args) -> int:
         else None
     )
 
-    bundle_dir = work / "model" / args.variant
-    bundle_dir.mkdir(parents=True, exist_ok=True)
-    level_params = {}
+    level_params, curves = {}, {}
     for level, spec in specs.items():
         result = train_layer(
             spec,
@@ -311,11 +283,9 @@ def cmd_train(args) -> int:
             layer_config(conf, level),
         )
         level_params[level] = result.params
-        csv_path = bundle_dir / f"curves_{level}.csv"
-        csv_path.write_text(
+        curves[level] = (
             f"# tool_version={stamp['tool_version']} config_hash={stamp['config_hash']}\n"
-            + curves_to_csv(result.curves),
-            encoding="utf-8",
+            + curves_to_csv(result.curves)
         )
         last = result.curves[-1] if result.curves else {}
         print(
@@ -333,7 +303,11 @@ def cmd_train(args) -> int:
         chords=args.chords,
         metadata={"tool_version": stamp["tool_version"], "config_hash": stamp["config_hash"]},
     )
-    save_bundle(model, bundle_dir)
+    bundle_dir = work / "model" / args.variant
+    with replace_dir(bundle_dir) as staging:
+        save_bundle(model, staging)
+        for level, text in curves.items():
+            write(staging / f"curves_{level}.csv", text.encode("utf-8"))
     print(f"model bundle written to {bundle_dir}")
     return EXIT_OK
 
@@ -362,18 +336,6 @@ def _fixed_profiles(text: str | None, model: HrnnModel, level: str, count: int):
     return values
 
 
-def _load_model(work: Path, variant: str) -> HrnnModel:
-    bundle_dir = work / "model" / variant
-    try:
-        return load_bundle(bundle_dir)
-    except FileNotFoundError:
-        raise CliError(
-            f"no trained {variant} bundle in {bundle_dir}; run `melodygen train` first"
-        )
-    except ValueError as exc:
-        raise CliError(f"{exc}; re-run `melodygen train --variant {variant}`")
-
-
 def _generation_plan(**fields) -> GenerationPlan:
     """A plan from option values; an invalid value is a usage error."""
     try:
@@ -383,8 +345,8 @@ def _generation_plan(**fields) -> GenerationPlan:
 
 
 def cmd_generate(args) -> int:
-    work = _workdir(args)
-    model = _load_model(work, args.variant)
+    work = Path(args.work_dir)
+    model = load_bundle(work / "model" / args.variant, args.variant)
     fixed_bar = _fixed_profiles(args.fixed_bar_profiles, model, "bar", args.bars)
     fixed_beat = _fixed_profiles(args.fixed_beat_profiles, model, "beat", args.bars * 4)
     manifest = _manifest(work)
@@ -416,9 +378,7 @@ def cmd_generate(args) -> int:
     n_notes = _write_midi(grid_decode(result.grid), args, stamp, out_path)
     trace = {**result.trace, "primer_piece": piece_id, **stamp}
     trace_path = out_path.with_suffix(".json")
-    trace_path.write_text(
-        json.dumps(trace, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_json(trace_path, trace)
     print(f"wrote {out_path} and {trace_path.name} "
           f"({len(result.grid)} steps, {n_notes} notes)")
     return EXIT_OK
@@ -434,8 +394,7 @@ def _write_midi(notes, args, stamp: dict, path: Path) -> int:
         tempo_bpm=args.tempo,
         text_events=(f"melodygen {stamp['tool_version']} config {stamp['config_hash']}",),
     )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(midi)
+    write(path, midi)
     return len(notes)
 
 
@@ -464,8 +423,8 @@ def _primer_of(grid, model) -> tuple[tuple[int, ...], int | None, int | None]:
 
 
 def cmd_eval(args) -> int:
-    work = _workdir(args)
-    model = _load_model(work, args.variant)
+    work = Path(args.work_dir)
+    model = load_bundle(work / "model" / args.variant, args.variant)
     manifest = _manifest(work)
     ids = manifest["validation_ids"] or manifest["train_ids"]
     if not ids:
@@ -492,9 +451,7 @@ def cmd_eval(args) -> int:
         metrics["generation_adherence"] = adherence
     metrics.update(_stamp(args))
     out_path = work / f"metrics_{args.variant}.json"
-    out_path.write_text(
-        json.dumps(metrics, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_json(out_path, metrics)
     for level, view in sorted(metrics["levels"].items()):
         parts = ", ".join(f"{key} {value:.4f}" for key, value in sorted(view.items()))
         print(f"{level}: {parts}")
@@ -541,7 +498,7 @@ def cmd_export_midi(args) -> int:
     path = Path(args.leadsheet)
     if not path.exists():
         raise CliError(f"lead sheet {path} does not exist", EXIT_EMPTY)
-    sheet = loads_leadsheet(path.read_text(encoding="utf-8"))
+    sheet = read(path, "ingest", lambda path: loads_leadsheet(path.read_bytes()))
     notes = grid_decode(grid_encode(normalize_sheet(sheet)))
     out_path = Path(args.out) if args.out else path.with_suffix(".mid")
     n_notes = _write_midi(notes, args, _stamp(args), out_path)

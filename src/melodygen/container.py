@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write
+
 MAGIC = b"MGENCKPT"
 FORMAT_VERSION = 1
 
@@ -119,7 +121,7 @@ def _checked_entry(entry, position: int, payload_size: int) -> tuple[str, list[i
 
 
 def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    Path(path).write_bytes(pack_arrays(arrays, meta))
+    write(Path(path), pack_arrays(arrays, meta))
 
 
 def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

@@ -92,9 +92,6 @@ class CorpusManifest:
             "validation_ids": list(self.validation_ids),
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
 
 @dataclass(frozen=True)
 class EncodedPiece:

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..artifacts import read, write_json
 from ..neural import GeneratorParams, load_checkpoint, save_checkpoint
 from ..profiles import ProfileCodebook
 from .specs import FEATURE_LAYOUT_VERSION, LayerSpec, profile_levels, variant_specs
@@ -80,7 +81,6 @@ class HrnnModel:
 
 def save_bundle(model: HrnnModel, directory: str | Path) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     manifest = {
         "schema": BUNDLE_SCHEMA,
         "variant": model.variant,
@@ -98,52 +98,50 @@ def save_bundle(model: HrnnModel, directory: str | Path) -> None:
         filename = f"{level}_codebook.json"
         codebook.save(directory / filename)
         manifest["codebooks"][level] = filename
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_json(directory / "manifest.json", manifest)
 
 
-def load_bundle(directory: str | Path) -> HrnnModel:
-    """The model a bundle directory holds; a manifest that does not list
-    exactly its variant's levels and codebooks is rejected by name."""
+def load_bundle(directory: str | Path, variant: str) -> HrnnModel:
+    """The ``variant`` model a bundle directory holds. A missing or malformed
+    file, or a manifest that does not list exactly the variant's levels and
+    codebooks, raises an ArtifactError naming the file."""
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no model bundle at {directory} (missing manifest.json)")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("schema") != BUNDLE_SCHEMA:
-        raise ValueError(f"unsupported bundle schema {manifest.get('schema')}")
-    if manifest.get("feature_layout_version") != FEATURE_LAYOUT_VERSION:
-        raise ValueError(
-            "bundle was built with feature layout "
-            f"{manifest.get('feature_layout_version')}, this build expects "
-            f"{FEATURE_LAYOUT_VERSION}"
-        )
-    level_params = {}
-    for level, entry in manifest["levels"].items():
-        if entry.get("checkpoint") is None:
-            raise ValueError(f"{manifest_path}: the {level} level names no checkpoint")
-        level_params[level] = load_checkpoint(directory / entry["checkpoint"])
-    try:
+    producer = f"train --variant {variant}"
+
+    def load(manifest_path: Path) -> HrnnModel:
+        manifest = json.loads(manifest_path.read_bytes())
+        if manifest.get("schema") != BUNDLE_SCHEMA:
+            raise ValueError(f"unsupported bundle schema {manifest.get('schema')}")
+        if manifest.get("feature_layout_version") != FEATURE_LAYOUT_VERSION:
+            raise ValueError(
+                "bundle was built with feature layout "
+                f"{manifest.get('feature_layout_version')}, this build expects "
+                f"{FEATURE_LAYOUT_VERSION}"
+            )
+        level_params = {}
+        for level, entry in manifest["levels"].items():
+            if entry.get("checkpoint") is None:
+                raise ValueError(f"the {level} level names no checkpoint")
+            level_params[level] = read(directory / entry["checkpoint"], producer, load_checkpoint)
         model = HrnnModel(
-            variant=manifest["variant"],
+            variant=variant,
             level_params=level_params,
             codebooks={
-                level: ProfileCodebook.load(directory / name)
+                level: read(directory / name, producer, ProfileCodebook.load)
                 for level, name in manifest["codebooks"].items()
             },
             chords=manifest["chords"],
             metadata=manifest.get("metadata", {}),
         )
-    except ValueError as exc:
-        raise ValueError(f"{manifest_path}: {exc}") from None
-    # The manifest's specs are a record of the layout the weights were
-    # trained on; each must equal the one this build derives.
-    for level, spec in sorted(model.specs.items()):
-        stored = manifest["levels"][level]["spec"]
-        if stored != spec.to_dict():
-            raise ValueError(
-                f"{level} layer spec {stored} differs from the "
-                f"{model.variant} layout {spec.to_dict()}"
-            )
-    return model
+        # The manifest's specs are a record of the layout the weights were
+        # trained on; each must equal the one this build derives.
+        for level, spec in sorted(model.specs.items()):
+            stored = manifest["levels"][level]["spec"]
+            if stored != spec.to_dict():
+                raise ValueError(
+                    f"{level} layer spec {stored} differs from the "
+                    f"{model.variant} layout {spec.to_dict()}"
+                )
+        return model
+
+    return read(directory / "manifest.json", producer, load)

@@ -598,7 +598,7 @@ def load_checkpoint(path: str | Path) -> GeneratorParams:
     # Older checkpoints record their cell activation; only tanh cells remain.
     activation = info.get("cell_activation", "tanh")
     if activation != "tanh":
-        raise ValueError(f"{path}: checkpoint uses the {activation!r} cell activation; "
+        raise ValueError(f"checkpoint uses the {activation!r} cell activation; "
                          "only 'tanh' cells are supported")
     layers = [
         LstmLayerParams(

@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import write
 from .encode import NO_EVENT, MelodyGrid, STEPS_PER_BAR
 
 BEAT_WIDTH = 4
@@ -407,7 +408,7 @@ class ProfileCodebook:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.dumps() + "\n", encoding="utf-8")
+        write(Path(path), (self.dumps() + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "ProfileCodebook":

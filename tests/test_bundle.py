@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from melodygen.artifacts import ArtifactError
 from melodygen.encode import grid_encode
 from melodygen.hrnn.bundle import HrnnModel, load_bundle, save_bundle
 from melodygen.hrnn.specs import layer_specs
@@ -44,7 +45,7 @@ def make_model(variant="3L", *, chords=False, metadata=None):
 def test_round_trip(tmp_path, variant):
     model = make_model(variant, metadata={"purpose": "test"})
     save_bundle(model, tmp_path / "bundle")
-    loaded = load_bundle(tmp_path / "bundle")
+    loaded = load_bundle(tmp_path / "bundle", variant)
     assert loaded.variant == variant
     assert loaded.chords is False
     assert loaded.specs == model.specs
@@ -62,7 +63,7 @@ def test_round_trip(tmp_path, variant):
 def test_chord_flag_round_trips(tmp_path):
     model = make_model("3L", chords=True)
     save_bundle(model, tmp_path / "bundle")
-    loaded = load_bundle(tmp_path / "bundle")
+    loaded = load_bundle(tmp_path / "bundle", "3L")
     assert loaded.chords is True
     assert loaded.specs["note"].chroma is True
 
@@ -90,8 +91,8 @@ def test_expected_files_exist(tmp_path):
 
 
 def test_missing_bundle_names_the_manifest(tmp_path):
-    with pytest.raises(FileNotFoundError, match="manifest.json"):
-        load_bundle(tmp_path / "nowhere")
+    with pytest.raises(ArtifactError, match="manifest.json"):
+        load_bundle(tmp_path / "nowhere", "3L")
 
 
 def test_wrong_schema_rejected(tmp_path):
@@ -101,7 +102,7 @@ def test_wrong_schema_rejected(tmp_path):
     manifest["schema"] = 999
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="schema"):
-        load_bundle(tmp_path / "bundle")
+        load_bundle(tmp_path / "bundle", "1L")
 
 
 def test_wrong_feature_layout_rejected(tmp_path):
@@ -111,7 +112,7 @@ def test_wrong_feature_layout_rejected(tmp_path):
     manifest["feature_layout_version"] = 999
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="feature layout"):
-        load_bundle(tmp_path / "bundle")
+        load_bundle(tmp_path / "bundle", "1L")
 
 
 def edit_manifest(directory, edit):
@@ -131,13 +132,13 @@ class TestModelValidation:
         save_bundle(make_model("3L"), tmp_path / "bundle")
         edit_manifest(tmp_path / "bundle", lambda m: m["levels"].pop("bar"))
         with pytest.raises(ValueError, match=r"no parameters for the 3L levels \['bar'\]"):
-            load_bundle(tmp_path / "bundle")
+            load_bundle(tmp_path / "bundle", "3L")
 
     def test_level_without_checkpoint_rejected(self, tmp_path):
         save_bundle(make_model("3L"), tmp_path / "bundle")
         edit_manifest(tmp_path / "bundle", lambda m: m["levels"]["bar"].pop("checkpoint"))
         with pytest.raises(ValueError, match="manifest.json: the bar level names no checkpoint"):
-            load_bundle(tmp_path / "bundle")
+            load_bundle(tmp_path / "bundle", "3L")
 
     @pytest.mark.parametrize("variant, extra", [("1L", "bar"), ("1L", "beat"), ("2L", "bar")])
     def test_codebook_of_a_level_the_variant_lacks_rejected(self, tmp_path, variant, extra):
@@ -153,7 +154,7 @@ class TestModelValidation:
             ValueError,
             match=rf"manifest.json: codebooks for levels outside the variant {variant}: \['{extra}'\]",
         ):
-            load_bundle(tmp_path / "bundle")
+            load_bundle(tmp_path / "bundle", variant)
 
     def test_missing_params_rejected(self):
         model = make_model("3L")
@@ -211,7 +212,7 @@ def test_manifest_spec_off_the_variant_layout_rejected(tmp_path):
     manifest["levels"]["note"]["spec"]["lookback_distances"] = [0, 4]
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="note layer spec .* differs from the 3L layout"):
-        load_bundle(tmp_path / "bundle")
+        load_bundle(tmp_path / "bundle", "3L")
 
 
 def test_spec_sized_off_the_codebooks_rejected(tmp_path):
@@ -223,4 +224,4 @@ def test_spec_sized_off_the_codebooks_rejected(tmp_path):
 
     edit_manifest(tmp_path / "bundle", resize)
     with pytest.raises(ValueError, match="beat layer spec .* differs from the 2L layout"):
-        load_bundle(tmp_path / "bundle")
+        load_bundle(tmp_path / "bundle", "2L")

@@ -3,13 +3,16 @@
 import argparse
 import json
 import shutil
+import stat
 
 import numpy as np
 import pytest
 
 from fractions import Fraction
 
+from melodygen import cli
 from melodygen.cli import EXIT_EMPTY, EXIT_ERROR, EXIT_OK, build_parser, config_hash, main
+from melodygen.container import load_arrays, save_arrays
 from melodygen.encode import grid_encode, normalize_sheet
 from melodygen.leadsheet import (
     LeadSheet,
@@ -599,6 +602,180 @@ class TestExportMidi:
     def test_missing_file_exits_two(self, tmp_path):
         code = main(["export-midi", "--leadsheet", str(tmp_path / "ghost.json")])
         assert code == EXIT_EMPTY
+
+
+def snapshot(directory):
+    """Every file under ``directory`` by relative path, with its bytes."""
+    return {
+        path.relative_to(directory).as_posix(): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def temp_paths(directory):
+    return list(directory.rglob(".*"))
+
+
+def mode(path):
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+class TestStagesReplaceOutputsWhole:
+    def test_failed_ingest_writes_nothing(self, tmp_path, capsys):
+        corpus, work, empty = tmp_path / "corpus", tmp_path / "work", tmp_path / "empty"
+        write_corpus(corpus, n_pieces=4)
+        empty.mkdir()
+        assert ingest(corpus, work) == EXIT_OK
+        before = snapshot(work)
+        capsys.readouterr()
+        assert ingest(empty, work) == EXIT_EMPTY
+        assert "scanned   0" in capsys.readouterr().out
+        assert snapshot(work) == before
+        assert temp_paths(work) == []
+
+    @pytest.mark.parametrize("command, missing", [
+        ("profiles", "manifest.json"),
+        ("train", "manifest.json"),
+        ("eval", "model/3L/manifest.json"),
+        ("generate", "model/3L/manifest.json"),
+    ])
+    def test_read_only_commands_create_nothing(self, tmp_path, capsys, command, missing):
+        work = tmp_path / "typo" / "deeper"
+        assert main([command, "--work-dir", str(work)]) == EXIT_ERROR
+        assert f"missing {work / missing}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_train_leaves_the_old_bundle(self, pipeline, tmp_path, capsys, monkeypatch):
+        work = tmp_path / "work"
+        shutil.copytree(pipeline, work)
+        before = snapshot(work / "model" / "3L")
+        real = cli.train_layer
+
+        def fail_at_note(spec, *args, **kwargs):
+            if spec.level == "note":
+                raise RuntimeError("note training failed")
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train_layer", fail_at_note)
+        assert main(["train", "--work-dir", str(work), "--seed", "9", *TINY_TRAIN]) == EXIT_ERROR
+        assert "note training failed" in capsys.readouterr().err
+        assert snapshot(work / "model" / "3L") == before
+        assert temp_paths(work) == []
+
+    def test_reingest_keeps_exactly_the_accepted_pieces(self, tmp_path):
+        work = tmp_path / "work"
+        write_corpus(tmp_path / "large", n_pieces=6)
+        write_corpus(tmp_path / "small", n_pieces=6, seed=8)
+        for sheet in sorted((tmp_path / "small").glob("*.json"))[3:]:
+            sheet.unlink()
+        assert ingest(tmp_path / "large", work) == EXIT_OK
+        assert ingest(tmp_path / "small", work) == EXIT_OK
+        manifest = json.loads((work / "manifest.json").read_text())
+        assert manifest["accepted"] == 3
+        cached = sorted(p.stem for p in (work / "leadsheets").glob("*.json"))
+        assert cached == manifest["accepted_ids"]
+        assert temp_paths(work) == []
+
+    def test_reingesting_the_lead_sheets_keeps_their_bytes(self, tmp_path):
+        corpus, work = tmp_path / "corpus", tmp_path / "work"
+        write_mixed_corpus(corpus)
+        assert ingest(corpus, work) == EXIT_OK
+        before = snapshot(work / "leadsheets")
+        assert ingest(work / "leadsheets", work) == EXIT_OK
+        assert snapshot(work / "leadsheets") == before
+        assert temp_paths(work) == []
+
+    def test_profiles_without_elbow_removes_the_old_report(self, pipeline, tmp_path):
+        work = tmp_path / "work"
+        shutil.copytree(pipeline, work)
+        assert (work / "elbow.json").exists()
+        assert main([
+            "profiles", "--work-dir", str(work), "--beat-k", "3", "--bar-k", "2",
+        ]) == EXIT_OK
+        assert not (work / "elbow.json").exists()
+
+    def test_failed_elbow_writes_no_codebook(self, pipeline, tmp_path, capsys):
+        work = tmp_path / "work"
+        shutil.copytree(pipeline, work)
+        before = snapshot(work)
+        assert main([
+            "profiles", "--work-dir", str(work), "--beat-k", "2", "--bar-k", "2",
+            "--elbow", "1:999",
+        ]) == EXIT_ERROR
+        assert "cannot form" in capsys.readouterr().err
+        assert snapshot(work) == before
+
+    def test_retraining_removes_files_the_bundle_does_not_list(self, tmp_path):
+        corpus, work = tmp_path / "corpus", tmp_path / "work"
+        write_corpus(corpus, n_pieces=3)
+        assert ingest(corpus, work) == EXIT_OK
+        (work / "model" / "1L").mkdir(parents=True)
+        for name in ("beat_codebook.json", "bar_codebook.json"):
+            (work / "model" / "1L" / name).write_text("{}")
+        assert main(["train", "--work-dir", str(work), "--variant", "1L", *TINY_TRAIN]) == EXIT_OK
+        assert {p.name for p in (work / "model" / "1L").iterdir()} == {
+            "manifest.json", "note.ckpt", "curves_note.csv",
+        }
+
+    def test_artifact_modes_match_a_plain_write(self, every_variant, tmp_path):
+        (tmp_path / "plain.json").write_text("{}")
+        (tmp_path / "plain").mkdir()
+        file_mode, dir_mode = (mode(tmp_path / name) for name in ("plain.json", "plain"))
+        for name in ("manifest.json", "grids.json", "beat_codebook.json"):
+            assert mode(every_variant / name) == file_mode, name
+        for bundle in (every_variant / "model").iterdir():
+            assert mode(bundle) == dir_mode, bundle.name
+            for path in bundle.iterdir():
+                assert mode(path) == file_mode, path
+        assert mode(every_variant / "leadsheets") == dir_mode
+        for path in (every_variant / "leadsheets").iterdir():
+            assert mode(path) == file_mode, path
+
+
+def without_key(key):
+    """A bundle-file damage that drops ``key`` from a JSON object."""
+    def damage(path):
+        obj = json.loads(path.read_text())
+        del obj[key]
+        path.write_text(json.dumps(obj))
+
+    return damage
+
+
+def without_array(name):
+    """A bundle-file damage that drops array ``name`` from a checkpoint."""
+    def damage(path):
+        arrays, meta = load_arrays(path)
+        del arrays[name]
+        save_arrays(path, arrays, meta)
+
+    return damage
+
+
+class TestReadErrorsNameTheFile:
+    @pytest.mark.parametrize("name, damage", [
+        ("manifest.json", without_key("levels")),
+        ("bar_codebook.json", without_key("centroids")),
+        ("note.ckpt", lambda path: path.unlink()),
+        ("beat.ckpt", without_array("w_out")),
+    ], ids=["manifest without levels", "codebook without centroids", "missing checkpoint",
+            "checkpoint without an array"])
+    def test_bundle_file(self, pipeline, tmp_path, capsys, name, damage):
+        work = tmp_path / "work"
+        shutil.copytree(pipeline, work)
+        path = work / "model" / "3L" / name
+        damage(path)
+        capsys.readouterr()
+        assert main(["eval", "--work-dir", str(work)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert str(path) in err and "melodygen train --variant 3L`" in err
+
+    def test_lead_sheet(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"id": "bad"}')
+        assert main(["export-midi", "--leadsheet", str(path)]) == EXIT_ERROR
+        assert f"{path}: missing field 'schema'" in capsys.readouterr().err
 
 
 class TestConfigFile:

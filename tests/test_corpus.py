@@ -149,8 +149,8 @@ class TestScanCorpus:
 
     def test_deterministic(self, tmp_path):
         corpus = self.make_corpus(tmp_path)
-        first = scan_corpus(corpus, split_seed=4).manifest.dumps()
-        second = scan_corpus(corpus, split_seed=4).manifest.dumps()
+        first = scan_corpus(corpus, split_seed=4).manifest.to_dict()
+        second = scan_corpus(corpus, split_seed=4).manifest.to_dict()
         assert first == second
 
     def test_pitch_fraction_between_zero_and_one(self, tmp_path):
@@ -213,7 +213,7 @@ class TestManifest:
             train_ids=["b"],
             validation_ids=["a"],
         )
-        stored = json.loads(manifest.dumps())
+        stored = json.loads(json.dumps(manifest.to_dict()))
         recovered = CorpusManifest(
             **{field.name: stored[field.name] for field in dataclasses.fields(CorpusManifest)}
         )
