@@ -16,7 +16,7 @@ note-off is always preceded by a sounding note.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -92,6 +92,12 @@ def _shift_into_midi_range(pitch: int) -> int:
     return pitch
 
 
+def _repitched(note: RawNote, pitch: int) -> RawNote:
+    """``note`` moved to ``pitch``, built directly rather than through
+    ``dataclasses.replace``, which costs several times as much per note."""
+    return RawNote(pitch, note.onset, note.duration, note.tie_start, note.tie_stop)
+
+
 def _sorted_notes(notes: Iterable[RawNote]) -> tuple[RawNote, ...]:
     """Notes in the (onset, pitch) order a LeadSheet requires.
 
@@ -113,7 +119,7 @@ def transpose_to_c(sheet: LeadSheet) -> LeadSheet:
     if shift == 0 and sheet.key_fifths == 0:
         return sheet
     notes = tuple(
-        replace(note, midi_pitch=_shift_into_midi_range(note.midi_pitch + shift))
+        _repitched(note, _shift_into_midi_range(note.midi_pitch + shift))
         for note in sheet.notes
     )
     if any(not 0 <= note.midi_pitch + shift <= 127 for note in sheet.notes):
@@ -126,7 +132,9 @@ def transpose_to_c(sheet: LeadSheet) -> LeadSheet:
         )
         for chord in sheet.chords
     )
-    return replace(sheet, key_fifths=0, notes=notes, chords=chords)
+    return LeadSheet(
+        sheet.id, 0, sheet.time_signature, sheet.pickup, sheet.n_bars, notes, chords
+    )
 
 
 def fold_octaves(pitch: int) -> int:
@@ -148,16 +156,22 @@ def normalize_sheet(sheet: LeadSheet) -> LeadSheet:
     notes = _sorted_notes(
         note
         if PITCH_MIN <= note.midi_pitch <= PITCH_MAX
-        else replace(note, midi_pitch=fold_octaves(note.midi_pitch))
+        else _repitched(note, fold_octaves(note.midi_pitch))
         for note in transposed.notes
     )
     return transposed.with_notes(notes)
 
 
+def quantize_ratio(numerator: int, denominator: int) -> int:
+    """Round ``numerator / denominator`` (denominator > 0) to the nearest
+    integer, exact halves earlier."""
+    floor, rem = divmod(numerator, denominator)
+    return floor + (2 * rem > denominator)
+
+
 def quantize_steps(value: Fraction | int) -> int:
     """Round a step position to the nearest integer, exact halves earlier."""
-    floor, rem = divmod(value.numerator, value.denominator)
-    return floor + (2 * rem > value.denominator)
+    return quantize_ratio(value.numerator, value.denominator)
 
 
 GridNote = tuple[int, int, int]  # (midi_pitch, onset_step, duration_steps)
@@ -171,14 +185,22 @@ def grid_encode(sheet: LeadSheet) -> MelodyGrid:
     quantize to the same onset keep the longest (then highest). Pitches are
     octave-folded into C2..B4. Overlap after quantization means the input was
     not monophonic and raises ValueError.
+
+    Onsets and ends are quantized from their integer numerators and
+    denominators; no ``Fraction`` arithmetic runs here.
     """
     if sheet.time_signature != (4, 4):
         raise ValueError(f"grid encoding requires 4/4, got {sheet.time_signature}")
     n_steps = sheet.n_bars * STEPS_PER_BAR
     quantized: list[GridNote] = []
     for note in sheet.notes:
-        on = quantize_steps(note.onset * STEPS_PER_QUARTER)
-        off = quantize_steps(note.end * STEPS_PER_QUARTER)
+        on_num, on_den = note.onset.as_integer_ratio()
+        dur_num, dur_den = note.duration.as_integer_ratio()
+        on = quantize_ratio(STEPS_PER_QUARTER * on_num, on_den)
+        # The end, onset + duration, over the denominator on_den * dur_den.
+        off = quantize_ratio(
+            STEPS_PER_QUARTER * (on_num * dur_den + dur_num * on_den), on_den * dur_den
+        )
         if off <= on:
             continue  # vanished under quantization
         quantized.append((fold_octaves(note.midi_pitch), on, off - on))

@@ -101,6 +101,12 @@ def save_bundle(model: HrnnModel, directory: str | Path) -> None:
     write_json(directory / "manifest.json", manifest)
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def load_bundle(directory: str | Path, variant: str) -> HrnnModel:
     """The ``variant`` model a bundle directory holds. A missing or malformed
     file, or a manifest that does not list exactly the variant's levels and
@@ -109,7 +115,7 @@ def load_bundle(directory: str | Path, variant: str) -> HrnnModel:
     producer = f"train --variant {variant}"
 
     def load(manifest_path: Path) -> HrnnModel:
-        manifest = json.loads(manifest_path.read_bytes())
+        manifest = _object(json.loads(manifest_path.read_bytes()), "the manifest")
         if manifest.get("schema") != BUNDLE_SCHEMA:
             raise ValueError(f"unsupported bundle schema {manifest.get('schema')}")
         if manifest.get("feature_layout_version") != FEATURE_LAYOUT_VERSION:
@@ -118,8 +124,11 @@ def load_bundle(directory: str | Path, variant: str) -> HrnnModel:
                 f"{manifest.get('feature_layout_version')}, this build expects "
                 f"{FEATURE_LAYOUT_VERSION}"
             )
+        levels = _object(manifest["levels"], "field 'levels'")
+        codebooks = _object(manifest["codebooks"], "field 'codebooks'")
         level_params = {}
-        for level, entry in manifest["levels"].items():
+        for level, entry in levels.items():
+            entry = _object(entry, f"the {level} level entry")
             if entry.get("checkpoint") is None:
                 raise ValueError(f"the {level} level names no checkpoint")
             level_params[level] = read(directory / entry["checkpoint"], producer, load_checkpoint)
@@ -128,7 +137,7 @@ def load_bundle(directory: str | Path, variant: str) -> HrnnModel:
             level_params=level_params,
             codebooks={
                 level: read(directory / name, producer, ProfileCodebook.load)
-                for level, name in manifest["codebooks"].items()
+                for level, name in codebooks.items()
             },
             chords=manifest["chords"],
             metadata=manifest.get("metadata", {}),
@@ -136,7 +145,7 @@ def load_bundle(directory: str | Path, variant: str) -> HrnnModel:
         # The manifest's specs are a record of the layout the weights were
         # trained on; each must equal the one this build derives.
         for level, spec in sorted(model.specs.items()):
-            stored = manifest["levels"][level]["spec"]
+            stored = levels[level]["spec"]
             if stored != spec.to_dict():
                 raise ValueError(
                     f"{level} layer spec {stored} differs from the "

@@ -6,6 +6,13 @@ lost between parsing and grid quantization. Chord onsets are already on the
 16th-note grid (integer step indices) because chords are only ever consumed at
 grid resolution.
 
+``Fraction`` appears only in :class:`RawNote`'s fields and in the JSON
+``[numerator, denominator]`` pairs below. The checks here and the grid
+quantizer read those fields as integer numerator/denominator pairs: signs
+from the numerators, orders by cross-multiplying the denominators. The
+MusicXML reader counts integer ticks and builds a ``Fraction`` only when it
+makes a note.
+
 The JSON cache format (schema version 1):
 
     {
@@ -70,14 +77,11 @@ class RawNote:
     def __post_init__(self) -> None:
         if not 0 <= self.midi_pitch <= 127:
             raise ValueError(f"midi_pitch {self.midi_pitch} outside 0..127")
-        if self.onset < 0:
+        # A Fraction's denominator is positive: its numerator carries the sign.
+        if self.onset.numerator < 0:
             raise ValueError(f"negative onset {self.onset}")
-        if self.duration <= 0:
+        if self.duration.numerator <= 0:
             raise ValueError(f"non-positive duration {self.duration}")
-
-    @property
-    def end(self) -> Fraction:
-        return self.onset + self.duration
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,12 @@ class LeadSheet:
         if num <= 0 or den <= 0:
             raise ValueError(f"invalid time signature {self.time_signature}")
         for a, b in zip(self.notes, self.notes[1:]):
-            if (b.onset, b.midi_pitch) < (a.onset, a.midi_pitch):
+            # (b.onset, b.midi_pitch) < (a.onset, a.midi_pitch), with the
+            # onset difference b - a scaled by both (positive) denominators.
+            a_num, a_den = a.onset.as_integer_ratio()
+            b_num, b_den = b.onset.as_integer_ratio()
+            later = b_num * a_den - a_num * b_den
+            if later < 0 or (later == 0 and b.midi_pitch < a.midi_pitch):
                 raise ValueError("notes must be sorted by (onset, pitch)")
         for a, b in zip(self.chords, self.chords[1:]):
             if b.onset_step <= a.onset_step:
@@ -162,10 +171,11 @@ def _require(obj: dict, key: str, kind: type | tuple[type, ...]) -> Any:
 
 
 def _fraction_from_json(value: Any, field: str) -> Fraction:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(part, int) for part in value)
+    if not (
+        isinstance(value, list)
+        and len(value) == 2
+        and isinstance(value[0], int)
+        and isinstance(value[1], int)
     ):
         raise SchemaError(f"field '{field}' must be a [numerator, denominator] pair")
     if value[1] <= 0:

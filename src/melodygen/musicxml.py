@@ -16,22 +16,30 @@ Pieces the pipeline cannot represent are *rejected*, not errored:
                         bar (so the 16-steps-per-measure invariant would fail)
 
 Structurally broken documents raise :class:`MusicXmlParseError` instead.
+
+Time is counted in integer ticks at one resolution per document: the lcm of
+the first part's ``<divisions>`` values (1 if there are none), so that every
+duration under every ``<divisions>`` is a whole number of ticks. The cursor,
+measure bounds, pending notes and harmony positions are all ticks; a
+``Fraction`` of quarter notes is built only when a :class:`RawNote` is made,
+and ``Fraction`` otherwise appears only in the JSON cache format.
 """
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .encode import STEPS_PER_QUARTER, quantize_steps
+from .encode import STEPS_PER_QUARTER, quantize_ratio
 from .leadsheet import ChordSymbol, LeadSheet, RawNote, chord_from_kind
 
 REJECT_TIME_SIGNATURE = "time-signature"
 REJECT_WEAK_BEAT = "weak-beat start"
 REJECT_IRREGULAR = "irregular-measure"
 
-QUARTERS_PER_BAR = Fraction(4)
+QUARTERS_PER_BAR = 4
 
 _STEP_SEMITONES = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 
@@ -51,8 +59,8 @@ class Rejection:
 @dataclass
 class _PendingNote:
     pitch: int
-    onset: Fraction
-    duration: Fraction
+    onset: int  # ticks
+    duration: int  # ticks
     tie_start: bool
     tie_stop: bool
 
@@ -92,16 +100,31 @@ def _note_pitch(note: ET.Element) -> int:
     return midi
 
 
-def _note_duration(note: ET.Element, divisions: int) -> Fraction:
+def _note_duration(note: ET.Element, ticks_per_division: int) -> int:
     duration = _int_text(note.find("duration"), "note duration")
     if duration <= 0:
         raise MusicXmlParseError(f"note duration must be positive, got {duration}")
-    return Fraction(duration, divisions)
+    return duration * ticks_per_division
+
+
+def _ticks_per_quarter(part: ET.Element) -> int:
+    """The lcm of the part's positive integer ``<divisions>`` values, 1 if
+    there are none. Other values are skipped here: the main pass reports
+    them in document order, after any rejection that comes first."""
+    ticks = 1
+    for element in part.iterfind("measure/attributes/divisions"):
+        try:
+            divisions = int(element.text.strip())
+        except (AttributeError, ValueError):  # no text, or not an integer
+            continue
+        if divisions > 0:
+            ticks = math.lcm(ticks, divisions)
+    return ticks
 
 
 def _collapse_same_onset(notes: list[_PendingNote]) -> list[_PendingNote]:
     """Keep one note per onset: highest pitch, ties broken by longest."""
-    by_onset: dict[Fraction, _PendingNote] = {}
+    by_onset: dict[int, _PendingNote] = {}
     for note in notes:
         kept = by_onset.get(note.onset)
         if kept is None or (note.pitch, note.duration) > (kept.pitch, kept.duration):
@@ -169,17 +192,19 @@ def parse_musicxml(document: bytes | str, piece_id: str = "") -> LeadSheet | Rej
     if not measures:
         return Rejection(REJECT_IRREGULAR, "part has no measures")
 
-    divisions = 1
+    ticks_per_quarter = _ticks_per_quarter(part)
+    bar_ticks = QUARTERS_PER_BAR * ticks_per_quarter
+    ticks_per_division = ticks_per_quarter  # <divisions> is 1 until declared
     key_fifths: int | None = None
     time_signature: tuple[int, int] | None = None
     notes: list[_PendingNote] = []
-    raw_chords: list[tuple[Fraction, int, str]] = []
+    raw_chords: list[tuple[int, int, str]] = []
 
-    cursor = Fraction(0)
+    cursor = 0
     for index, measure in enumerate(measures):
         measure_start = cursor
         reached = cursor
-        last_onset: Fraction | None = None
+        last_onset: int | None = None
         for element in measure:
             tag = element.tag
             if tag == "attributes":
@@ -188,6 +213,7 @@ def parse_musicxml(document: bytes | str, piece_id: str = "") -> LeadSheet | Rej
                     divisions = _int_text(div_el, "divisions")
                     if divisions <= 0:
                         raise MusicXmlParseError("divisions must be positive")
+                    ticks_per_division = ticks_per_quarter // divisions
                 key_el = element.find("key/fifths")
                 if key_el is not None and key_fifths is None:
                     fifths = _int_text(key_el, "key fifths")
@@ -207,7 +233,7 @@ def parse_musicxml(document: bytes | str, piece_id: str = "") -> LeadSheet | Rej
             elif tag == "note":
                 if element.find("grace") is not None:
                     continue  # no sounding duration
-                duration = _note_duration(element, divisions)
+                duration = _note_duration(element, ticks_per_division)
                 if element.find("cue") is not None or element.find("rest") is not None:
                     cursor += duration
                 elif element.find("chord") is not None:
@@ -230,11 +256,11 @@ def parse_musicxml(document: bytes | str, piece_id: str = "") -> LeadSheet | Rej
                     last_onset = cursor
                     cursor += duration
             elif tag == "backup":
-                cursor -= _note_duration(element, divisions)
+                cursor -= _note_duration(element, ticks_per_division)
                 if cursor < measure_start:
                     cursor = measure_start
             elif tag == "forward":
-                cursor += _note_duration(element, divisions)
+                cursor += _note_duration(element, ticks_per_division)
             elif tag == "harmony":
                 root_el = element.find("root/root-step")
                 if root_el is None or root_el.text is None:
@@ -261,23 +287,25 @@ def parse_musicxml(document: bytes | str, piece_id: str = "") -> LeadSheet | Rej
             return Rejection(REJECT_TIME_SIGNATURE, "no time signature declared")
         content = reached - measure_start
         if index == 0:
-            if measure.get("implicit") == "yes" or content < QUARTERS_PER_BAR:
+            if measure.get("implicit") == "yes" or content < bar_ticks:
                 return Rejection(
                     REJECT_WEAK_BEAT,
-                    f"first measure spans {content} quarter notes",
+                    f"first measure spans {Fraction(content, ticks_per_quarter)}"
+                    " quarter notes",
                 )
-        if content != QUARTERS_PER_BAR:
+        if content != bar_ticks:
             return Rejection(
                 REJECT_IRREGULAR,
-                f"measure {index + 1} spans {content} quarter notes",
+                f"measure {index + 1} spans {Fraction(content, ticks_per_quarter)}"
+                " quarter notes",
             )
-        cursor = measure_start + QUARTERS_PER_BAR
+        cursor = measure_start + bar_ticks
 
     normalized = _merge_ties(_truncate_overlaps(_collapse_same_onset(notes)))
 
     chords: dict[int, ChordSymbol] = {}
     for position, pitch_class, kind in raw_chords:
-        step = max(0, quantize_steps(position * STEPS_PER_QUARTER))
+        step = max(0, quantize_ratio(STEPS_PER_QUARTER * position, ticks_per_quarter))
         chords[step] = chord_from_kind(step, pitch_class, kind)
 
     return LeadSheet(
@@ -287,7 +315,12 @@ def parse_musicxml(document: bytes | str, piece_id: str = "") -> LeadSheet | Rej
         pickup=False,
         n_bars=len(measures),
         notes=tuple(
-            RawNote(note.pitch, note.onset, note.duration) for note in normalized
+            RawNote(
+                note.pitch,
+                Fraction(note.onset, ticks_per_quarter),
+                Fraction(note.duration, ticks_per_quarter),
+            )
+            for note in normalized
         ),
         chords=tuple(chords[step] for step in sorted(chords)),
     )

@@ -394,6 +394,8 @@ class ProfileCodebook:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ProfileCodebook":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a codebook must be a JSON object, not {type(obj).__name__}")
         if obj.get("schema") != CODEBOOK_SCHEMA:
             raise ValueError(f"unsupported codebook schema {obj.get('schema')}")
         return cls(

@@ -753,14 +753,37 @@ def without_array(name):
     return damage
 
 
+def with_json(value, *keys):
+    """A bundle-file damage that puts ``value`` at the path ``keys`` in a
+    JSON file, or in place of the whole document when no keys are given."""
+    def damage(path):
+        if not keys:
+            path.write_text(json.dumps(value))
+            return
+        obj = json.loads(path.read_text())
+        parent = obj
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path.write_text(json.dumps(obj))
+
+    return damage
+
+
 class TestReadErrorsNameTheFile:
     @pytest.mark.parametrize("name, damage", [
         ("manifest.json", without_key("levels")),
         ("bar_codebook.json", without_key("centroids")),
         ("note.ckpt", lambda path: path.unlink()),
         ("beat.ckpt", without_array("w_out")),
+        ("manifest.json", with_json([])),
+        ("manifest.json", with_json([], "levels")),
+        ("manifest.json", with_json([], "codebooks")),
+        ("manifest.json", with_json([], "levels", "beat")),
+        ("bar_codebook.json", with_json([])),
     ], ids=["manifest without levels", "codebook without centroids", "missing checkpoint",
-            "checkpoint without an array"])
+            "checkpoint without an array", "manifest is a list", "levels is a list",
+            "codebooks is a list", "level entry is a list", "codebook is a list"])
     def test_bundle_file(self, pipeline, tmp_path, capsys, name, damage):
         work = tmp_path / "work"
         shutil.copytree(pipeline, work)

@@ -30,7 +30,7 @@ from melodygen.encode import (
 from melodygen.leadsheet import LeadSheet, RawNote, chord_from_kind
 from melodygen.midifile import write_midi
 from support.midi_reader import read_midi
-from support.quantize_oracle import reference_quantize
+from support.quantize_oracle import reference_grid_encode, reference_quantize
 
 
 @st.composite
@@ -47,6 +47,22 @@ def valid_grids(draw) -> MelodyGrid:
             events.append(NOTE_OFF if kind == "off" else NO_EVENT)
         sounding = kind == "on" or (sounding and kind == "hold")
     return MelodyGrid(tuple(events))
+
+
+@st.composite
+def rational_sheets(draw) -> LeadSheet:
+    """1-2 bars of up to 6 notes at any pitch, with rational onsets and
+    durations of denominator up to 48: overlapping notes, notes that collide
+    or vanish under quantization and notes past the last bar included."""
+    n_bars = draw(st.integers(1, 2))
+    notes = []
+    for _ in range(draw(st.integers(0, 6))):
+        onset_den, duration_den = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+        onset = Fraction(draw(st.integers(0, 4 * n_bars * onset_den)), onset_den)
+        duration = Fraction(draw(st.integers(1, 2 * duration_den)), duration_den)
+        notes.append(RawNote(draw(st.integers(0, 127)), onset, duration))
+    notes.sort(key=lambda note: (note.onset, note.midi_pitch))
+    return LeadSheet("q", 0, (4, 4), False, n_bars, tuple(notes))
 
 
 def sheet_from_steps(step_notes, n_bars, key_fifths=0, chords=()):
@@ -248,6 +264,18 @@ class TestQuantize:
 
 
 class TestGridEncode:
+    @settings(max_examples=400, deadline=None)
+    @given(rational_sheets())
+    def test_matches_the_fraction_reference(self, sheet):
+        try:
+            expected = reference_grid_encode(sheet)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                grid_encode(sheet)
+            assert str(raised.value) == str(exc)
+        else:
+            assert grid_encode(sheet) == expected
+
     def test_simple_bar(self):
         sheet = sheet_from_steps([(60, 0, 4), (62, 4, 2), (64, 8, 8)], 1)
         grid = grid_encode(sheet)

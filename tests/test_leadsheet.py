@@ -35,9 +35,9 @@ def make_sheet(notes=(), chords=(), **overrides) -> LeadSheet:
 
 
 class TestRawNote:
-    def test_fields_and_end(self):
+    def test_fields(self):
         note = RawNote(60, Fraction(1, 2), Fraction(3, 2))
-        assert note.end == Fraction(2)
+        assert (note.midi_pitch, note.onset, note.duration) == (60, Fraction(1, 2), Fraction(3, 2))
         assert not note.tie_start and not note.tie_stop
 
     @pytest.mark.parametrize(
@@ -111,6 +111,26 @@ class TestLeadSheet:
         make_sheet(notes=(a, b))  # allowed: same onset, ascending pitch
         with pytest.raises(ValueError):
             make_sheet(notes=(b, a))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_order_check_is_the_tuple_order(self, data):
+        onsets = st.one_of(
+            st.integers(0, 8).map(lambda n: Fraction(n, 4)),
+            st.fractions(min_value=0, max_value=2, max_denominator=48),
+        )
+        keys = data.draw(st.lists(st.tuples(onsets, st.integers(58, 61)), max_size=6))
+        if data.draw(st.booleans()):
+            keys.sort()
+            if len(keys) > 1 and data.draw(st.booleans()):
+                i = data.draw(st.integers(0, len(keys) - 2))
+                keys[i], keys[i + 1] = keys[i + 1], keys[i]
+        notes = tuple(RawNote(pitch, onset, Fraction(1)) for onset, pitch in keys)
+        if all(a <= b for a, b in zip(keys, keys[1:])):
+            assert make_sheet(notes=notes).notes == notes
+        else:
+            with pytest.raises(ValueError, match="sorted"):
+                make_sheet(notes=notes)
 
     def test_chords_strictly_sorted(self):
         c1 = chord_from_kind(0, 0, "major")

@@ -239,6 +239,77 @@ class TestRejections:
         assert result.reason == REJECT_TIME_SIGNATURE
 
 
+class TestDivisionsChange:
+    """``<divisions>`` may change from measure to measure; every onset,
+    duration and chord step stays exact."""
+
+    def test_four_then_six_then_eight(self):
+        first = measure_xml(
+            FULL_BAR
+            + harmony_xml("C")
+            + note_xml(60, 4) + note_xml(62, 4) + note_xml(64, 4)
+            + note_xml(65, 4, tie="start"),
+            1,
+        )
+        # Triplet eighths are 2 divisions at 6 per quarter; the harmony falls
+        # after the first of them, 29/6 quarter notes in: step 58/3 -> 19.
+        second = measure_xml(
+            attributes_xml(divisions=6)
+            + note_xml(65, 3, tie="stop")
+            + note_xml(67, 2) + harmony_xml("G", "dominant") + note_xml(69, 2)
+            + note_xml(71, 2) + note_xml(None, 3)
+            + note_xml(72, 6) + note_xml(74, 6, tie="start"),
+            2,
+        )
+        third = measure_xml(
+            attributes_xml(divisions=8)
+            + note_xml(74, 2, tie="stop") + note_xml(76, 6)
+            + harmony_xml("F") + note_xml(77, 8) + note_xml(79, 16),
+            3,
+        )
+        sheet = parse_musicxml(score_xml([first, second, third]))
+        assert sheet.n_bars == 3
+        assert note_triples(sheet) == [
+            (60, Fraction(0), Fraction(1)),
+            (62, Fraction(1), Fraction(1)),
+            (64, Fraction(2), Fraction(1)),
+            (65, Fraction(3), Fraction(3, 2)),  # tied across 4 -> 6
+            (67, Fraction(9, 2), Fraction(1, 3)),
+            (69, Fraction(29, 6), Fraction(1, 3)),
+            (71, Fraction(31, 6), Fraction(1, 3)),
+            (72, Fraction(6), Fraction(1)),
+            (74, Fraction(7), Fraction(5, 4)),  # tied across 6 -> 8
+            (76, Fraction(33, 4), Fraction(3, 4)),
+            (77, Fraction(9), Fraction(1)),
+            (79, Fraction(10), Fraction(2)),
+        ]
+        assert [(c.onset_step, c.root_pitch_class) for c in sheet.chords] == [
+            (0, 0), (19, 7), (36, 5),
+        ]
+
+    @pytest.mark.parametrize("later_divisions", ["0", "-2", "x", ""])
+    def test_rejection_comes_before_a_later_bad_divisions(self, later_divisions):
+        first = measure_xml(attributes_xml(divisions=4, time=(3, 4)) + note_xml(60, 12), 1)
+        second = measure_xml(
+            f"<attributes><divisions>{later_divisions}</divisions></attributes>"
+            + note_xml(62, 12),
+            2,
+        )
+        result = parse_musicxml(score_xml([first, second]))
+        assert result == Rejection(REJECT_TIME_SIGNATURE, "3/4 in measure 1")
+
+    def test_irregular_measure_after_a_change_keeps_its_detail(self):
+        first = measure_xml(FULL_BAR + note_xml(60, 16), 1)
+        second = measure_xml(attributes_xml(divisions=2) + note_xml(62, 7), 2)
+        result = parse_musicxml(score_xml([first, second]))
+        assert result == Rejection(REJECT_IRREGULAR, "measure 2 spans 7/2 quarter notes")
+
+    def test_short_first_measure_with_a_change_keeps_its_detail(self):
+        body = FULL_BAR + note_xml(60, 4) + attributes_xml(divisions=6) + note_xml(62, 3)
+        result = parse_musicxml(score_xml([measure_xml(body)]))
+        assert result == Rejection(REJECT_WEAK_BEAT, "first measure spans 3/2 quarter notes")
+
+
 class TestParseErrors:
     def test_malformed_xml_reports_position(self):
         with pytest.raises(MusicXmlParseError, match="line"):
