@@ -84,12 +84,12 @@ def unpack_arrays(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
     if not isinstance(meta, dict):
         raise ContainerError('corrupt container header: "meta" is not an object')
     arrays: dict[str, np.ndarray] = {}
-    payload = data[header_end:]
     for position, entry in enumerate(header["arrays"]):
-        name, shape, start, nbytes = _checked_entry(entry, position, len(payload))
+        name, shape, start, nbytes = _checked_entry(entry, position, len(data) - header_end)
         if name in arrays:
             raise ContainerError(f"duplicate array {name!r}")
-        arr = np.frombuffer(payload[start : start + nbytes], dtype="<f8")
+        # A view of the input's bytes: the .copy() below is the only copy.
+        arr = np.frombuffer(data, dtype="<f8", count=nbytes // 8, offset=header_end + start)
         try:
             arrays[name] = arr.reshape(shape).copy()
         except ValueError as exc:  # more dimensions than numpy supports

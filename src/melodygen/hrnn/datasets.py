@@ -4,6 +4,10 @@ Every piece contributes one training sequence per level: the level's own
 symbol sequence as targets, and inputs assembled from the previous symbol,
 the conditions coming down the hierarchy (taken from the data during
 training), and the lookback block.
+
+Every input entry is 0 or 1, so the sequences store their inputs as uint8:
+an eighth of the float64 bytes. :func:`pad_batch` copies them into float64
+batches, the dtype the LSTM's matrix products take.
 """
 
 from __future__ import annotations
@@ -26,7 +30,10 @@ from .specs import (
 
 @dataclass
 class TrainingSequence:
-    """One piece prepared for one level: (T, D) inputs, (T,) targets."""
+    """One piece prepared for one level: (T, D) inputs, (T,) targets.
+
+    :func:`build_datasets` stores uint8 inputs; any numeric dtype pads.
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -75,6 +82,7 @@ def piece_level_sequences(
             bar_indices=bar_idx if spec.bar_condition else None,
             beat_indices=beat_idx if spec.beat_condition else None,
             chroma_by_beat=chroma if spec.chroma else None,
+            dtype=np.uint8,
         )
         out[level] = TrainingSequence(inputs, np.asarray(events), piece_id)
     return out
@@ -118,7 +126,7 @@ def build_datasets(
 def pad_batch(
     sequences: list[TrainingSequence],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack variable-length sequences into (T, B, D) with a validity mask.
+    """Stack variable-length sequences into float64 (T, B, D) with a validity mask.
 
     Padding is trailing: padded steps carry zero inputs, target 0, mask 0.
     """

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from melodygen.encode import ALPHABET_SIZE, NO_EVENT, MelodyGrid, grid_encode
+from melodygen.encode import (
+    ALPHABET_SIZE,
+    N_PITCHES,
+    NO_EVENT,
+    NOTE_OFF,
+    MelodyGrid,
+    grid_encode,
+)
 from melodygen.hrnn.datasets import (
     TrainingSequence,
     build_datasets,
@@ -17,15 +24,25 @@ from melodygen.hrnn.datasets import (
     piece_level_sequences,
 )
 from melodygen.hrnn.specs import (
+    VARIANTS,
     LayerSpec,
     build_layer_inputs,
     chord_chroma_by_beat,
     fan_out,
     layer_features,
     layer_specs,
+    variant_specs,
 )
-from melodygen.leadsheet import chord_from_kind
-from melodygen.profiles import build_codebook, cut_clips, binarize, profile_sequences
+from melodygen.leadsheet import CHORD_KIND_INTERVALS, chord_from_kind
+from melodygen.profiles import (
+    BAR_WIDTH,
+    BEAT_WIDTH,
+    ProfileCodebook,
+    binarize,
+    build_codebook,
+    cut_clips,
+    profile_sequences,
+)
 from melodygen.synthetic import synthetic_corpus
 from support.feature_oracle import reference_input_row, reference_lookback
 
@@ -449,3 +466,101 @@ class TestTrainingSequenceAndPadding:
     def test_pad_batch_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             pad_batch([])
+
+
+def random_grid(rng, n_bars):
+    """A valid grid over two pitches, so that lookback repeats fire."""
+    pitches = rng.integers(0, N_PITCHES, size=2)
+    events, sounding = [], False
+    for _ in range(n_bars * 16):
+        kind = rng.integers(0, 3 if sounding else 2)
+        if kind == 0:
+            events.append(int(rng.choice(pitches)))
+        else:
+            events.append(NO_EVENT if kind == 1 else NOTE_OFF)
+        sounding = kind == 0 or (sounding and kind == 1)
+    return MelodyGrid(tuple(events))
+
+
+def random_chord_track(rng, n_steps):
+    """Up to four chords in any order, some starting past the melody's end."""
+    kinds = sorted(CHORD_KIND_INTERVALS)
+    return tuple(
+        chord_from_kind(int(rng.integers(0, n_steps + 8)), int(rng.integers(0, 12)),
+                        kinds[rng.integers(0, len(kinds))])
+        for _ in range(rng.integers(0, 5))
+    )
+
+
+def random_codebook(rng, kind, width):
+    rows = np.unique(rng.integers(0, 2, size=(int(rng.integers(1, 6)), width)), axis=0)
+    return ProfileCodebook(kind, rows.astype(np.float64), seed=0, iterations=0, wcss=0.0)
+
+
+# Positions of each level per bar and per beat, written out apart from specs.
+LEVEL_POSITIONS_PER = {"bar": (1, 1), "beat": (4, 1), "note": (16, 4)}
+
+
+def oracle_condition(spec, position, bar_idx, beat_idx, chroma):
+    """The condition row at one position, from per-bar and per-beat values."""
+    per_bar, per_beat = LEVEL_POSITIONS_PER[spec.level]
+    parts = []
+    if spec.bar_condition:
+        parts.append(np.eye(spec.bar_condition)[bar_idx[position // per_bar]])
+    if spec.beat_condition:
+        parts.append(np.eye(spec.beat_condition)[beat_idx[position // per_beat]])
+    if spec.chroma:
+        parts.append(chroma[position // per_beat])
+    return np.concatenate(parts) if parts else None
+
+
+class TestStoredInputs:
+    """Datasets hold every input as a uint8 0/1 and pad into float64 batches."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        variant=st.sampled_from(VARIANTS),
+        chords=st.booleans(),
+        n_pieces=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_the_float_rows(self, variant, chords, n_pieces, seed):
+        rng = np.random.default_rng(seed)
+        grids = [random_grid(rng, int(rng.integers(1, 4))) for _ in range(n_pieces)]
+        tracks = [random_chord_track(rng, len(grid)) for grid in grids]
+        beat = random_codebook(rng, "beat", BEAT_WIDTH)
+        bar = random_codebook(rng, "bar", BAR_WIDTH)
+        datasets = build_datasets(
+            grids, variant, beat_codebook=beat, bar_codebook=bar,
+            chord_tracks=tracks, chords=chords,
+        )
+        specs = variant_specs(variant, chords=chords, beat_codebook=beat, bar_codebook=bar)
+        for level, sequences in datasets.items():
+            spec = specs[level]
+            rows = []
+            for grid, track, stored in zip(grids, tracks, sequences):
+                bar_idx, beat_idx = profile_sequences(grid, beat, bar)
+                chroma = chord_chroma_by_beat(track if chords else (), grid.n_bars * 4)
+                events = {"bar": bar_idx, "beat": beat_idx, "note": grid.to_array()}[level]
+                expected = build_layer_inputs(
+                    spec,
+                    events,
+                    bar_indices=bar_idx if spec.bar_condition else None,
+                    beat_indices=beat_idx if spec.beat_condition else None,
+                    chroma_by_beat=chroma if spec.chroma else None,
+                )
+                assert stored.inputs.dtype == np.uint8
+                assert expected.dtype == np.float64
+                assert np.array_equal(stored.inputs, expected)
+                for position in range(len(events)):
+                    condition = oracle_condition(spec, position, bar_idx, beat_idx, chroma)
+                    oracle = reference_input_row(spec, events, position, condition)
+                    assert np.array_equal(stored.inputs[position], oracle), (level, position)
+                rows.append(expected)
+            padded = pad_batch(sequences)
+            from_floats = pad_batch(
+                [TrainingSequence(row, s.targets) for row, s in zip(rows, sequences)]
+            )
+            assert padded[0].dtype == np.float64
+            for got, want in zip(padded, from_floats):
+                assert got.dtype == want.dtype and np.array_equal(got, want)

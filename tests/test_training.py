@@ -1,5 +1,7 @@
 """Per-layer training loop: stopping rules, curves, determinism."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,37 @@ class TestGradientColumns:
         assert [row["clipped"] for row in tiny.curves] == [10, 10, 5]
         assert [row["clipped"] for row in huge.curves] == [0, 0, 0]
         assert all(row["grad_norm"] > 0.0 for row in huge.curves)
+
+
+class TestForwardCacheLifetime:
+    """A step's forward cache is freed before train_layer evaluates."""
+
+    def test_no_cache_is_alive_during_evaluation(self, monkeypatch):
+        original_forward = training.forward_sequence
+        gates: list[weakref.ref] = []
+
+        def recording_forward(*args, **kwargs):
+            result = original_forward(*args, **kwargs)
+            gates.append(weakref.ref(result.cache["gates"]))
+            return result
+
+        monkeypatch.setattr(training, "forward_sequence", recording_forward)
+
+        original_evaluate = training.evaluate_layer
+        alive_at_evaluation = []
+
+        def checking_evaluate(*args, **kwargs):
+            alive_at_evaluation.append(sum(ref() is not None for ref in gates))
+            return original_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate_layer", checking_evaluate)
+        sequences = note_dataset(n_pieces=6)
+        train_layer(
+            layer_specs("1L")["note"], sequences[:5], sequences[5:],
+            tiny_config(max_iterations=25, patience=5),
+        )
+        assert len(gates) == 25
+        assert alive_at_evaluation == [0, 0, 0]
 
 
 class TestLayerConfig:
