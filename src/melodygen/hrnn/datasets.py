@@ -82,8 +82,7 @@ def piece_level_sequences(
             bar_indices=bar_idx if spec.bar_condition else None,
             beat_indices=beat_idx if spec.beat_condition else None,
             chroma_by_beat=chroma if spec.chroma else None,
-            dtype=np.uint8,
-        )
+        ).astype(np.uint8)
         out[level] = TrainingSequence(inputs, np.asarray(events), piece_id)
     return out
 

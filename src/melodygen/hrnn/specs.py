@@ -245,17 +245,15 @@ def layer_features(
     start: int,
     stop: int,
     conditions: np.ndarray | None = None,
-    dtype: np.dtype | type = np.float64,
 ) -> np.ndarray:
     """Input rows (W, stop - start, input_dim) at positions [start, stop).
 
     ``histories`` (W, length) holds W symbol sequences of the level; row w at
     position p reads only ``histories[w, :p]``. ``conditions`` is the
-    :func:`condition_block` of the sequence, shared by all W rows. Every
-    entry is 0 or 1 when the conditions are, so ``dtype`` may be uint8.
+    :func:`condition_block` of the sequence, shared by all W rows.
     """
     rows = len(histories)
-    out = np.zeros((rows, stop - start, spec.input_dim), dtype=dtype)
+    out = np.zeros((rows, stop - start, spec.input_dim))
     which = np.arange(rows)[:, None]
 
     def one_hot_back(column: int, distance: int) -> None:
@@ -292,14 +290,12 @@ def build_layer_inputs(
     bar_indices: np.ndarray | None = None,
     beat_indices: np.ndarray | None = None,
     chroma_by_beat: np.ndarray | None = None,
-    dtype: np.dtype | type = np.float64,
 ) -> np.ndarray:
     """Assemble the full (T, input_dim) input matrix for one sequence.
 
     ``events`` is the layer's own symbol sequence (its prediction targets).
     Profile indices are given per bar / per beat and chroma per beat, as
-    :func:`condition_block` takes them; ``dtype`` is as for
-    :func:`layer_features`.
+    :func:`condition_block` takes them.
     """
     events = np.asarray(events, dtype=np.int64)
     if events.size and (events.min() < 0 or events.max() >= spec.alphabet_size):
@@ -311,4 +307,4 @@ def build_layer_inputs(
         beat_profiles=beat_indices,
         chroma_by_beat=chroma_by_beat,
     )
-    return layer_features(spec, events[None], 0, len(events), conditions, dtype)[0]
+    return layer_features(spec, events[None], 0, len(events), conditions)[0]

@@ -103,10 +103,23 @@ def train_layer(
 
     for iteration in range(1, config.max_iterations + 1):
         picks = rng.integers(0, len(train_sequences), size=config.batch_size)
-        loss, grads = _step_grads(params, [train_sequences[j] for j in picks], config, rng)
+        batch = [train_sequences[j] for j in picks]
+        inputs, targets, mask = pad_batch(batch)
+        result = forward_sequence(
+            params,
+            inputs,
+            targets,
+            mask=mask,
+            dropout=config.dropout,
+            rng=rng,
+        )
+        grads = backward(params, result.cache)
+        recent_losses.append(result.loss)
+        # Free the forward cache and the padded batch now, so that neither
+        # the next step's forward nor an evaluation runs beside them.
+        del result, inputs, targets, mask
         recent_norms.append(clip_global_norm(grads, CLIP_NORM))
         adam_update(params, grads, adam)
-        recent_losses.append(loss)
 
         # The last iteration is evaluated even off the grid, so that the
         # returned weights are never ones no evaluation has scored.
@@ -156,21 +169,6 @@ def train_layer(
         stop_reason=stop_reason,
         final_train_loss=final_train_loss,
     )
-
-
-def _step_grads(
-    params: GeneratorParams,
-    batch: list[TrainingSequence],
-    config: TrainConfig,
-    rng: np.random.Generator,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """One step's loss and gradients. The padded batch and the forward cache
-    are freed on return, before the step's evaluation can run."""
-    inputs, targets, mask = pad_batch(batch)
-    result = forward_sequence(
-        params, inputs, targets, mask=mask, dropout=config.dropout, rng=rng
-    )
-    return result.loss, backward(params, result.cache)
 
 
 def layer_config(base: TrainConfig, level: str) -> TrainConfig:
