@@ -6,8 +6,9 @@ the conditions coming down the hierarchy (taken from the data during
 training), and the lookback block.
 
 Every input entry is 0 or 1, so the sequences store their inputs as uint8:
-an eighth of the float64 bytes. :func:`pad_batch` copies them into float64
-batches, the dtype the LSTM's matrix products take.
+an eighth of the float64 bytes. :func:`pad_batch` keeps that dtype in the
+padded batches; the LSTM casts one row block at a time to float64 for its
+matrix products.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from ..encode import MelodyGrid
 from ..leadsheet import ChordSymbol
+from ..neural import take_buffer
 from ..profiles import ProfileCodebook, profile_sequences
 from .specs import (
     BEATS_PER_BAR,
@@ -124,22 +126,30 @@ def build_datasets(
 
 def pad_batch(
     sequences: list[TrainingSequence],
+    *,
+    workspace: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack variable-length sequences into float64 (T, B, D) with a validity mask.
+    """Stack variable-length sequences into (T, B, D) inputs with a validity mask.
 
-    Padding is trailing: padded steps carry zero inputs, target 0, mask 0.
+    The inputs keep the sequences' dtype. Padding is trailing: padded steps
+    carry zero inputs, target 0, mask 0. With a ``workspace`` the arrays are
+    views of its buffers (see :func:`melodygen.neural.take_buffer`).
     """
     if not sequences:
         raise ValueError("cannot pad an empty batch")
     longest = max(len(s.targets) for s in sequences)
     batch = len(sequences)
     dim = sequences[0].inputs.shape[1]
-    inputs = np.zeros((longest, batch, dim))
-    targets = np.zeros((longest, batch), dtype=np.int64)
-    mask = np.zeros((longest, batch))
+    dtype = np.result_type(*(s.inputs.dtype for s in sequences))
+    inputs = take_buffer(workspace, "inputs", (longest, batch, dim), dtype, steps=longest)
+    targets = take_buffer(workspace, "targets", (longest, batch), np.int64, steps=longest)
+    mask = take_buffer(workspace, "mask", (longest, batch), steps=longest)
     for j, seq in enumerate(sequences):
         n = len(seq.targets)
         inputs[:n, j] = seq.inputs
+        inputs[n:, j] = 0
         targets[:n, j] = seq.targets
+        targets[n:, j] = 0
         mask[:n, j] = 1.0
+        mask[n:, j] = 0.0
     return inputs, targets, mask

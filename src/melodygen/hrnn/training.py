@@ -75,6 +75,10 @@ def train_layer(
     validation-loss increases. The final iteration is evaluated as well. Without validation data the loop runs to
     ``max_iterations`` (or until ``stop_at_accuracy`` is reached on the
     training set, for deliberate overfitting runs).
+
+    The steps between two evaluations share one workspace (see
+    :func:`melodygen.neural.take_buffer`), sized for the longest training
+    sequence, so that only the first of them allocates its buffers.
     """
     if not train_sequences:
         raise ValueError("no training sequences")
@@ -100,11 +104,17 @@ def train_layer(
     recent_norms: list[float] = []
     stop_reason = "max-iterations"
     iteration = 0
+    longest = max(len(s.targets) for s in train_sequences)
+    # The steps' buffers, reused from step to step and dropped before each
+    # evaluation, so that evaluating never runs beside them.
+    workspace = None
 
     for iteration in range(1, config.max_iterations + 1):
+        if workspace is None:
+            workspace = {"max_steps": longest}
         picks = rng.integers(0, len(train_sequences), size=config.batch_size)
         batch = [train_sequences[j] for j in picks]
-        inputs, targets, mask = pad_batch(batch)
+        inputs, targets, mask = pad_batch(batch, workspace=workspace)
         result = forward_sequence(
             params,
             inputs,
@@ -112,11 +122,11 @@ def train_layer(
             mask=mask,
             dropout=config.dropout,
             rng=rng,
+            workspace=workspace,
         )
         grads = backward(params, result.cache)
         recent_losses.append(result.loss)
-        # Free the forward cache and the padded batch now, so that neither
-        # the next step's forward nor an evaluation runs beside them.
+        # Views of the workspace: dropping them lets the release free it.
         del result, inputs, targets, mask
         recent_norms.append(clip_global_norm(grads, CLIP_NORM))
         adam_update(params, grads, adam)
@@ -133,6 +143,7 @@ def train_layer(
             }
             recent_losses = []
             recent_norms = []
+            workspace = None
             eval_on = val_sequences if val_sequences else train_sequences
             metrics = evaluate_layer(params, eval_on, no_event_index=no_event)
             prefix = "val" if val_sequences else "train_set"

@@ -21,13 +21,27 @@ recurrent path m_prev is never dropped. A fresh mask is drawn per step.
 
 Batched sequences are time-major: inputs (T, B, D), integer targets (T, B),
 optional validity mask (T, B) for padded batches. The loss is the mean
-negative log-likelihood over valid steps.
+negative log-likelihood over valid steps. Inputs are 0/1 and may have any
+numeric dtype (training batches are uint8): each row block of the first
+layer's input is cast to float64 just before its GEMM.
 
 The sequence pass runs layer by layer over a layer-major (L, T, B, .) cache.
 Only ``m_prev @ w_m`` (forward) and ``da @ w_m.T`` (backward) stay in the time
 loop; the input and output projections and the weight gradients are GEMMs
-over all T*B rows, in blocks of ``GEMM_ROWS``. Gate gradients overwrite the
-cached gates, so :func:`backward` consumes its cache.
+over all T*B rows, in blocks of ``GEMM_ROWS``. The log-softmax runs in place:
+the logits buffer holds the shifted logits and then log p, the probs buffer
+their exp and then p. Gate gradients overwrite the cached gates, so
+:func:`backward` consumes its cache; the gradient reaching a layer from above
+is computed one row block at a time, as the reverse time loop reaches it.
+
+A ``workspace`` dict lets consecutive passes reuse their buffers: the padded
+batch, dropout masks, gates, cells, outputs, logits (which backward reuses
+for the logit gradients), probs and one row block of scratch (which backward
+also uses for the up-going gradient). Arrays taken from a workspace are
+views, valid until the next pass through it; a training loop drops its
+workspace before it evaluates, which releases them all. Adam updates its
+moments in place and works in blocks of rows, so that its temporaries stay
+small beside a workspace that is still held.
 
 Checkpoints hold the parameters and the layer count; optimizer state is not
 saved.
@@ -35,6 +49,7 @@ saved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,6 +63,8 @@ FORGET_BIAS = 1.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+# Elements per block of the Adam update.
+ADAM_BLOCK = 1 << 16
 
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -236,6 +253,36 @@ class ForwardResult:
     cache: dict | None = None
 
 
+def take_buffer(
+    workspace: dict | None,
+    name: str,
+    shape: tuple[int, ...],
+    dtype=np.float64,
+    *,
+    steps: int | None = None,
+) -> np.ndarray:
+    """An uninitialized C-contiguous array, a view of ``workspace[name]``.
+
+    The stored buffer is replaced when it is too small or of another dtype.
+    A ``shape`` that spans ``steps`` time steps gets room for the
+    workspace's ``"max_steps"``, so that later, longer batches fit. The
+    workspace counts its ``"takes"``, by which :func:`backward` tells that
+    a cache's buffers were handed out again. Without a workspace, a new
+    array.
+    """
+    size = math.prod(shape)
+    if workspace is None:
+        return np.empty(shape, dtype)
+    workspace["takes"] = workspace.get("takes", 0) + 1
+    store = workspace.get(name)
+    if store is None or store.dtype != dtype or store.size < size:
+        room = size
+        if steps:
+            room = size // steps * max(steps, workspace.get("max_steps", 0))
+        store = workspace[name] = np.empty(room, dtype)
+    return store[:size].reshape(shape)
+
+
 def make_dropout_masks(
     rng: np.random.Generator,
     dropout: float,
@@ -243,10 +290,22 @@ def make_dropout_masks(
     n_layers: int,
     batch: int,
     hidden: int,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Inverted-dropout masks of shape (T, L, B, H), values in {0, 1/keep}."""
+    """Inverted-dropout masks of shape (T, L, B, H), values in {0, 1/keep}.
+
+    Drawn into ``out`` (a new array by default) one row block of steps at a
+    time; the generator yields the same values as one (T, L, B, H) draw.
+    """
     keep = 1.0 - dropout
-    return (rng.random((steps, n_layers, batch, hidden)) < keep) / keep
+    if out is None:
+        out = np.empty((steps, n_layers, batch, hidden))
+    for s in _row_blocks(steps, batch):
+        block = out[s]
+        rng.random(out=block)
+        np.divide(block < keep, keep, out=block)
+    return out
 
 
 # Rows per hoisted GEMM. At the CLI note shape (8192 rows), one unblocked GEMM
@@ -256,23 +315,43 @@ GEMM_ROWS = 1024
 
 def _row_blocks(steps: int, batch: int) -> list[slice]:
     per = max(1, GEMM_ROWS // batch)
-    return [slice(t, t + per) for t in range(0, steps, per)]
+    return [slice(t, min(t + per, steps)) for t in range(0, steps, per)]
 
 
-def _project(x, scale, w, out, b=None) -> None:
+def _block_scratch(space: dict, steps: int, batch: int, width: int) -> np.ndarray:
+    """Flat room for one row block of ``width`` float64 columns."""
+    return take_buffer(space, "rows", (_row_blocks(steps, batch)[0].stop * batch * width,))
+
+
+def _rows(x, scale, s, scratch) -> np.ndarray:
+    """Row block ``s`` of x as float64, times the dropout scale if given.
+
+    A block that is not already a float64 view is written to ``scratch``.
+    """
+    block = x[s]
+    if scale is None and block.dtype == np.float64:
+        return block
+    rows = scratch[: block.size].reshape(block.shape)
+    if scale is None:
+        np.copyto(rows, block)
+    else:
+        np.multiply(block, scale[s], out=rows)
+    return rows
+
+
+def _project(x, scale, w, out, scratch, b=None) -> None:
     """out = (x * scale) @ w + b over (T, B, .) arrays; scale and b may be None."""
     for s in _row_blocks(*x.shape[:2]):
-        rows = x[s] if scale is None else x[s] * scale[s]
         block = out[s].reshape(-1, w.shape[1])
-        np.matmul(rows.reshape(-1, w.shape[0]), w, out=block)
+        np.matmul(_rows(x, scale, s, scratch).reshape(-1, w.shape[0]), w, out=block)
         if b is not None:
             block += b
 
 
-def _weight_grad(x, scale, d, out) -> None:
+def _weight_grad(x, scale, d, out, scratch) -> None:
     """out += (x * scale)^T @ d, summed over all T*B rows; scale may be None."""
     for s in _row_blocks(*x.shape[:2]):
-        rows = x[s] if scale is None else x[s] * scale[s]
+        rows = _rows(x, scale, s, scratch)
         out += rows.reshape(-1, out.shape[0]).T @ d[s].reshape(-1, out.shape[1])
 
 
@@ -292,12 +371,15 @@ def forward_sequence(
     rng: np.random.Generator | None = None,
     dropout_masks: np.ndarray | None = None,
     collect_cache: bool = True,
+    workspace: dict | None = None,
 ) -> ForwardResult:
     """Teacher-forced forward pass over a (T, B, D) batch.
 
     Returns the mean negative log-likelihood over valid steps and per-step
     probabilities. With ``collect_cache`` the result carries everything
-    :func:`backward` needs, once.
+    :func:`backward` needs, once. With a ``workspace`` the pass takes its
+    buffers from it (see :func:`take_buffer`), so the probabilities and the
+    cache last until the next pass through the same workspace.
     """
     if inputs.ndim == 2:
         inputs = inputs[:, None, :]
@@ -321,43 +403,56 @@ def forward_sequence(
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout {dropout} outside [0, 1)")
     n_layers, hidden = params.n_layers, params.hidden_size
+    space = {} if workspace is None else workspace
     if dropout > 0.0 and dropout_masks is None:
         if rng is None:
             raise ValueError("dropout requires an rng (or explicit masks)")
-        dropout_masks = make_dropout_masks(rng, dropout, steps, n_layers, batch, hidden)
+        shape = (steps, n_layers, batch, hidden)
+        dropout_masks = make_dropout_masks(
+            rng, dropout, *shape, out=take_buffer(space, "dropout_masks", shape, steps=steps)
+        )
 
     # Without a cache all layers share one set of buffers: a layer's input
     # projection reads every output of the layer below before its time loop
     # overwrites them.
     kept = n_layers if collect_cache else 1
-    gates = np.empty((kept, steps, batch, 4 * hidden))
-    cells = np.empty((kept, steps, batch, hidden))
-    outs = np.empty((kept, steps, batch, hidden))
+    gates = take_buffer(space, "gates", (kept, steps, batch, 4 * hidden), steps=steps)
+    cells = take_buffer(space, "cells", (kept, steps, batch, hidden), steps=steps)
+    outs = take_buffer(space, "outs", (kept, steps, batch, hidden), steps=steps)
     layer_outs = [outs[l % kept] for l in range(n_layers)]
     feeds = _feeds(inputs, layer_outs, dropout_masks)
+    scratch = _block_scratch(space, steps, batch, max(inputs.shape[2], hidden))
     zeros = np.zeros((batch, hidden))
     recurrent = np.empty((batch, 4 * hidden))
     for l, layer in enumerate(params.layers):
         a, c, m = gates[l % kept], cells[l % kept], layer_outs[l]
-        _project(*feeds[l], layer.w_x, a, layer.b)
+        _project(*feeds[l], layer.w_x, a, scratch, layer.b)
         for t in range(steps):
             if t:
                 a[t] += np.matmul(m[t - 1], layer.w_m, out=recurrent)
             c_prev = c[t - 1] if t else zeros
             _cell(a[t], c_prev, c[t], m[t])
-    logits = np.empty((steps, batch, params.n_outputs))
-    _project(*feeds[-1], params.w_out, logits, params.b_out)
+    shape = (steps, batch, params.n_outputs)
+    logits = take_buffer(space, "logits", shape, steps=steps)
+    probs = take_buffer(space, "probs", shape, steps=steps)
+    _project(*feeds[-1], params.w_out, logits, scratch, params.b_out)
 
-    logp = log_softmax(logits)
-    probs = np.exp(logp)
-    picked = np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
+    # log_softmax in place: logits become the shifted logits, then log p.
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=probs)
+    logits -= np.log(probs.sum(axis=-1, keepdims=True))
+    np.exp(logits, out=probs)
+    picked = np.take_along_axis(logits, targets[:, :, None], axis=2)[:, :, 0]
     loss = float(-(picked * mask).sum() / n_valid)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss; training diverged")
 
+    # The workspace rides in the cache for backward's buffers; it is not an
+    # array, so the cache's arrays are exactly what backward reads.
     cache = None if not collect_cache else dict(
         inputs=inputs, targets=targets, mask=mask, n_valid=n_valid, gates=gates,
         cells=cells, outs=outs, dropout_masks=dropout_masks, probs=probs, consumed=False,
+        workspace=space, takes=space["takes"],
     )
     return ForwardResult(loss=loss, probs=probs, n_valid=n_valid, cache=cache)
 
@@ -366,41 +461,57 @@ def backward(params: GeneratorParams, cache: dict) -> dict[str, np.ndarray]:
     """Exact gradients of the mean NLL from a cached forward pass.
 
     The gate gradients overwrite the cached gate activations, so a cache
-    serves one call only; a second call raises ``ValueError``.
+    serves one call only; a second call raises ``ValueError``, as does a
+    call after the cache's workspace has handed its buffers out again.
     """
     if cache["consumed"]:
         raise ValueError("forward cache already consumed: backward overwrote its gates "
                          "with their gradients; run forward_sequence again")
+    space = cache["workspace"]
+    if space["takes"] != cache["takes"]:
+        raise ValueError("forward cache outdated: its workspace was used again after "
+                         "forward_sequence; run backward before the next pass")
     cache["consumed"] = True
     inputs, gates, cells, outs = (cache[k] for k in ("inputs", "gates", "cells", "outs"))
     feeds = _feeds(inputs, outs, cache["dropout_masks"])
-    steps, batch, _ = inputs.shape
+    steps, batch, dim = inputs.shape
     hidden = params.hidden_size
+    scratch = _block_scratch(space, steps, batch, max(dim, hidden))
 
-    dlogits = cache["probs"].copy()
+    # The logits buffer is free once forward has read the loss off it.
+    dlogits = take_buffer(space, "logits", cache["probs"].shape, steps=steps)
+    np.copyto(dlogits, cache["probs"])
     dlogits[np.arange(steps)[:, None], np.arange(batch), cache["targets"]] -= 1.0
     dlogits *= (cache["mask"] / cache["n_valid"])[:, :, None]
 
     grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
-    _weight_grad(*feeds[-1], dlogits, grads["w_out"])
+    _weight_grad(*feeds[-1], dlogits, grads["w_out"], scratch)
     grads["b_out"] = dlogits.sum(axis=(0, 1))
 
-    # Gradient flowing into each layer's output via the up-going connection.
-    dm_up = np.empty((steps, batch, hidden))
+    # Gradient flowing into each layer's output via the up-going connection,
+    # one row block at a time. It shares the scratch block, which the weight
+    # gradients use only outside the time loops.
+    blocks = _row_blocks(steps, batch)
+    dm_block = scratch[: blocks[0].stop * batch * hidden].reshape(blocks[0].stop, batch, hidden)
     up_w, up_d = params.w_out, dlogits
     zeros = np.zeros((batch, hidden))
     for l in range(params.n_layers - 1, -1, -1):
-        _project(up_d, None, up_w.T, dm_up)
-        if feeds[l + 1][1] is not None:
-            dm_up *= feeds[l + 1][1]
+        up_mask = feeds[l + 1][1]
         layer = params.layers[l]
         dm_rec, dc_rec = np.zeros((batch, hidden)), zeros
         for t in range(steps - 1, -1, -1):
+            block = blocks[t // blocks[0].stop]
+            if t == block.stop - 1:
+                dm_up = dm_block[: block.stop - block.start]
+                np.matmul(up_d[block].reshape(-1, up_w.shape[1]), up_w.T,
+                          out=dm_up.reshape(-1, hidden))
+                if up_mask is not None:
+                    dm_up *= up_mask[block]
             a = gates[l, t]
             i, f, o, g = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
             c_prev = cells[l, t - 1] if t else zeros
             h_c = np.tanh(cells[l, t])
-            dm_total = dm_up[t]
+            dm_total = dm_up[t - block.start]
             dm_total += dm_rec
             dc = dm_total * o * (1.0 - h_c * h_c)
             dc += dc_rec
@@ -415,8 +526,8 @@ def backward(params: GeneratorParams, cache: dict) -> dict[str, np.ndarray]:
         da = up_d = gates[l]
         up_w = layer.w_x
         grads[f"lstm{l}.b"] = da.sum(axis=(0, 1))
-        _weight_grad(*feeds[l], da, grads[f"lstm{l}.w_x"])
-        _weight_grad(outs[l, :-1], None, da[1:], grads[f"lstm{l}.w_m"])
+        _weight_grad(*feeds[l], da, grads[f"lstm{l}.w_x"], scratch)
+        _weight_grad(outs[l, :-1], None, da[1:], grads[f"lstm{l}.w_m"], scratch)
     return grads
 
 
@@ -477,12 +588,17 @@ def adam_update(
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
     for name, arr in params.named_arrays():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / bias1
-        v_hat = state.v[name] / bias2
-        arr -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        # Blocks of rows keep the temporaries small beside a step's buffers.
+        per = max(1, ADAM_BLOCK // (arr[0].size if arr.ndim > 1 else 1))
+        for s in (slice(i, i + per) for i in range(0, len(arr), per)):
+            g, m, v = grads[name][s], state.m[name][s], state.v[name][s]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            m_hat = m / bias1
+            v_hat = v / bias2
+            arr[s] -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return params
 
 

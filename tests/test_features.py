@@ -515,7 +515,7 @@ def oracle_condition(spec, position, bar_idx, beat_idx, chroma):
 
 
 class TestStoredInputs:
-    """Datasets hold every input as a uint8 0/1 and pad into float64 batches."""
+    """Datasets hold every input as a uint8 0/1 and pad into uint8 batches."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -561,6 +561,9 @@ class TestStoredInputs:
             from_floats = pad_batch(
                 [TrainingSequence(row, s.targets) for row, s in zip(rows, sequences)]
             )
-            assert padded[0].dtype == np.float64
+            # The batch keeps the stored uint8; targets and mask keep their dtypes.
+            assert padded[0].dtype == np.uint8 and from_floats[0].dtype == np.float64
             for got, want in zip(padded, from_floats):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert np.array_equal(got, want)
+            for got, want in zip(padded[1:], from_floats[1:]):
+                assert got.dtype == want.dtype

@@ -2,12 +2,15 @@
 against finite differences, Adam, clipping, and checkpoints."""
 
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from melodygen import neural
 from melodygen.container import load_arrays, save_arrays
+from melodygen.hrnn.datasets import TrainingSequence, pad_batch
 from melodygen.neural import (
     GeneratorParams,
     LstmLayerParams,
@@ -28,6 +31,7 @@ from melodygen.neural import (
     sigmoid,
     softmax,
     log_softmax,
+    take_buffer,
 )
 from support.lstm_oracle import reference_backward, reference_forward
 
@@ -305,6 +309,134 @@ class TestOracleProperties:
             assert np.allclose(softmax(logits), result.probs[t], rtol=0, atol=1e-12)
 
 
+def one_shot_masks(rng, dropout, shape):
+    """Dropout masks from a single (T, L, B, H) draw."""
+    keep = 1.0 - dropout
+    return (rng.random(shape) < keep) / keep
+
+
+class TestWorkspaceReuse:
+    """Steps through one workspace give the bits of fresh float64 passes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(
+            st.tuples(
+                st.integers(1, 10),  # longest sequence
+                st.integers(1, 5),  # batch
+                st.sampled_from([1, 2, 3]),  # LSTM layers
+                st.booleans(),  # dropout
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        gemm_rows=st.sampled_from([3, 8, 1024]),
+        max_steps=st.sampled_from([None, 10]),
+    )
+    def test_reused_buffers_give_fresh_results(self, seed, steps, gemm_rows, max_steps):
+        rng = np.random.default_rng(seed)
+        din, hidden, nout = 5, 3, 6
+        models = {l: tiny_params(din, hidden, nout, layers=l, seed=l) for l in (1, 2, 3)}
+        workspace = {} if max_steps is None else {"max_steps": max_steps}
+        # Small row blocks split the up-going gradient into many blocks.
+        with mock.patch.object(neural, "GEMM_ROWS", gemm_rows):
+            for longest, batch, layers, dropped in steps:
+                params = models[layers]
+                lengths = rng.integers(1, longest + 1, size=batch)
+                lengths[rng.integers(batch)] = longest
+                stored = [
+                    TrainingSequence(
+                        (rng.random((n, din)) < 0.3).astype(np.uint8),
+                        rng.integers(0, nout, size=n),
+                    )
+                    for n in lengths
+                ]
+                inputs, targets, mask = pad_batch(stored, workspace=workspace)
+                floats = pad_batch(
+                    [TrainingSequence(s.inputs.astype(np.float64), s.targets) for s in stored]
+                )
+                assert inputs.dtype == np.uint8 and floats[0].dtype == np.float64
+                for got, want in zip((inputs, targets, mask), floats):
+                    assert np.array_equal(got, want)
+                dropout = 0.5 if dropped else 0.0
+                draw = int(rng.integers(2**32))
+                reused = forward_sequence(
+                    params, inputs, targets, mask=mask, dropout=dropout,
+                    rng=np.random.default_rng(draw), workspace=workspace,
+                )
+                fresh = forward_sequence(
+                    params, floats[0], floats[1], mask=floats[2], dropout=dropout,
+                    rng=np.random.default_rng(draw),
+                )
+                assert reused.loss == fresh.loss
+                assert np.array_equal(reused.probs, fresh.probs)
+                masks = reused.cache["dropout_masks"]
+                if dropped:
+                    shape = (longest, layers, batch, hidden)
+                    one_shot = one_shot_masks(np.random.default_rng(draw), dropout, shape)
+                    assert np.array_equal(masks, one_shot)
+                    assert np.array_equal(
+                        make_dropout_masks(np.random.default_rng(draw), dropout, *shape), one_shot
+                    )
+                got = backward(params, reused.cache)
+                want = backward(params, fresh.cache)
+                assert got.keys() == want.keys()
+                for name in want:
+                    assert np.array_equal(got[name], want[name]), name
+                # Against the oracle too, for the blocked backward. Each gradient
+                # sums terms of at most unit size (probability differences over
+                # valid steps times unit-scale activations and weights), so its
+                # rounding error is absolute at scale 1 when the sum cancels.
+                ref_grads = reference_backward(params, floats[0], floats[1], floats[2], masks)
+                for name, ref in ref_grads.items():
+                    scale = max(np.abs(ref).max(), 1.0)
+                    assert np.abs(want[name] - ref).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("dropped", [False, True])
+    def test_in_place_log_softmax_gives_the_bits_of_log_softmax(self, dropped):
+        rng = np.random.default_rng(12)
+        params = tiny_params()
+        inputs, targets = random_batch(rng, 6, 3, 6, 7)
+        masks = make_dropout_masks(rng, 0.4, 6, 2, 3, 5) if dropped else None
+        result = forward_sequence(params, inputs, targets, dropout_masks=masks)
+        top = result.cache["outs"][-1] if masks is None else result.cache["outs"][-1] * masks[:, -1]
+        logits = np.matmul(top.reshape(-1, 5), params.w_out).reshape(6, 3, 7)
+        logits += params.b_out
+        logp = log_softmax(logits)
+        assert np.array_equal(result.probs, np.exp(logp))
+        picked = np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
+        assert result.loss == float(-(picked * np.ones((6, 3))).sum() / 18)
+
+    def test_backward_after_the_workspace_is_used_again_is_rejected(self):
+        rng = np.random.default_rng(11)
+        params = tiny_params()
+        inputs, targets = random_batch(rng, 4, 2, 6, 7)
+        workspace = {}
+        first = forward_sequence(params, inputs, targets, workspace=workspace)
+        forward_sequence(params, inputs, targets, workspace=workspace, collect_cache=False)
+        with pytest.raises(ValueError, match="outdated"):
+            backward(params, first.cache)
+        second = forward_sequence(params, inputs, targets, workspace=workspace)
+        pad_batch([TrainingSequence(inputs[:, 0], targets[:, 0])], workspace=workspace)
+        with pytest.raises(ValueError, match="outdated"):
+            backward(params, second.cache)
+        third = forward_sequence(params, inputs, targets, workspace=workspace)
+        backward(params, third.cache)
+
+    def test_buffers_have_room_for_the_longest_batch(self):
+        workspace = {"max_steps": 10}
+        short = take_buffer(workspace, "gates", (2, 4, 3), steps=4)
+        store = workspace["gates"]
+        assert store.size == 2 * 10 * 3 and np.shares_memory(short, store)
+        longest = take_buffer(workspace, "gates", (2, 10, 3), steps=10)
+        assert workspace["gates"] is store and longest.flags.c_contiguous
+        take_buffer(workspace, "gates", (2, 11, 3), steps=11)
+        assert workspace["gates"] is not store and workspace["gates"].size == 2 * 11 * 3
+        as_bytes = take_buffer(workspace, "gates", (2, 4, 3), np.uint8, steps=4)
+        assert as_bytes.dtype == np.uint8 and workspace["gates"].dtype == np.uint8
+
+
 class TestLstmStep:
     def test_batched_and_single_agree(self):
         params = tiny_params()
@@ -459,6 +591,29 @@ class TestAdam:
             grads = {name: arr.copy() for name, arr in params.named_arrays()}
             adam_update(params, grads, adam)
         assert objective() < start * 0.01
+
+    @pytest.mark.parametrize("block", [7, neural.ADAM_BLOCK])
+    def test_blocked_in_place_update_matches_the_textbook_one(self, block):
+        rng = np.random.default_rng(13)
+        params = tiny_params(seed=13)
+        expected = params.copy()
+        adam = init_adam(params, learning_rate=0.02)
+        m = {name: np.zeros_like(arr) for name, arr in expected.named_arrays()}
+        v = {name: np.zeros_like(arr) for name, arr in expected.named_arrays()}
+        for t in range(1, 6):
+            grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
+            with mock.patch.object(neural, "ADAM_BLOCK", block):
+                adam_update(params, grads, adam)
+            for name, arr in expected.named_arrays():
+                g = grads[name]
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * (g * g)
+                m_hat = m[name] / (1.0 - 0.9**t)
+                v_hat = v[name] / (1.0 - 0.999**t)
+                arr -= 0.02 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            for (name, got), (_, want) in zip(params.named_arrays(), expected.named_arrays()):
+                assert np.array_equal(got, want), name
+                assert np.array_equal(adam.m[name], m[name]) and np.array_equal(adam.v[name], v[name])
 
     def test_step_counter_advances(self):
         params = tiny_params()

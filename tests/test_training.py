@@ -1,5 +1,6 @@
 """Per-layer training loop: stopping rules, curves, determinism."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from melodygen.encode import grid_encode
 from melodygen.hrnn import training
-from melodygen.hrnn.datasets import build_datasets
+from melodygen.hrnn.datasets import TrainingSequence, build_datasets
 from melodygen.hrnn.specs import layer_specs
 from melodygen.hrnn.training import (
     LEVEL_SEED_OFFSETS,
@@ -16,7 +17,7 @@ from melodygen.hrnn.training import (
     layer_config,
     train_layer,
 )
-from melodygen.neural import TrainConfig, init_params
+from melodygen.neural import GEMM_ROWS, TrainConfig, init_params
 from melodygen.synthetic import synthetic_corpus
 
 
@@ -262,6 +263,56 @@ class TestForwardCacheLifetime:
         )
         assert len(gates) == 25
         assert alive_at_evaluation == [0, 0, 0]
+
+
+class TestStepAllocations:
+    """Steps after the first, up to the next evaluation, reuse the first one's buffers."""
+
+    def test_later_steps_allocate_at_most_a_row_block(self, monkeypatch):
+        spec = layer_specs("1L")["note"]
+        rng = np.random.default_rng(0)
+
+        def piece(n):
+            inputs = (rng.random((n, spec.input_dim)) < 0.1).astype(np.uint8)
+            return TrainingSequence(inputs, rng.integers(0, spec.alphabet_size, size=n))
+
+        # Mostly short pieces: the first batch is shorter than a later one.
+        sequences = [piece(32) for _ in range(60)] + [piece(128)]
+        config = tiny_config(batch_size=32, n_lstm_layers=2, dropout=0.5,
+                             max_iterations=15, eval_every=5)
+        steps, growth = [], []
+        original_pad, original_adam = training.pad_batch, training.adam_update
+
+        def pad_batch(*args, **kwargs):
+            growth.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            padded = original_pad(*args, **kwargs)
+            steps.append(len(padded[0]))
+            return padded
+
+        def adam_update(*args, **kwargs):
+            updated = original_adam(*args, **kwargs)
+            growth[-1] = tracemalloc.get_traced_memory()[1] - growth[-1]
+            return updated
+
+        monkeypatch.setattr(training, "pad_batch", pad_batch)
+        monkeypatch.setattr(training, "adam_update", adam_update)
+        tracemalloc.start()
+        try:
+            train_layer(spec, sequences, sequences[:4], config)
+        finally:
+            tracemalloc.stop()
+
+        # One row block of the widest step array. At this shape the step's
+        # gradients and Adam's temporaries fit in it; a full-sequence
+        # (T, B, H) array on top of them would not.
+        row_block = GEMM_ROWS * max(spec.input_dim, 4 * config.hidden_size,
+                                    spec.alphabet_size) * 8
+        first = [0, 5, 10]  # each first step after an evaluation allocates anew
+        assert steps[0] < max(steps[1:5]) == 128
+        assert all(growth[i] > 4 * row_block for i in first)
+        later = [g for i, g in enumerate(growth) if i not in first]
+        assert max(later) <= row_block, later
 
 
 class TestLayerConfig:
