@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -167,11 +166,6 @@ def quantize_ratio(numerator: int, denominator: int) -> int:
     integer, exact halves earlier."""
     floor, rem = divmod(numerator, denominator)
     return floor + (2 * rem > denominator)
-
-
-def quantize_steps(value: Fraction | int) -> int:
-    """Round a step position to the nearest integer, exact halves earlier."""
-    return quantize_ratio(value.numerator, value.denominator)
 
 
 GridNote = tuple[int, int, int]  # (midi_pitch, onset_step, duration_steps)

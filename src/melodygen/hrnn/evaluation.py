@@ -9,6 +9,9 @@ from ..neural import GeneratorParams, forward_sequence
 from ..profiles import ProfileCodebook, assign_many, binarize, cut_clips
 from .datasets import TrainingSequence, pad_batch
 
+# Sequences per forward pass of an evaluation.
+EVAL_BATCH = 64
+
 
 def classification_metrics(
     predictions: np.ndarray,
@@ -45,17 +48,20 @@ def evaluate_layer(
     sequences: list[TrainingSequence],
     *,
     no_event_index: int | None = None,
-    batch_size: int = 64,
 ) -> dict[str, float]:
-    """Loss and accuracies of one layer over a sequence list (no dropout)."""
+    """Loss and accuracies of one layer over a sequence list (no dropout).
+
+    It runs in chunks of ``EVAL_BATCH`` sequences; the loss is weighted by
+    steps, not by sequences or chunks.
+    """
     if not sequences:
         raise ValueError("nothing to evaluate")
     total_nll = 0.0
     total_steps = 0
     predictions: list[np.ndarray] = []
     targets: list[np.ndarray] = []
-    for start in range(0, len(sequences), batch_size):
-        chunk = sequences[start : start + batch_size]
+    for start in range(0, len(sequences), EVAL_BATCH):
+        chunk = sequences[start : start + EVAL_BATCH]
         inputs, batch_targets, mask = pad_batch(chunk)
         result = forward_sequence(
             params, inputs, batch_targets, mask=mask, collect_cache=False

@@ -17,13 +17,15 @@ sequence loop.
 
 Dropout (inverted, scale 1/keep) is applied to up-going connections only:
 each layer's output as it feeds the next layer and the projection. The
-recurrent path m_prev is never dropped. A fresh mask is drawn per step.
+recurrent path m_prev is never dropped. A fresh mask is drawn per step from
+the rng that the sequence pass is given; :func:`lstm_step` (decoding) never
+drops.
 
-Batched sequences are time-major: inputs (T, B, D), integer targets (T, B),
-optional validity mask (T, B) for padded batches. The loss is the mean
-negative log-likelihood over valid steps. Inputs are 0/1 and may have any
-numeric dtype (training batches are uint8): each row block of the first
-layer's input is cast to float64 just before its GEMM.
+Sequences are time-major batches: inputs (T, B, D), integer targets (T, B),
+optional validity mask (T, B) for padded batches; one sequence is a batch of
+one. The loss is the mean negative log-likelihood over valid steps. Inputs
+are 0/1 and may have any numeric dtype (training batches are uint8): each row
+block of the first layer's input is cast to float64 just before its GEMM.
 
 The sequence pass runs layer by layer over a layer-major (L, T, B, .) cache.
 Only ``m_prev @ w_m`` (forward) and ``da @ w_m.T`` (backward) stay in the time
@@ -81,16 +83,10 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax; strictly positive rows summing to one."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Stable log-softmax over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 @dataclass
@@ -167,26 +163,26 @@ def init_params(
     *,
     n_layers: int = 2,
     seed: int = 0,
-    init_scale: float = DEFAULT_INIT_SCALE,
 ) -> GeneratorParams:
     """Seeded initialization: uniform weights, zero biases but forget biases of
     ``FORGET_BIAS``.
 
-    Weights draw from uniform(-init_scale, init_scale) in a fixed order, so
-    the same seed always produces the same parameters.
+    Weights draw from uniform(-DEFAULT_INIT_SCALE, DEFAULT_INIT_SCALE) in a
+    fixed order, so the same seed always produces the same parameters.
     """
     if min(input_dim, hidden_size, n_outputs, n_layers) < 1:
         raise ValueError("model dimensions must be positive")
     rng = np.random.default_rng(seed)
+    scale = DEFAULT_INIT_SCALE
     layers = []
     for index in range(n_layers):
         d = input_dim if index == 0 else hidden_size
-        w_x = rng.uniform(-init_scale, init_scale, size=(d, 4 * hidden_size))
-        w_m = rng.uniform(-init_scale, init_scale, size=(hidden_size, 4 * hidden_size))
+        w_x = rng.uniform(-scale, scale, size=(d, 4 * hidden_size))
+        w_m = rng.uniform(-scale, scale, size=(hidden_size, 4 * hidden_size))
         b = np.zeros(4 * hidden_size)
         b[hidden_size : 2 * hidden_size] = FORGET_BIAS
         layers.append(LstmLayerParams(w_x, w_m, b))
-    w_out = rng.uniform(-init_scale, init_scale, size=(hidden_size, n_outputs))
+    w_out = rng.uniform(-scale, scale, size=(hidden_size, n_outputs))
     b_out = np.zeros(n_outputs)
     return GeneratorParams(layers, w_out, b_out)
 
@@ -221,8 +217,6 @@ def lstm_step(
     params: GeneratorParams,
     x: np.ndarray,
     state: LstmState | None = None,
-    *,
-    dropout_masks: np.ndarray | None = None,
 ) -> tuple[LstmState, np.ndarray]:
     """Advance one step. x is (B, D) or (D,); returns (new state, logits)."""
     squeeze = x.ndim == 1
@@ -238,7 +232,7 @@ def lstm_step(
         a = below @ layer.w_x + layer.b
         a += state.m[index] @ layer.w_m
         _cell(a, state.c[index], new_c[index], new_m[index])
-        below = new_m[index] if dropout_masks is None else new_m[index] * dropout_masks[index]
+        below = new_m[index]
     logits = below @ params.w_out + params.b_out
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits; model state diverged")
@@ -369,23 +363,19 @@ def forward_sequence(
     mask: np.ndarray | None = None,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    dropout_masks: np.ndarray | None = None,
     collect_cache: bool = True,
     workspace: dict | None = None,
 ) -> ForwardResult:
     """Teacher-forced forward pass over a (T, B, D) batch.
 
     Returns the mean negative log-likelihood over valid steps and per-step
-    probabilities. With ``collect_cache`` the result carries everything
-    :func:`backward` needs, once. With a ``workspace`` the pass takes its
-    buffers from it (see :func:`take_buffer`), so the probabilities and the
-    cache last until the next pass through the same workspace.
+    probabilities. With ``dropout`` above 0, the (T, L, B, H) masks are drawn
+    from ``rng`` by :func:`make_dropout_masks`. With ``collect_cache`` the
+    result carries everything :func:`backward` needs, once. With a
+    ``workspace`` the pass takes its buffers from it (see :func:`take_buffer`),
+    so the probabilities and the cache last until the next pass through the
+    same workspace.
     """
-    if inputs.ndim == 2:
-        inputs = inputs[:, None, :]
-        targets = np.asarray(targets)[:, None]
-        if mask is not None:
-            mask = np.asarray(mask)[:, None]
     if inputs.ndim != 3:
         raise ValueError("inputs must be (T, B, D)")
     steps, batch, _ = inputs.shape
@@ -404,9 +394,10 @@ def forward_sequence(
         raise ValueError(f"dropout {dropout} outside [0, 1)")
     n_layers, hidden = params.n_layers, params.hidden_size
     space = {} if workspace is None else workspace
-    if dropout > 0.0 and dropout_masks is None:
+    dropout_masks = None
+    if dropout > 0.0:
         if rng is None:
-            raise ValueError("dropout requires an rng (or explicit masks)")
+            raise ValueError("dropout requires an rng")
         shape = (steps, n_layers, batch, hidden)
         dropout_masks = make_dropout_masks(
             rng, dropout, *shape, out=take_buffer(space, "dropout_masks", shape, steps=steps)
@@ -537,12 +528,9 @@ def loss_and_grads(
     targets: np.ndarray,
     *,
     mask: np.ndarray | None = None,
-    dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    result = forward_sequence(
-        params, inputs, targets, mask=mask, dropout=dropout, rng=rng
-    )
+    """Loss, gradients and probabilities of one forward and backward pass."""
+    result = forward_sequence(params, inputs, targets, mask=mask)
     grads = backward(params, result.cache)
     return result.loss, grads, result.probs
 
@@ -619,7 +607,6 @@ def grad_check(
     *,
     mask: np.ndarray | None = None,
     n_samples: int = 200,
-    delta: float = 1e-5,
     seed: int = 0,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
@@ -634,6 +621,8 @@ def grad_check(
     absolute 1e-10 per unit of tolerance, which any structural bug (wrong
     sign, dropped term, misrouted state) exceeds by many orders.
     """
+    delta = 1e-5
+
     def loss() -> float:
         return forward_sequence(params, inputs, targets, mask=mask, collect_cache=False).loss
 

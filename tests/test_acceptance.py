@@ -27,7 +27,7 @@ from melodygen.hrnn.generation import GenerationPlan, generate
 from melodygen.hrnn.specs import fan_out, layer_specs
 from melodygen.hrnn.training import train_layer
 from melodygen.leadsheet import dumps_leadsheet
-from melodygen.neural import TrainConfig, grad_check, init_params, softmax
+from melodygen.neural import TrainConfig, grad_check, init_params, log_softmax
 from melodygen.profiles import (
     binarize,
     build_codebook,
@@ -314,10 +314,10 @@ class TestStructuralInvariants:
         assert np.array_equal(beam.bar_profiles, greedy.bar_profiles)
         assert np.array_equal(beam.beat_profiles, greedy.beat_profiles)
 
-    def test_softmax_rows_normalize(self):
+    def test_log_softmax_rows_normalize(self):
         rng = np.random.default_rng(8)
         logits = rng.normal(scale=40.0, size=(64, 38))
-        probs = softmax(logits)
+        probs = np.exp(log_softmax(logits))
         assert (probs > 0).all()
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
 

@@ -21,7 +21,7 @@ from melodygen.encode import (
     grid_encode,
     normalize_sheet,
     one_hot_matrix,
-    quantize_steps,
+    quantize_ratio,
     sustain_extend,
     transpose_to_c,
     transposition_shift,
@@ -242,11 +242,11 @@ class TestQuantize:
         ],
     )
     def test_values(self, value, expected):
-        assert quantize_steps(value) == expected
+        assert quantize_ratio(value.numerator, value.denominator) == expected
 
     def test_monotone(self):
         values = [Fraction(n, 12) for n in range(0, 60)]
-        quantized = [quantize_steps(v) for v in values]
+        quantized = [quantize_ratio(v.numerator, v.denominator) for v in values]
         assert quantized == sorted(quantized)
 
     @settings(max_examples=500, deadline=None)
@@ -258,7 +258,7 @@ class TestQuantize:
         )
     )
     def test_matches_the_fraction_formula(self, value):
-        quantized = quantize_steps(value)
+        quantized = quantize_ratio(value.numerator, value.denominator)
         assert quantized == reference_quantize(value)
         assert type(quantized) is int
 

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from melodygen.encode import NO_EVENT, MelodyGrid, grid_encode
-from melodygen.hrnn.datasets import TrainingSequence, build_datasets
+from melodygen.hrnn.datasets import TrainingSequence, build_datasets, pad_batch
 from melodygen.hrnn.evaluation import (
+    EVAL_BATCH,
     classification_metrics,
     evaluate_layer,
     profile_adherence,
     rhythm_match_fraction,
 )
-from melodygen.neural import init_params
+from melodygen.neural import forward_sequence, init_params
 from melodygen.profiles import binarize, build_codebook, cut_clips
 from melodygen.synthetic import synthetic_corpus
 
@@ -90,20 +91,20 @@ class TestEvaluateLayer:
         assert set(out) == {"combined_accuracy", "loss"}
 
     def test_loss_weights_steps_not_sequences(self):
-        # Evaluating in one batch or two must give identical step-weighted
-        # results even with unequal sequence lengths in the mix.
+        # Evaluating in chunks must give the step-weighted results of one
+        # whole batch, with unequal sequence lengths in the mix.
         rng = np.random.default_rng(4)
         params = init_params(6, 8, 5, n_layers=1, seed=1)
         seqs = [
             TrainingSequence(rng.normal(size=(n, 6)), rng.integers(0, 5, size=n))
-            for n in (3, 11, 7)
+            for n in rng.integers(1, 12, size=EVAL_BATCH + 6)
         ]
-        whole = evaluate_layer(params, seqs, batch_size=64)
-        split = evaluate_layer(params, seqs, batch_size=1)
-        assert whole["loss"] == pytest.approx(split["loss"], rel=1e-12)
-        assert whole["combined_accuracy"] == pytest.approx(
-            split["combined_accuracy"], rel=1e-12
-        )
+        split = evaluate_layer(params, seqs)
+        inputs, targets, mask = pad_batch(seqs)
+        whole = forward_sequence(params, inputs, targets, mask=mask, collect_cache=False)
+        correct = (whole.probs.argmax(axis=2) == targets) * mask
+        assert split["loss"] == pytest.approx(whole.loss, rel=1e-12)
+        assert split["combined_accuracy"] == pytest.approx(correct.sum() / mask.sum(), rel=1e-12)
 
     def test_empty_rejected(self):
         params = init_params(6, 8, 5, n_layers=1, seed=1)

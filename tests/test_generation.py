@@ -11,7 +11,7 @@ from melodygen.hrnn import generation
 from melodygen.hrnn.generation import GenerationPlan, generate, tile_profiles
 from melodygen.hrnn.specs import layer_specs
 from melodygen.leadsheet import chord_from_kind
-from melodygen.neural import init_params, lstm_step
+from melodygen.neural import DEFAULT_INIT_SCALE, init_params, lstm_step
 from melodygen.synthetic import synthetic_corpus
 from support import beam_oracle
 from support.beam_oracle import reference_beam_decode
@@ -31,6 +31,20 @@ def make_model(variant="3L", *, chords=False, hidden=16, seed=9):
         for i, (level, spec) in enumerate(sorted(specs.items()))
     }
     return params, specs
+
+
+def scaled_params(specs, hidden, layers, seed, init_scale):
+    """Random layers whose weights, not biases, are uniform in +-init_scale,
+    so that large scales saturate the gates while the forget bias stays 1.0."""
+    params = {}
+    for i, (level, spec) in enumerate(sorted(specs.items())):
+        params[level] = init_params(
+            spec.input_dim, hidden, spec.alphabet_size, n_layers=layers, seed=(seed + i) % 2**32
+        )
+        for name, arr in params[level].named_arrays():
+            if "w_" in name:
+                arr *= init_scale / DEFAULT_INIT_SCALE
+    return params
 
 
 def make_plan(**overrides):
@@ -270,13 +284,7 @@ class TestBatchedBeamMatchesReference:
         self, seed, width, layers, hidden, init_scale, chords, bars
     ):
         specs = layer_specs("3L", chords=chords, beat_k=BEAT_K, bar_k=BAR_K)
-        params = {
-            level: init_params(
-                spec.input_dim, hidden, spec.alphabet_size, n_layers=layers,
-                seed=(seed + i) % 2**32, init_scale=init_scale,
-            )
-            for i, (level, spec) in enumerate(sorted(specs.items()))
-        }
+        params = scaled_params(specs, hidden, layers, seed, init_scale)
         chord_track = tuple(
             chord_from_kind(bar * 16, (seed + 7 * bar) % 12, "minor") for bar in range(bars)
         )
@@ -334,13 +342,7 @@ class TestSamplingMatchesReference:
         self, seed, temperature, variant, chords, fix_bars, fix_beats, layers, hidden, bars
     ):
         specs = layer_specs(variant, chords=chords, beat_k=BEAT_K, bar_k=BAR_K)
-        params = {
-            level: init_params(
-                spec.input_dim, hidden, spec.alphabet_size, n_layers=layers,
-                seed=(seed + i) % 2**32, init_scale=0.5,
-            )
-            for i, (level, spec) in enumerate(sorted(specs.items()))
-        }
+        params = scaled_params(specs, hidden, layers, seed, 0.5)
         chord_track = tuple(
             chord_from_kind(bar * 16, (seed + 5 * bar) % 12, "major") for bar in range(bars)
         )

@@ -12,6 +12,7 @@ from melodygen import neural
 from melodygen.container import load_arrays, save_arrays
 from melodygen.hrnn.datasets import TrainingSequence, pad_batch
 from melodygen.neural import (
+    DEFAULT_INIT_SCALE,
     GeneratorParams,
     LstmLayerParams,
     LstmState,
@@ -29,15 +30,14 @@ from melodygen.neural import (
     make_dropout_masks,
     save_checkpoint,
     sigmoid,
-    softmax,
     log_softmax,
     take_buffer,
 )
 from support.lstm_oracle import reference_backward, reference_forward
 
 
-def tiny_params(din=6, hidden=5, nout=7, layers=2, seed=0, **kw):
-    return init_params(din, hidden, nout, n_layers=layers, seed=seed, **kw)
+def tiny_params(din=6, hidden=5, nout=7, layers=2, seed=0):
+    return init_params(din, hidden, nout, n_layers=layers, seed=seed)
 
 
 def random_batch(rng, steps, batch, din, nout):
@@ -67,22 +67,23 @@ class TestActivations:
             exact = 1 / (1 + (-Decimal(z)).exp())
             assert abs(Decimal(out) - exact) <= Decimal(2) ** -53
 
-    def test_softmax_rows_normalize(self):
+    def test_log_softmax_rows_normalize(self):
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(4, 9)) * 50
-        probs = softmax(logits)
+        probs = np.exp(log_softmax(logits))
         assert np.allclose(probs.sum(axis=1), 1.0)
         assert np.all(probs > 0)
 
     def test_log_softmax_consistent(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(3, 5))
-        assert np.allclose(np.exp(log_softmax(logits)), softmax(logits))
+        expected = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+        assert np.allclose(np.exp(log_softmax(logits)), expected)
 
-    def test_softmax_handles_extreme_logits(self):
+    def test_log_softmax_handles_extreme_logits(self):
         logits = np.array([[1000.0, 0.0, -1000.0]])
-        probs = softmax(logits)
-        assert np.isfinite(probs).all() and probs[0, 0] == pytest.approx(1.0)
+        logp = log_softmax(logits)
+        assert np.isfinite(logp).all() and logp[0, 0] == pytest.approx(0.0)
 
 
 class TestInit:
@@ -112,8 +113,9 @@ class TestInit:
         assert not np.array_equal(a.layers[0].w_x, c.layers[0].w_x)
 
     def test_init_scale_bounds(self):
-        params = tiny_params(seed=3, init_scale=0.02)
-        assert np.abs(params.layers[0].w_x).max() <= 0.02
+        params = tiny_params(seed=3)
+        weights = [a for name, a in params.named_arrays() if "w_" in name]
+        assert all(np.abs(w).max() <= DEFAULT_INIT_SCALE for w in weights)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
@@ -141,7 +143,7 @@ class TestForwardOracle:
         mask[4:, 2] = 0
         masks = make_dropout_masks(np.random.default_rng(9), 0.5, 6, 2, 4, 5)
         result = forward_sequence(
-            params, inputs, targets, mask=mask, dropout=0.5, dropout_masks=masks
+            params, inputs, targets, mask=mask, dropout=0.5, rng=np.random.default_rng(9)
         )
         _, ref_loss = reference_forward(params, inputs, targets, mask, masks)
         assert result.loss == pytest.approx(ref_loss, abs=1e-12)
@@ -158,15 +160,6 @@ class TestForwardOracle:
         result = forward_sequence(params, inputs, targets)
         assert np.allclose(result.probs, 1.0 / nout)
         assert result.loss == pytest.approx(np.log(nout))
-
-    def test_single_sequence_promotion(self):
-        params = tiny_params()
-        rng = np.random.default_rng(2)
-        inputs = rng.normal(size=(5, 6))
-        targets = rng.integers(0, 7, size=5)
-        single = forward_sequence(params, inputs, targets)
-        batched = forward_sequence(params, inputs[:, None, :], targets[:, None])
-        assert single.loss == pytest.approx(batched.loss)
 
     def test_loss_decomposes_over_mask(self):
         # Mean NLL over the mask equals the weighted mean of per-step NLLs.
@@ -186,6 +179,12 @@ class TestForwardOracle:
         with pytest.raises(ValueError, match="empty"):
             forward_sequence(params, np.zeros((0, 1, 6)), np.zeros((0, 1), dtype=int))
 
+    @pytest.mark.parametrize("shape", [(5, 6), (5, 1, 1, 6)], ids=["T-D", "T-B-1-D"])
+    def test_inputs_other_than_time_batch_features_rejected(self, shape):
+        params = tiny_params()
+        with pytest.raises(ValueError, match=r"inputs must be \(T, B, D\)"):
+            forward_sequence(params, np.zeros(shape), np.zeros((5, 1), dtype=int))
+
     def test_all_masked_rejected(self):
         params = tiny_params()
         rng = np.random.default_rng(0)
@@ -193,7 +192,7 @@ class TestForwardOracle:
         with pytest.raises(ValueError, match="mask"):
             forward_sequence(params, inputs, targets, mask=np.zeros((3, 2)))
 
-    def test_dropout_requires_rng_or_masks(self):
+    def test_dropout_requires_rng(self):
         params = tiny_params()
         rng = np.random.default_rng(0)
         inputs, targets = random_batch(rng, 3, 2, 6, 7)
@@ -216,10 +215,13 @@ class TestForwardOracle:
         inputs, targets = random_batch(rng, 5, 3, 6, 7)
         mask = (rng.random((5, 3)) < 0.7).astype(float)
         mask[0, 0] = 1.0
-        masks = make_dropout_masks(rng, 0.4, 5, 3, 3, 5) if dropped else None
-        cached = forward_sequence(params, inputs, targets, mask=mask, dropout_masks=masks)
+        dropout = 0.4 if dropped else 0.0
+        cached = forward_sequence(
+            params, inputs, targets, mask=mask, dropout=dropout, rng=np.random.default_rng(5)
+        )
         bare = forward_sequence(
-            params, inputs, targets, mask=mask, dropout_masks=masks, collect_cache=False
+            params, inputs, targets, mask=mask, dropout=dropout, rng=np.random.default_rng(5),
+            collect_cache=False,
         )
         assert bare.cache is None
         assert bare.loss == cached.loss
@@ -251,8 +253,9 @@ class TestForwardOracle:
         assert float(state.c[0, 0, 0]) == pytest.approx(first, rel=1e-6)
 
 
-def random_case(seed, steps, batch, layers, masked, dropped):
-    """Small model with N(0, 1) weights and biases, a batch, and optional masks."""
+def random_case(seed, steps, batch, layers, masked):
+    """Small model with N(0, 1) weights and biases, a batch, an optional
+    validity mask, and a seed for the dropout rng."""
     rng = np.random.default_rng(seed)
     din, hidden, nout = (int(rng.integers(low, high)) for low, high in ((1, 6), (1, 5), (2, 8)))
     stack = [
@@ -269,8 +272,7 @@ def random_case(seed, steps, batch, layers, masked, dropped):
     if masked:
         mask = (rng.random((steps, batch)) < 0.6).astype(float)
         mask[rng.integers(steps), rng.integers(batch)] = 1.0
-    masks = make_dropout_masks(rng, 0.4, steps, layers, batch, hidden) if dropped else None
-    return params, inputs, targets, mask, masks
+    return params, inputs, targets, mask, int(rng.integers(2**32))
 
 
 class TestOracleProperties:
@@ -287,10 +289,15 @@ class TestOracleProperties:
     )
     @example(seed=0, steps=1, batch=1, layers=3, masked=False, dropped=True)
     def test_sequence_matches_oracle(self, seed, steps, batch, layers, masked, dropped):
-        params, inputs, targets, mask, masks = random_case(
-            seed, steps, batch, layers, masked, dropped
+        params, inputs, targets, mask, draw = random_case(seed, steps, batch, layers, masked)
+        dropout = 0.4 if dropped else 0.0
+        masks = None
+        if dropped:
+            shape = (steps, layers, batch, params.hidden_size)
+            masks = make_dropout_masks(np.random.default_rng(draw), dropout, *shape)
+        result = forward_sequence(
+            params, inputs, targets, mask=mask, dropout=dropout, rng=np.random.default_rng(draw)
         )
-        result = forward_sequence(params, inputs, targets, mask=mask, dropout_masks=masks)
         ref_logits, ref_loss = reference_forward(params, inputs, targets, mask, masks)
         assert result.loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
         assert np.allclose(result.probs, np.exp(log_softmax(ref_logits)), rtol=0, atol=1e-12)
@@ -302,11 +309,12 @@ class TestOracleProperties:
             scale = np.abs(ref).max()
             assert np.abs(grads[name] - ref).max() <= 1e-12 * scale, name
 
-        state = None
-        for t in range(steps):
-            step_masks = None if masks is None else masks[t]
-            state, logits = lstm_step(params, inputs[t], state, dropout_masks=step_masks)
-            assert np.allclose(softmax(logits), result.probs[t], rtol=0, atol=1e-12)
+        if not dropped:  # decoding never drops
+            state = None
+            for t in range(steps):
+                state, logits = lstm_step(params, inputs[t], state)
+                step_probs = np.exp(log_softmax(logits))
+                assert np.allclose(step_probs, result.probs[t], rtol=0, atol=1e-12)
 
 
 def one_shot_masks(rng, dropout, shape):
@@ -398,8 +406,11 @@ class TestWorkspaceReuse:
         rng = np.random.default_rng(12)
         params = tiny_params()
         inputs, targets = random_batch(rng, 6, 3, 6, 7)
-        masks = make_dropout_masks(rng, 0.4, 6, 2, 3, 5) if dropped else None
-        result = forward_sequence(params, inputs, targets, dropout_masks=masks)
+        dropout = 0.4 if dropped else 0.0
+        masks = make_dropout_masks(np.random.default_rng(2), dropout, 6, 2, 3, 5) if dropped else None
+        result = forward_sequence(
+            params, inputs, targets, dropout=dropout, rng=np.random.default_rng(2)
+        )
         top = result.cache["outs"][-1] if masks is None else result.cache["outs"][-1] * masks[:, -1]
         logits = np.matmul(top.reshape(-1, 5), params.w_out).reshape(6, 3, 7)
         logits += params.b_out
@@ -455,7 +466,7 @@ class TestLstmStep:
         state = None
         for t in range(5):
             state, logits = lstm_step(params, inputs[t], state)
-            step_probs = softmax(logits)
+            step_probs = np.exp(log_softmax(logits))
             assert np.allclose(step_probs, seq.probs[t], atol=1e-12)
 
     def test_zeros_state_constructor(self):
@@ -483,14 +494,14 @@ class TestBackward:
         assert report.max_rel_error < 1e-4
 
     def test_gradients_with_dropout_match_finite_differences(self):
-        # Fixed dropout masks make the dropped network a deterministic
-        # function, so its analytic gradients must still check out.
+        # An rng of a fixed seed draws the same dropout masks on every pass,
+        # which makes the dropped network a deterministic function, so its
+        # analytic gradients must still check out.
         rng = np.random.default_rng(6)
         params = tiny_params()
         inputs, targets = random_batch(rng, 5, 2, 6, 7)
-        masks = make_dropout_masks(np.random.default_rng(3), 0.5, 5, 2, 2, 5)
         result = forward_sequence(
-            params, inputs, targets, dropout=0.5, dropout_masks=masks
+            params, inputs, targets, dropout=0.5, rng=np.random.default_rng(3)
         )
         grads = backward(params, result.cache)
         delta = 1e-5
@@ -502,12 +513,12 @@ class TestBackward:
                 original = arr.flat[index]
                 arr.flat[index] = original + delta
                 up = forward_sequence(
-                    params, inputs, targets, dropout=0.5, dropout_masks=masks,
+                    params, inputs, targets, dropout=0.5, rng=np.random.default_rng(3),
                     collect_cache=False,
                 ).loss
                 arr.flat[index] = original - delta
                 down = forward_sequence(
-                    params, inputs, targets, dropout=0.5, dropout_masks=masks,
+                    params, inputs, targets, dropout=0.5, rng=np.random.default_rng(3),
                     collect_cache=False,
                 ).loss
                 arr.flat[index] = original
