@@ -25,7 +25,7 @@ from .encode import (
     MelodyGrid,
     grid_encode,
     normalize_sheet,
-    transpose_to_c,
+    transposition_shift,
 )
 from .leadsheet import (
     ChordSymbol,
@@ -181,9 +181,10 @@ def pitch_in_range_fraction(sheets: list[LeadSheet]) -> float:
     total = 0
     in_range = 0
     for sheet in sheets:
-        for note in transpose_to_c(sheet).notes:
+        shift = transposition_shift(sheet.key_fifths)
+        for note in sheet.notes:
             total += 1
-            if PITCH_MIN <= note.midi_pitch <= PITCH_MAX:
+            if PITCH_MIN <= note.midi_pitch + shift <= PITCH_MAX:
                 in_range += 1
     return in_range / total if total else 0.0
 
@@ -198,7 +199,6 @@ def scan_corpus(directory: str | Path, split_seed: int = 0) -> CorpusScan:
     )
     sheets: dict[str, LeadSheet] = {}
     encoded: dict[str, EncodedPiece] = {}
-    transposed: list[LeadSheet] = []
     rejections: dict[str, dict[str, str]] = {}
     for path in paths:
         piece_id = path.relative_to(directory).with_suffix("").as_posix()
@@ -218,11 +218,8 @@ def scan_corpus(directory: str | Path, split_seed: int = 0) -> CorpusScan:
         if isinstance(sheet, Rejection):
             rejections[piece_id] = {"reason": sheet.reason, "detail": sheet.detail}
             continue
-        # Transposed once: normalize_sheet and pitch_in_range_fraction both
-        # leave a sheet already in C as it is.
-        in_c = transpose_to_c(sheet)
         try:
-            normalized = normalize_sheet(in_c)
+            normalized = normalize_sheet(sheet)
             grid = grid_encode(normalized)
         except ValueError as exc:
             rejections[piece_id] = {"reason": REJECT_UNENCODABLE, "detail": str(exc)}
@@ -231,14 +228,13 @@ def scan_corpus(directory: str | Path, split_seed: int = 0) -> CorpusScan:
             sheet = replace(sheet, id=piece_id)
         sheets[piece_id] = sheet
         encoded[piece_id] = EncodedPiece(grid, normalized.chords)
-        transposed.append(in_c)
 
     train, validation = split_ids(sorted(sheets), split_seed)
     manifest = CorpusManifest(
         scanned=len(sheets) + len(rejections),
         accepted_ids=sorted(sheets),
         rejections=rejections,
-        pitch_in_range_fraction=pitch_in_range_fraction(transposed),
+        pitch_in_range_fraction=pitch_in_range_fraction(list(sheets.values())),
         split_seed=split_seed,
         train_ids=train,
         validation_ids=validation,

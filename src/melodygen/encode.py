@@ -83,46 +83,36 @@ def transposition_shift(key_fifths: int) -> int:
     return (-tonic + 6) % 12 - 6
 
 
-def _shift_into_midi_range(pitch: int) -> int:
-    while pitch > 127:
-        pitch -= 12
-    while pitch < 0:
+def fold_octaves(pitch: int) -> int:
+    """Shift a pitch by whole octaves into 36..71 (C2..B4)."""
+    while pitch < PITCH_MIN:
         pitch += 12
+    while pitch > PITCH_MAX:
+        pitch -= 12
     return pitch
 
 
-def _repitched(note: RawNote, pitch: int) -> RawNote:
-    """``note`` moved to ``pitch``, built directly rather than through
-    ``dataclasses.replace``, which costs several times as much per note."""
-    return RawNote(pitch, note.onset, note.duration, note.tie_start, note.tie_stop)
+def normalize_sheet(sheet: LeadSheet) -> LeadSheet:
+    """Transpose a lead sheet to C and fold its notes into C2..B4, in one pass.
 
-
-def _sorted_notes(notes: Iterable[RawNote]) -> tuple[RawNote, ...]:
-    """Notes in the (onset, pitch) order a LeadSheet requires.
-
-    Moving some pitches by octaves (folding, or wrapping at the ends of the
-    MIDI range) can swap the pitch order of notes that share an onset.
-    """
-    return tuple(sorted(notes, key=lambda note: (note.onset, note.midi_pitch)))
-
-
-def transpose_to_c(sheet: LeadSheet) -> LeadSheet:
-    """Transpose a lead sheet so its notated major key becomes C.
-
-    Notes shift by the minimal semitone amount; chord roots and chromas shift
-    by the same amount so harmony stays aligned with the melody. Pitches that
-    would leave MIDI range are folded back by octaves (only possible at the
-    extremes of the MIDI range).
+    Each note's pitch becomes ``fold_octaves(pitch + shift)`` for the key's
+    ``transposition_shift``; chord roots and chromas move by the same shift
+    so harmony stays aligned with the melody. Folding can swap the pitch
+    order of notes that share an onset, so the notes are re-sorted only when
+    some note folds. A sheet already in C and in range is returned as it is.
     """
     shift = transposition_shift(sheet.key_fifths)
-    if shift == 0 and sheet.key_fifths == 0:
+    moved = [note.midi_pitch + shift for note in sheet.notes]
+    pitches = [fold_octaves(pitch) for pitch in moved]
+    folded = pitches != moved
+    if sheet.key_fifths == 0 and not folded:
         return sheet
-    notes = tuple(
-        _repitched(note, _shift_into_midi_range(note.midi_pitch + shift))
-        for note in sheet.notes
-    )
-    if any(not 0 <= note.midi_pitch + shift <= 127 for note in sheet.notes):
-        notes = _sorted_notes(notes)
+    notes = [
+        RawNote(pitch, note.onset, note.duration, note.tie_start, note.tie_stop)
+        for note, pitch in zip(sheet.notes, pitches)
+    ]
+    if folded:
+        notes.sort(key=lambda note: (note.onset, note.midi_pitch))
     chords = tuple(
         ChordSymbol(
             onset_step=chord.onset_step,
@@ -132,33 +122,8 @@ def transpose_to_c(sheet: LeadSheet) -> LeadSheet:
         for chord in sheet.chords
     )
     return LeadSheet(
-        sheet.id, 0, sheet.time_signature, sheet.pickup, sheet.n_bars, notes, chords
+        sheet.id, 0, sheet.time_signature, sheet.pickup, sheet.n_bars, tuple(notes), chords
     )
-
-
-def fold_octaves(pitch: int) -> int:
-    """Shift a MIDI pitch by whole octaves into 36..71 (C2..B4)."""
-    if not 0 <= pitch <= 127:
-        raise ValueError(f"pitch {pitch} outside MIDI range")
-    while pitch < PITCH_MIN:
-        pitch += 12
-    while pitch > PITCH_MAX:
-        pitch -= 12
-    return pitch
-
-
-def normalize_sheet(sheet: LeadSheet) -> LeadSheet:
-    """Transpose to C and fold every note into the three-octave pitch range."""
-    transposed = transpose_to_c(sheet)
-    if all(PITCH_MIN <= note.midi_pitch <= PITCH_MAX for note in transposed.notes):
-        return transposed
-    notes = _sorted_notes(
-        note
-        if PITCH_MIN <= note.midi_pitch <= PITCH_MAX
-        else _repitched(note, fold_octaves(note.midi_pitch))
-        for note in transposed.notes
-    )
-    return transposed.with_notes(notes)
 
 
 def quantize_ratio(numerator: int, denominator: int) -> int:

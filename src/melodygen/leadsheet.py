@@ -38,9 +38,9 @@ bytes run to run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 SCHEMA_VERSION = 1
 
@@ -120,9 +120,9 @@ def chord_from_kind(onset_step: int, root_pitch_class: int, kind: str) -> ChordS
 class LeadSheet:
     """A parsed piece: melody notes, chords, and notated key/time metadata.
 
-    Notes are kept sorted by onset (ties broken by pitch). They are monophonic
-    after parser normalization, but the type itself allows overlap because
-    intermediate transforms (e.g. sustain extension) legitimately produce it.
+    Notes are kept sorted by onset (ties broken by pitch). The MusicXML
+    reader makes them monophonic. The type itself allows overlap, which only
+    JSON input can bring; ``grid_encode`` rejects it.
     """
 
     id: str
@@ -153,33 +153,46 @@ class LeadSheet:
             if b.onset_step <= a.onset_step:
                 raise ValueError("chords must be strictly sorted by onset_step")
 
-    def with_notes(self, notes: Iterable[RawNote]) -> "LeadSheet":
-        return replace(self, notes=tuple(notes))
-
 
 def _fraction_to_json(value: Fraction) -> list[int]:
     return [value.numerator, value.denominator]
 
 
-def _require(obj: dict, key: str, kind: type | tuple[type, ...]) -> Any:
+# Integers are checked with ``type(value) is int``: JSON's true and false are
+# no integers, though Python's ``bool`` subclasses ``int``.
+
+
+def _require(obj: dict, key: str, kind: type, where: str = "") -> Any:
+    """``obj[key]``, of exactly the type ``kind``; ``where`` prefixes the
+    field name in a SchemaError (``"notes[0]."``)."""
     if key not in obj:
-        raise SchemaError(f"missing field '{key}'")
+        raise SchemaError(f"missing field '{where}{key}'")
     value = obj[key]
-    if not isinstance(value, kind):
-        raise SchemaError(f"field '{key}' has wrong type {type(value).__name__}")
+    if type(value) is not kind:
+        raise SchemaError(f"field '{where}{key}' has wrong type {type(value).__name__}")
     return value
 
 
-def _fraction_from_json(value: Any, field: str) -> Fraction:
+def _flag(obj: dict, key: str, where: str) -> bool:
+    """An optional boolean field, False when absent."""
+    value = obj.get(key, False)
+    if type(value) is not bool:
+        raise SchemaError(f"field '{where}{key}' must be a boolean")
+    return value
+
+
+def _fraction(obj: dict, key: str, where: str) -> Fraction:
+    """The ``[numerator, denominator]`` pair ``obj[key]`` as a Fraction."""
+    value = obj.get(key)
     if not (
         isinstance(value, list)
         and len(value) == 2
-        and isinstance(value[0], int)
-        and isinstance(value[1], int)
+        and type(value[0]) is int
+        and type(value[1]) is int
     ):
-        raise SchemaError(f"field '{field}' must be a [numerator, denominator] pair")
+        raise SchemaError(f"field '{where}{key}' must be a [numerator, denominator] pair")
     if value[1] <= 0:
-        raise SchemaError(f"field '{field}' has non-positive denominator")
+        raise SchemaError(f"field '{where}{key}' has non-positive denominator")
     return Fraction(value[0], value[1])
 
 
@@ -217,13 +230,14 @@ def chord_from_dict(entry: Any, field: str) -> ChordSymbol:
     """Parse one chord object; ``field`` names it in a SchemaError."""
     if not isinstance(entry, dict):
         raise SchemaError(f"field '{field}' must be an object")
-    chroma = _require(entry, "chroma", list)
-    if not all(isinstance(pc, int) for pc in chroma):
+    where = f"{field}."
+    chroma = _require(entry, "chroma", list, where)
+    if not all(type(pc) is int for pc in chroma):
         raise SchemaError(f"field '{field}.chroma' must be integers")
     try:
         return ChordSymbol(
-            onset_step=_require(entry, "onset_step", int),
-            root_pitch_class=_require(entry, "root", int),
+            onset_step=_require(entry, "onset_step", int, where),
+            root_pitch_class=_require(entry, "root", int, where),
             chroma=tuple(chroma),
         )
     except ValueError as exc:
@@ -239,22 +253,21 @@ def leadsheet_from_dict(obj: dict) -> LeadSheet:
     if schema != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {schema}")
     ts = _require(obj, "time_signature", list)
-    if len(ts) != 2 or not all(isinstance(part, int) for part in ts):
+    if len(ts) != 2 or not all(type(part) is int for part in ts):
         raise SchemaError("field 'time_signature' must be a pair of integers")
     notes = []
     for i, entry in enumerate(_require(obj, "notes", list)):
         if not isinstance(entry, dict):
             raise SchemaError(f"field 'notes[{i}]' must be an object")
+        where = f"notes[{i}]."
         try:
             notes.append(
                 RawNote(
-                    midi_pitch=_require(entry, "pitch", int),
-                    onset=_fraction_from_json(entry.get("onset"), f"notes[{i}].onset"),
-                    duration=_fraction_from_json(
-                        entry.get("duration"), f"notes[{i}].duration"
-                    ),
-                    tie_start=bool(entry.get("tie_start", False)),
-                    tie_stop=bool(entry.get("tie_stop", False)),
+                    midi_pitch=_require(entry, "pitch", int, where),
+                    onset=_fraction(entry, "onset", where),
+                    duration=_fraction(entry, "duration", where),
+                    tie_start=_flag(entry, "tie_start", where),
+                    tie_stop=_flag(entry, "tie_stop", where),
                 )
             )
         except ValueError as exc:

@@ -69,14 +69,14 @@ ADAM_EPSILON = 1e-8
 ADAM_BLOCK = 1 << 16
 
 
-def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Logistic function as ``0.5 * (1 + tanh(z / 2))``, never overflowing.
 
     The absolute error is at most 2**-53 everywhere. Relative accuracy is lost
     below about z = -37, where the result is smaller than the spacing of the
     doubles near -1 that ``tanh`` returns; it is 0 below about z = -38.
     """
-    out = np.multiply(z, 0.5, out=np.empty(np.shape(z)) if out is None else out)
+    np.multiply(z, 0.5, out=out)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
@@ -285,16 +285,14 @@ def make_dropout_masks(
     batch: int,
     hidden: int,
     *,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Inverted-dropout masks of shape (T, L, B, H), values in {0, 1/keep}.
 
-    Drawn into ``out`` (a new array by default) one row block of steps at a
-    time; the generator yields the same values as one (T, L, B, H) draw.
+    Drawn into ``out`` one row block of steps at a time; the generator
+    yields the same values as one (T, L, B, H) draw.
     """
     keep = 1.0 - dropout
-    if out is None:
-        out = np.empty((steps, n_layers, batch, hidden))
     for s in _row_blocks(steps, batch):
         block = out[s]
         rng.random(out=block)

@@ -1,7 +1,8 @@
 """Reference grid quantizers in ``Fraction`` arithmetic.
 
-``reference_quantize`` is the formula ``encode.quantize_steps`` used before
-it moved to integer ``divmod``. ``reference_grid_encode`` is
+``reference_quantize`` rounds a value to the nearest integer, exact halves
+earlier, in ``Fraction`` arithmetic; ``encode.quantize_ratio`` is its integer
+``divmod`` form. ``reference_grid_encode`` is
 ``encode.grid_encode`` as it was before it quantized from integer
 numerator/denominator pairs: every onset and end is a ``Fraction``. The
 property tests compare the integer forms with these.

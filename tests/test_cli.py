@@ -1,6 +1,7 @@
 """End-to-end pipeline through the command-line entry point."""
 
 import argparse
+import dataclasses
 import json
 import shutil
 import stat
@@ -256,7 +257,7 @@ class TestEncodedAtIngest:
                 first = sheet.notes[0]
                 pitch = first.midi_pitch + (1 if first.midi_pitch < 127 else -1)
                 moved = (RawNote(pitch, first.onset, first.duration),) + sheet.notes[1:]
-                path.write_text(dumps_leadsheet(sheet.with_notes(moved)))
+                path.write_text(dumps_leadsheet(dataclasses.replace(sheet, notes=moved)))
             work = tmp_path / name / "work"
             assert ingest(corpus, work) == EXIT_OK
             artifacts[name] = [(work / f).read_bytes() for f in ("manifest.json", "grids.json")]

@@ -23,11 +23,10 @@ from melodygen.encode import (
     one_hot_matrix,
     quantize_ratio,
     sustain_extend,
-    transpose_to_c,
     transposition_shift,
     tonic_pitch_class,
 )
-from melodygen.leadsheet import LeadSheet, RawNote, chord_from_kind
+from melodygen.leadsheet import CHORD_KIND_INTERVALS, LeadSheet, RawNote, chord_from_kind
 from melodygen.midifile import write_midi
 from support.midi_reader import read_midi
 from support.quantize_oracle import reference_grid_encode, reference_quantize
@@ -147,23 +146,23 @@ class TestTransposition:
             assert -6 <= shift <= 5
 
     def test_transpose_g_major_up(self):
-        sheet = sheet_from_steps([(67, 0, 4), (74, 4, 4)], 1, key_fifths=1)
-        out = transpose_to_c(sheet)
+        sheet = sheet_from_steps([(55, 0, 4), (62, 4, 4)], 1, key_fifths=1)
+        out = normalize_sheet(sheet)
         assert out.key_fifths == 0
-        assert [n.midi_pitch for n in out.notes] == [72, 79]
+        assert [n.midi_pitch for n in out.notes] == [60, 67]
 
     def test_transpose_f_major_down(self):
         sheet = sheet_from_steps([(65, 0, 4)], 1, key_fifths=-1)
-        assert transpose_to_c(sheet).notes[0].midi_pitch == 60
+        assert normalize_sheet(sheet).notes[0].midi_pitch == 60
 
     def test_c_major_untouched(self):
         sheet = sheet_from_steps([(60, 0, 4)], 1, key_fifths=0)
-        assert transpose_to_c(sheet) is sheet
+        assert normalize_sheet(sheet) is sheet
 
     def test_chords_shift_with_melody(self):
         chord = chord_from_kind(0, 7, "major")  # G: {7, 11, 2}
         sheet = sheet_from_steps([(67, 0, 4)], 1, key_fifths=1, chords=(chord,))
-        moved = transpose_to_c(sheet).chords[0]
+        moved = normalize_sheet(sheet).chords[0]
         assert moved.root_pitch_class == 0
         assert moved.chroma == (0, 4, 7)
 
@@ -172,14 +171,14 @@ class TestTransposition:
         sheet = sheet_from_steps([(60, 0, 4)], 1, key_fifths=3, chords=(chord,))
         shift = transposition_shift(3)
         before = chord.chroma_vector()
-        after = transpose_to_c(sheet).chords[0].chroma_vector()
+        after = normalize_sheet(sheet).chords[0].chroma_vector()
         assert all(
             after[(pc + shift) % 12] == before[pc] for pc in range(12)
         )
 
     def test_onsets_and_durations_unchanged(self):
         sheet = sheet_from_steps([(67, 3, 5)], 1, key_fifths=1)
-        out = transpose_to_c(sheet)
+        out = normalize_sheet(sheet)
         assert out.notes[0].onset == Fraction(3, 4)
         assert out.notes[0].duration == Fraction(5, 4)
 
@@ -195,11 +194,11 @@ class TestFoldOctaves:
         assert PITCH_MIN <= folded <= PITCH_MAX
         assert folded % 12 == pitch % 12
 
-    def test_out_of_midi_range(self):
-        with pytest.raises(ValueError):
-            fold_octaves(128)
-        with pytest.raises(ValueError):
-            fold_octaves(-1)
+    def test_folds_the_shifted_extremes(self):
+        # Shifts of -6..+5 take MIDI pitches 0..127 to -6..132; any integer folds.
+        assert fold_octaves(-6) == 42
+        assert fold_octaves(132) == 60
+        assert fold_octaves(133) == 61
 
 
 class TestNormalizeSheet:
@@ -216,14 +215,54 @@ class TestNormalizeSheet:
             (40, Fraction(2)),
             (42, Fraction(1)),
         ]
-        assert grid_encode(normalized) == grid_encode(transpose_to_c(sheet))
+        assert grid_encode(normalized) == grid_encode(sheet)
 
     def test_wrapping_at_the_top_of_midi_range_keeps_the_sheet_sorted(self):
-        # B-flat major shifts up 2: 127 wraps down an octave to 117, below
-        # the 125 that shares its onset and becomes 127.
+        # B-flat major shifts up 2, past the MIDI range: 129 folds to 69,
+        # above the 127 that shares its onset and folds to 67.
         sheet = sheet_from_steps([(125, 0, 4), (127, 0, 8)], 1, key_fifths=-2)
-        assert [n.midi_pitch for n in transpose_to_c(sheet).notes] == [117, 127]
         assert [n.midi_pitch for n in normalize_sheet(sheet).notes] == [67, 69]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_pass_moves_every_note_and_chord_by_the_shift(self, data):
+        key_fifths = data.draw(st.integers(-7, 7))
+        shift = transposition_shift(key_fifths)
+        # Onsets on four steps, so notes share them, at any MIDI pitch.
+        notes = data.draw(st.lists(
+            st.builds(
+                RawNote,
+                midi_pitch=st.integers(0, 127) | st.sampled_from([0, 5, 6, 122, 127]),
+                onset=st.integers(0, 3).map(lambda step: Fraction(step, 4)),
+                duration=st.integers(1, 8).map(lambda steps: Fraction(steps, 4)),
+                tie_start=st.booleans(),
+                tie_stop=st.booleans(),
+            ),
+            max_size=8,
+        ))
+        notes.sort(key=lambda note: (note.onset, note.midi_pitch))
+        steps = data.draw(st.lists(st.integers(0, 15), unique=True, max_size=3))
+        chords = tuple(
+            chord_from_kind(step, data.draw(st.integers(0, 11)),
+                            data.draw(st.sampled_from(sorted(CHORD_KIND_INTERVALS))))
+            for step in sorted(steps)
+        )
+        sheet = LeadSheet("p", key_fifths, (4, 4), False, 1, tuple(notes), chords)
+
+        out = normalize_sheet(sheet)
+
+        assert out.key_fifths == 0
+        assert (out.id, out.time_signature, out.pickup, out.n_bars) == ("p", (4, 4), False, 1)
+        assert list(out.notes) == sorted(out.notes, key=lambda n: (n.onset, n.midi_pitch))
+        got = [(n.midi_pitch, n.onset, n.duration, n.tie_start, n.tie_stop) for n in out.notes]
+        want = [(fold_octaves(n.midi_pitch + shift), n.onset, n.duration, n.tie_start, n.tie_stop)
+                for n in notes]
+        assert sorted(got) == sorted(want)
+        assert [(c.onset_step, c.root_pitch_class, c.chroma) for c in out.chords] == [
+            (c.onset_step, (c.root_pitch_class + shift) % 12,
+             tuple(sorted((pc + shift) % 12 for pc in c.chroma)))
+            for c in chords
+        ]
 
 
 class TestQuantize:

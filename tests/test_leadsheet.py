@@ -1,11 +1,13 @@
 """Lead-sheet types and the JSON cache format."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from melodygen.corpus import REJECT_UNREADABLE, scan_corpus
 from melodygen.leadsheet import (
     CHORD_KIND_INTERVALS,
     ChordSymbol,
@@ -148,11 +150,23 @@ class TestLeadSheet:
         with pytest.raises(ValueError):
             make_sheet(time_signature=(0, 4))
 
-    def test_with_notes(self):
-        sheet = make_sheet()
-        note = RawNote(50, Fraction(0), Fraction(2))
-        assert sheet.with_notes([note]).notes == (note,)
-        assert sheet.notes == ()
+
+# (path into the document, value, field the SchemaError names): JSON booleans
+# where integers belong, and tie flags that are not booleans.
+NOT_INTEGERS_OR_FLAGS = [
+    (("schema",), True, "schema"),
+    (("n_bars",), True, "n_bars"),
+    (("key_fifths",), False, "key_fifths"),
+    (("time_signature",), [4, True], "time_signature"),
+    (("notes", 0, "pitch"), True, "notes[0].pitch"),
+    (("notes", 1, "onset"), [False, True], "notes[1].onset"),
+    (("notes", 1, "duration"), [3, True], "notes[1].duration"),
+    (("notes", 0, "tie_start"), "false", "notes[0].tie_start"),
+    (("notes", 2, "tie_stop"), 1, "notes[2].tie_stop"),
+    (("chords", 0, "chroma"), [False, 4, 7], "chords[0].chroma"),
+    (("chords", 1, "onset_step"), True, "chords[1].onset_step"),
+    (("chords", 0, "root"), False, "chords[0].root"),
+]
 
 
 class TestJson:
@@ -225,6 +239,24 @@ class TestJson:
     def test_top_level_must_be_object(self):
         with pytest.raises(SchemaError):
             leadsheet_from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "path,value,field", NOT_INTEGERS_OR_FLAGS, ids=[case[2] for case in NOT_INTEGERS_OR_FLAGS]
+    )
+    def test_booleans_are_not_integers_and_flags_are_booleans(
+        self, tmp_path, path, value, field
+    ):
+        obj = leadsheet_to_dict(self.example())
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(SchemaError, match=re.escape(field)):
+            leadsheet_from_dict(obj)
+        (tmp_path / "piece.json").write_text(json.dumps(obj))
+        rejection = scan_corpus(tmp_path).manifest.rejections["piece"]
+        assert rejection["reason"] == REJECT_UNREADABLE
+        assert field in rejection["detail"]
 
 
 JSON_VALUES = st.recursive(

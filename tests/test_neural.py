@@ -49,18 +49,18 @@ def random_batch(rng, steps, batch, din, nout):
 class TestActivations:
     def test_sigmoid_matches_definition(self):
         z = np.array([-700.0, -3.0, 0.0, 3.0, 700.0])
-        out = sigmoid(z)
+        out = sigmoid(z, out=np.empty(z.shape))
         assert np.all((out >= 0) & (out <= 1))
         assert out[2] == 0.5
         assert out[0] == pytest.approx(0.0, abs=1e-300)
         assert out[4] == pytest.approx(1.0)
-        assert sigmoid(np.array([1.5]))[0] == pytest.approx(1 / (1 + np.exp(-1.5)))
+        assert sigmoid(np.array([1.5]), out=np.empty(1))[0] == pytest.approx(1 / (1 + np.exp(-1.5)))
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=-745.0, max_value=745.0))
     def test_sigmoid_absolute_error_within_half_ulp_of_one(self, z):
         # Absolute, not relative: the tanh form returns 0 below about z = -38.
-        out = float(sigmoid(np.array([z]))[0])
+        out = float(sigmoid(np.array([z]), out=np.empty(1))[0])
         assert 0.0 <= out <= 1.0
         with localcontext() as ctx:
             ctx.prec = 40
@@ -141,7 +141,8 @@ class TestForwardOracle:
         inputs, targets = random_batch(rng, steps=6, batch=4, din=6, nout=7)
         mask = np.ones((6, 4))
         mask[4:, 2] = 0
-        masks = make_dropout_masks(np.random.default_rng(9), 0.5, 6, 2, 4, 5)
+        masks = make_dropout_masks(np.random.default_rng(9), 0.5, 6, 2, 4, 5,
+                                   out=np.empty((6, 2, 4, 5)))
         result = forward_sequence(
             params, inputs, targets, mask=mask, dropout=0.5, rng=np.random.default_rng(9)
         )
@@ -294,7 +295,8 @@ class TestOracleProperties:
         masks = None
         if dropped:
             shape = (steps, layers, batch, params.hidden_size)
-            masks = make_dropout_masks(np.random.default_rng(draw), dropout, *shape)
+            masks = make_dropout_masks(np.random.default_rng(draw), dropout, *shape,
+                                       out=np.empty(shape))
         result = forward_sequence(
             params, inputs, targets, mask=mask, dropout=dropout, rng=np.random.default_rng(draw)
         )
@@ -385,7 +387,9 @@ class TestWorkspaceReuse:
                     one_shot = one_shot_masks(np.random.default_rng(draw), dropout, shape)
                     assert np.array_equal(masks, one_shot)
                     assert np.array_equal(
-                        make_dropout_masks(np.random.default_rng(draw), dropout, *shape), one_shot
+                        make_dropout_masks(np.random.default_rng(draw), dropout, *shape,
+                                           out=np.empty(shape)),
+                        one_shot,
                     )
                 got = backward(params, reused.cache)
                 want = backward(params, fresh.cache)
@@ -407,7 +411,10 @@ class TestWorkspaceReuse:
         params = tiny_params()
         inputs, targets = random_batch(rng, 6, 3, 6, 7)
         dropout = 0.4 if dropped else 0.0
-        masks = make_dropout_masks(np.random.default_rng(2), dropout, 6, 2, 3, 5) if dropped else None
+        masks = None
+        if dropped:
+            masks = make_dropout_masks(np.random.default_rng(2), dropout, 6, 2, 3, 5,
+                                       out=np.empty((6, 2, 3, 5)))
         result = forward_sequence(
             params, inputs, targets, dropout=dropout, rng=np.random.default_rng(2)
         )

@@ -1,0 +1,30 @@
+"""The tree A/B helper: this tree against itself, and a changed copy."""
+
+import sys
+
+import melodygen
+from support import tree_ab
+
+
+def test_import_tree_keeps_the_trees_apart():
+    before = dict(sys.modules)
+    tree = tree_ab.import_tree(tree_ab.THIS_SRC)
+    assert tree is not melodygen and tree.encode is not melodygen.encode
+    assert tree.neural.__name__ == "melodygen.neural"
+    assert {name: sys.modules[name] for name in before} == before
+    assert sys.modules["melodygen"] is melodygen
+
+
+def test_this_tree_against_itself_has_no_differences():
+    trees = tree_ab.import_tree(tree_ab.THIS_SRC), tree_ab.import_tree(tree_ab.THIS_SRC)
+    assert tree_ab.compare("normalize", *trees, cases=500) == []
+    assert tree_ab.compare("neural", *trees, cases=20) == []
+
+
+def test_a_changed_tree_shows_differences(monkeypatch):
+    same = tree_ab.import_tree(tree_ab.THIS_SRC)
+    changed = tree_ab.import_tree(tree_ab.THIS_SRC)
+    monkeypatch.setattr(changed.encode, "fold_octaves", lambda pitch: pitch % 12 + 48)
+    monkeypatch.setattr(changed.neural, "ADAM_EPSILON", 1e-2)
+    for check, cases in (("normalize", 200), ("neural", 4)):
+        assert tree_ab.compare(check, same, changed, cases)
