@@ -199,6 +199,9 @@ def scan_corpus(directory: str | Path, split_seed: int = 0) -> CorpusScan:
     )
     sheets: dict[str, LeadSheet] = {}
     encoded: dict[str, EncodedPiece] = {}
+    # Every accepted parse, also one whose id a later file of the same name
+    # takes over in ``sheets``: the pitch fraction counts them all.
+    accepted: list[LeadSheet] = []
     rejections: dict[str, dict[str, str]] = {}
     for path in paths:
         piece_id = path.relative_to(directory).with_suffix("").as_posix()
@@ -228,13 +231,14 @@ def scan_corpus(directory: str | Path, split_seed: int = 0) -> CorpusScan:
             sheet = replace(sheet, id=piece_id)
         sheets[piece_id] = sheet
         encoded[piece_id] = EncodedPiece(grid, normalized.chords)
+        accepted.append(sheet)
 
     train, validation = split_ids(sorted(sheets), split_seed)
     manifest = CorpusManifest(
         scanned=len(sheets) + len(rejections),
         accepted_ids=sorted(sheets),
         rejections=rejections,
-        pitch_in_range_fraction=pitch_in_range_fraction(list(sheets.values())),
+        pitch_in_range_fraction=pitch_in_range_fraction(accepted),
         split_seed=split_seed,
         train_ids=train,
         validation_ids=validation,

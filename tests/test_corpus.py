@@ -157,6 +157,13 @@ class TestScanCorpus:
         scan = scan_corpus(self.make_corpus(tmp_path), split_seed=1)
         assert 0.0 <= scan.manifest.pitch_in_range_fraction <= 1.0
 
+    def test_pitch_fraction_counts_files_that_share_a_name(self, tmp_path):
+        (tmp_path / "a.json").write_text(json_sheet("a", pitches=(60, 64)))
+        (tmp_path / "a.xml").write_text(simple_score([(90, 16)]))
+        scan = scan_corpus(tmp_path)
+        assert scan.manifest.accepted_ids == ["a"]
+        assert scan.manifest.pitch_in_range_fraction == 2 / 3
+
     def test_empty_directory(self, tmp_path):
         scan = scan_corpus(tmp_path, split_seed=0)
         assert scan.manifest.scanned == 0
