@@ -80,10 +80,10 @@ for index, centroid in enumerate(bar_codebook.centroids):
 # A piece is now describable as one profile index per bar and per beat --
 # the conditioning sequences the upper layers of the generator train on.
 # ---------------------------------------------------------------------------
-bar_seq, beat_seq = profile_sequences(grids[0], beat_codebook, bar_codebook)
+profiles = profile_sequences(grids[0], {"bar": bar_codebook, "beat": beat_codebook})
 print("\npiece 0 as profile sequences:")
-print("  bars: ", bar_seq.tolist())
-print("  beats:", beat_seq.tolist())
+print("  bars: ", profiles["bar"].tolist())
+print("  beats:", profiles["beat"].tolist())
 
 # ---------------------------------------------------------------------------
 # How big should k be? The elbow table: within-cluster sum of squares for

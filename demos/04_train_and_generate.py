@@ -115,14 +115,12 @@ plan = GenerationPlan(
     mode="sample",
     temperature=1.0,
     seed=2,
-    primer_events=(60 - PITCH_MIN, NO_EVENT, NO_EVENT, NO_EVENT),
-    primer_bar_profile=0,
-    primer_beat_profile=0,
+    primers={"bar": (0,), "beat": (0,), "note": (60 - PITCH_MIN, NO_EVENT, NO_EVENT, NO_EVENT)},
 )
 result = generate(level_params, specs, plan)
 print(f"\nsampled melody (seed {plan.seed}):")
-print(f"  bar profiles:  {result.bar_profiles.tolist()}")
-print(f"  beat profiles: {result.beat_profiles.tolist()}")
+print(f"  bar profiles:  {result.profiles['bar'].tolist()}")
+print(f"  beat profiles: {result.profiles['beat'].tolist()}")
 piano_roll(result.grid)
 
 # ---------------------------------------------------------------------------
@@ -133,9 +131,7 @@ beam_plan = GenerationPlan(
     bars=4,
     mode="beam",
     beam_width=3,
-    primer_events=plan.primer_events,
-    primer_bar_profile=0,
-    primer_beat_profile=0,
+    primers=plan.primers,
 )
 beam_result = generate(level_params, specs, beam_plan)
 print("\nbeam-searched melody (width 3):")

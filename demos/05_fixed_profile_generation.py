@@ -89,19 +89,20 @@ note_params = {"note": result.params}
 # sequence plus the primer pins down.
 # ---------------------------------------------------------------------------
 source = grids[1]
-bar_seq, beat_seq = profile_sequences(source, beat_codebook, bar_codebook)
+profiles = profile_sequences(source, {"bar": bar_codebook, "beat": beat_codebook})
+source_profiles = {level: tuple(int(i) for i in seq) for level, seq in profiles.items()}
+primers = {"note": tuple(source.events[:4])}
 plan = GenerationPlan(
     bars=source.n_bars,
     mode="sample",
     temperature=0.0,
-    primer_events=tuple(source.events[:4]),
-    fixed_bar_profiles=tuple(int(i) for i in bar_seq),
-    fixed_beat_profiles=tuple(int(i) for i in beat_seq),
+    primers=primers,
+    fixed_profiles=source_profiles,
 )
 transferred = generate(note_params, specs, plan)
 
 match = rhythm_match_fraction(source, transferred.grid)
-adherence = profile_adherence(transferred.grid, np.asarray(beat_seq), beat_codebook)
+adherence = profile_adherence(transferred.grid, profiles["beat"], beat_codebook)
 
 
 def pitch_line(grid):
@@ -125,9 +126,8 @@ warm = GenerationPlan(
     mode="sample",
     temperature=0.9,
     seed=3,
-    primer_events=tuple(source.events[:4]),
-    fixed_bar_profiles=tuple(int(i) for i in bar_seq),
-    fixed_beat_profiles=tuple(int(i) for i in beat_seq),
+    primers=primers,
+    fixed_profiles=source_profiles,
 )
 varied = generate(note_params, specs, warm)
 print("\nthe same transfer at temperature 0.9:")
@@ -144,9 +144,8 @@ groove = GenerationPlan(
     mode="sample",
     temperature=0.8,
     seed=5,
-    primer_events=tuple(source.events[:4]),
-    fixed_bar_profiles=tile_profiles((0,), 4),
-    fixed_beat_profiles=tile_profiles((0, 1), 16),
+    primers=primers,
+    fixed_profiles={"bar": tile_profiles((0,), 4), "beat": tile_profiles((0, 1), 16)},
 )
 grooved = generate(note_params, specs, groove)
 print("\ntiled groove (bar profile 0, beat profiles 0,1 alternating):")

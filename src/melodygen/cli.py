@@ -44,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import read, replace_dir, write, write_json
-from .corpus import dumps_grids, loads_grids, scan_corpus
+from .corpus import CorpusError, dumps_grids, loads_grids, scan_corpus
 from .encode import NO_EVENT, grid_decode, grid_encode, normalize_sheet, sustain_extend
 from .hrnn import (
     GenerationPlan,
@@ -59,7 +59,7 @@ from .hrnn import (
     tile_profiles,
     train_layer,
 )
-from .hrnn.specs import VARIANTS, profile_levels, variant_specs
+from .hrnn.specs import FAN_OUT_REPEATS, PROFILE_LEVELS, VARIANTS, profile_levels, variant_specs
 from .hrnn.training import layer_config
 from .leadsheet import dumps_leadsheet, loads_leadsheet
 from .midifile import DEFAULT_TEMPO_BPM, MAX_TEMPO_BPM, MIN_TEMPO_BPM, write_midi
@@ -156,10 +156,18 @@ def _load_codebooks(work: Path, variant: str) -> dict[str, ProfileCodebook]:
     }
 
 
-def _by_keyword(codebooks: dict[str, ProfileCodebook]) -> dict[str, ProfileCodebook]:
-    """Codebooks keyed by level as the ``<level>_codebook`` keywords of
-    :func:`build_datasets` and :func:`variant_specs`."""
-    return {f"{level}_codebook": codebook for level, codebook in codebooks.items()}
+def _datasets(work: Path, ids: list[str], variant: str, codebooks: dict, chords: bool):
+    """The listed pieces' grids, and their datasets per level for ``variant``."""
+    grids, chord_tracks = _load_encoded(work, ids)
+    return grids, build_datasets(
+        grids,
+        variant,
+        beat_codebook=codebooks.get("beat"),
+        bar_codebook=codebooks.get("bar"),
+        chord_tracks=chord_tracks,
+        chords=chords,
+        piece_ids=ids,
+    )
 
 
 def cmd_ingest(args) -> int:
@@ -167,7 +175,10 @@ def cmd_ingest(args) -> int:
     corpus_dir = Path(args.corpus_dir)
     if not corpus_dir.is_dir():
         raise CliError(f"corpus directory {corpus_dir} does not exist", EXIT_EMPTY)
-    scan = scan_corpus(corpus_dir, split_seed=args.seed)
+    try:
+        scan = scan_corpus(corpus_dir, split_seed=args.seed)
+    except CorpusError as exc:
+        raise CliError(str(exc), EXIT_EMPTY)
     manifest = scan.manifest
     print(f"scanned   {manifest.scanned}")
     print(f"accepted  {manifest.accepted} (before pickup filter: "
@@ -249,30 +260,14 @@ def cmd_train(args) -> int:
     codebooks = _load_codebooks(work, args.variant)
     if not manifest["train_ids"]:
         raise CliError("the training split is empty", EXIT_EMPTY)
-    train_grids, train_chords = _load_encoded(work, manifest["train_ids"])
-    val_grids, val_chords = _load_encoded(work, manifest["validation_ids"])
-    stamp = _stamp(args)
-    specs = variant_specs(args.variant, chords=args.chords, **_by_keyword(codebooks))
-    datasets = build_datasets(
-        train_grids,
-        args.variant,
-        **_by_keyword(codebooks),
-        chord_tracks=train_chords,
-        chords=args.chords,
-        piece_ids=manifest["train_ids"],
-    )
+    _, datasets = _datasets(work, manifest["train_ids"], args.variant, codebooks, args.chords)
     val_datasets = (
-        build_datasets(
-            val_grids,
-            args.variant,
-            **_by_keyword(codebooks),
-            chord_tracks=val_chords,
-            chords=args.chords,
-            piece_ids=manifest["validation_ids"],
-        )
-        if val_grids
+        _datasets(work, manifest["validation_ids"], args.variant, codebooks, args.chords)[1]
+        if manifest["validation_ids"]
         else None
     )
+    stamp = _stamp(args)
+    specs = variant_specs(args.variant, chords=args.chords, codebooks=codebooks)
 
     level_params, curves = {}, {}
     for level, spec in specs.items():
@@ -312,28 +307,33 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _fixed_profiles(text: str | None, model: HrnnModel, level: str, count: int):
-    """``--fixed-<level>-profiles`` tiled to ``count`` positions, or None."""
-    if text is None:
-        return None
-    option = f"--fixed-{level}-profiles"
-    try:
-        values = tuple(int(part) for part in text.replace(" ", "").split(",") if part)
-    except ValueError:
-        raise CliError(f"{option} must be a comma-separated list of integers", EXIT_EMPTY)
-    if not values:
-        raise CliError(f"{option} is empty", EXIT_EMPTY)
-    if level not in model.codebooks:
-        raise CliError(f"{option}: the {model.variant} model has no {level} level", EXIT_EMPTY)
-    values = tile_profiles(values, count)
-    k = model.codebooks[level].k
-    bad = [v for v in values if not 0 <= v < k]
-    if bad:
-        raise CliError(
-            f"{option}: fixed {level} profile index {bad[0]} outside codebook 0..{k - 1}",
-            EXIT_EMPTY,
-        )
-    return values
+def _fixed_profiles(args, model: HrnnModel) -> dict[str, tuple[int, ...]]:
+    """Each ``--fixed-<level>-profiles`` given, tiled to the level's positions
+    in ``--bars`` bars, keyed by level."""
+    fixed = {}
+    for level in PROFILE_LEVELS:
+        text = getattr(args, f"fixed_{level}_profiles")
+        if text is None:
+            continue
+        option = f"--fixed-{level}-profiles"
+        try:
+            values = tuple(int(part) for part in text.replace(" ", "").split(",") if part)
+        except ValueError:
+            raise CliError(f"{option} must be a comma-separated list of integers", EXIT_EMPTY)
+        if not values:
+            raise CliError(f"{option} is empty", EXIT_EMPTY)
+        if level not in model.codebooks:
+            raise CliError(f"{option}: the {model.variant} model has no {level} level", EXIT_EMPTY)
+        values = tile_profiles(values, args.bars * FAN_OUT_REPEATS[level][0])
+        k = model.codebooks[level].k
+        bad = [v for v in values if not 0 <= v < k]
+        if bad:
+            raise CliError(
+                f"{option}: fixed {level} profile index {bad[0]} outside codebook 0..{k - 1}",
+                EXIT_EMPTY,
+            )
+        fixed[level] = values
+    return fixed
 
 
 def _generation_plan(**fields) -> GenerationPlan:
@@ -347,13 +347,11 @@ def _generation_plan(**fields) -> GenerationPlan:
 def cmd_generate(args) -> int:
     work = Path(args.work_dir)
     model = load_bundle(work / "model" / args.variant, args.variant)
-    fixed_bar = _fixed_profiles(args.fixed_bar_profiles, model, "bar", args.bars)
-    fixed_beat = _fixed_profiles(args.fixed_beat_profiles, model, "beat", args.bars * 4)
+    fixed = _fixed_profiles(args, model)
     manifest = _manifest(work)
 
     piece_id = _primer_piece(manifest, np.random.default_rng(args.seed), args.primer_piece)
     (grid,), (primer_chords,) = _load_encoded(work, [piece_id])
-    primer_events, primer_bar, primer_beat = _primer_of(grid, model)
 
     plan = _generation_plan(
         bars=args.bars,
@@ -361,11 +359,8 @@ def cmd_generate(args) -> int:
         temperature=args.temperature,
         beam_width=args.beam_width,
         seed=args.seed,
-        primer_events=primer_events,
-        primer_bar_profile=primer_bar,
-        primer_beat_profile=primer_beat,
-        fixed_bar_profiles=fixed_bar,
-        fixed_beat_profiles=fixed_beat,
+        primers=_primer_of(grid, model),
+        fixed_profiles=fixed,
         chords=primer_chords if model.chords else (),
     )
     try:
@@ -410,16 +405,15 @@ def _primer_piece(manifest, rng, primer_piece: str | None) -> str:
     return pool[int(rng.integers(len(pool)))]
 
 
-def _primer_of(grid, model) -> tuple[tuple[int, ...], int | None, int | None]:
-    """A grid's first beat of events and its first bar and beat profiles."""
-    bar_idx, beat_idx = profile_sequences(
-        grid, model.codebooks.get("beat"), model.codebooks.get("bar")
-    )
-    return (
-        tuple(int(e) for e in grid.events[:4]),
-        int(bar_idx[0]) if bar_idx is not None else None,
-        int(beat_idx[0]) if beat_idx is not None else None,
-    )
+def _primer_of(grid, model) -> dict[str, tuple[int, ...]]:
+    """A grid's first profile at each of the model's profile levels, and its
+    first beat of events, keyed by level."""
+    primers = {
+        level: (int(indices[0]),)
+        for level, indices in profile_sequences(grid, model.codebooks).items()
+    }
+    primers["note"] = tuple(int(e) for e in grid.events[:4])
+    return primers
 
 
 def cmd_eval(args) -> int:
@@ -429,15 +423,7 @@ def cmd_eval(args) -> int:
     ids = manifest["validation_ids"] or manifest["train_ids"]
     if not ids:
         raise CliError("no pieces to evaluate on", EXIT_EMPTY)
-    grids, chord_tracks = _load_encoded(work, ids)
-    datasets = build_datasets(
-        grids,
-        model.variant,
-        **_by_keyword(model.codebooks),
-        chord_tracks=chord_tracks,
-        chords=model.chords,
-        piece_ids=ids,
-    )
+    grids, datasets = _datasets(work, ids, model.variant, model.codebooks, model.chords)
     metrics: dict = {"levels": {}, "pieces": len(ids)}
     for level, sequences in datasets.items():
         metrics["levels"][level] = evaluate_layer(
@@ -474,23 +460,19 @@ def _generation_adherence(model, grids, args) -> dict:
     scores = {level: [] for level in model.codebooks}
     for index in range(args.adherence_samples):
         source = grids[index % len(grids)]
-        primer_events, primer_bar, primer_beat = _primer_of(source, model)
         plan = _generation_plan(
             bars=source.n_bars,
             mode="sample",
             temperature=args.temperature,
             seed=args.seed + index,
-            primer_events=primer_events,
-            primer_bar_profile=primer_bar,
-            primer_beat_profile=primer_beat,
+            primers=_primer_of(source, model),
         )
         try:
             result = generate(model.level_params, model.specs, plan)
         except ValueError as exc:
             return {"error": f"generation with seed {plan.seed} failed: {exc}"}
-        intended = {"bar": result.bar_profiles, "beat": result.beat_profiles}
         for level, codebook in model.codebooks.items():
-            scores[level].append(profile_adherence(result.grid, intended[level], codebook))
+            scores[level].append(profile_adherence(result.grid, result.profiles[level], codebook))
     return {level: float(np.mean(values)) for level, values in scores.items()}
 
 

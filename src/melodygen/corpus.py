@@ -3,9 +3,11 @@
 ``scan_corpus`` walks a directory for ``.xml``/``.musicxml``/``.json`` files,
 parses each into a LeadSheet, encodes it onto the event grid, records every
 rejection with its reason, and produces a deterministic train/validation
-split of the accepted ids. Files that cannot be read or parsed at all are
-recorded under the reason ``"unreadable"``, and pieces the grid encoder
-rejects under ``"unencodable"``; scanning continues.
+split of the accepted ids. A piece's id is its file's relative path without
+the suffix; a corpus in which two files share an id is rejected whole, before
+any file is parsed. Files that cannot be read or parsed at all are recorded
+under the reason ``"unreadable"``, and pieces the grid encoder rejects under
+``"unencodable"``; scanning continues.
 
 Each accepted piece is encoded once, here. ``dumps_grids`` serializes the
 encodings and ``loads_grids`` reads them back, so later stages never re-parse
@@ -189,22 +191,32 @@ def pitch_in_range_fraction(sheets: list[LeadSheet]) -> float:
     return in_range / total if total else 0.0
 
 
+class CorpusError(ValueError):
+    """A corpus that cannot be scanned as a whole."""
+
+
 def scan_corpus(directory: str | Path, split_seed: int = 0) -> CorpusScan:
-    """Parse every corpus file under ``directory`` (sorted, recursive)."""
+    """Parse every corpus file under ``directory`` (sorted, recursive).
+
+    Raises CorpusError, naming every clashing file, when two files share a
+    piece id.
+    """
     directory = Path(directory)
-    paths = sorted(
-        p
-        for p in directory.rglob("*")
-        if p.is_file() and p.suffix.lower() in (".xml", ".musicxml", ".json")
-    )
+    paths: dict[str, list[Path]] = {}
+    for p in sorted(directory.rglob("*")):
+        if p.is_file() and p.suffix.lower() in (".xml", ".musicxml", ".json"):
+            paths.setdefault(p.relative_to(directory).with_suffix("").as_posix(), []).append(p)
+    clashes = [
+        f"{piece_id!r} ({', '.join(p.relative_to(directory).as_posix() for p in group)})"
+        for piece_id, group in paths.items()
+        if len(group) > 1
+    ]
+    if clashes:
+        raise CorpusError(f"files share a piece id: {'; '.join(clashes)}")
     sheets: dict[str, LeadSheet] = {}
     encoded: dict[str, EncodedPiece] = {}
-    # Every accepted parse, also one whose id a later file of the same name
-    # takes over in ``sheets``: the pitch fraction counts them all.
-    accepted: list[LeadSheet] = []
     rejections: dict[str, dict[str, str]] = {}
-    for path in paths:
-        piece_id = path.relative_to(directory).with_suffix("").as_posix()
+    for piece_id, (path,) in paths.items():
         try:
             data = path.read_bytes()
             if path.suffix.lower() == ".json":
@@ -231,14 +243,13 @@ def scan_corpus(directory: str | Path, split_seed: int = 0) -> CorpusScan:
             sheet = replace(sheet, id=piece_id)
         sheets[piece_id] = sheet
         encoded[piece_id] = EncodedPiece(grid, normalized.chords)
-        accepted.append(sheet)
 
     train, validation = split_ids(sorted(sheets), split_seed)
     manifest = CorpusManifest(
         scanned=len(sheets) + len(rejections),
         accepted_ids=sorted(sheets),
         rejections=rejections,
-        pitch_in_range_fraction=pitch_in_range_fraction(accepted),
+        pitch_in_range_fraction=pitch_in_range_fraction(list(sheets.values())),
         split_seed=split_seed,
         train_ids=train,
         validation_ids=validation,

@@ -43,12 +43,7 @@ class HrnnModel:
     specs: dict[str, LayerSpec] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.specs = variant_specs(
-            self.variant,
-            chords=self.chords,
-            beat_codebook=self.codebooks.get("beat"),
-            bar_codebook=self.codebooks.get("bar"),
-        )
+        self.specs = variant_specs(self.variant, chords=self.chords, codebooks=self.codebooks)
         for what, given, expected in (
             ("parameters", set(self.level_params), set(self.specs)),
             ("codebooks", set(self.codebooks), set(profile_levels(self.variant))),

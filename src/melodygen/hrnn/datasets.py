@@ -14,6 +14,7 @@ matrix products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -52,20 +53,17 @@ def piece_level_sequences(
     grid: MelodyGrid,
     specs: dict[str, LayerSpec],
     *,
-    beat_codebook: ProfileCodebook | None,
-    bar_codebook: ProfileCodebook | None,
+    codebooks: Mapping[str, ProfileCodebook],
     chords: tuple[ChordSymbol, ...] = (),
     piece_id: str = "",
 ) -> dict[str, TrainingSequence]:
     """Build the per-level training sequences for one melody grid.
 
-    ``specs`` come from :func:`variant_specs`, so each profile level's
-    codebook is given.
+    ``specs`` come from :func:`variant_specs`, so ``codebooks`` holds the
+    codebook of each profile level; codebooks of other levels are ignored.
     """
-    bar_idx, beat_idx = profile_sequences(
-        grid,
-        beat_codebook if "beat" in specs else None,
-        bar_codebook if "bar" in specs else None,
+    profiles = profile_sequences(
+        grid, {level: book for level, book in codebooks.items() if level in specs}
     )
     need_chroma = any(s.chroma for s in specs.values())
     chroma = (
@@ -74,15 +72,14 @@ def piece_level_sequences(
         else None
     )
 
-    level_events = {"bar": bar_idx, "beat": beat_idx, "note": grid.to_array()}
+    level_events = {**profiles, "note": grid.to_array()}
     out: dict[str, TrainingSequence] = {}
     for level, spec in specs.items():
         events = level_events[level]
         inputs = build_layer_inputs(
             spec,
             events,
-            bar_indices=bar_idx if spec.bar_condition else None,
-            beat_indices=beat_idx if spec.beat_condition else None,
+            profiles=profiles,
             chroma_by_beat=chroma if spec.chroma else None,
         ).astype(np.uint8)
         out[level] = TrainingSequence(inputs, np.asarray(events), piece_id)
@@ -104,20 +101,18 @@ def build_datasets(
     ``chord_tracks`` aligns with ``grids`` and is only consulted when the
     variant is chord-conditioned.
     """
-    specs = variant_specs(
-        variant, chords=chords, beat_codebook=beat_codebook, bar_codebook=bar_codebook
-    )
+    codebooks = {
+        level: book
+        for level, book in (("bar", bar_codebook), ("beat", beat_codebook))
+        if book is not None
+    }
+    specs = variant_specs(variant, chords=chords, codebooks=codebooks)
     datasets: dict[str, list[TrainingSequence]] = {level: [] for level in specs}
     for index, grid in enumerate(grids):
         track = chord_tracks[index] if (chords and chord_tracks) else ()
         piece_id = piece_ids[index] if piece_ids else f"piece{index}"
         sequences = piece_level_sequences(
-            grid,
-            specs,
-            beat_codebook=beat_codebook,
-            bar_codebook=bar_codebook,
-            chords=track,
-            piece_id=piece_id,
+            grid, specs, codebooks=codebooks, chords=track, piece_id=piece_id
         )
         for level, sequence in sequences.items():
             datasets[level].append(sequence)

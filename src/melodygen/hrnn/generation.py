@@ -6,7 +6,9 @@ bypasses the layer entirely) or decodes its whole sequence autoregressively
 from its primer; its output is fanned out as the condition of the levels
 below (one bar profile covers 16 steps, one beat profile 4 steps). Primers
 occupy the start of each decoded sequence: one profile for the bar and beat
-layers, one beat (4 events) for the note layer.
+layers, one beat (4 events) for the note layer. The plan holds the primers
+and the fixed profiles, and the result the profiles, each as a mapping keyed
+by level.
 
 One loop, :func:`_decode_sequence`, decodes every level in both modes:
 
@@ -30,7 +32,7 @@ from a per-hypothesis search in the last bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +41,9 @@ from ..leadsheet import ChordSymbol
 from ..neural import GeneratorParams, LstmState, log_softmax, lstm_step
 from .specs import (
     BEATS_PER_BAR,
-    STEPS_PER_BAR,
+    FAN_OUT_REPEATS,
+    LEVELS,
+    PROFILE_LEVELS,
     STEPS_PER_BEAT,
     LayerSpec,
     chord_chroma_by_beat,
@@ -48,20 +52,30 @@ from .specs import (
 )
 
 
+# Per level: a primer's length, and the error for a primer of another length.
+_PRIMER_LENGTHS = {
+    "bar": (1, "bar primer must be one profile"),
+    "beat": (1, "beat primer must be one profile"),
+    "note": (STEPS_PER_BEAT, f"primer must cover one beat ({STEPS_PER_BEAT} events)"),
+}
+
+
 @dataclass
 class GenerationPlan:
-    """Everything one melody generation depends on."""
+    """Everything one melody generation depends on.
+
+    ``primers`` maps a level to the start of its sequence: one profile for
+    "bar" and "beat", one beat (4 events) for "note". ``fixed_profiles`` maps
+    a profile level to its whole sequence, one index per bar or per beat.
+    """
 
     bars: int
     mode: str = "sample"  # "sample" or "beam"
     temperature: float = 1.0
     beam_width: int = 3
     seed: int = 0
-    primer_events: tuple[int, ...] | None = None  # first beat: 4 note events
-    primer_bar_profile: int | None = None
-    primer_beat_profile: int | None = None
-    fixed_bar_profiles: tuple[int, ...] | None = None
-    fixed_beat_profiles: tuple[int, ...] | None = None
+    primers: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    fixed_profiles: dict[str, tuple[int, ...]] = field(default_factory=dict)
     chords: tuple[ChordSymbol, ...] = ()
 
     def __post_init__(self) -> None:
@@ -75,32 +89,29 @@ class GenerationPlan:
             raise ValueError("temperature must be >= 0")
         if self.beam_width < 1:
             raise ValueError("beam width must be >= 1")
-        if self.primer_events is not None and len(self.primer_events) != STEPS_PER_BEAT:
-            raise ValueError(
-                f"primer must cover one beat ({STEPS_PER_BEAT} events), "
-                f"got {len(self.primer_events)}"
-            )
-        if self.fixed_bar_profiles is not None and len(self.fixed_bar_profiles) != self.bars:
-            raise ValueError(
-                f"fixed bar profiles must cover {self.bars} bars, "
-                f"got {len(self.fixed_bar_profiles)}"
-            )
-        expected_beats = self.bars * BEATS_PER_BAR
-        if (
-            self.fixed_beat_profiles is not None
-            and len(self.fixed_beat_profiles) != expected_beats
+        for what, given, levels in (
+            ("primers", self.primers, LEVELS),
+            ("fixed profiles", self.fixed_profiles, PROFILE_LEVELS),
         ):
-            raise ValueError(
-                f"fixed beat profiles must cover {expected_beats} beats, "
-                f"got {len(self.fixed_beat_profiles)}"
-            )
+            for level in given:
+                if level not in levels:
+                    raise ValueError(f"{what} for {level!r}, which is not one of {levels}")
+        for level in LEVELS:
+            primer, fixed = self.primers.get(level), self.fixed_profiles.get(level)
+            length, wrong_length = _PRIMER_LENGTHS[level]
+            if primer is not None and len(primer) != length:
+                raise ValueError(f"{wrong_length}, got {len(primer)}")
+            count = self.bars * FAN_OUT_REPEATS[level][0]
+            if fixed is not None and len(fixed) != count:
+                raise ValueError(
+                    f"fixed {level} profiles must cover {count} {level}s, got {len(fixed)}"
+                )
 
 
 @dataclass
 class GenerationResult:
     grid: MelodyGrid
-    bar_profiles: np.ndarray | None
-    beat_profiles: np.ndarray | None
+    profiles: dict[str, np.ndarray]  # the bar and beat sequences the variant has
     trace: dict
 
 
@@ -211,13 +222,7 @@ def generate(
     ``level_params`` holds the trained layers; a layer may be absent when the
     plan fixes its output. The note layer is always required.
     """
-    n_beats = plan.bars * BEATS_PER_BAR
-    levels = (  # (level, sequence length, fixed output, primer)
-        ("bar", plan.bars, plan.fixed_bar_profiles, plan.primer_bar_profile),
-        ("beat", n_beats, plan.fixed_beat_profiles, plan.primer_beat_profile),
-        ("note", plan.bars * STEPS_PER_BAR, None, plan.primer_events),
-    )
-    seeds = np.random.SeedSequence(plan.seed).generate_state(len(levels))
+    seeds = np.random.SeedSequence(plan.seed).generate_state(len(LEVELS))
     trace: dict = {
         "plan": {
             "bars": plan.bars,
@@ -230,10 +235,11 @@ def generate(
     }
     chroma_beats = None
     if any(spec.chroma for spec in specs.values()):
-        chroma_beats = chord_chroma_by_beat(plan.chords, n_beats)
+        chroma_beats = chord_chroma_by_beat(plan.chords, plan.bars * BEATS_PER_BAR)
 
     outputs: dict[str, np.ndarray] = {}
-    for (level, length, fixed, primer), seed in zip(levels, seeds):
+    for level, seed in zip(LEVELS, seeds):
+        fixed = plan.fixed_profiles.get(level)
         if level not in specs:
             if fixed is not None:
                 raise ValueError(f"this variant has no {level} level to fix profiles for")
@@ -244,19 +250,16 @@ def generate(
             events = np.asarray(fixed, dtype=np.int64)
             trace["levels"][level] = {"fixed": [int(v) for v in events]}
         else:
-            if primer is None:
+            if level not in plan.primers:
                 raise ValueError(missing_primer)
-            primer = np.ravel(primer).tolist()  # one profile, or one beat of events
+            primer = list(plan.primers[level])
             if level not in level_params:
                 raise ValueError(
                     f"no parameters for the {level} layer and no fixed profiles given"
                 )
+            length = plan.bars * FAN_OUT_REPEATS[level][0]
             conditions = condition_block(
-                spec,
-                length,
-                bar_profiles=outputs.get("bar"),
-                beat_profiles=outputs.get("beat"),
-                chroma_by_beat=chroma_beats,
+                spec, length, profiles=outputs, chroma_by_beat=chroma_beats
             )
             events, logprobs = _decode_sequence(
                 level_params[level],
@@ -278,9 +281,7 @@ def generate(
             raise ValueError(outside)
         outputs[level] = events
 
+    note = outputs.pop("note")
     return GenerationResult(
-        grid=MelodyGrid(tuple(int(e) for e in outputs["note"])),
-        bar_profiles=outputs.get("bar"),
-        beat_profiles=outputs.get("beat"),
-        trace=trace,
+        grid=MelodyGrid(tuple(int(e) for e in note)), profiles=outputs, trace=trace
     )

@@ -24,13 +24,20 @@ Variants: "3L" is the full bar/beat/note stack; "2L" drops the bar level
 (its beat layer is unconditioned); "1L" is the note level alone with no
 profile conditions, which reduces it to a plain lookback sequence model.
 Chord conditioning adds the chroma block to the beat and note levels (the
-note level in every variant). :func:`variant_specs` sizes a variant's specs
-off its profile codebooks.
+note level in every variant).
+
+Every per-level value is keyed by level: :func:`variant_specs` sizes a
+variant's specs off a ``{level: codebook}`` mapping, and
+:func:`condition_block` and :func:`build_layer_inputs` read the profile
+indices of the levels above from a ``{level: indices}`` mapping, per bar for
+"bar" and per beat for "beat". :func:`layer_specs` takes the codebook sizes
+as ``bar_k`` and ``beat_k``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -40,6 +47,7 @@ from ..profiles import DEFAULT_BAR_K, DEFAULT_BEAT_K, ProfileCodebook
 
 VARIANTS = ("1L", "2L", "3L")
 LEVELS = ("bar", "beat", "note")
+PROFILE_LEVELS = ("bar", "beat")  # the levels that emit rhythm profiles
 
 STEPS_PER_BAR = 16
 STEPS_PER_BEAT = 4
@@ -136,15 +144,14 @@ def layer_specs(
 def profile_levels(variant: str) -> tuple[str, ...]:
     """The levels of a variant that emit rhythm profiles; the variant reads
     the codebook of each and of no other."""
-    return tuple(level for level in layer_specs(variant) if level != "note")
+    return tuple(level for level in layer_specs(variant) if level in PROFILE_LEVELS)
 
 
 def variant_specs(
     variant: str,
     *,
     chords: bool,
-    beat_codebook: ProfileCodebook | None = None,
-    bar_codebook: ProfileCodebook | None = None,
+    codebooks: Mapping[str, ProfileCodebook],
 ) -> dict[str, LayerSpec]:
     """The LayerSpec for every level of a variant, sized off its codebooks.
 
@@ -152,15 +159,15 @@ def variant_specs(
     alphabet, and the condition of the levels below it. A missing one is
     rejected; one the variant does not need is ignored.
     """
-    codebooks = {"beat": beat_codebook, "bar": bar_codebook}
     specs = layer_specs(
         variant,
         chords=chords,
-        **{f"{kind}_k": book.k for kind, book in codebooks.items() if book is not None},
+        **{f"{level}_k": codebooks[level].k for level in PROFILE_LEVELS if level in codebooks},
     )
-    for kind, book in codebooks.items():
-        if kind in specs and book is None:
-            raise ValueError(f"this variant needs a {kind} codebook")
+    missing = [level for level in specs if level in PROFILE_LEVELS and level not in codebooks]
+    if missing:
+        # Name the missing level nearest the notes.
+        raise ValueError(f"this variant needs a {missing[-1]} codebook")
     return specs
 
 
@@ -207,28 +214,28 @@ def condition_block(
     spec: LayerSpec,
     length: int,
     *,
-    bar_profiles: np.ndarray | None = None,
-    beat_profiles: np.ndarray | None = None,
+    profiles: Mapping[str, np.ndarray],
     chroma_by_beat: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """The condition columns (length, condition_dim) of one sequence, or None.
 
-    Profile indices are given per bar and per beat, chroma per beat; each is
-    fanned out to the level's positions. Missing chroma is rejected like any
-    other length mismatch.
+    ``profiles`` maps each profile level the spec is conditioned on to its
+    indices, per bar for "bar" and per beat for "beat"; chroma is given per
+    beat. Each is fanned out to the level's positions. Missing chroma is
+    rejected like any other length mismatch.
     """
     if not spec.condition_dim:
         return None
     per_bar, per_beat = FAN_OUT_REPEATS[spec.level]
     parts = []
-    for name, size, profiles, repeat in (
-        ("bar", spec.bar_condition, bar_profiles, per_bar),
-        ("beat", spec.beat_condition, beat_profiles, per_beat),
+    for name, size, repeat in (
+        ("bar", spec.bar_condition, per_bar),
+        ("beat", spec.beat_condition, per_beat),
     ):
         if size:
-            if profiles is None:
+            if name not in profiles:
                 raise ValueError(f"{spec.level} layer requires {name} profile indices")
-            block = one_hot_matrix(fan_out(profiles, repeat), size)
+            block = one_hot_matrix(fan_out(profiles[name], repeat), size)
             parts.append((f"{name} profiles cover", block))
     if spec.chroma:
         chroma = np.zeros((0, CHROMA_DIM)) if chroma_by_beat is None else chroma_by_beat
@@ -287,24 +294,19 @@ def build_layer_inputs(
     spec: LayerSpec,
     events: np.ndarray,
     *,
-    bar_indices: np.ndarray | None = None,
-    beat_indices: np.ndarray | None = None,
+    profiles: Mapping[str, np.ndarray],
     chroma_by_beat: np.ndarray | None = None,
 ) -> np.ndarray:
     """Assemble the full (T, input_dim) input matrix for one sequence.
 
     ``events`` is the layer's own symbol sequence (its prediction targets).
-    Profile indices are given per bar / per beat and chroma per beat, as
-    :func:`condition_block` takes them.
+    Profile indices and chroma are given as :func:`condition_block` takes
+    them.
     """
     events = np.asarray(events, dtype=np.int64)
     if events.size and (events.min() < 0 or events.max() >= spec.alphabet_size):
         raise ValueError(f"{spec.level} event index outside alphabet")
     conditions = condition_block(
-        spec,
-        len(events),
-        bar_profiles=bar_indices,
-        beat_profiles=beat_indices,
-        chroma_by_beat=chroma_by_beat,
+        spec, len(events), profiles=profiles, chroma_by_beat=chroma_by_beat
     )
     return layer_features(spec, events[None], 0, len(events), conditions)[0]

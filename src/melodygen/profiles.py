@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -449,18 +449,15 @@ def assign_many(clips: np.ndarray, codebook: ProfileCodebook) -> np.ndarray:
 
 def profile_sequences(
     grid: MelodyGrid,
-    beat_codebook: ProfileCodebook | None,
-    bar_codebook: ProfileCodebook | None,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Per-bar and per-beat profile indices for one melody grid."""
+    codebooks: Mapping[str, ProfileCodebook],
+) -> dict[str, np.ndarray]:
+    """Profile indices of one melody grid under each codebook, keyed by its
+    level: one per bar under a bar codebook, one per beat under a beat one."""
     binary = binarize(grid)
-    bar_indices = None
-    beat_indices = None
-    if bar_codebook is not None:
-        bar_indices = assign_many(cut_clips(binary, BAR_WIDTH), bar_codebook)
-    if beat_codebook is not None:
-        beat_indices = assign_many(cut_clips(binary, BEAT_WIDTH), beat_codebook)
-    return bar_indices, beat_indices
+    return {
+        level: assign_many(cut_clips(binary, book.width), book)
+        for level, book in codebooks.items()
+    }
 
 
 def elbow_report(

@@ -12,6 +12,9 @@ process and all with the seed:
     train 3L --chords (H=32, L=1); train 2L (H=32, L=2);
         train 1L (H=32, L=3, --batch-size 7); 20 iterations each
     eval, generate --mode sample and generate --mode beam, for each variant
+    generate 3L --fixed-bar-profiles 0,1 --fixed-beat-profiles 1,0;
+        generate 2L --fixed-beat-profiles 0;
+        generate 3L --primer-piece <the first accepted id>
     export-midi of the first cached lead sheet
 
 It prints ``sha256  <seed>/<path>`` for every file under the seed's
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -71,13 +75,22 @@ def run_chain(root: Path, seed: int, chain: Chain) -> None:
     common = ("--work-dir", work, "--seed", seed)
     cli_step("ingest", "--corpus-dir", corpus_dir, *common)
     cli_step("profiles", *common, "--elbow", chain.elbow)
+    first_id = json.loads((work / "manifest.json").read_bytes())["accepted_ids"][0]
+    # Each variant's generate runs, by output name.
+    generate_runs = {
+        "3L": {"fixed": ("--fixed-bar-profiles", "0,1", "--fixed-beat-profiles", "1,0"),
+               "primer": ("--primer-piece", first_id)},
+        "2L": {"fixed": ("--fixed-beat-profiles", "0")},
+        "1L": {},
+    }
     for variant, options in TRAIN_OPTIONS.items():
         cli_step("train", *common, "--variant", variant, *options, "--hidden-size", chain.hidden,
                  "--max-iterations", chain.iterations, "--eval-every", chain.eval_every)
         cli_step("eval", *common, "--variant", variant)
-        for mode in ("sample", "beam"):
-            cli_step("generate", *common, "--variant", variant, "--mode", mode,
-                     "--bars", chain.bars, "--out", work / "generated" / f"{variant}-{mode}.mid")
+        runs = {mode: ("--mode", mode) for mode in ("sample", "beam")} | generate_runs[variant]
+        for name, run in runs.items():
+            cli_step("generate", *common, "--variant", variant, *run,
+                     "--bars", chain.bars, "--out", work / "generated" / f"{variant}-{name}.mid")
     first = sorted((work / "leadsheets").iterdir())[0]
     cli_step("export-midi", "--leadsheet", first, "--out", work / "exported.mid", "--seed", seed)
 

@@ -167,19 +167,19 @@ class TestProfileAdherenceOfGeneration:
         params = {"note": overfit_model["result"].params}
         specs = overfit_model["specs"]
         for index, source in enumerate(overfit_model["grids"]):
-            bar_idx, beat_idx = profile_sequences(
+            profiles = profile_sequences(
                 source,
-                overfit_model["beat_codebook"],
-                overfit_model["bar_codebook"],
+                {"bar": overfit_model["bar_codebook"], "beat": overfit_model["beat_codebook"]},
             )
             plan = GenerationPlan(
                 bars=source.n_bars,
                 mode="sample",
                 temperature=0.0,  # greedy: deterministic, most faithful
                 seed=0,
-                primer_events=tuple(int(e) for e in source.events[:4]),
-                fixed_bar_profiles=tuple(int(i) for i in bar_idx),
-                fixed_beat_profiles=tuple(int(i) for i in beat_idx),
+                primers={"note": tuple(int(e) for e in source.events[:4])},
+                fixed_profiles={
+                    level: tuple(int(i) for i in indices) for level, indices in profiles.items()
+                },
             )
             out = generate(params, specs, plan)
             match = rhythm_match_fraction(out.grid, source)
@@ -300,9 +300,7 @@ class TestStructuralInvariants:
         common = dict(
             bars=2,
             seed=3,
-            primer_events=(0, NO_EVENT, NO_EVENT, NO_EVENT),
-            primer_bar_profile=0,
-            primer_beat_profile=0,
+            primers={"bar": (0,), "beat": (0,), "note": (0, NO_EVENT, NO_EVENT, NO_EVENT)},
         )
         greedy = generate(
             params, specs, GenerationPlan(mode="sample", temperature=0.0, **common)
@@ -311,8 +309,9 @@ class TestStructuralInvariants:
             params, specs, GenerationPlan(mode="beam", beam_width=1, **common)
         )
         assert beam.grid.events == greedy.grid.events
-        assert np.array_equal(beam.bar_profiles, greedy.bar_profiles)
-        assert np.array_equal(beam.beat_profiles, greedy.beat_profiles)
+        assert beam.profiles.keys() == greedy.profiles.keys() == {"bar", "beat"}
+        for level, indices in greedy.profiles.items():
+            assert np.array_equal(beam.profiles[level], indices)
 
     def test_log_softmax_rows_normalize(self):
         rng = np.random.default_rng(8)

@@ -2,9 +2,10 @@
 
 The chain of ``support.chain_digest`` on a small mixed MusicXML/JSON corpus
 (dropout 0.5, ``--chords``, ``--elbow``, 3L/2L/1L, eval, sample and beam,
-export-midi) runs once in this process and once in a child process with
-another ``PYTHONHASHSEED`` and another directory. No digest is pinned: the
-files that BLAS computes may differ between machines, not between runs.
+fixed profiles, a named primer piece, export-midi) runs once in this process
+and once in a child process with another ``PYTHONHASHSEED`` and another
+directory. No digest is pinned: the files that BLAS computes may differ
+between machines, not between runs.
 """
 
 import os
@@ -31,6 +32,8 @@ def test_chain_files_are_equal_in_two_processes(tmp_path):
     paths = [line.split("  ", 1)[1] for line in here]
     for name in ("work/elbow.json", "work/model/3L/note.ckpt", "work/model/2L/beat.ckpt",
                  "work/model/1L/note.ckpt", "work/metrics_1L.json", "work/generated/3L-beam.mid",
-                 "work/generated/1L-sample.mid", "work/exported.mid"):
+                 "work/generated/1L-sample.mid", "work/generated/3L-fixed.mid",
+                 "work/generated/2L-fixed.mid", "work/generated/3L-primer.mid",
+                 "work/exported.mid"):
         assert f"{SEED}/{name}" in paths
     assert sum(path.endswith(".musicxml") for path in paths) == 5

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from melodygen.cli import EXIT_EMPTY, main
 from melodygen.corpus import (
     REJECT_UNENCODABLE,
+    CorpusError,
     CorpusManifest,
     pitch_in_range_fraction,
     scan_corpus,
@@ -157,12 +159,27 @@ class TestScanCorpus:
         scan = scan_corpus(self.make_corpus(tmp_path), split_seed=1)
         assert 0.0 <= scan.manifest.pitch_in_range_fraction <= 1.0
 
-    def test_pitch_fraction_counts_files_that_share_a_name(self, tmp_path):
-        (tmp_path / "a.json").write_text(json_sheet("a", pitches=(60, 64)))
-        (tmp_path / "a.xml").write_text(simple_score([(90, 16)]))
-        scan = scan_corpus(tmp_path)
-        assert scan.manifest.accepted_ids == ["a"]
-        assert scan.manifest.pitch_in_range_fraction == 2 / 3
+    @pytest.mark.parametrize(
+        "other", [simple_score([(90, 16)]), "<score-partwise>"], ids=["accepted", "rejected"]
+    )
+    def test_files_that_share_a_piece_id_are_named_and_ingest_writes_nothing(
+        self, tmp_path, capsys, other
+    ):
+        corpus, work = tmp_path / "corpus", tmp_path / "work"
+        (corpus / "sub").mkdir(parents=True)
+        (corpus / "a.json").write_text(json_sheet("a"))
+        (corpus / "a.xml").write_text(other)
+        (corpus / "b.json").write_text(json_sheet("b"))
+        (corpus / "sub" / "c.json").write_text(json_sheet("c"))
+        (corpus / "sub" / "c.musicxml").write_text(simple_score([(60, 16)]))
+        named = "'a' (a.json, a.xml); 'sub/c' (sub/c.json, sub/c.musicxml)"
+        with pytest.raises(CorpusError) as raised:
+            scan_corpus(corpus)
+        assert str(raised.value) == f"files share a piece id: {named}"
+        assert main(["ingest", "--corpus-dir", str(corpus), "--work-dir", str(work)]) == EXIT_EMPTY
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: files share a piece id: {named}\n"
+        assert not (work / "manifest.json").exists()
 
     def test_empty_directory(self, tmp_path):
         scan = scan_corpus(tmp_path, split_seed=0)

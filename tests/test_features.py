@@ -259,7 +259,7 @@ class TestBuildLayerInputs:
         beat_idx = np.array([4, 0, 1, 2, 3, 0, 1, 2])
         chroma = np.tile(np.eye(12)[0], (8, 1))
         inputs = build_layer_inputs(
-            spec, events, bar_indices=bar_idx, beat_indices=beat_idx, chroma_by_beat=chroma
+            spec, events, profiles={"bar": bar_idx, "beat": beat_idx}, chroma_by_beat=chroma
         )
         assert inputs.shape == (32, spec.input_dim)
         a = spec.alphabet_size
@@ -284,9 +284,9 @@ class TestBuildLayerInputs:
         spec = self.spec()
         events = np.zeros(32, dtype=np.int64)
         with pytest.raises(ValueError, match="bar profile"):
-            build_layer_inputs(spec, events, beat_indices=np.zeros(8, dtype=int))
+            build_layer_inputs(spec, events, profiles={"beat": np.zeros(8, dtype=int)})
         with pytest.raises(ValueError, match="beat profile"):
-            build_layer_inputs(spec, events, bar_indices=np.zeros(2, dtype=int))
+            build_layer_inputs(spec, events, profiles={"bar": np.zeros(2, dtype=int)})
 
     def test_wrong_length_conditions_rejected(self):
         spec = self.spec()
@@ -295,8 +295,10 @@ class TestBuildLayerInputs:
             build_layer_inputs(
                 spec,
                 events,
-                bar_indices=np.zeros(3, dtype=int),  # needs 2
-                beat_indices=np.zeros(8, dtype=int),
+                profiles={
+                    "bar": np.zeros(3, dtype=int),  # needs 2
+                    "beat": np.zeros(8, dtype=int),
+                },
                 chroma_by_beat=np.zeros((8, 12)),
             )
 
@@ -311,7 +313,7 @@ class TestBuildLayerInputs:
         )
         events = np.zeros(8, dtype=np.int64)
         chroma = np.arange(96, dtype=np.float64).reshape(8, 12)
-        inputs = build_layer_inputs(spec, events, chroma_by_beat=chroma)
+        inputs = build_layer_inputs(spec, events, profiles={}, chroma_by_beat=chroma)
         assert np.array_equal(inputs[:, 8:20], chroma)
 
     def test_events_outside_alphabet_rejected(self):
@@ -319,7 +321,7 @@ class TestBuildLayerInputs:
         events = np.zeros(16, dtype=np.int64)
         events[5] = ALPHABET_SIZE
         with pytest.raises(ValueError, match="outside alphabet"):
-            build_layer_inputs(spec, events)
+            build_layer_inputs(spec, events, profiles={})
 
 
 class TestBuilderMatchesOracle:
@@ -396,9 +398,9 @@ class TestDatasets:
         _, grids = corpus_grids()
         beat, bar = corpus_codebooks(grids)
         datasets = build_datasets(grids, "3L", beat_codebook=beat, bar_codebook=bar)
-        bar_idx, beat_idx = profile_sequences(grids[1], beat, bar)
-        assert np.array_equal(datasets["bar"][1].targets, bar_idx)
-        assert np.array_equal(datasets["beat"][1].targets, beat_idx)
+        profiles = profile_sequences(grids[1], {"bar": bar, "beat": beat})
+        assert np.array_equal(datasets["bar"][1].targets, profiles["bar"])
+        assert np.array_equal(datasets["beat"][1].targets, profiles["beat"])
 
     def test_single_level_needs_no_codebooks(self):
         _, grids = corpus_grids()
@@ -534,19 +536,19 @@ class TestStoredInputs:
             grids, variant, beat_codebook=beat, bar_codebook=bar,
             chord_tracks=tracks, chords=chords,
         )
-        specs = variant_specs(variant, chords=chords, beat_codebook=beat, bar_codebook=bar)
+        specs = variant_specs(variant, chords=chords, codebooks={"bar": bar, "beat": beat})
         for level, sequences in datasets.items():
             spec = specs[level]
             rows = []
             for grid, track, stored in zip(grids, tracks, sequences):
-                bar_idx, beat_idx = profile_sequences(grid, beat, bar)
+                profiles = profile_sequences(grid, {"bar": bar, "beat": beat})
+                bar_idx, beat_idx = profiles["bar"], profiles["beat"]
                 chroma = chord_chroma_by_beat(track if chords else (), grid.n_bars * 4)
-                events = {"bar": bar_idx, "beat": beat_idx, "note": grid.to_array()}[level]
+                events = {**profiles, "note": grid.to_array()}[level]
                 expected = build_layer_inputs(
                     spec,
                     events,
-                    bar_indices=bar_idx if spec.bar_condition else None,
-                    beat_indices=beat_idx if spec.beat_condition else None,
+                    profiles=profiles,
                     chroma_by_beat=chroma if spec.chroma else None,
                 )
                 assert stored.inputs.dtype == np.uint8

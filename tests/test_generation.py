@@ -47,16 +47,12 @@ def scaled_params(specs, hidden, layers, seed, init_scale):
     return params
 
 
+PRIMERS = {"bar": (0,), "beat": (0,), "note": (0, NO_EVENT, NO_EVENT, NO_EVENT)}
+NOTE_PRIMER = {"note": PRIMERS["note"]}
+
+
 def make_plan(**overrides):
-    base = dict(
-        bars=2,
-        mode="sample",
-        temperature=1.0,
-        seed=5,
-        primer_events=(0, NO_EVENT, NO_EVENT, NO_EVENT),
-        primer_bar_profile=0,
-        primer_beat_profile=0,
-    )
+    base = dict(bars=2, mode="sample", temperature=1.0, seed=5, primers=dict(PRIMERS))
     base.update(overrides)
     return GenerationPlan(**base)
 
@@ -84,16 +80,31 @@ class TestPlanValidation:
             make_plan(beam_width=0)
 
     def test_primer_must_cover_one_beat(self):
-        with pytest.raises(ValueError, match="one beat"):
-            make_plan(primer_events=(0, 1))
+        with pytest.raises(ValueError, match=r"primer must cover one beat \(4 events\), got 2"):
+            make_plan(primers={**PRIMERS, "note": (0, 1)})
+
+    @pytest.mark.parametrize("level", ["bar", "beat"])
+    def test_profile_primer_must_be_one_profile(self, level):
+        with pytest.raises(ValueError, match=f"{level} primer must be one profile, got 2"):
+            make_plan(primers={**PRIMERS, level: (0, 1)})
 
     def test_fixed_bar_profiles_length(self):
-        with pytest.raises(ValueError, match="2 bars"):
-            make_plan(fixed_bar_profiles=(0,))
+        with pytest.raises(ValueError, match="fixed bar profiles must cover 2 bars, got 1"):
+            make_plan(fixed_profiles={"bar": (0,)})
 
     def test_fixed_beat_profiles_length(self):
-        with pytest.raises(ValueError, match="8 beats"):
-            make_plan(fixed_beat_profiles=(0, 1, 2))
+        with pytest.raises(ValueError, match="fixed beat profiles must cover 8 beats, got 3"):
+            make_plan(fixed_profiles={"beat": (0, 1, 2)})
+
+    @pytest.mark.parametrize("key", ["chord", "Bar", "notes"])
+    def test_primer_for_an_unknown_level_rejected(self, key):
+        with pytest.raises(ValueError, match=f"primers for '{key}'"):
+            make_plan(primers={**PRIMERS, key: (0,)})
+
+    @pytest.mark.parametrize("key", ["note", "chord", "bars"])
+    def test_fixed_profiles_only_for_profile_levels(self, key):
+        with pytest.raises(ValueError, match=f"fixed profiles for '{key}'"):
+            make_plan(fixed_profiles={key: (0,) * 32})
 
 
 class TestTileProfiles:
@@ -113,18 +124,19 @@ class TestGenerateStructure:
         params, specs = make_model()
         result = generate(params, specs, make_plan(bars=3))
         assert len(result.grid.events) == 3 * 16
-        assert len(result.bar_profiles) == 3
-        assert len(result.beat_profiles) == 12
-        assert 0 <= result.bar_profiles.min() and result.bar_profiles.max() < BAR_K
-        assert 0 <= result.beat_profiles.min() and result.beat_profiles.max() < BEAT_K
+        bars, beats = result.profiles["bar"], result.profiles["beat"]
+        assert len(bars) == 3
+        assert len(beats) == 12
+        assert 0 <= bars.min() and bars.max() < BAR_K
+        assert 0 <= beats.min() and beats.max() < BEAT_K
 
     def test_primer_survives_in_output(self):
         params, specs = make_model()
         primer = (5, NO_EVENT, NOTE_OFF, 9)
-        result = generate(params, specs, make_plan(primer_events=primer))
+        result = generate(params, specs, make_plan(primers={**PRIMERS, "note": primer}))
         assert result.grid.events[:4] == primer
-        assert result.bar_profiles[0] == 0
-        assert result.beat_profiles[0] == 0
+        assert result.profiles["bar"][0] == 0
+        assert result.profiles["beat"][0] == 0
 
     def test_every_sampled_grid_is_structurally_valid(self):
         # The MelodyGrid constructor rejects orphan note-offs, so surviving
@@ -157,10 +169,9 @@ class TestGenerateStructure:
 
     def test_single_level_variant(self):
         params, specs = make_model("1L")
-        plan = make_plan(primer_bar_profile=None, primer_beat_profile=None)
+        plan = make_plan(primers=NOTE_PRIMER)
         result = generate(params, specs, plan)
-        assert result.bar_profiles is None
-        assert result.beat_profiles is None
+        assert result.profiles == {}
         assert len(result.grid.events) == 32
 
 
@@ -170,7 +181,7 @@ class TestDeterminismAndModes:
         a = generate(params, specs, make_plan(seed=123))
         b = generate(params, specs, make_plan(seed=123))
         assert a.grid.events == b.grid.events
-        assert np.array_equal(a.bar_profiles, b.bar_profiles)
+        assert np.array_equal(a.profiles["bar"], b.profiles["bar"])
         assert a.trace == b.trace
 
     def test_different_seeds_diverge(self):
@@ -192,12 +203,13 @@ class TestDeterminismAndModes:
         greedy = generate(params, specs, make_plan(temperature=0.0))
         beam = generate(params, specs, make_plan(mode="beam", beam_width=1))
         assert beam.grid.events == greedy.grid.events
-        assert np.array_equal(beam.bar_profiles, greedy.bar_profiles)
-        assert np.array_equal(beam.beat_profiles, greedy.beat_profiles)
+        assert beam.profiles.keys() == greedy.profiles.keys() == {"bar", "beat"}
+        for level, indices in greedy.profiles.items():
+            assert np.array_equal(beam.profiles[level], indices)
 
     def test_wider_beam_never_scores_worse(self):
         params, specs = make_model("1L")
-        plan = dict(primer_bar_profile=None, primer_beat_profile=None)
+        plan = dict(primers=NOTE_PRIMER)
 
         def total_logprob(result):
             return sum(
@@ -308,8 +320,7 @@ class TestBatchedBeamMatchesReference:
         params["note"].w_out[:] = 0.0
         params["note"].b_out[:] = 0.0
         plan = make_plan(
-            mode="beam", beam_width=width, primer_events=primer,
-            primer_bar_profile=None, primer_beat_profile=None,
+            mode="beam", beam_width=width, primers={"note": primer}
         )
         rows, spy = record_inputs(generation)
         with spy:
@@ -348,12 +359,12 @@ class TestSamplingMatchesReference:
         )
         fixed = {}
         if fix_bars and "bar" in specs:
-            fixed["fixed_bar_profiles"] = tile_profiles((seed % BAR_K, 1), bars)
+            fixed["bar"] = tile_profiles((seed % BAR_K, 1), bars)
         if fix_beats and "beat" in specs:
-            fixed["fixed_beat_profiles"] = tile_profiles((2, seed % BEAT_K, 0), 4 * bars)
+            fixed["beat"] = tile_profiles((2, seed % BEAT_K, 0), 4 * bars)
         plan = make_plan(
             temperature=temperature, seed=seed % 2**31, bars=bars,
-            chords=chord_track if chords else (), **fixed,
+            chords=chord_track if chords else (), fixed_profiles=fixed,
         )
         merged = generate(params, specs, plan)
         reference = generate_with_reference_sample(params, specs, plan)
@@ -365,26 +376,23 @@ class TestFixedProfiles:
     def test_fixed_bars_bypass_the_bar_layer(self):
         params, specs = make_model()
         del params["bar"]  # no bar parameters at all
-        plan = make_plan(fixed_bar_profiles=(2, 1))
+        plan = make_plan(fixed_profiles={"bar": (2, 1)})
         result = generate(params, specs, plan)
-        assert result.bar_profiles.tolist() == [2, 1]
+        assert result.profiles["bar"].tolist() == [2, 1]
         assert result.trace["levels"]["bar"] == {"fixed": [2, 1]}
 
     def test_fixed_beats_bypass_the_beat_layer(self):
         params, specs = make_model()
         del params["beat"]
         fixed = tile_profiles((0, 1, 2, 3), 8)
-        result = generate(params, specs, make_plan(fixed_beat_profiles=fixed))
-        assert tuple(result.beat_profiles) == fixed
+        result = generate(params, specs, make_plan(fixed_profiles={"beat": fixed}))
+        assert tuple(result.profiles["beat"]) == fixed
         assert result.trace["levels"]["beat"] == {"fixed": list(fixed)}
 
     def test_fully_fixed_needs_only_the_note_layer(self):
         params, specs = make_model()
         params = {"note": params["note"]}
-        plan = make_plan(
-            fixed_bar_profiles=(0, 1),
-            fixed_beat_profiles=tile_profiles((1, 0), 8),
-        )
+        plan = make_plan(fixed_profiles={"bar": (0, 1), "beat": tile_profiles((1, 0), 8)})
         result = generate(params, specs, plan)
         assert len(result.grid.events) == 32
 
@@ -397,36 +405,28 @@ class TestFixedProfiles:
     def test_fixed_profile_outside_codebook_rejected(self):
         params, specs = make_model()
         with pytest.raises(ValueError, match="outside the codebook"):
-            generate(params, specs, make_plan(fixed_bar_profiles=(0, BAR_K)))
+            generate(params, specs, make_plan(fixed_profiles={"bar": (0, BAR_K)}))
 
     def test_fixing_profiles_on_variant_without_that_level_rejected(self):
         params, specs = make_model("1L")
-        plan = make_plan(
-            primer_bar_profile=None,
-            primer_beat_profile=None,
-            fixed_bar_profiles=(0, 0),
-        )
+        plan = make_plan(primers=NOTE_PRIMER, fixed_profiles={"bar": (0, 0)})
         with pytest.raises(ValueError, match="no bar level"):
             generate(params, specs, plan)
-        plan = make_plan(
-            primer_bar_profile=None,
-            primer_beat_profile=None,
-            fixed_beat_profiles=tile_profiles((0,), 8),
-        )
+        plan = make_plan(primers=NOTE_PRIMER, fixed_profiles={"beat": tile_profiles((0,), 8)})
         with pytest.raises(ValueError, match="no beat level"):
             generate(params, specs, plan)
 
     def test_missing_primer_profile_rejected(self):
         params, specs = make_model()
         with pytest.raises(ValueError, match="bar layer needs a primer"):
-            generate(params, specs, make_plan(primer_bar_profile=None))
+            generate(params, specs, make_plan(primers={"beat": (0,), **NOTE_PRIMER}))
         with pytest.raises(ValueError, match="beat layer needs a primer"):
-            generate(params, specs, make_plan(primer_beat_profile=None))
+            generate(params, specs, make_plan(primers={"bar": (0,), **NOTE_PRIMER}))
 
     def test_missing_note_primer_rejected(self):
         params, specs = make_model()
-        with pytest.raises(ValueError, match="primer"):
-            generate(params, specs, make_plan(primer_events=None))
+        with pytest.raises(ValueError, match="one-beat primer"):
+            generate(params, specs, make_plan(primers={"bar": (0,), "beat": (0,)}))
 
 
 class TestChordConditioning:

@@ -480,7 +480,8 @@ class TestCodebook:
 
 
 class TestProfileSequences:
-    def test_shapes_and_determinism(self):
+    @staticmethod
+    def grid_and_codebooks():
         rng = np.random.default_rng(3)
         events = []
         for _ in range(4 * 16):
@@ -490,14 +491,26 @@ class TestProfileSequences:
         clips16 = cut_clips(binarize(grid), 16)
         beat_cb = build_codebook(np.vstack([clips4] * 3), "beat", 4, seed=0)
         bar_cb = build_codebook(np.vstack([clips16] * 3), "bar", 3, seed=0)
-        bar_idx, beat_idx = profile_sequences(grid, beat_cb, bar_cb)
-        assert bar_idx.shape == (4,) and beat_idx.shape == (16,)
-        again = profile_sequences(grid, beat_cb, bar_cb)
-        assert np.array_equal(again[0], bar_idx) and np.array_equal(again[1], beat_idx)
+        return grid, {"bar": bar_cb, "beat": beat_cb}
 
-    def test_none_codebooks_skipped(self):
-        grid = MelodyGrid(tuple([NO_EVENT] * 16))
-        assert profile_sequences(grid, None, None) == (None, None)
+    def test_shapes_and_determinism(self):
+        grid, codebooks = self.grid_and_codebooks()
+        profiles = profile_sequences(grid, codebooks)
+        assert profiles["bar"].shape == (4,) and profiles["beat"].shape == (16,)
+        again = profile_sequences(grid, codebooks)
+        assert all(np.array_equal(again[level], profiles[level]) for level in codebooks)
+
+    @pytest.mark.parametrize(
+        "levels", [(), ("bar",), ("beat",), ("bar", "beat"), ("beat", "bar")]
+    )
+    def test_each_level_is_keyed_to_its_own_codebook(self, levels):
+        grid, codebooks = self.grid_and_codebooks()
+        given = {level: codebooks[level] for level in levels}
+        profiles = profile_sequences(grid, given)
+        assert list(profiles) == list(levels)
+        for level, book in given.items():
+            expected = assign_many(cut_clips(binarize(grid), book.width), book)
+            assert np.array_equal(profiles[level], expected)
 
 
 class TestElbow:
