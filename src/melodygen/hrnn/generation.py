@@ -20,19 +20,26 @@ It keeps the live hypotheses as rows of arrays: sampling keeps one row, beam
 search W. Each position builds the rows' inputs with the builder training
 uses, :func:`specs.layer_features`, runs one batched LSTM step, and masks
 note-off in every silent row; only the choice of the next symbols depends
-on the mode. The conditions are fanned out once per level by
-:func:`specs.condition_block`.
+on the mode. Beam search then gathers its rows by parent; sampling's one
+row is its own parent and stays in place. The conditions are fanned out
+once per level by :func:`specs.condition_block`.
 
-Both modes are deterministic given the plan's seed. Beam search breaks ties
-on (-score, parent, symbol). A multi-row step sums its products in a
-different order than single-row steps, so beam log-probabilities can differ
-from a per-hypothesis search in the last bits.
+Both modes are deterministic given the plan's seed, and a plan cannot change
+after it is checked. Beam search breaks ties on (-score, parent, symbol). A
+multi-row step sums its products in a different order than single-row
+steps, so beam log-probabilities can differ from a per-hypothesis search in
+the last bits. :func:`neural.lstm_step` reads each layer's stacked weights
+in one product, so log-probabilities in both modes also differ from those
+of builds before it in their last bits; the same seed still gives the same
+bytes within a build.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -60,13 +67,17 @@ _PRIMER_LENGTHS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenerationPlan:
     """Everything one melody generation depends on.
 
     ``primers`` maps a level to the start of its sequence: one profile for
     "bar" and "beat", one beat (4 events) for "note". ``fixed_profiles`` maps
     a profile level to its whole sequence, one index per bar or per beat.
+
+    A plan is checked once, when it is made, so it cannot change afterwards:
+    it is frozen, and it keeps both mappings as read-only copies with tuple
+    values.
     """
 
     bars: int
@@ -74,11 +85,15 @@ class GenerationPlan:
     temperature: float = 1.0
     beam_width: int = 3
     seed: int = 0
-    primers: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    fixed_profiles: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    primers: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
+    fixed_profiles: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
     chords: tuple[ChordSymbol, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("primers", "fixed_profiles"):
+            given = getattr(self, name)
+            frozen = MappingProxyType({level: tuple(v) for level, v in given.items()})
+            object.__setattr__(self, name, frozen)
         if self.bars < 1:
             raise ValueError("bars must be >= 1")
         if self.mode not in ("sample", "beam"):
@@ -167,6 +182,9 @@ def _decode_sequence(
     - temperature 0: the argmax of the one row;
     - sampling: one draw from softmax(logits / temperature) of the one row.
 
+    Beam search then gathers every row array by parent; sampling writes its
+    one row in place.
+
     Note-level decoding is constrained: while nothing is sounding, the
     note-off symbol's logit is masked out before normalization, so every
     decoded sequence is a structurally valid melody grid by construction.
@@ -197,18 +215,22 @@ def _decode_sequence(
             finite = np.flatnonzero(np.isfinite(totals))
             chosen = finite[np.argsort(-totals[finite], kind="stable")[:beam_width]]
             scores = totals[chosen]
-        elif temperature == 0.0:
-            chosen = logp[0].argmax(keepdims=True)
+            parents, symbols = np.divmod(chosen, spec.alphabet_size)
+            histories = histories.take(parents, axis=0)
+            state = LstmState(state.c.take(parents, axis=1), state.m.take(parents, axis=1))
+            steps = steps.take(parents, axis=0)
+            sounding = sounding.take(parents)
         else:
-            scaled = log_softmax(logits[0] / temperature)
-            chosen = np.array([rng.choice(spec.alphabet_size, p=np.exp(scaled))])
-        parents, symbols = np.divmod(chosen, spec.alphabet_size)
-        histories = histories.take(parents, axis=0)
+            # The one row is its own parent, and its symbol is the flat index.
+            if temperature == 0.0:
+                symbols = logp[0].argmax(keepdims=True)
+            else:
+                scaled = log_softmax(logits[0] / temperature)
+                symbols = np.array([rng.choice(spec.alphabet_size, p=np.exp(scaled))])
+            chosen = symbols
         histories[:, position] = symbols
-        state = LstmState(state.c.take(parents, axis=1), state.m.take(parents, axis=1))
-        steps = steps.take(parents, axis=0)
         steps[:, position - n_primer] = logp.take(chosen)
-        sounding = _sounding_after(sounding.take(parents), symbols)
+        sounding = _sounding_after(sounding, symbols)
     return histories[0], [math.nan] * n_primer + steps[0].tolist()
 
 

@@ -15,6 +15,26 @@ cell] packed along the last axis of the combined matrices:
 One cell function, :func:`_cell`, serves both :func:`lstm_step` and the
 sequence loop.
 
+Each layer stores one C-contiguous (D + H, 4H) array ``w``, the stack
+[w_x; w_m]; ``w_x`` and ``w_m`` are views of its two row blocks. Training
+uses the views, so its products, Adam's in-place updates, the gradient
+check's perturbations and the checkpoint bytes are those of two separate
+arrays. Decoding uses the stack. A one-row step is bound by streaming the
+weights, and it reads each layer's weights once, with one product form per
+layer position:
+
+    first layer    a = x[:, nz] @ w_x[nz] + b + m_prev @ w_m
+    above it       a = [below | m_prev] @ w + b
+
+``nz`` holds the input columns that are nonzero in any row. Decode inputs
+are 0/1 with a few ones, so the first layer reads a few rows of ``w_x``
+instead of all D; a zero column adds nothing, so this holds for any input.
+Above it, one (2H, 4H) product replaces two (H, 4H) ones: on a 2-core Xeon
+with OpenBLAS 0.3.31, a matrix-vector product ran on both threads only above
+about 4.6e5 elements, which one (H, 4H) block at H=256 is not. Either form
+sums in another order than separate products would, so decode logits can
+differ from earlier builds' in their last bits.
+
 Dropout (inverted, scale 1/keep) is applied to up-going connections only:
 each layer's output as it feeds the next layer and the projection. The
 recurrent path m_prev is never dropped. A fresh mask is drawn per step from
@@ -89,21 +109,41 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-@dataclass
 class LstmLayerParams:
-    """One LSTM layer's combined-gate weights."""
+    """One LSTM layer's combined-gate weights.
 
-    w_x: np.ndarray  # (input_dim, 4*hidden)
-    w_m: np.ndarray  # (hidden, 4*hidden)
-    b: np.ndarray  # (4*hidden,)
+    ``w`` (input_dim + hidden, 4*hidden) stacks the input weights over the
+    recurrent ones. ``w_x`` and ``w_m`` are its two row blocks, views that
+    share its memory: writing through them writes ``w``, and they cannot be
+    rebound. The constructor copies ``w_x`` and ``w_m`` into a new ``w``.
+    """
+
+    def __init__(self, w_x: np.ndarray, w_m: np.ndarray, b: np.ndarray) -> None:
+        hidden = w_m.shape[0]
+        expected = (4 * hidden, (hidden, 4 * hidden), (4 * hidden,))
+        if w_x.ndim != 2 or (w_x.shape[1], w_m.shape, b.shape) != expected:
+            raise ValueError(f"LSTM layer arrays w_x {w_x.shape}, w_m {w_m.shape} and "
+                             f"b {b.shape} do not share one hidden size")
+        self.w = np.concatenate((w_x, w_m))
+        self.b = b
 
     @property
     def hidden_size(self) -> int:
-        return self.w_m.shape[0]
+        return self.w.shape[1] // 4
 
     @property
     def input_dim(self) -> int:
-        return self.w_x.shape[0]
+        return self.w.shape[0] - self.hidden_size
+
+    @property
+    def w_x(self) -> np.ndarray:
+        """(input_dim, 4*hidden), the first rows of ``w``."""
+        return self.w[: self.input_dim]
+
+    @property
+    def w_m(self) -> np.ndarray:
+        """(hidden, 4*hidden), the last rows of ``w``."""
+        return self.w[self.input_dim :]
 
 
 @dataclass
@@ -147,10 +187,7 @@ class GeneratorParams:
 
     def copy(self) -> "GeneratorParams":
         return GeneratorParams(
-            layers=[
-                LstmLayerParams(l.w_x.copy(), l.w_m.copy(), l.b.copy())
-                for l in self.layers
-            ],
+            layers=[LstmLayerParams(l.w_x, l.w_m, l.b.copy()) for l in self.layers],
             w_out=self.w_out.copy(),
             b_out=self.b_out.copy(),
         )
@@ -218,22 +255,33 @@ def lstm_step(
     x: np.ndarray,
     state: LstmState | None = None,
 ) -> tuple[LstmState, np.ndarray]:
-    """Advance one step. x is (B, D) or (D,); returns (new state, logits)."""
+    """Advance one step. x is (B, D) or (D,); returns (new state, logits).
+
+    Each layer reads its weights once. The first multiplies only the input
+    columns that are nonzero in some row, by those rows of ``w_x``; every
+    layer above it multiplies ``[below | m_prev]`` by its stacked ``w``.
+    """
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
+    if x.shape[1] != params.input_dim:
+        raise ValueError(f"input has {x.shape[1]} features, the model takes {params.input_dim}")
     batch = x.shape[0]
     if state is None:
         state = LstmState.zeros(params, batch)
     new_c = np.empty_like(state.c)
     new_m = np.empty_like(state.m)
-    below = x
-    for index, layer in enumerate(params.layers):
-        a = below @ layer.w_x + layer.b
-        a += state.m[index] @ layer.w_m
+    first = params.layers[0]
+    nz = x.any(axis=0).nonzero()[0]
+    a = x.take(nz, axis=1) @ first.w.take(nz, axis=0)  # rows nz of w_x
+    a += first.b
+    a += state.m[0] @ first.w_m
+    _cell(a, state.c[0], new_c[0], new_m[0])
+    for index, layer in enumerate(params.layers[1:], 1):
+        a = np.concatenate((new_m[index - 1], state.m[index]), axis=1) @ layer.w
+        a += layer.b
         _cell(a, state.c[index], new_c[index], new_m[index])
-        below = new_m[index]
-    logits = below @ params.w_out + params.b_out
+    logits = new_m[-1] @ params.w_out + params.b_out
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits; model state diverged")
     return LstmState(new_c, new_m), logits[0] if squeeze else logits
@@ -416,9 +464,10 @@ def forward_sequence(
     for l, layer in enumerate(params.layers):
         a, c, m = gates[l % kept], cells[l % kept], layer_outs[l]
         _project(*feeds[l], layer.w_x, a, scratch, layer.b)
+        w_m = layer.w_m
         for t in range(steps):
             if t:
-                a[t] += np.matmul(m[t - 1], layer.w_m, out=recurrent)
+                a[t] += np.matmul(m[t - 1], w_m, out=recurrent)
             c_prev = c[t - 1] if t else zeros
             _cell(a[t], c_prev, c[t], m[t])
     shape = (steps, batch, params.n_outputs)
@@ -487,6 +536,7 @@ def backward(params: GeneratorParams, cache: dict) -> dict[str, np.ndarray]:
     for l in range(params.n_layers - 1, -1, -1):
         up_mask = feeds[l + 1][1]
         layer = params.layers[l]
+        w_m_t = layer.w_m.T
         dm_rec, dc_rec = np.zeros((batch, hidden)), zeros
         for t in range(steps - 1, -1, -1):
             block = blocks[t // blocks[0].stop]
@@ -511,7 +561,7 @@ def backward(params: GeneratorParams, cache: dict) -> dict[str, np.ndarray]:
             g[...] = dc * i * (1.0 - g * g)
             i[...] = da_i
             if t:
-                np.matmul(a, layer.w_m.T, out=dm_rec)
+                np.matmul(a, w_m_t, out=dm_rec)
         da = up_d = gates[l]
         up_w = layer.w_x
         grads[f"lstm{l}.b"] = da.sum(axis=(0, 1))

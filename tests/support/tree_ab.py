@@ -2,11 +2,12 @@
 
     python tests/support/tree_ab.py normalize OTHER/src --cases 20000
     python tests/support/tree_ab.py neural OTHER/src --cases 300
+    python tests/support/tree_ab.py decode OTHER/src --cases 40
 
 ``OTHER/src`` is the ``src`` directory of another checkout, for example a
 ``git worktree`` of the parent commit; it is compared with this checkout's
 ``src``. Each tree is imported apart from the other by :func:`import_tree`.
-Two checks:
+Three checks:
 
     normalize   ``encode.normalize_sheet`` and ``corpus.pitch_in_range_fraction``
                 on random lead sheets: keys -7..7, pitches across 0..127 and
@@ -14,9 +15,14 @@ Two checks:
     neural      loss, probabilities, every gradient and the parameters after
                 one Adam step of random small LSTMs, with and without dropout,
                 compared with ``np.array_equal``
+    decode      ``generation.generate`` in sample and beam mode on random
+                small 3L models, with and without chords: the event sequence
+                of every level, and each chosen symbol's log-prob within
+                ``DECODE_BOUND``
 
 It prints the number of cases and of differences, and the first differences;
-the exit status is 1 when any case differs.
+the exit status is 1 when any case differs. ``decode`` also prints how many
+event sequences are equal and the largest relative log-prob difference.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import argparse
 import importlib
 import random
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
@@ -116,6 +123,72 @@ def _neural_equal(a: list, b: list) -> bool:
         x.shape == y.shape and np.array_equal(x, y) for (_, x), (_, y) in zip(a, b))
 
 
+# The relative log-prob difference, |a - b| / max(|a|, |b|, 1), that decode
+# accepts where both trees chose the same events. Summing a step's products
+# in another order moves each logit by a few units in the last place; the
+# bound leaves room for that to grow along a sequence.
+DECODE_BOUND = 1e-11
+DECODE_MODES = ("sample", "beam")
+
+
+def decode_case(tree: ModuleType, seed: int, mode: str) -> dict[str, tuple[list, list]]:
+    """(events, log-probs) per level of one 3L ``generate`` call."""
+    hrnn, rng = tree.hrnn, np.random.default_rng(seed)
+    chords = bool(seed % 2)
+    specs = hrnn.specs.layer_specs("3L", chords=chords, beat_k=int(rng.integers(2, 6)),
+                                   bar_k=int(rng.integers(2, 5)))
+    hidden, layers = int(rng.integers(2, 17)), int(rng.integers(1, 4))
+    params = {}
+    for offset, (level, spec) in enumerate(specs.items()):
+        params[level] = tree.neural.init_params(spec.input_dim, hidden, spec.alphabet_size,
+                                                n_layers=layers, seed=seed * 3 + offset)
+        for name, arr in params[level].named_arrays():
+            if "w_" in name:
+                arr *= 10.0  # uniform in +-0.8: peaked distributions, saturating gates
+    bars = int(rng.integers(1, 4))
+    track = tuple(tree.leadsheet.chord_from_kind(4 * beat, int(rng.integers(12)), "major")
+                  for beat in range(4 * bars)) if chords else ()
+    plan = hrnn.generation.GenerationPlan(
+        bars=bars, mode=mode, beam_width=int(rng.integers(1, 6)), seed=seed, chords=track,
+        primers={"bar": (0,), "beat": (0,), "note": (int(rng.integers(tree.encode.N_PITCHES)),
+                                                     *(tree.encode.NO_EVENT,) * 3)},
+    )
+    levels = hrnn.generation.generate(params, specs, plan).trace["levels"]
+    return {level: (view["events"], view["log_probs"]) for level, view in levels.items()}
+
+
+@dataclass
+class DecodeReport:
+    sequences: int = 0
+    equal_sequences: int = 0
+    worst_relative: float = 0.0
+    differences: list[str] = field(default_factory=list)
+
+
+def compare_decode(tree_a: ModuleType, tree_b: ModuleType, cases: int) -> DecodeReport:
+    """Decode ``cases`` seeds in each mode with both trees. Log-probs are
+    compared where the event sequences agree; a case differs when a sequence
+    differs or a log-prob exceeds ``DECODE_BOUND``."""
+    report = DecodeReport()
+    for case in range(cases):
+        for mode in DECODE_MODES:
+            a, b = decode_case(tree_a, case, mode), decode_case(tree_b, case, mode)
+            for level, (events, logps) in a.items():
+                report.sequences += 1
+                other_events, other_logps = b[level]
+                if events != other_events:
+                    report.differences.append(f"case seed {case} {mode} {level}: events differ")
+                    continue
+                report.equal_sequences += 1
+                worst = max((abs(x - y) / max(abs(x), abs(y), 1.0)
+                             for x, y in zip(logps, other_logps) if x is not None), default=0.0)
+                report.worst_relative = max(report.worst_relative, worst)
+                if worst > DECODE_BOUND:
+                    report.differences.append(
+                        f"case seed {case} {mode} {level}: log-prob differs by {worst:.3g}")
+    return report
+
+
 def compare(check: str, tree_a: ModuleType, tree_b: ModuleType, cases: int) -> list[str]:
     """Run ``check`` on both trees' packages; the cases that differ."""
     differences = []
@@ -129,6 +202,8 @@ def compare(check: str, tree_a: ModuleType, tree_b: ModuleType, cases: int) -> l
         for case in range(cases):
             if not _neural_equal(neural_case(tree_a, case), neural_case(tree_b, case)):
                 differences.append(f"case seed {case}")
+    elif check == "decode":
+        differences = compare_decode(tree_a, tree_b, cases).differences
     else:
         raise ValueError(f"unknown check {check!r}")
     return differences
@@ -136,12 +211,19 @@ def compare(check: str, tree_a: ModuleType, tree_b: ModuleType, cases: int) -> l
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("check", choices=("normalize", "neural"))
+    parser.add_argument("check", choices=("normalize", "neural", "decode"))
     parser.add_argument("other", type=Path, help="the src directory of the other tree")
     parser.add_argument("--cases", type=int, default=1000)
     args = parser.parse_args(argv)
-    differences = compare(args.check, import_tree(args.other), import_tree(THIS_SRC),
-                          args.cases)
+    trees = import_tree(args.other), import_tree(THIS_SRC)
+    if args.check == "decode":
+        report = compare_decode(*trees, args.cases)
+        differences = report.differences
+        print(f"decode: {report.equal_sequences} of {report.sequences} event sequences equal; "
+              f"largest relative log-prob difference {report.worst_relative:.3g} "
+              f"(bound {DECODE_BOUND:g})")
+    else:
+        differences = compare(args.check, *trees, args.cases)
     print(f"{args.check}: {args.cases} cases, {len(differences)} differences")
     for line in differences[:10]:
         print(line)

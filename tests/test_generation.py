@@ -106,6 +106,21 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=f"fixed profiles for '{key}'"):
             make_plan(fixed_profiles={key: (0,) * 32})
 
+    def test_a_checked_plan_cannot_change(self):
+        primers = {"note": [0, 37, 37, 37]}
+        plan = GenerationPlan(bars=1, primers=primers, fixed_profiles={})
+        with pytest.raises(TypeError):
+            plan.primers["note"] = (0,)
+        with pytest.raises(TypeError):
+            plan.fixed_profiles["bar"] = (0,)
+        with pytest.raises(AttributeError):
+            plan.primers = {"note": (0,)}
+        primers["note"].pop()
+        assert plan.primers == {"note": (0, 37, 37, 37)}
+        params, specs = make_model("1L")
+        result = generate(params, specs, plan)
+        assert result.trace["levels"]["note"]["primer_length"] == 4
+
 
 class TestTileProfiles:
     def test_cycles_pattern(self):

@@ -246,10 +246,10 @@ class TestForwardOracle:
             state, logits = lstm_step(params, np.ones((1, 1)), state)
         # g = tanh(0) = 0 each step, so the cell stays at 0 but is retained;
         # now push a nonzero cell write and watch it persist.
-        w_x[0, 3] = 0.5
+        params.layers[0].w_x[0, 3] = 0.5
         state, logits = lstm_step(params, np.ones((1, 1)), state)
         first = float(state.c[0, 0, 0])
-        w_x[0, 3] = 0.0
+        params.layers[0].w_x[0, 3] = 0.0
         state, logits = lstm_step(params, np.ones((1, 1)), state)
         assert float(state.c[0, 0, 0]) == pytest.approx(first, rel=1e-6)
 
@@ -317,6 +317,61 @@ class TestOracleProperties:
                 state, logits = lstm_step(params, inputs[t], state)
                 step_probs = np.exp(log_softmax(logits))
                 assert np.allclose(step_probs, result.probs[t], rtol=0, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.sampled_from(["1-D", 1, 2, 5]),
+        steps=st.integers(1, 4),
+        layers=st.sampled_from([1, 2, 3]),
+        binary=st.booleans(),
+    )
+    @example(seed=0, rows="1-D", steps=4, layers=3, binary=True)
+    @example(seed=1, rows=5, steps=4, layers=3, binary=False)
+    def test_step_matches_oracle(self, seed, rows, steps, layers, binary):
+        """lstm_step's logits, step by step, against the oracle's within
+        1e-12 of ``scale = max_k sum_j |w_out[j, k]| + |b_out[k]|``, which
+        bounds |logits| because |m| < 1.
+
+        The bound is derived a priori, not fitted. Weights and biases lie in
+        +-DEFAULT_INIT_SCALE (s) and inputs in [-1, 1] (dense) or {0, 1}. A
+        pre-activation sums at most n = D + H + 1 = 13 terms of size at most
+        s, so each implementation rounds it by at most gamma_13 * 13 * s
+        (Higham, Accuracy and Stability, Thm 3.1), whatever the order of its
+        products. Sigmoid and tanh are 1/4- and 1-Lipschitz and are within 3
+        ulps in both implementations; |c_t| <= t. Carrying these worst cases
+        through 3 layers and 4 steps at D=8, H=4 bounds each implementation's
+        logit error by 1.7e-13 * scale, so the two differ by at most
+        3.4e-13 * scale.
+        """
+        rng = np.random.default_rng(seed)
+        din, hidden, nout = (int(rng.integers(low, high)) for low, high in ((1, 9), (1, 5), (2, 9)))
+        s = DEFAULT_INIT_SCALE
+        stack = [
+            LstmLayerParams(
+                rng.uniform(-s, s, size=(din if l == 0 else hidden, 4 * hidden)),
+                rng.uniform(-s, s, size=(hidden, 4 * hidden)),
+                rng.uniform(-s, s, size=4 * hidden),
+            )
+            for l in range(layers)
+        ]
+        params = GeneratorParams(
+            stack, rng.uniform(-s, s, size=(hidden, nout)), rng.uniform(-s, s, size=nout)
+        )
+        batch = 1 if rows == "1-D" else rows
+        if binary:
+            inputs = (rng.random((steps, batch, din)) < 0.3).astype(np.float64)
+        else:
+            inputs = rng.uniform(-1.0, 1.0, size=(steps, batch, din))
+        ref_logits, _ = reference_forward(params, inputs, np.zeros((steps, batch), dtype=int))
+        scale = (np.abs(params.w_out).sum(axis=0) + np.abs(params.b_out)).max()
+        state = None
+        for t in range(steps):
+            x = inputs[t, 0] if rows == "1-D" else inputs[t]
+            state, logits = lstm_step(params, x, state)
+            expected = ref_logits[t, 0] if rows == "1-D" else ref_logits[t]
+            assert logits.shape == expected.shape
+            assert np.abs(logits - expected).max() <= 1e-12 * scale
 
 
 def one_shot_masks(rng, dropout, shape):
@@ -713,6 +768,50 @@ class TestParamsContainer:
             "lstm1.w_x", "lstm1.w_m", "lstm1.b",
             "w_out", "b_out",
         ]
+
+
+class TestStackedStorage:
+    """Each layer keeps one (D + H, 4H) array; w_x and w_m are its row blocks."""
+
+    def test_row_blocks_are_views_of_the_stacked_array(self):
+        for layer in tiny_params(din=6, hidden=5, layers=3).layers:
+            assert layer.w.flags.c_contiguous
+            assert layer.w.shape == (layer.input_dim + 5, 20)
+            assert np.shares_memory(layer.w_x, layer.w) and np.shares_memory(layer.w_m, layer.w)
+
+    def test_writes_through_named_arrays_change_the_step(self):
+        params = tiny_params(layers=2)
+        x = np.ones(6)
+        state, _ = lstm_step(params, x)
+        _, before = lstm_step(params, x, state)
+        for name, arr in params.named_arrays():
+            if name.endswith((".w_x", ".w_m")):
+                arr += 0.5
+                _, after = lstm_step(params, x, state)
+                arr -= 0.5
+                assert not np.allclose(after, before), name
+        assert np.allclose(lstm_step(params, x, state)[1], before, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["w_x", "w_m"])
+    def test_row_blocks_cannot_be_rebound(self, name):
+        layer = tiny_params().layers[0]
+        with pytest.raises(AttributeError):
+            setattr(layer, name, np.zeros_like(getattr(layer, name)))
+
+    def test_arrays_of_different_hidden_sizes_rejected(self):
+        with pytest.raises(ValueError, match="one hidden size"):
+            LstmLayerParams(np.zeros((3, 16)), np.zeros((4, 12)), np.zeros(16))
+        with pytest.raises(ValueError, match="one hidden size"):
+            LstmLayerParams(np.zeros((3, 16)), np.zeros((4, 16)), np.zeros(12))
+
+    def test_step_rejects_an_input_of_another_width(self):
+        with pytest.raises(ValueError, match="5 features, the model takes 6"):
+            lstm_step(tiny_params(din=6), np.ones((2, 5)))
+
+    def test_checkpoint_round_trip_keeps_the_bytes(self, tmp_path):
+        save_checkpoint(tmp_path / "a.ckpt", tiny_params(layers=3, seed=4))
+        save_checkpoint(tmp_path / "b.ckpt", load_checkpoint(tmp_path / "a.ckpt"))
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 class TestTrainConfig:

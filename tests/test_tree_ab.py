@@ -19,6 +19,9 @@ def test_this_tree_against_itself_has_no_differences():
     trees = tree_ab.import_tree(tree_ab.THIS_SRC), tree_ab.import_tree(tree_ab.THIS_SRC)
     assert tree_ab.compare("normalize", *trees, cases=500) == []
     assert tree_ab.compare("neural", *trees, cases=20) == []
+    report = tree_ab.compare_decode(*trees, cases=4)
+    assert report.differences == [] and report.worst_relative == 0.0
+    assert report.equal_sequences == report.sequences == 4 * 2 * 3
 
 
 def test_a_changed_tree_shows_differences(monkeypatch):
@@ -26,5 +29,10 @@ def test_a_changed_tree_shows_differences(monkeypatch):
     changed = tree_ab.import_tree(tree_ab.THIS_SRC)
     monkeypatch.setattr(changed.encode, "fold_octaves", lambda pitch: pitch % 12 + 48)
     monkeypatch.setattr(changed.neural, "ADAM_EPSILON", 1e-2)
-    for check, cases in (("normalize", 200), ("neural", 4)):
+
+    def sharper(logits):
+        return changed.neural.log_softmax(logits * 1.001)
+
+    monkeypatch.setattr(changed.hrnn.generation, "log_softmax", sharper)
+    for check, cases in (("normalize", 200), ("neural", 4), ("decode", 2)):
         assert tree_ab.compare(check, same, changed, cases)
