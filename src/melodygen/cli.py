@@ -59,7 +59,9 @@ from .hrnn import (
     tile_profiles,
     train_layer,
 )
-from .hrnn.specs import FAN_OUT_REPEATS, PROFILE_LEVELS, VARIANTS, profile_levels, variant_specs
+from .hrnn.specs import (
+    FAN_OUT_REPEATS, PROFILE_LEVELS, STEPS_PER_BEAT, VARIANTS, profile_levels, variant_specs,
+)
 from .hrnn.training import layer_config
 from .leadsheet import dumps_leadsheet, loads_leadsheet
 from .midifile import DEFAULT_TEMPO_BPM, MAX_TEMPO_BPM, MIN_TEMPO_BPM, write_midi
@@ -412,7 +414,7 @@ def _primer_of(grid, model) -> dict[str, tuple[int, ...]]:
         level: (int(indices[0]),)
         for level, indices in profile_sequences(grid, model.codebooks).items()
     }
-    primers["note"] = tuple(int(e) for e in grid.events[:4])
+    primers["note"] = tuple(int(e) for e in grid.events[:STEPS_PER_BEAT])
     return primers
 
 

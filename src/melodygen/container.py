@@ -64,7 +64,8 @@ def pack_arrays(arrays: dict[str, np.ndarray], meta: dict | None = None) -> byte
 
 
 def unpack_arrays(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
-    """Inverse of :func:`pack_arrays`."""
+    """Inverse of :func:`pack_arrays`. The arrays are views of ``data``,
+    read-only when it is ``bytes``: a caller that keeps one copies it."""
     if len(data) < 20 or data[:8] != MAGIC:
         raise ContainerError("not an array container (bad magic)")
     (version,) = struct.unpack_from("<I", data, 8)
@@ -88,10 +89,9 @@ def unpack_arrays(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
         name, shape, start, nbytes = _checked_entry(entry, position, len(data) - header_end)
         if name in arrays:
             raise ContainerError(f"duplicate array {name!r}")
-        # A view of the input's bytes: the .copy() below is the only copy.
         arr = np.frombuffer(data, dtype="<f8", count=nbytes // 8, offset=header_end + start)
         try:
-            arrays[name] = arr.reshape(shape).copy()
+            arrays[name] = arr.reshape(shape)
         except ValueError as exc:  # more dimensions than numpy supports
             raise ContainerError(f"array {name!r}: {exc}") from exc
     return arrays, meta

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .leadsheet import ChordSymbol, LeadSheet, RawNote
+from .leadsheet import ChordSymbol, LeadSheet, RawNote, merge_ties
 
 PITCH_MIN = 36  # C2
 PITCH_MAX = 71  # B4
@@ -139,22 +139,24 @@ GridNote = tuple[int, int, int]  # (midi_pitch, onset_step, duration_steps)
 def grid_encode(sheet: LeadSheet) -> MelodyGrid:
     """Encode a normalized (4/4, key C) lead sheet onto the event grid.
 
-    Note onsets/ends are quantized to the nearest 16th step with ties rounding
-    earlier. Notes that quantize to zero length are dropped; notes that
-    quantize to the same onset keep the longest (then highest). Pitches are
-    octave-folded into C2..B4. Overlap after quantization means the input was
-    not monophonic and raises ValueError.
+    Tied notes are first joined into one by ``merge_ties``, the MusicXML
+    reader's rule; the reader's own sheets carry no tie flags. Note
+    onsets/ends are quantized to the nearest 16th step with exact halves
+    rounding earlier. Notes that quantize to zero length are dropped; notes
+    that quantize to the same onset keep the longest (then highest). Pitches
+    are octave-folded into C2..B4. Overlap after quantization means the input
+    was not monophonic and raises ValueError.
 
     Onsets and ends are quantized from their integer numerators and
-    denominators; no ``Fraction`` arithmetic runs here.
+    denominators; ``Fraction`` arithmetic runs only to join ties.
     """
     if sheet.time_signature != (4, 4):
         raise ValueError(f"grid encoding requires 4/4, got {sheet.time_signature}")
     n_steps = sheet.n_bars * STEPS_PER_BAR
     quantized: list[GridNote] = []
-    for note in sheet.notes:
-        on_num, on_den = note.onset.as_integer_ratio()
-        dur_num, dur_den = note.duration.as_integer_ratio()
+    for pitch, onset, duration in merge_ties(sheet.notes):
+        on_num, on_den = onset.as_integer_ratio()
+        dur_num, dur_den = duration.as_integer_ratio()
         on = quantize_ratio(STEPS_PER_QUARTER * on_num, on_den)
         # The end, onset + duration, over the denominator on_den * dur_den.
         off = quantize_ratio(
@@ -162,7 +164,7 @@ def grid_encode(sheet: LeadSheet) -> MelodyGrid:
         )
         if off <= on:
             continue  # vanished under quantization
-        quantized.append((fold_octaves(note.midi_pitch), on, off - on))
+        quantized.append((fold_octaves(pitch), on, off - on))
 
     # Same-onset collisions: keep the longest note, ties to the highest pitch.
     by_onset: dict[int, GridNote] = {}

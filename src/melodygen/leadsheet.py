@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable
 
 SCHEMA_VERSION = 1
 
@@ -107,6 +107,29 @@ class ChordSymbol:
     def chroma_vector(self) -> tuple[int, ...]:
         """12-dim indicator vector of sounding pitch classes."""
         return tuple(1 if pc in self.chroma else 0 for pc in range(12))
+
+
+def merge_ties(notes: Iterable) -> list[tuple[int, Any, Any]]:
+    """(midi_pitch, onset, duration) of each sounding note, ties joined.
+
+    ``notes`` are in onset order and have ``RawNote``'s fields. A note that
+    starts a tie absorbs the next note when that one stops the tie, has the
+    same pitch and starts where the tied note ends; a chain of ties becomes
+    one note. Other tie flags are ignored. Onsets and durations may be
+    ``Fraction``s or integer ticks: the comparison and the sum are exact.
+    """
+    merged: list[tuple[int, Any, Any]] = []
+    open_tie = False
+    for note in notes:
+        if open_tie and note.tie_stop:
+            pitch, onset, duration = merged[-1]
+            if pitch == note.midi_pitch and onset + duration == note.onset:
+                merged[-1] = (pitch, onset, duration + note.duration)
+                open_tie = note.tie_start
+                continue
+        merged.append((note.midi_pitch, note.onset, note.duration))
+        open_tie = note.tie_start
+    return merged
 
 
 def chord_from_kind(onset_step: int, root_pitch_class: int, kind: str) -> ChordSymbol:

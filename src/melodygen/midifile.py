@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 TICKS_PER_QUARTER = 480
 TICKS_PER_STEP = TICKS_PER_QUARTER // 4  # 120
-DEFAULT_VELOCITY = 90
+VELOCITY = 90
 CHANNEL = 0
 # Set-tempo stores microseconds per quarter in 3 bytes, from 1 to 0xFFFFFF.
 MIN_TEMPO_BPM = 60_000_000 // 0xFFFFFF + 1  # 4
@@ -38,7 +38,6 @@ def write_midi(
     notes: Iterable[Sequence[int]],
     tempo_bpm: int = DEFAULT_TEMPO_BPM,
     *,
-    velocity: int = DEFAULT_VELOCITY,
     text_events: Sequence[str] = (),
 ) -> bytes:
     """Render (pitch, onset_step, duration_steps) notes to MIDI file bytes.
@@ -51,8 +50,6 @@ def write_midi(
         raise ValueError(
             f"tempo {tempo_bpm} bpm outside {MIN_TEMPO_BPM}..{MAX_TEMPO_BPM}"
         )
-    if not 1 <= velocity <= 127:
-        raise ValueError(f"velocity {velocity} outside 1..127")
 
     # Sort key (tick, order, sequence, message): note-offs (order 0) precede
     # note-ons (order 1) at the same tick; equal-order notes sort by message
@@ -76,7 +73,7 @@ def write_midi(
             raise ValueError(f"note duration must be positive, got {duration_steps}")
         on_tick = onset_step * TICKS_PER_STEP
         off_tick = (onset_step + duration_steps) * TICKS_PER_STEP
-        events.append((on_tick, 1, 0, bytes([0x90 | CHANNEL, pitch, velocity])))
+        events.append((on_tick, 1, 0, bytes([0x90 | CHANNEL, pitch, VELOCITY])))
         events.append((off_tick, 0, 0, bytes([0x80 | CHANNEL, pitch, 0])))
 
     events.sort(key=lambda item: (item[0], item[1], item[2], item[3]))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .encode import STEPS_PER_QUARTER, quantize_ratio
-from .leadsheet import ChordSymbol, LeadSheet, RawNote, chord_from_kind
+from .leadsheet import ChordSymbol, LeadSheet, RawNote, chord_from_kind, merge_ties
 
 REJECT_TIME_SIGNATURE = "time-signature"
 REJECT_WEAK_BEAT = "weak-beat start"
@@ -58,7 +58,7 @@ class Rejection:
 
 @dataclass
 class _PendingNote:
-    pitch: int
+    midi_pitch: int
     onset: int  # ticks
     duration: int  # ticks
     tie_start: bool
@@ -127,7 +127,7 @@ def _collapse_same_onset(notes: list[_PendingNote]) -> list[_PendingNote]:
     by_onset: dict[int, _PendingNote] = {}
     for note in notes:
         kept = by_onset.get(note.onset)
-        if kept is None or (note.pitch, note.duration) > (kept.pitch, kept.duration):
+        if kept is None or (note.midi_pitch, note.duration) > (kept.midi_pitch, kept.duration):
             by_onset[note.onset] = note
     return [by_onset[onset] for onset in sorted(by_onset)]
 
@@ -142,26 +142,6 @@ def _truncate_overlaps(notes: list[_PendingNote]) -> list[_PendingNote]:
     if notes:
         out.append(notes[-1])
     return out
-
-
-def _merge_ties(notes: list[_PendingNote]) -> list[_PendingNote]:
-    merged: list[_PendingNote] = []
-    for note in notes:
-        if (
-            merged
-            and merged[-1].tie_start
-            and note.tie_stop
-            and merged[-1].pitch == note.pitch
-            and merged[-1].onset + merged[-1].duration == note.onset
-        ):
-            merged[-1].duration += note.duration
-            merged[-1].tie_start = note.tie_start
-        else:
-            merged.append(note)
-    for note in merged:
-        note.tie_start = False
-        note.tie_stop = False
-    return merged
 
 
 def parse_musicxml(document: bytes | str, piece_id: str = "") -> LeadSheet | Rejection:
@@ -301,7 +281,7 @@ def parse_musicxml(document: bytes | str, piece_id: str = "") -> LeadSheet | Rej
             )
         cursor = measure_start + bar_ticks
 
-    normalized = _merge_ties(_truncate_overlaps(_collapse_same_onset(notes)))
+    normalized = merge_ties(_truncate_overlaps(_collapse_same_onset(notes)))
 
     chords: dict[int, ChordSymbol] = {}
     for position, pitch_class, kind in raw_chords:
@@ -315,12 +295,8 @@ def parse_musicxml(document: bytes | str, piece_id: str = "") -> LeadSheet | Rej
         pickup=False,
         n_bars=len(measures),
         notes=tuple(
-            RawNote(
-                note.pitch,
-                Fraction(note.onset, ticks_per_quarter),
-                Fraction(note.duration, ticks_per_quarter),
-            )
-            for note in normalized
+            RawNote(pitch, Fraction(onset, ticks_per_quarter), Fraction(length, ticks_per_quarter))
+            for pitch, onset, length in normalized
         ),
         chords=tuple(chords[step] for step in sorted(chords)),
     )

@@ -113,18 +113,18 @@ class LstmLayerParams:
     """One LSTM layer's combined-gate weights.
 
     ``w`` (input_dim + hidden, 4*hidden) stacks the input weights over the
-    recurrent ones. ``w_x`` and ``w_m`` are its two row blocks, views that
-    share its memory: writing through them writes ``w``, and they cannot be
-    rebound. The constructor copies ``w_x`` and ``w_m`` into a new ``w``.
+    recurrent ones; the constructor keeps it and ``b`` without copying.
+    ``w_x`` and ``w_m`` are its two row blocks, views that share its memory:
+    writing through them writes ``w``, and they cannot be rebound.
     """
 
-    def __init__(self, w_x: np.ndarray, w_m: np.ndarray, b: np.ndarray) -> None:
-        hidden = w_m.shape[0]
-        expected = (4 * hidden, (hidden, 4 * hidden), (4 * hidden,))
-        if w_x.ndim != 2 or (w_x.shape[1], w_m.shape, b.shape) != expected:
-            raise ValueError(f"LSTM layer arrays w_x {w_x.shape}, w_m {w_m.shape} and "
-                             f"b {b.shape} do not share one hidden size")
-        self.w = np.concatenate((w_x, w_m))
+    def __init__(self, w: np.ndarray, b: np.ndarray) -> None:
+        hidden = b.size // 4
+        expected = (4 * hidden, (4 * hidden,))
+        if w.ndim != 2 or w.shape[0] < hidden or (w.shape[1], b.shape) != expected:
+            raise ValueError(f"LSTM layer arrays w {w.shape} and b {b.shape} "
+                             "do not share one hidden size")
+        self.w = w
         self.b = b
 
     @property
@@ -187,7 +187,7 @@ class GeneratorParams:
 
     def copy(self) -> "GeneratorParams":
         return GeneratorParams(
-            layers=[LstmLayerParams(l.w_x, l.w_m, l.b.copy()) for l in self.layers],
+            layers=[LstmLayerParams(l.w.copy(), l.b.copy()) for l in self.layers],
             w_out=self.w_out.copy(),
             b_out=self.b_out.copy(),
         )
@@ -214,11 +214,11 @@ def init_params(
     layers = []
     for index in range(n_layers):
         d = input_dim if index == 0 else hidden_size
-        w_x = rng.uniform(-scale, scale, size=(d, 4 * hidden_size))
-        w_m = rng.uniform(-scale, scale, size=(hidden_size, 4 * hidden_size))
+        # One draw of the stack gives the values of w_x's draw, then w_m's.
+        w = rng.uniform(-scale, scale, size=(d + hidden_size, 4 * hidden_size))
         b = np.zeros(4 * hidden_size)
         b[hidden_size : 2 * hidden_size] = FORGET_BIAS
-        layers.append(LstmLayerParams(w_x, w_m, b))
+        layers.append(LstmLayerParams(w, b))
     w_out = rng.uniform(-scale, scale, size=(hidden_size, n_outputs))
     b_out = np.zeros(n_outputs)
     return GeneratorParams(layers, w_out, b_out)
@@ -746,6 +746,8 @@ def save_checkpoint(path: str | Path, params: GeneratorParams) -> None:
 
 
 def load_checkpoint(path: str | Path) -> GeneratorParams:
+    """Parameters that own their memory; the stored arrays are views of the
+    file's bytes."""
     arrays, header = load_arrays(path)
     info = header[CHECKPOINT_META_KEY]
     # Older checkpoints record their cell activation; only tanh cells remain.
@@ -753,12 +755,11 @@ def load_checkpoint(path: str | Path) -> GeneratorParams:
     if activation != "tanh":
         raise ValueError(f"checkpoint uses the {activation!r} cell activation; "
                          "only 'tanh' cells are supported")
-    layers = [
-        LstmLayerParams(
-            w_x=arrays[f"lstm{index}.w_x"],
-            w_m=arrays[f"lstm{index}.w_m"],
-            b=arrays[f"lstm{index}.b"],
-        )
-        for index in range(info["n_layers"])
-    ]
-    return GeneratorParams(layers=layers, w_out=arrays["w_out"], b_out=arrays["b_out"])
+    layers = []
+    for index in range(info["n_layers"]):
+        w_x, w_m, b = (arrays[f"lstm{index}.{part}"] for part in ("w_x", "w_m", "b"))
+        if w_m.shape[0] != b.size // 4:
+            raise ValueError(f"checkpoint layer {index}: w_m {w_m.shape} and b {b.shape} "
+                             "do not share one hidden size")
+        layers.append(LstmLayerParams(np.concatenate((w_x, w_m)), b.copy()))
+    return GeneratorParams(layers, arrays["w_out"].copy(), arrays["b_out"].copy())

@@ -38,6 +38,8 @@ BAR_WIDTH = 16
 DEFAULT_BEAT_K = 8
 DEFAULT_BAR_K = 16
 DEFAULT_RESTARTS = 10
+# Lloyd iterations per start; a start that has not converged by then stops.
+MAX_ITERATIONS = 100
 
 CODEBOOK_SCHEMA = 1
 
@@ -310,7 +312,6 @@ def kmeans(
     *,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = 100,
     initial_centroids: np.ndarray | None = None,
 ) -> KMeansFit:
     """Cluster clips into k centroids, keeping the best of seeded restarts.
@@ -344,7 +345,7 @@ def kmeans(
         rng = np.random.Generator(np.random.PCG64(child))
         starts.append(_kmeans_plus_plus(distinct, inverse, k, rng))
     best: KMeansFit | None = None
-    for fit in _lloyd(distinct, inverse, np.stack(starts), max_iter).fits:
+    for fit in _lloyd(distinct, inverse, np.stack(starts), MAX_ITERATIONS).fits:
         if best is None or fit.wcss < best.wcss - 1e-15:
             best = fit
     assert best is not None
@@ -424,12 +425,11 @@ def build_codebook(
     *,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = 100,
 ) -> ProfileCodebook:
     """Cluster clips of one kind ("beat" or "bar") into a codebook."""
     if kind not in ("beat", "bar"):
         raise ValueError(f"unknown codebook kind {kind!r}")
-    fit = kmeans(clips, k, seed=seed, restarts=restarts, max_iter=max_iter)
+    fit = kmeans(clips, k, seed=seed, restarts=restarts)
     return ProfileCodebook(
         kind=kind,
         centroids=fit.centroids,
@@ -466,7 +466,6 @@ def elbow_report(
     *,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = 100,
 ) -> list[dict]:
     """WCSS for a range of k, for choosing the codebook size by elbow.
 
@@ -482,14 +481,7 @@ def elbow_report(
         if previous is not None and len(previous.centroids) == k - 1:
             d2 = _squared_distances(points, previous.centroids).min(axis=1)
             warm = np.vstack([previous.centroids, points[int(d2.argmax())]])
-        fit = kmeans(
-            points,
-            k,
-            seed=seed + k,
-            restarts=restarts,
-            max_iter=max_iter,
-            initial_centroids=warm,
-        )
+        fit = kmeans(points, k, seed=seed + k, restarts=restarts, initial_centroids=warm)
         rows.append({"k": k, "wcss": fit.wcss})
         previous = fit
     return rows

@@ -14,7 +14,9 @@ Three checks:
                 at the MIDI range ends, notes that share onsets, chords
     neural      loss, probabilities, every gradient and the parameters after
                 one Adam step of random small LSTMs, with and without dropout,
-                compared with ``np.array_equal``
+                then their ``copy()``, their ``save_checkpoint`` file bytes and
+                the parameters ``load_checkpoint`` reads back, compared with
+                ``np.array_equal``
     decode      ``generation.generate`` in sample and beam mode on random
                 small 3L models, with and without chords: the event sequence
                 of every level, and each chosen symbol's log-prob within
@@ -31,6 +33,7 @@ import argparse
 import importlib
 import random
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -98,7 +101,8 @@ def normalize_case(tree: ModuleType, doc: dict) -> dict:
     }
 
 
-def neural_case(tree: ModuleType, seed: int) -> list[tuple[str, np.ndarray]]:
+def neural_case(tree: ModuleType, seed: int, directory: Path) -> list[tuple[str, np.ndarray]]:
+    """Named arrays of one case; the checkpoint is written in ``directory``."""
     neural = tree.neural
     rng = np.random.default_rng(seed)
     steps, batch, din, hidden, nout = (int(rng.integers(1, 7)) for _ in range(5))
@@ -115,7 +119,13 @@ def neural_case(tree: ModuleType, seed: int) -> list[tuple[str, np.ndarray]]:
     grads = neural.backward(params, result.cache)
     out += [(f"grad.{name}", grads[name]) for name in sorted(grads)]
     neural.adam_update(params, grads, neural.init_adam(params, learning_rate=0.01))
-    return out + [(f"adam.{name}", arr) for name, arr in params.named_arrays()]
+    out += [(f"adam.{name}", arr) for name, arr in params.named_arrays()]
+    out += [(f"copy.{name}", arr) for name, arr in params.copy().named_arrays()]
+    path = directory / "params.ckpt"
+    neural.save_checkpoint(path, params)
+    out.append(("checkpoint.bytes", np.frombuffer(path.read_bytes(), np.uint8)))
+    return out + [(f"loaded.{name}", arr)
+                  for name, arr in neural.load_checkpoint(path).named_arrays()]
 
 
 def _neural_equal(a: list, b: list) -> bool:
@@ -199,9 +209,11 @@ def compare(check: str, tree_a: ModuleType, tree_b: ModuleType, cases: int) -> l
             if normalize_case(tree_a, doc) != normalize_case(tree_b, doc):
                 differences.append(f"case {case}: {doc}")
     elif check == "neural":
-        for case in range(cases):
-            if not _neural_equal(neural_case(tree_a, case), neural_case(tree_b, case)):
-                differences.append(f"case seed {case}")
+        with tempfile.TemporaryDirectory() as directory:
+            for case in range(cases):
+                a, b = (neural_case(tree, case, Path(directory)) for tree in (tree_a, tree_b))
+                if not _neural_equal(a, b):
+                    differences.append(f"case seed {case}")
     elif check == "decode":
         differences = compare_decode(tree_a, tree_b, cases).differences
     else:

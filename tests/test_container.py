@@ -55,9 +55,14 @@ class TestRoundTrip:
             assert np.array_equal(out[name], arrays[name])
         assert meta == {"note": "hi"}
 
-    def test_arrays_are_writable_copies(self):
-        out, _ = unpack_arrays(pack_arrays(example_arrays()))
-        out["bias"][0] = 99.0  # must not raise (frombuffer views are read-only)
+    def test_arrays_are_read_only_views_of_the_bytes(self):
+        data = pack_arrays(example_arrays())
+        out, _ = unpack_arrays(data)
+        for arr in out.values():
+            assert not arr.flags.writeable and not arr.flags.owndata
+            assert np.shares_memory(arr, np.frombuffer(data, np.uint8))
+        with pytest.raises(ValueError, match="read-only"):
+            out["bias"][0] = 99.0
 
     def test_empty_container(self):
         out, meta = unpack_arrays(pack_arrays({}))

@@ -1,5 +1,6 @@
 """The 38-event melody grid: transposition, quantization, round trips."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -26,9 +27,17 @@ from melodygen.encode import (
     transposition_shift,
     tonic_pitch_class,
 )
-from melodygen.leadsheet import CHORD_KIND_INTERVALS, LeadSheet, RawNote, chord_from_kind
+from melodygen.leadsheet import (
+    CHORD_KIND_INTERVALS,
+    LeadSheet,
+    RawNote,
+    chord_from_kind,
+    loads_leadsheet,
+)
 from melodygen.midifile import write_midi
+from melodygen.musicxml import parse_musicxml
 from support.midi_reader import read_midi
+from support.musicxml_builder import attributes_xml, measure_xml, note_xml, score_xml
 from support.quantize_oracle import reference_grid_encode, reference_quantize
 
 
@@ -385,6 +394,75 @@ class TestGridEncode:
         events = grid_encode(sheet).events
         assert events[0] == 36 - PITCH_MIN
         assert events[8] == 60 - PITCH_MIN
+
+
+@st.composite
+def tied_bars(draw) -> list[list[tuple]]:
+    """1-3 bars of (pitch or None for a rest, 16th steps, tie_start,
+    tie_stop) notes that fill each bar; two pitches, so that ties often join."""
+    bars = []
+    for _ in range(draw(st.integers(1, 3))):
+        bar, filled = [], 0
+        while filled < STEPS_PER_BAR:
+            steps = min(draw(st.sampled_from((1, 2, 3, 4, 8))), STEPS_PER_BAR - filled)
+            pitch = draw(st.sampled_from((None, 60, 62)))
+            bar.append((pitch, steps, draw(st.booleans()), draw(st.booleans())))
+            filled += steps
+        bars.append(bar)
+    return bars
+
+
+TIE_TYPES = {(True, False): "start", (False, True): "stop", (True, True): "both"}
+
+
+def tied_documents(bars) -> tuple[str, str]:
+    """The same piece as a MusicXML document and as lead-sheet JSON."""
+    measures, notes, onset = [], [], 0
+    for index, bar in enumerate(bars):
+        body = attributes_xml(divisions=4, key_fifths=0, time=(4, 4)) if index == 0 else ""
+        for pitch, steps, start, stop in bar:
+            if pitch is None:
+                body += note_xml(None, steps)
+            else:
+                body += note_xml(pitch, steps, tie=TIE_TYPES.get((start, stop)))
+                notes.append({"pitch": pitch, "onset": [onset, 4], "duration": [steps, 4],
+                              "tie_start": start, "tie_stop": stop})
+            onset += steps
+        measures.append(measure_xml(body, index + 1))
+    doc = {"schema": 1, "id": "tied", "key_fifths": 0, "time_signature": [4, 4],
+           "pickup": False, "n_bars": len(bars), "notes": notes, "chords": []}
+    return score_xml(measures), json.dumps(doc)
+
+
+def encoded_events(sheet) -> tuple[int, ...]:
+    assert isinstance(sheet, LeadSheet)
+    return grid_encode(normalize_sheet(sheet)).events
+
+
+class TestTies:
+    """MusicXML ties and JSON tie flags encode by one rule."""
+
+    def test_half_tied_to_half_is_one_attack_in_either_format(self):
+        xml, doc = tied_documents([[(60, 8, True, False), (60, 8, False, True)]])
+        expected = (60 - PITCH_MIN,) + (NO_EVENT,) * 15
+        assert encoded_events(parse_musicxml(xml)) == expected
+        assert encoded_events(loads_leadsheet(doc)) == expected
+
+    def test_flags_that_join_nothing_keep_both_attacks(self):
+        # Another pitch, a gap, and a stop with no start before it.
+        for bar in ([(60, 8, True, False), (62, 8, False, True)],
+                    [(60, 4, True, False), (None, 4, False, False), (60, 8, False, True)],
+                    [(60, 8, False, False), (60, 8, False, True)]):
+            xml, doc = tied_documents([bar])
+            events = encoded_events(loads_leadsheet(doc))
+            assert events == encoded_events(parse_musicxml(xml))
+            assert sum(event < N_PITCHES for event in events) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_bars())
+    def test_json_encodes_like_musicxml(self, bars):
+        xml, doc = tied_documents(bars)
+        assert encoded_events(loads_leadsheet(doc)) == encoded_events(parse_musicxml(xml))
 
 
 class TestGridDecode:

@@ -3,6 +3,7 @@
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,6 +275,17 @@ def loads_or_schema_error(data: bytes) -> None:
     except SchemaError:
         return
     assert isinstance(result, LeadSheet)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_example_loads():
+    section = README.read_text().split("### Lead-sheet JSON", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    sheet = loads_leadsheet(block)
+    assert sheet.chords == (ChordSymbol(0, 7, (2, 7, 11)),)
+    assert sheet.notes == (RawNote(67, Fraction(0), Fraction(1, 2)),)
 
 
 class TestArbitraryInput:

@@ -8,6 +8,7 @@ from melodygen.midifile import (
     MIN_TEMPO_BPM,
     TICKS_PER_QUARTER,
     TICKS_PER_STEP,
+    VELOCITY,
     _variable_length,
     write_midi,
 )
@@ -89,8 +90,8 @@ class TestNotes:
         assert TICKS_PER_STEP == 120
 
     def test_velocity_applied(self):
-        parsed = read_midi(write_midi([(60, 0, 1)], velocity=33))
-        assert parsed.notes[0].velocity == 33
+        parsed = read_midi(write_midi([(60, 0, 1), (62, 1, 1)]))
+        assert [note.velocity for note in parsed.notes] == [90, 90]
 
     def test_adjacent_notes_off_before_on(self):
         parsed = read_midi(write_midi([(60, 0, 4), (62, 4, 4)]))
@@ -127,12 +128,6 @@ class TestNotes:
     def test_invalid_notes_rejected(self, note):
         with pytest.raises(ValueError):
             write_midi([note])
-
-    def test_invalid_velocity(self):
-        with pytest.raises(ValueError):
-            write_midi([(60, 0, 1)], velocity=0)
-        with pytest.raises(ValueError):
-            write_midi([(60, 0, 1)], velocity=128)
 
 
 class TestTextEvents:
@@ -178,13 +173,10 @@ class TestRoundTrip:
             max_size=30,
         ),
         tempo=st.integers(MIN_TEMPO_BPM, MAX_TEMPO_BPM),
-        velocity=st.integers(1, 127),
         texts=st.lists(st.text(max_size=200), max_size=3),
     )
-    def test_notes_ticks_velocity_and_text(self, notes, tempo, velocity, texts):
-        parsed = read_midi(
-            write_midi(notes, tempo, velocity=velocity, text_events=texts)
-        )
+    def test_notes_ticks_velocity_and_text(self, notes, tempo, texts):
+        parsed = read_midi(write_midi(notes, tempo, text_events=texts))
         assert (parsed.format, parsed.n_tracks, parsed.division) == (0, 1, TICKS_PER_QUARTER)
         assert parsed.tempo_us == 60_000_000 // tempo
         assert parsed.texts == texts
@@ -198,7 +190,7 @@ class TestRoundTrip:
         assert offs == sorted(
             ((on + dur) * TICKS_PER_STEP, pitch) for pitch, on, dur in notes
         )
-        assert all(note.velocity == velocity for note in parsed.notes)
+        assert all(note.velocity == VELOCITY for note in parsed.notes)
         # Same-pitch overlaps pair first-in first-out, so only notes that do
         # not overlap one of their own pitch come back whole.
         if not _overlaps_same_pitch(notes):

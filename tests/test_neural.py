@@ -152,7 +152,7 @@ class TestForwardOracle:
     def test_zero_params_give_uniform_distribution(self):
         hidden, nout = 4, 38
         params = GeneratorParams(
-            layers=[LstmLayerParams(np.zeros((6, 16)), np.zeros((4, 16)), np.zeros(16))],
+            layers=[LstmLayerParams(np.zeros((10, 16)), np.zeros(16))],
             w_out=np.zeros((hidden, nout)),
             b_out=np.zeros(nout),
         )
@@ -232,12 +232,12 @@ class TestForwardOracle:
         # With +inf-ish forget bias and zero input/output contributions
         # elsewhere, the cell integrates inputs.
         hidden = 1
-        w_x = np.zeros((1, 4))
-        w_x[0, 0] = 100.0  # input gate driven fully open by any positive x
-        w_x[0, 3] = 0.0
+        w = np.zeros((2, 4))  # the input's row of w_x over w_m's one row
+        w[0, 0] = 100.0  # input gate driven fully open by any positive x
+        w[0, 3] = 0.0
         b = np.array([0.0, 100.0, 100.0, 0.0])  # forget and output saturated
         params = GeneratorParams(
-            layers=[LstmLayerParams(w_x, np.zeros((1, 4)), b)],
+            layers=[LstmLayerParams(w, b)],
             w_out=np.ones((1, 1)),
             b_out=np.zeros(1),
         )
@@ -261,8 +261,7 @@ def random_case(seed, steps, batch, layers, masked):
     din, hidden, nout = (int(rng.integers(low, high)) for low, high in ((1, 6), (1, 5), (2, 8)))
     stack = [
         LstmLayerParams(
-            rng.normal(size=(din if l == 0 else hidden, 4 * hidden)),
-            rng.normal(size=(hidden, 4 * hidden)),
+            rng.normal(size=((din if l == 0 else hidden) + hidden, 4 * hidden)),
             rng.normal(size=4 * hidden),
         )
         for l in range(layers)
@@ -349,8 +348,7 @@ class TestOracleProperties:
         s = DEFAULT_INIT_SCALE
         stack = [
             LstmLayerParams(
-                rng.uniform(-s, s, size=(din if l == 0 else hidden, 4 * hidden)),
-                rng.uniform(-s, s, size=(hidden, 4 * hidden)),
+                rng.uniform(-s, s, size=((din if l == 0 else hidden) + hidden, 4 * hidden)),
                 rng.uniform(-s, s, size=4 * hidden),
             )
             for l in range(layers)
@@ -798,15 +796,52 @@ class TestStackedStorage:
         with pytest.raises(AttributeError):
             setattr(layer, name, np.zeros_like(getattr(layer, name)))
 
-    def test_arrays_of_different_hidden_sizes_rejected(self):
+    def test_constructor_keeps_the_stack(self):
+        w, b = np.zeros((7, 16)), np.zeros(16)
+        layer = LstmLayerParams(w, b)
+        assert layer.w is w and layer.b is b
+        assert (layer.input_dim, layer.hidden_size) == (3, 4)
+
+    @pytest.mark.parametrize("w_shape, b_shape", [
+        ((7, 12), (16,)),  # w's columns against b
+        ((7, 16), (12,)),
+        ((3, 16), (16,)),  # fewer rows than the recurrent block needs
+        ((7, 16), (4, 4)),
+        ((112,), (16,)),
+    ])
+    def test_arrays_of_different_hidden_sizes_rejected(self, w_shape, b_shape):
         with pytest.raises(ValueError, match="one hidden size"):
-            LstmLayerParams(np.zeros((3, 16)), np.zeros((4, 12)), np.zeros(16))
-        with pytest.raises(ValueError, match="one hidden size"):
-            LstmLayerParams(np.zeros((3, 16)), np.zeros((4, 16)), np.zeros(12))
+            LstmLayerParams(np.zeros(w_shape), np.zeros(b_shape))
+
+    def test_init_draws_each_stack_as_w_x_then_w_m(self):
+        din, hidden, nout = 7, 3, 5
+        params = init_params(din, hidden, nout, n_layers=2, seed=11)
+        rng = np.random.default_rng(11)
+        s = DEFAULT_INIT_SCALE
+        for layer, rows in zip(params.layers, (din, hidden)):
+            assert np.array_equal(layer.w_x, rng.uniform(-s, s, size=(rows, 4 * hidden)))
+            assert np.array_equal(layer.w_m, rng.uniform(-s, s, size=(hidden, 4 * hidden)))
+        assert np.array_equal(params.w_out, rng.uniform(-s, s, size=(hidden, nout)))
 
     def test_step_rejects_an_input_of_another_width(self):
         with pytest.raises(ValueError, match="5 features, the model takes 6"):
             lstm_step(tiny_params(din=6), np.ones((2, 5)))
+
+    def test_loaded_params_are_writable_and_own_their_memory(self, tmp_path):
+        save_checkpoint(tmp_path / "a.ckpt", tiny_params(layers=3, seed=4))
+        loaded = load_checkpoint(tmp_path / "a.ckpt")
+        owned = [arr for layer in loaded.layers for arr in (layer.w, layer.b)]
+        for arr in [*owned, loaded.w_out, loaded.b_out]:
+            assert arr.flags.owndata and arr.flags.writeable and arr.flags.c_contiguous
+        for _, arr in loaded.named_arrays():
+            arr += 1.0  # Adam and the gradient check write through these
+
+    def test_checkpoint_with_a_misshaped_recurrent_block_rejected(self, tmp_path):
+        arrays = dict(tiny_params(din=6, hidden=5).named_arrays())
+        arrays["lstm1.w_x"], arrays["lstm1.w_m"] = np.zeros((4, 20)), np.zeros((6, 20))
+        save_arrays(tmp_path / "bad.ckpt", arrays, {"generator": {"n_layers": 2}})
+        with pytest.raises(ValueError, match=r"layer 1: w_m \(6, 20\) and b \(20,\)"):
+            load_checkpoint(tmp_path / "bad.ckpt")
 
     def test_checkpoint_round_trip_keeps_the_bytes(self, tmp_path):
         save_checkpoint(tmp_path / "a.ckpt", tiny_params(layers=3, seed=4))

@@ -2,6 +2,8 @@
 
 import sys
 
+import pytest
+
 import melodygen
 from support import tree_ab
 
@@ -36,3 +38,22 @@ def test_a_changed_tree_shows_differences(monkeypatch):
     monkeypatch.setattr(changed.hrnn.generation, "log_softmax", sharper)
     for check, cases in (("normalize", 200), ("neural", 4), ("decode", 2)):
         assert tree_ab.compare(check, same, changed, cases)
+
+
+def _shifted_copy(params):
+    return type(params)(params.layers, params.w_out + 1.0, params.b_out)
+
+
+@pytest.mark.parametrize("change", ["copy", "checkpoint header", "loaded arrays"])
+def test_neural_compares_copies_and_checkpoints(monkeypatch, change):
+    same = tree_ab.import_tree(tree_ab.THIS_SRC)
+    changed = tree_ab.import_tree(tree_ab.THIS_SRC)
+    neural = changed.neural
+    if change == "copy":
+        monkeypatch.setattr(neural.GeneratorParams, "copy", _shifted_copy)
+    elif change == "checkpoint header":
+        monkeypatch.setattr(neural, "CHECKPOINT_META_KEY", "model")
+    else:
+        load = neural.load_checkpoint
+        monkeypatch.setattr(neural, "load_checkpoint", lambda path: _shifted_copy(load(path)))
+    assert tree_ab.compare("neural", same, changed, 2) == ["case seed 0", "case seed 1"]
