@@ -21,7 +21,9 @@ option value of the command except the paths ``--work-dir``, ``--corpus-dir``,
 accepted pieces. The stamped artifacts are ingest's manifest.json and
 grids.json, profiles' elbow.json, train's bundle manifest and curves, eval's
 metrics, and the MIDI files of generate (with its trace) and export-midi.
-Codebooks, cached lead sheets and checkpoints carry no stamp.
+Codebooks, cached lead sheets and checkpoints carry no stamp. The bundle
+manifest also records the sha256 of the manifest.json that train read, and
+eval and generate refuse a bundle whose hash is not the current file's.
 
 Artifacts are written and read through :mod:`melodygen.artifacts`: a stage
 replaces its outputs whole (ingest's ``leadsheets/`` and train's
@@ -84,6 +86,10 @@ EXIT_ERROR = 1
 EXIT_EMPTY = 2
 
 KMEANS_SEED_OFFSET = 7
+# Upper bounds of `generate --bars` and `--beam-width`: decoding time and the
+# condition blocks grow with the bars, and the beam's rows with its width.
+MAX_BARS = 1024
+MAX_BEAM_WIDTH = 64
 
 # Options that only say where files are read or written; the config hash
 # leaves them out, so the same settings hash alike from any directory.
@@ -133,15 +139,27 @@ def _stamp(args: argparse.Namespace, **derived) -> dict:
 
 
 def _manifest(work: Path) -> dict:
-    """Ingest's manifest, holding the split's id lists."""
+    """Ingest's manifest, holding the split's id lists, and under
+    ``"sha256"`` the digest of its bytes."""
     def load(path: Path) -> dict:
-        manifest = json.loads(path.read_bytes())
+        data = path.read_bytes()
+        manifest = json.loads(data)
         for key in ("accepted_ids", "train_ids", "validation_ids"):
             if not isinstance(manifest, dict) or not isinstance(manifest.get(key), list):
                 raise ValueError(f"no {key} list")
-        return manifest
+        return {**manifest, "sha256": hashlib.sha256(data).hexdigest()}
 
     return read(work / "manifest.json", "ingest", load)
+
+
+def _check_split(work: Path, model: HrnnModel, manifest: dict) -> None:
+    """Refuse a bundle trained on another manifest.json than the current one."""
+    if model.metadata.get("manifest_sha256") != manifest["sha256"]:
+        raise CliError(
+            f"{work / 'manifest.json'} is not the one the bundle in "
+            f"{work / 'model' / model.variant} was trained on; re-run "
+            f"`melodygen train --variant {model.variant}`"
+        )
 
 
 def _load_encoded(work: Path, ids: list[str]) -> tuple[list, list]:
@@ -298,7 +316,8 @@ def cmd_train(args) -> int:
         level_params=level_params,
         codebooks=codebooks,
         chords=args.chords,
-        metadata={"tool_version": stamp["tool_version"], "config_hash": stamp["config_hash"]},
+        metadata={"tool_version": stamp["tool_version"], "config_hash": stamp["config_hash"],
+                  "manifest_sha256": manifest["sha256"]},
     )
     bundle_dir = work / "model" / args.variant
     with replace_dir(bundle_dir) as staging:
@@ -351,6 +370,7 @@ def cmd_generate(args) -> int:
     model = load_bundle(work / "model" / args.variant, args.variant)
     fixed = _fixed_profiles(args, model)
     manifest = _manifest(work)
+    _check_split(work, model, manifest)
 
     piece_id = _primer_piece(manifest, np.random.default_rng(args.seed), args.primer_piece)
     (grid,), (primer_chords,) = _load_encoded(work, [piece_id])
@@ -422,6 +442,7 @@ def cmd_eval(args) -> int:
     work = Path(args.work_dir)
     model = load_bundle(work / "model" / args.variant, args.variant)
     manifest = _manifest(work)
+    _check_split(work, model, manifest)
     ids = manifest["validation_ids"] or manifest["train_ids"]
     if not ids:
         raise CliError("no pieces to evaluate on", EXIT_EMPTY)
@@ -565,10 +586,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("generate", "decode a melody from a trained bundle")
     p.add_argument("--work-dir", required=True)
     p.add_argument("--variant", choices=VARIANTS, default="3L")
-    p.add_argument("--bars", type=int, default=16)
+    p.add_argument("--bars", type=_int_in(1, MAX_BARS), default=16)
     p.add_argument("--mode", choices=("sample", "beam"), default=GenerationPlan.mode)
     p.add_argument("--temperature", type=float, default=GenerationPlan.temperature)
-    p.add_argument("--beam-width", type=int, default=GenerationPlan.beam_width)
+    p.add_argument("--beam-width", type=_int_in(1, MAX_BEAM_WIDTH),
+                   default=GenerationPlan.beam_width)
     p.add_argument("--primer-piece", default=None, help="corpus id to take the primer from")
     p.add_argument("--fixed-bar-profiles", default=None,
                    help="comma-separated profile indices, tiled to the bar count")

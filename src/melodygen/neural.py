@@ -71,6 +71,7 @@ saved.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,20 +88,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 # Elements per block of the Adam update.
 ADAM_BLOCK = 1 << 16
-
-
-def sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Logistic function as ``0.5 * (1 + tanh(z / 2))``, never overflowing.
-
-    The absolute error is at most 2**-53 everywhere. Relative accuracy is lost
-    below about z = -37, where the result is smaller than the spacing of the
-    doubles near -1 that ``tanh`` returns; it is 0 below about z = -38.
-    """
-    np.multiply(z, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -237,13 +224,26 @@ class LstmState:
         return cls(np.zeros(shape), np.zeros(shape))
 
 
+@functools.lru_cache(maxsize=16)
+def _gate_scale_shift(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (4H,) gate scale and shift: 0.5, 0.5 on i, f, o; 1.0, -0.0 on g."""
+    scale, shift = np.repeat([[0.5, 0.5, 0.5, 1.0], [0.5, 0.5, 0.5, -0.0]], hidden, axis=1)
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
+
+
 def _cell(a: np.ndarray, c_prev: np.ndarray, c: np.ndarray, m: np.ndarray) -> None:
     """One step of one layer in place: the gate pre-activations ``a`` (B, 4H)
-    become the activations [i | f | o | g]; c and m receive the new state."""
+    become the activations [i | f | o | g]; c and m receive the new state.
+    One ``tanh`` pass serves all four; i, f, o get ``0.5 * tanh(z / 2) + 0.5``, within
+    2**-53, never overflowing, rounded as ``(tanh(z / 2) + 1) / 2`` since halving is exact."""
     hidden = c.shape[-1]
-    sigmoid(a[:, : 3 * hidden], out=a[:, : 3 * hidden])
+    scale, shift = _gate_scale_shift(hidden)
+    a *= scale
+    np.tanh(a, out=a)
+    a *= scale
+    a += shift
     i, f, o, g = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
-    np.tanh(g, out=g)
     np.multiply(f, c_prev, out=c)
     c += i * g
     np.tanh(c, out=m)
@@ -468,8 +468,7 @@ def forward_sequence(
         for t in range(steps):
             if t:
                 a[t] += np.matmul(m[t - 1], w_m, out=recurrent)
-            c_prev = c[t - 1] if t else zeros
-            _cell(a[t], c_prev, c[t], m[t])
+            _cell(a[t], c[t - 1] if t else zeros, c[t], m[t])
     shape = (steps, batch, params.n_outputs)
     logits = take_buffer(space, "logits", shape, steps=steps)
     probs = take_buffer(space, "probs", shape, steps=steps)

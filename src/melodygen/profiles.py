@@ -24,7 +24,7 @@ identical to clustering the clips one by one, one start at a time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -72,7 +72,6 @@ class KMeansFit:
     labels: np.ndarray  # (n,)
     wcss: float
     iterations: int
-    wcss_history: list[float] = field(default_factory=list)
 
 
 def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -220,7 +219,6 @@ def _lloyd(
     centroids = np.array(starts, dtype=np.float64)
     labels = np.full((n_starts, len(inverse)), -1, dtype=np.int64)
     wcss = np.full(n_starts, np.inf)
-    histories: list[list[float]] = [[] for _ in range(n_starts)]
     iterations = np.zeros(n_starts, dtype=np.int64)
     active = np.arange(n_starts)
     for _ in range(max_iter):
@@ -260,7 +258,6 @@ def _lloyd(
                     f"objective increased ({wcss[start]} -> {value}); "
                     "Lloyd iteration is broken"
                 )
-            histories[start].append(value)
             wcss[start] = value
             converged[a] = np.array_equal(new_labels[a], labels[start])
         iterations[active] += 1
@@ -268,8 +265,7 @@ def _lloyd(
         centroids[active] = updated
         active = active[~converged]
     return LloydRuns([
-        KMeansFit(centroids[r].copy(), labels[r].copy(), float(wcss[r]),
-                  int(iterations[r]), histories[r])
+        KMeansFit(centroids[r].copy(), labels[r].copy(), float(wcss[r]), int(iterations[r]))
         for r in range(n_starts)
     ])
 

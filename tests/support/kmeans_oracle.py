@@ -6,17 +6,17 @@ assignment of n points to k clusters (k**n of them). ``reference_kmeans`` and
 ``melodygen.profiles`` must match bit for bit on 0/1 clips: k-means++
 seeding over every clip, then Lloyd iterations that compute distances to
 every clip twice per iteration (before and after the centroid update) and
-take each centroid as the boolean-mask mean of its members. They share no code with
-``melodygen.profiles`` beyond the ``KMeansFit`` result container.
+take each centroid as the boolean-mask mean of its members. Each fit keeps
+its objective after every iteration. They share no code with
+``melodygen.profiles``.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
-
-from melodygen.profiles import KMeansFit
 
 _MONOTONE_SLACK = 1e-10
 
@@ -56,6 +56,17 @@ def direct_wcss(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -
     return total
 
 
+@dataclass
+class ReferenceFit:
+    """One clustering and its objective after each Lloyd iteration."""
+
+    centroids: np.ndarray  # (k, d)
+    labels: np.ndarray  # (n,)
+    wcss: float
+    iterations: int
+    wcss_history: list[float]
+
+
 def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     diff = points[:, None, :] - centroids[None, :, :]
     return np.einsum("nkd,nkd->nk", diff, diff)
@@ -80,7 +91,7 @@ def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> n
     return centroids
 
 
-def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansFit:
+def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> ReferenceFit:
     k = len(centroids)
     labels = np.full(len(points), -1, dtype=np.int64)
     previous_wcss = np.inf
@@ -117,7 +128,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansFi
         previous_wcss = wcss
         if converged:
             break
-    return KMeansFit(centroids, labels, previous_wcss, iterations, history)
+    return ReferenceFit(centroids, labels, previous_wcss, iterations, history)
 
 
 def reference_kmeans(
@@ -128,7 +139,7 @@ def reference_kmeans(
     restarts: int = 10,
     max_iter: int = 100,
     initial_centroids: np.ndarray | None = None,
-) -> KMeansFit:
+) -> ReferenceFit:
     """Best of the seeded restarts (plus the optional warm start), per clip."""
     points = np.asarray(clips, dtype=np.float64)
     starts: list[np.ndarray] = []
@@ -137,7 +148,7 @@ def reference_kmeans(
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.Generator(np.random.PCG64(child))
         starts.append(_kmeans_plus_plus(points, k, rng))
-    best: KMeansFit | None = None
+    best: ReferenceFit | None = None
     for start in starts:
         fit = _lloyd(points, start.copy(), max_iter)
         if best is None or fit.wcss < best.wcss - 1e-15:
@@ -146,7 +157,7 @@ def reference_kmeans(
     return best
 
 
-def elbow_warm_start(points: np.ndarray, previous: KMeansFit) -> np.ndarray:
+def elbow_warm_start(points: np.ndarray, previous: ReferenceFit) -> np.ndarray:
     """The previous k's centroids plus the clip farthest from them."""
     d2 = _squared_distances(points, previous.centroids).min(axis=1)
     return np.vstack([previous.centroids, points[int(d2.argmax())]])
@@ -159,11 +170,11 @@ def reference_elbow_report(
     seed: int = 0,
     restarts: int = 10,
     max_iter: int = 100,
-) -> list[KMeansFit]:
+) -> list[ReferenceFit]:
     """The fit behind each elbow row, each k warm-started from the last."""
     points = np.asarray(clips, dtype=np.float64)
-    fits: list[KMeansFit] = []
-    previous: KMeansFit | None = None
+    fits: list[ReferenceFit] = []
+    previous: ReferenceFit | None = None
     for k in sorted(k_values):
         warm = None
         if previous is not None and len(previous.centroids) == k - 1:

@@ -3,11 +3,12 @@
     python tests/support/tree_ab.py normalize OTHER/src --cases 20000
     python tests/support/tree_ab.py neural OTHER/src --cases 300
     python tests/support/tree_ab.py decode OTHER/src --cases 40
+    python tests/support/tree_ab.py profiles OTHER/src --cases 1000
 
 ``OTHER/src`` is the ``src`` directory of another checkout, for example a
 ``git worktree`` of the parent commit; it is compared with this checkout's
 ``src``. Each tree is imported apart from the other by :func:`import_tree`.
-Three checks:
+Four checks:
 
     normalize   ``encode.normalize_sheet`` and ``corpus.pitch_in_range_fraction``
                 on random lead sheets: keys -7..7, pitches across 0..127 and
@@ -21,6 +22,10 @@ Three checks:
                 small 3L models, with and without chords: the event sequence
                 of every level, and each chosen symbol's log-prob within
                 ``DECODE_BOUND``
+    profiles    ``profiles.kmeans``, with and without ``initial_centroids``,
+                and ``profiles.elbow_report`` on random 0/1 clip sets of beat
+                and bar width: centroid bytes, labels, objective and iteration
+                count, compared with ``np.array_equal``
 
 It prints the number of cases and of differences, and the first differences;
 the exit status is 1 when any case differs. ``decode`` also prints how many
@@ -128,7 +133,29 @@ def neural_case(tree: ModuleType, seed: int, directory: Path) -> list[tuple[str,
                   for name, arr in neural.load_checkpoint(path).named_arrays()]
 
 
-def _neural_equal(a: list, b: list) -> bool:
+def profiles_case(tree: ModuleType, seed: int) -> list[tuple[str, np.ndarray]]:
+    """Named results of two ``kmeans`` fits and an elbow report on one clip
+    set: rows drawn with repeats from a few distinct ones, as real clips are."""
+    profiles, rng = tree.profiles, np.random.default_rng(seed)
+    width = (profiles.BEAT_WIDTH, profiles.BAR_WIDTH)[seed % 2]
+    rows = rng.integers(0, 2, size=(int(rng.integers(1, 13)), width))
+    clips = rows[rng.integers(0, len(rows), size=int(rng.integers(1, 61)))].astype(np.float64)
+    highest = min(len(np.unique(clips, axis=0)), 6)
+    k, restarts = int(rng.integers(1, highest + 1)), int(rng.integers(1, 5))
+    warm = clips[rng.integers(0, len(clips), size=k)]
+    if seed % 3 == 0:
+        warm[0] = 10.0  # a far start that empties its cluster
+    out = []
+    for name, start in (("kmeans", None), ("warm", warm)):
+        fit = profiles.kmeans(clips, k, seed=seed, restarts=restarts, initial_centroids=start)
+        out += [(f"{name}.centroids", np.frombuffer(fit.centroids.tobytes(), np.uint8)),
+                (f"{name}.labels", fit.labels), (f"{name}.wcss", np.array(fit.wcss)),
+                (f"{name}.iterations", np.array(fit.iterations))]
+    elbow = profiles.elbow_report(clips, range(1, highest + 1), seed=seed, restarts=restarts)
+    return out + [("elbow", np.array([[row["k"], row["wcss"]] for row in elbow]))]
+
+
+def _arrays_equal(a: list, b: list) -> bool:
     return [name for name, _ in a] == [name for name, _ in b] and all(
         x.shape == y.shape and np.array_equal(x, y) for (_, x), (_, y) in zip(a, b))
 
@@ -212,10 +239,14 @@ def compare(check: str, tree_a: ModuleType, tree_b: ModuleType, cases: int) -> l
         with tempfile.TemporaryDirectory() as directory:
             for case in range(cases):
                 a, b = (neural_case(tree, case, Path(directory)) for tree in (tree_a, tree_b))
-                if not _neural_equal(a, b):
+                if not _arrays_equal(a, b):
                     differences.append(f"case seed {case}")
     elif check == "decode":
         differences = compare_decode(tree_a, tree_b, cases).differences
+    elif check == "profiles":
+        differences = [f"case seed {case}" for case in range(cases)
+                       if not _arrays_equal(profiles_case(tree_a, case),
+                                            profiles_case(tree_b, case))]
     else:
         raise ValueError(f"unknown check {check!r}")
     return differences
@@ -223,7 +254,7 @@ def compare(check: str, tree_a: ModuleType, tree_b: ModuleType, cases: int) -> l
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("check", choices=("normalize", "neural", "decode"))
+    parser.add_argument("check", choices=("normalize", "neural", "decode", "profiles"))
     parser.add_argument("other", type=Path, help="the src directory of the other tree")
     parser.add_argument("--cases", type=int, default=1000)
     args = parser.parse_args(argv)

@@ -37,6 +37,7 @@ from melodygen.profiles import (
 )
 from melodygen.synthetic import synthetic_corpus
 from support.kmeans_oracle import brute_force_wcss
+from support.lloyd_history import traced_kmeans
 
 
 class TestEncodingFidelity:
@@ -325,8 +326,8 @@ class TestStructuralInvariants:
             rng = np.random.default_rng(seed)
             points = rng.integers(0, 2, size=(20, 4)).astype(float)
             k = min(3, len(np.unique(points, axis=0)))
-            fit = kmeans(points, k, seed=seed)
-            history = fit.wcss_history
-            assert all(
-                later <= earlier for earlier, later in zip(history, history[1:])
-            ), history
+            # Every start, the one kmeans keeps among them.
+            for history in traced_kmeans(points, k, seed=seed).histories:
+                assert all(
+                    later <= earlier for earlier, later in zip(history, history[1:])
+                ), history

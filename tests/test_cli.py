@@ -526,6 +526,14 @@ class TestEval:
         assert named in err and "manifest.json" in err and "melodygen train" in err
         assert not (work / f"metrics_{variant}.json").exists()
 
+    def test_bundle_without_a_manifest_hash_exits_one(self, pipeline, tmp_path, capsys):
+        work = damaged_copy(pipeline, tmp_path, "model/3L/manifest.json",
+                            edited_json(lambda m: m["metadata"].pop("manifest_sha256")))
+        capsys.readouterr()
+        for command in ("eval", "generate"):
+            assert main([command, "--work-dir", str(work)]) == EXIT_ERROR
+            assert "melodygen train --variant 3L" in capsys.readouterr().err
+
     def test_failed_adherence_generation_is_recorded(self, pipeline, capsys, monkeypatch):
         def reject(*args, **kwargs):
             raise ValueError("primer event outside the layer alphabet")
@@ -542,12 +550,45 @@ class TestEval:
         assert error in capsys.readouterr().err
 
 
+class TestSplitCheck:
+    def test_bundle_of_another_split_exits_one(self, tmp_path, capsys):
+        corpus, work = tmp_path / "corpus", tmp_path / "work"
+        write_corpus(corpus, n_pieces=20)
+        assert ingest(corpus, work, "--seed", "1") == EXIT_OK
+        trained_on = (work / "manifest.json").read_bytes()
+        assert main(["train", "--work-dir", str(work), "--variant", "1L", *TINY_TRAIN]) == EXIT_OK
+        argv = {
+            "eval": ["eval", "--work-dir", str(work), "--variant", "1L"],
+            "generate": ["generate", "--work-dir", str(work), "--variant", "1L", "--bars", "1"],
+        }
+        assert ingest(corpus, work, "--seed", "2") == EXIT_OK
+        resplit = json.loads((work / "manifest.json").read_text())
+        assert resplit["validation_ids"] != json.loads(trained_on)["validation_ids"]
+        capsys.readouterr()
+        for command, args in argv.items():
+            assert main(args) == EXIT_ERROR, command
+            err = capsys.readouterr().err
+            assert str(work / "manifest.json") in err and str(work / "model" / "1L") in err
+            assert "melodygen train --variant 1L" in err
+        assert not (work / "metrics_1L.json").exists()
+        assert not (work / "generated").exists()
+
+        assert ingest(corpus, work, "--seed", "1") == EXIT_OK
+        assert (work / "manifest.json").read_bytes() == trained_on
+        for command, args in argv.items():
+            assert main(args) == EXIT_OK, command
+
+
 class TestInvalidOptionValues:
     @pytest.mark.parametrize(
         "argv",
         [
             ("generate", "--bars=0"),
+            ("generate", f"--bars={cli.MAX_BARS + 1}"),
+            ("generate", "--bars=1000000"),
             ("generate", "--beam-width=0"),
+            ("generate", f"--beam-width={cli.MAX_BEAM_WIDTH + 1}"),
+            ("generate", "--beam-width=1000000"),
             ("generate", "--temperature=-1"),
             ("generate", "--temperature=nan"),
             ("generate", "--temperature=inf"),
@@ -577,6 +618,13 @@ class TestInvalidOptionValues:
         err = capsys.readouterr().err.replace("_", "-").replace(" ", "-")
         assert option.split("=")[0].lstrip("-") in err
         assert not out.exists()
+
+    def test_bars_and_beam_width_take_their_bounds(self):
+        args = build_parser().parse_args([
+            "generate", "--work-dir", "w", f"--bars={cli.MAX_BARS}",
+            f"--beam-width={cli.MAX_BEAM_WIDTH}",
+        ])
+        assert (args.bars, args.beam_width) == (cli.MAX_BARS, cli.MAX_BEAM_WIDTH)
 
 
 class TestExportMidi:

@@ -29,7 +29,6 @@ from melodygen.neural import (
     lstm_step,
     make_dropout_masks,
     save_checkpoint,
-    sigmoid,
     log_softmax,
     take_buffer,
 )
@@ -46,26 +45,43 @@ def random_batch(rng, steps, batch, din, nout):
     return inputs, targets
 
 
+def gate_activations(z) -> np.ndarray:
+    """(B, 4) activations [i | f | o | g] that ``_cell`` makes of a one-unit
+    layer whose four gates all get the pre-activations ``z``."""
+    a = np.repeat(np.asarray(z, dtype=np.float64)[:, None], 4, axis=1)
+    state = np.zeros((len(a), 1))
+    neural._cell(a, state, np.empty_like(state), np.empty_like(state))
+    return a
+
+
 class TestActivations:
     def test_sigmoid_matches_definition(self):
-        z = np.array([-700.0, -3.0, 0.0, 3.0, 700.0])
-        out = sigmoid(z, out=np.empty(z.shape))
-        assert np.all((out >= 0) & (out <= 1))
-        assert out[2] == 0.5
-        assert out[0] == pytest.approx(0.0, abs=1e-300)
-        assert out[4] == pytest.approx(1.0)
-        assert sigmoid(np.array([1.5]), out=np.empty(1))[0] == pytest.approx(1 / (1 + np.exp(-1.5)))
+        z = np.array([-700.0, -3.0, 0.0, 3.0, 700.0, 1.5])
+        acts = gate_activations(z)
+        for out in acts[:, :3].T:  # i, f, o
+            assert np.all((out >= 0) & (out <= 1))
+            assert out[2] == 0.5
+            assert out[0] == pytest.approx(0.0, abs=1e-300)
+            assert out[4] == pytest.approx(1.0)
+            assert out[5] == pytest.approx(1 / (1 + np.exp(-1.5)))
+        assert np.array_equal(acts[:, 3], np.tanh(z))
+
+    def test_cell_gate_keeps_the_sign_of_zero(self):
+        # The g column's shift is -0.0, the one that leaves every value as it is.
+        acts = gate_activations(np.array([-0.0, 0.0]))
+        assert np.signbit(acts[:, 3]).tolist() == [True, False]
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=-745.0, max_value=745.0))
     def test_sigmoid_absolute_error_within_half_ulp_of_one(self, z):
         # Absolute, not relative: the tanh form returns 0 below about z = -38.
-        out = float(sigmoid(np.array([z]), out=np.empty(1))[0])
-        assert 0.0 <= out <= 1.0
-        with localcontext() as ctx:
-            ctx.prec = 40
-            exact = 1 / (1 + (-Decimal(z)).exp())
-            assert abs(Decimal(out) - exact) <= Decimal(2) ** -53
+        for out in gate_activations([z])[0, :3]:  # i, f, o
+            assert 0.0 <= out <= 1.0
+            assert out == (np.tanh(z * 0.5) + 1.0) * 0.5
+            with localcontext() as ctx:
+                ctx.prec = 40
+                exact = 1 / (1 + (-Decimal(z)).exp())
+                assert abs(Decimal(float(out)) - exact) <= Decimal(2) ** -53
 
     def test_log_softmax_rows_normalize(self):
         rng = np.random.default_rng(0)

@@ -12,6 +12,7 @@ from melodygen.profiles import (
     BAR_WIDTH,
     BEAT_WIDTH,
     KMeansFit,
+    LloydRuns,
     ProfileCodebook,
     assign_many,
     binarize,
@@ -29,21 +30,29 @@ from melodygen.profiles import (
     _squared_distances,
 )
 from support.kmeans_oracle import (
+    ReferenceFit,
     brute_force_wcss,
     direct_wcss,
     elbow_warm_start,
     reference_elbow_report,
     reference_kmeans,
 )
+from support.lloyd_history import TracedKMeans, lloyd_histories, traced_kmeans
 
 
-def assert_same_fit(got: KMeansFit, expected: KMeansFit) -> None:
+def assert_same_fit(got: KMeansFit, expected: KMeansFit | ReferenceFit) -> None:
     assert got.centroids.tobytes() == expected.centroids.tobytes()
     assert got.centroids.shape == expected.centroids.shape
     assert np.array_equal(got.labels, expected.labels)
     assert got.wcss == expected.wcss
     assert got.iterations == expected.iterations
-    assert got.wcss_history == expected.wcss_history
+
+
+def assert_matches_reference(got: TracedKMeans, expected: ReferenceFit) -> None:
+    """The kept fit, and its objective after every iteration, equal the
+    reference's."""
+    assert_same_fit(got.fit, expected)
+    assert got.history == expected.wcss_history
 
 
 @st.composite
@@ -146,10 +155,9 @@ class TestKMeans:
     def test_wcss_history_non_increasing(self):
         rng = np.random.default_rng(2)
         points = rng.random((50, 8))
-        fit = kmeans(points, 4, seed=0, restarts=1)
+        history = traced_kmeans(points, 4, seed=0, restarts=1).history
         assert all(
-            later <= earlier + 1e-10
-            for earlier, later in zip(fit.wcss_history, fit.wcss_history[1:])
+            later <= earlier + 1e-10 for earlier, later in zip(history, history[1:])
         )
 
     def test_too_few_distinct_points(self):
@@ -197,8 +205,8 @@ class TestExactness:
         k = data.draw(st.integers(1, n_distinct(points)))
         restarts = data.draw(st.integers(1, 4))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        assert_same_fit(
-            kmeans(points, k, seed=seed, restarts=restarts),
+        assert_matches_reference(
+            traced_kmeans(points, k, seed=seed, restarts=restarts),
             reference_kmeans(points, k, seed=seed, restarts=restarts),
         )
 
@@ -217,10 +225,10 @@ class TestExactness:
         # Each warm-started fit, not only its objective, matches too.
         for k, previous, fit in zip(k_values[1:], fits, fits[1:]):
             warm = elbow_warm_start(points, previous)
-            got = kmeans(
+            got = traced_kmeans(
                 points, k, seed=seed + k, restarts=restarts, initial_centroids=warm
             )
-            assert_same_fit(got, fit)
+            assert_matches_reference(got, fit)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -237,8 +245,8 @@ class TestExactness:
         if data.draw(st.booleans()):
             start[data.draw(st.integers(0, k - 1))] = 10.0
         restarts = data.draw(st.integers(1, 4))
-        assert_same_fit(
-            kmeans(points, k, seed=1, restarts=restarts, initial_centroids=start),
+        assert_matches_reference(
+            traced_kmeans(points, k, seed=1, restarts=restarts, initial_centroids=start),
             reference_kmeans(
                 points, k, seed=1, restarts=restarts, initial_centroids=start
             ),
@@ -246,7 +254,7 @@ class TestExactness:
 
     # In each case below the warm start reaches the optimum, so kmeans keeps
     # it (ties go to the first start) and its repaired first iteration shows
-    # in wcss_history.
+    # in its rebuilt objectives.
     @pytest.mark.parametrize(
         "points, start",
         [
@@ -270,10 +278,10 @@ class TestExactness:
     def test_empty_cluster_repairs(self, points, start):
         points = np.array(points, dtype=np.float64)
         k = len(start)
-        got = kmeans(points, k, seed=0, restarts=2, initial_centroids=start)
+        got = traced_kmeans(points, k, seed=0, restarts=2, initial_centroids=start)
         expected = reference_kmeans(points, k, seed=0, restarts=2, initial_centroids=start)
-        assert_same_fit(got, expected)
-        assert got.wcss == 0.0 and len(got.wcss_history) >= 2
+        assert_matches_reference(got, expected)
+        assert got.fit.wcss == 0.0 and got.fit.iterations >= 2
 
 
 class TestLockstep:
@@ -319,6 +327,10 @@ class TestLockstep:
         for got, expected in zip(batch.fits, alone):
             assert_same_fit(got, expected)
         assert batch.iterations == sum(fit.iterations for fit in alone)
+        assert lloyd_histories(distinct, inverse, self.STARTS, batch) == [
+            lloyd_histories(distinct, inverse, start[None], LloydRuns([fit]))[0]
+            for start, fit in zip(self.STARTS, alone)
+        ]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -341,8 +353,11 @@ class TestLockstep:
         max_iter = data.draw(st.integers(1, 6))
         batch = _lloyd(distinct, inverse, starts, max_iter)
         assert len(batch.fits) == n_starts
-        for got, start in zip(batch.fits, starts):
-            assert_same_fit(got, _lloyd(distinct, inverse, start[None], max_iter).fits[0])
+        histories = lloyd_histories(distinct, inverse, starts, batch)
+        for got, history, start in zip(batch.fits, histories, starts):
+            alone = _lloyd(distinct, inverse, start[None], max_iter)
+            assert_same_fit(got, alone.fits[0])
+            assert history == lloyd_histories(distinct, inverse, start[None], alone)[0]
 
 
 class TestCertifiedScreen:
@@ -375,8 +390,8 @@ class TestCertifiedScreen:
             norms = np.einsum("ud,ud->u", distinct, distinct)
             _, uncertain = _screen(distinct, norms, start[None])
             assert uncertain[0, 0]  # the zero row sorts first
-            assert_same_fit(
-                kmeans(points, 2, seed=5, restarts=2, initial_centroids=start),
+            assert_matches_reference(
+                traced_kmeans(points, 2, seed=5, restarts=2, initial_centroids=start),
                 reference_kmeans(points, 2, seed=5, restarts=2, initial_centroids=start),
             )
 

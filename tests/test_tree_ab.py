@@ -21,6 +21,7 @@ def test_this_tree_against_itself_has_no_differences():
     trees = tree_ab.import_tree(tree_ab.THIS_SRC), tree_ab.import_tree(tree_ab.THIS_SRC)
     assert tree_ab.compare("normalize", *trees, cases=500) == []
     assert tree_ab.compare("neural", *trees, cases=20) == []
+    assert tree_ab.compare("profiles", *trees, cases=20) == []
     report = tree_ab.compare_decode(*trees, cases=4)
     assert report.differences == [] and report.worst_relative == 0.0
     assert report.equal_sequences == report.sequences == 4 * 2 * 3
@@ -36,8 +37,18 @@ def test_a_changed_tree_shows_differences(monkeypatch):
         return changed.neural.log_softmax(logits * 1.001)
 
     monkeypatch.setattr(changed.hrnn.generation, "log_softmax", sharper)
-    for check, cases in (("normalize", 200), ("neural", 4), ("decode", 2)):
+    monkeypatch.setattr(changed.profiles, "MAX_ITERATIONS", 1)
+    for check, cases in (("normalize", 200), ("neural", 4), ("decode", 2), ("profiles", 2)):
         assert tree_ab.compare(check, same, changed, cases)
+
+
+def test_profiles_compares_the_elbow_rows(monkeypatch):
+    same = tree_ab.import_tree(tree_ab.THIS_SRC)
+    changed = tree_ab.import_tree(tree_ab.THIS_SRC)
+    report = changed.profiles.elbow_report
+    monkeypatch.setattr(changed.profiles, "elbow_report", lambda *args, **kwargs: [
+        {**row, "wcss": row["wcss"] + 1.0} for row in report(*args, **kwargs)])
+    assert tree_ab.compare("profiles", same, changed, 2) == ["case seed 0", "case seed 1"]
 
 
 def _shifted_copy(params):
