@@ -61,18 +61,13 @@ from .hrnn import (
     tile_profiles,
     train_layer,
 )
-from .hrnn.specs import (
-    FAN_OUT_REPEATS, PROFILE_LEVELS, STEPS_PER_BEAT, VARIANTS, profile_levels, variant_specs,
-)
+from .hrnn.specs import HIERARCHY, PROFILE_LEVELS, VARIANTS, profile_levels, variant_specs
 from .hrnn.training import layer_config
 from .leadsheet import dumps_leadsheet, loads_leadsheet
 from .midifile import DEFAULT_TEMPO_BPM, MAX_TEMPO_BPM, MIN_TEMPO_BPM, write_midi
 from .neural import TrainConfig
 from .profiles import (
-    BAR_WIDTH,
-    BEAT_WIDTH,
-    DEFAULT_BAR_K,
-    DEFAULT_BEAT_K,
+    PROFILE_WIDTHS,
     ProfileCodebook,
     binarize,
     build_codebook,
@@ -169,9 +164,10 @@ def _load_encoded(work: Path, ids: list[str]) -> tuple[list, list]:
 
 
 def _load_codebooks(work: Path, variant: str) -> dict[str, ProfileCodebook]:
-    """The codebooks of the variant's profile levels, keyed by level."""
+    """Each profile level's codebook for ``variant``, checked to hold that level's profiles."""
     return {
-        level: read(work / f"{level}_codebook.json", "profiles", ProfileCodebook.load)
+        level: read(work / f"{level}_codebook.json", "profiles",
+                    lambda path: ProfileCodebook.load(path, level))
         for level in profile_levels(variant)
     }
 
@@ -182,8 +178,7 @@ def _datasets(work: Path, ids: list[str], variant: str, codebooks: dict, chords:
     return grids, build_datasets(
         grids,
         variant,
-        beat_codebook=codebooks.get("beat"),
-        bar_codebook=codebooks.get("bar"),
+        **{f"{level}_codebook": codebook for level, codebook in codebooks.items()},
         chord_tracks=chord_tracks,
         chords=chords,
         piece_ids=ids,
@@ -234,25 +229,24 @@ def cmd_profiles(args) -> int:
         raise CliError("the training split is empty", EXIT_EMPTY)
     grids, _ = _load_encoded(work, manifest["train_ids"])
     binary = [binarize(grid) for grid in grids]
-    beat_clips = np.concatenate([cut_clips(b, BEAT_WIDTH) for b in binary])
-    bar_clips = np.concatenate([cut_clips(b, BAR_WIDTH) for b in binary])
     seed = args.seed + KMEANS_SEED_OFFSET
+    # Fine to coarse: the beat codebook is built, saved and printed first.
+    clips = {level: np.concatenate([cut_clips(b, PROFILE_WIDTHS[level]) for b in binary])
+             for level in PROFILE_LEVELS[::-1]}
     try:
-        beat_cb = build_codebook(beat_clips, "beat", args.beat_k, seed=seed)
-        bar_cb = build_codebook(bar_clips, "bar", args.bar_k, seed=seed)
+        codebooks = {level: build_codebook(c, level, getattr(args, f"{level}_k"), seed=seed)
+                     for level, c in clips.items()}
         if args.elbow:
             low, high = args.elbow
-            report = {
-                "beat": elbow_report(beat_clips, range(low, high + 1), seed=seed),
-                "bar": elbow_report(bar_clips, range(low, high + 1), seed=seed),
-                **_stamp(args),
-            }
+            report = {level: elbow_report(c, range(low, high + 1), seed=seed)
+                      for level, c in clips.items()}
+            report.update(_stamp(args))
     except ValueError as exc:
         raise CliError(str(exc))
-    beat_cb.save(work / "beat_codebook.json")
-    bar_cb.save(work / "bar_codebook.json")
-    print(f"beat codebook: k={beat_cb.k} wcss={beat_cb.wcss:.4f}")
-    print(f"bar codebook:  k={bar_cb.k} wcss={bar_cb.wcss:.4f}")
+    for level, codebook in codebooks.items():
+        codebook.save(work / f"{level}_codebook.json")
+    for level, codebook in codebooks.items():
+        print(f"{level + ' codebook:':15}k={codebook.k} wcss={codebook.wcss:.4f}")
     if args.elbow:
         write_json(work / "elbow.json", report)
         print(f"elbow report for k={low}..{high} written to elbow.json")
@@ -345,7 +339,7 @@ def _fixed_profiles(args, model: HrnnModel) -> dict[str, tuple[int, ...]]:
             raise CliError(f"{option} is empty", EXIT_EMPTY)
         if level not in model.codebooks:
             raise CliError(f"{option}: the {model.variant} model has no {level} level", EXIT_EMPTY)
-        values = tile_profiles(values, args.bars * FAN_OUT_REPEATS[level][0])
+        values = tile_profiles(values, HIERARCHY[level].positions(args.bars))
         k = model.codebooks[level].k
         bad = [v for v in values if not 0 <= v < k]
         if bad:
@@ -428,14 +422,11 @@ def _primer_piece(manifest, rng, primer_piece: str | None) -> str:
 
 
 def _primer_of(grid, model) -> dict[str, tuple[int, ...]]:
-    """A grid's first profile at each of the model's profile levels, and its
-    first beat of events, keyed by level."""
-    primers = {
-        level: (int(indices[0]),)
-        for level, indices in profile_sequences(grid, model.codebooks).items()
-    }
-    primers["note"] = tuple(int(e) for e in grid.events[:STEPS_PER_BEAT])
-    return primers
+    """The symbols of a grid's first beat at each level of the model, keyed by
+    level: its first profile at each profile level, and its first events."""
+    sequences = {**profile_sequences(grid, model.codebooks), "note": grid.to_array()}
+    return {level: tuple(int(v) for v in symbols[: HIERARCHY[level].primer_length])
+            for level, symbols in sequences.items()}
 
 
 def cmd_eval(args) -> int:
@@ -557,8 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("profiles", "build rhythm-profile codebooks")
     p.add_argument("--work-dir", required=True)
-    p.add_argument("--beat-k", type=_int_in(1), default=DEFAULT_BEAT_K)
-    p.add_argument("--bar-k", type=_int_in(1), default=DEFAULT_BAR_K)
+    for level in PROFILE_LEVELS[::-1]:
+        p.add_argument(f"--{level}-k", type=_int_in(1), default=HIERARCHY[level].default_k)
     p.add_argument(
         "--elbow",
         type=_parse_range,
@@ -592,10 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam-width", type=_int_in(1, MAX_BEAM_WIDTH),
                    default=GenerationPlan.beam_width)
     p.add_argument("--primer-piece", default=None, help="corpus id to take the primer from")
-    p.add_argument("--fixed-bar-profiles", default=None,
-                   help="comma-separated profile indices, tiled to the bar count")
-    p.add_argument("--fixed-beat-profiles", default=None,
-                   help="comma-separated profile indices, tiled to the beat count")
+    for level in PROFILE_LEVELS:
+        p.add_argument(f"--fixed-{level}-profiles", default=None,
+                       help=f"comma-separated profile indices, tiled to the {level} count")
     _add_midi_options(p)
     _add_common(p)
     p.set_defaults(func=cmd_generate)

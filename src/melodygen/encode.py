@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,6 +33,9 @@ ALPHABET_SIZE = 38
 
 STEPS_PER_QUARTER = 4
 STEPS_PER_BAR = 16
+# The time scale of each level of the generator hierarchy, coarse to fine: the
+# grid steps one bar profile, beat (quarter note) profile or note event covers.
+LEVEL_STEPS = MappingProxyType({"bar": STEPS_PER_BAR, "beat": STEPS_PER_QUARTER, "note": 1})
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,7 @@ class HrnnModel:
                     f"no {what} for the {self.variant} levels {sorted(expected - given)}"
                 )
         for level, codebook in self.codebooks.items():
-            if codebook.kind != level:
-                raise ValueError(f"the {level} codebook holds {codebook.kind} profiles")
+            codebook.expect_kind(level)
         for level, params in self.level_params.items():
             spec = self.specs[level]
             if params.input_dim != spec.input_dim:
@@ -131,7 +130,8 @@ def load_bundle(directory: str | Path, variant: str) -> HrnnModel:
             variant=variant,
             level_params=level_params,
             codebooks={
-                level: read(directory / name, producer, ProfileCodebook.load)
+                level: read(directory / name, producer,
+                            lambda path: ProfileCodebook.load(path, level))
                 for level, name in codebooks.items()
             },
             chords=manifest["chords"],

@@ -23,7 +23,7 @@ from ..leadsheet import ChordSymbol
 from ..neural import take_buffer
 from ..profiles import ProfileCodebook, profile_sequences
 from .specs import (
-    BEATS_PER_BAR,
+    HIERARCHY,
     LayerSpec,
     build_layer_inputs,
     chord_chroma_by_beat,
@@ -65,12 +65,9 @@ def piece_level_sequences(
     profiles = profile_sequences(
         grid, {level: book for level, book in codebooks.items() if level in specs}
     )
-    need_chroma = any(s.chroma for s in specs.values())
-    chroma = (
-        chord_chroma_by_beat(chords, grid.n_bars * BEATS_PER_BAR)
-        if need_chroma
-        else None
-    )
+    chroma = None
+    if any(spec.chroma for spec in specs.values()):
+        chroma = chord_chroma_by_beat(chords, HIERARCHY["beat"].positions(grid.n_bars))
 
     level_events = {**profiles, "note": grid.to_array()}
     out: dict[str, TrainingSequence] = {}

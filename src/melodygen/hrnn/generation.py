@@ -47,24 +47,14 @@ from ..encode import N_PITCHES, NOTE_OFF, MelodyGrid
 from ..leadsheet import ChordSymbol
 from ..neural import GeneratorParams, LstmState, log_softmax, lstm_step
 from .specs import (
-    BEATS_PER_BAR,
-    FAN_OUT_REPEATS,
+    HIERARCHY,
     LEVELS,
     PROFILE_LEVELS,
-    STEPS_PER_BEAT,
     LayerSpec,
     chord_chroma_by_beat,
     condition_block,
     layer_features,
 )
-
-
-# Per level: a primer's length, and the error for a primer of another length.
-_PRIMER_LENGTHS = {
-    "bar": (1, "bar primer must be one profile"),
-    "beat": (1, "beat primer must be one profile"),
-    "note": (STEPS_PER_BEAT, f"primer must cover one beat ({STEPS_PER_BEAT} events)"),
-}
 
 
 @dataclass(frozen=True)
@@ -113,10 +103,14 @@ class GenerationPlan:
                     raise ValueError(f"{what} for {level!r}, which is not one of {levels}")
         for level in LEVELS:
             primer, fixed = self.primers.get(level), self.fixed_profiles.get(level)
-            length, wrong_length = _PRIMER_LENGTHS[level]
+            length = HIERARCHY[level].primer_length
             if primer is not None and len(primer) != length:
+                wrong_length = (
+                    f"{level} primer must be one profile" if level in PROFILE_LEVELS
+                    else f"primer must cover one beat ({length} events)"
+                )
                 raise ValueError(f"{wrong_length}, got {len(primer)}")
-            count = self.bars * FAN_OUT_REPEATS[level][0]
+            count = HIERARCHY[level].positions(self.bars)
             if fixed is not None and len(fixed) != count:
                 raise ValueError(
                     f"fixed {level} profiles must cover {count} {level}s, got {len(fixed)}"
@@ -135,17 +129,6 @@ def tile_profiles(pattern: tuple[int, ...] | list[int], length: int) -> tuple[in
     if not pattern:
         raise ValueError("cannot tile an empty profile pattern")
     return tuple(pattern[i % len(pattern)] for i in range(length))
-
-
-# Per level: the error for a missing primer, and for an output outside the
-# level's alphabet.
-_LEVEL_ERRORS = {
-    "bar": ("bar layer needs a primer profile or fixed profiles",
-            "bar profile index outside the codebook"),
-    "beat": ("beat layer needs a primer profile or fixed profiles",
-             "beat profile index outside the codebook"),
-    "note": ("a one-beat primer (4 note events) is required", "note event outside the alphabet"),
-}
 
 
 def _sounding_after(sounding: np.ndarray, events: np.ndarray) -> np.ndarray:
@@ -257,7 +240,7 @@ def generate(
     }
     chroma_beats = None
     if any(spec.chroma for spec in specs.values()):
-        chroma_beats = chord_chroma_by_beat(plan.chords, plan.bars * BEATS_PER_BAR)
+        chroma_beats = chord_chroma_by_beat(plan.chords, HIERARCHY["beat"].positions(plan.bars))
 
     outputs: dict[str, np.ndarray] = {}
     for level, seed in zip(LEVELS, seeds):
@@ -267,19 +250,23 @@ def generate(
                 raise ValueError(f"this variant has no {level} level to fix profiles for")
             continue
         spec = specs[level]
-        missing_primer, outside = _LEVEL_ERRORS[level]
+        profile = level in PROFILE_LEVELS
         if fixed is not None:
             events = np.asarray(fixed, dtype=np.int64)
             trace["levels"][level] = {"fixed": [int(v) for v in events]}
         else:
             if level not in plan.primers:
-                raise ValueError(missing_primer)
+                raise ValueError(
+                    f"{level} layer needs a primer profile or fixed profiles" if profile
+                    else f"a one-beat primer ({HIERARCHY[level].primer_length} note events)"
+                    " is required"
+                )
             primer = list(plan.primers[level])
             if level not in level_params:
                 raise ValueError(
                     f"no parameters for the {level} layer and no fixed profiles given"
                 )
-            length = plan.bars * FAN_OUT_REPEATS[level][0]
+            length = HIERARCHY[level].positions(plan.bars)
             conditions = condition_block(
                 spec, length, profiles=outputs, chroma_by_beat=chroma_beats
             )
@@ -300,7 +287,10 @@ def generate(
                 "log_probs": [None if math.isnan(lp) else lp for lp in logprobs],
             }
         if events.min() < 0 or events.max() >= spec.alphabet_size:
-            raise ValueError(outside)
+            raise ValueError(
+                f"{level} profile index outside the codebook" if profile
+                else "note event outside the alphabet"
+            )
         outputs[level] = events
 
     note = outputs.pop("note")

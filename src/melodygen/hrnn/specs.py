@@ -12,55 +12,82 @@ layer predicting symbol y_p sees the concatenation, in this fixed order:
 The lookback block holds, per configured distance d: the one-hot of
 y_{p-d} (zeros when p < d), then one repeat flag per distance
 ([y_{p-1} == y_{p-1-d}], zero when out of range), then a binary counter of
-the position within the layer's cycle (4 bits of p mod 16 for the note
-level, 2 bits of p mod 4 for the beat level, none for bars).
+the position within the bar (4 bits of p mod 16 for the note level, 2 bits
+of p mod 4 for the beat level, none for bars).
 
 One builder writes this layout, :func:`layer_features`, over W symbol
 histories and a range of positions: training asks it for every position of
 one sequence (:func:`build_layer_inputs`), decoding for one position of W
 hypotheses. :func:`condition_block` fans the conditions out for both.
 
-Variants: "3L" is the full bar/beat/note stack; "2L" drops the bar level
-(its beat layer is unconditioned); "1L" is the note level alone with no
-profile conditions, which reduces it to a plain lookback sequence model.
-Chord conditioning adds the chroma block to the beat and note levels (the
-note level in every variant).
+Two tables hold the per-level facts: ``encode.LEVEL_STEPS``, the grid steps
+one symbol of a level covers, and :data:`HIERARCHY`, what those steps do not
+fix. Fan-out counts, position bits and primer lengths derive from the steps.
+One rule gives every variant's specs: variant "nL" is the last n levels of
+(bar, beat, note), each level is conditioned on every profile level above
+it, and chord conditioning adds chroma, given per beat, to every level no
+coarser than a beat.
 
 Every per-level value is keyed by level: :func:`variant_specs` sizes a
 variant's specs off a ``{level: codebook}`` mapping, and
 :func:`condition_block` and :func:`build_layer_inputs` read the profile
 indices of the levels above from a ``{level: indices}`` mapping, per bar for
-"bar" and per beat for "beat". :func:`layer_specs` takes the codebook sizes
-as ``bar_k`` and ``beat_k``.
+"bar" and per beat for "beat".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from ..encode import ALPHABET_SIZE, one_hot_matrix
+from ..encode import ALPHABET_SIZE, LEVEL_STEPS, STEPS_PER_BAR, one_hot_matrix
 from ..leadsheet import ChordSymbol
-from ..profiles import DEFAULT_BAR_K, DEFAULT_BEAT_K, ProfileCodebook
+from ..profiles import PROFILE_WIDTHS, ProfileCodebook
 
-VARIANTS = ("1L", "2L", "3L")
-LEVELS = ("bar", "beat", "note")
-PROFILE_LEVELS = ("bar", "beat")  # the levels that emit rhythm profiles
-
-STEPS_PER_BAR = 16
-STEPS_PER_BEAT = 4
-BEATS_PER_BAR = 4
 CHROMA_DIM = 12
 
 FEATURE_LAYOUT_VERSION = 1
 
-# Lookback distances per level, in the level's own sequence positions.
+
+@dataclass(frozen=True)
+class Level:
+    """One level of the hierarchy: the settings that its time scale, its
+    ``encode.LEVEL_STEPS``, does not fix, and the values derived from it."""
+
+    name: str
+    lookback_distances: tuple[int, int]  # in the level's own positions
+    seed_offset: int  # added to the user seed for the level's training stream
+    default_k: int | None = None  # default codebook size of a profile level
+
+    def positions(self, bars: int) -> int:
+        """Symbols of the level in ``bars`` bars."""
+        return bars * STEPS_PER_BAR // LEVEL_STEPS[self.name]
+
+    @property
+    def position_bits(self) -> int:
+        """Bits of the counter of the level's positions in a bar."""
+        return self.positions(1).bit_length() - 1
+
+    @property
+    def primer_length(self) -> int:
+        """Symbols of a primer, which covers the first beat."""
+        return -(-LEVEL_STEPS["beat"] // LEVEL_STEPS[self.name])
+
+
 # Bars look back 2 and 4 bars, beats 4 and 8 beats; the note level looks
 # back one and two whole bars (16 and 32 steps).
-LOOKBACK_DISTANCES = {"bar": (2, 4), "beat": (4, 8), "note": (16, 32)}
-POSITION_BITS = {"bar": 0, "beat": 2, "note": 4}
+HIERARCHY = MappingProxyType({level.name: level for level in (
+    Level("bar", lookback_distances=(2, 4), seed_offset=101, default_k=16),
+    Level("beat", lookback_distances=(4, 8), seed_offset=202, default_k=8),
+    Level("note", lookback_distances=(16, 32), seed_offset=303),
+)})
+LEVELS = tuple(HIERARCHY)
+PROFILE_LEVELS = tuple(PROFILE_WIDTHS)
+VARIANT_LEVELS = MappingProxyType({f"{n}L": LEVELS[-n:] for n in range(1, len(LEVELS) + 1)})
+VARIANTS = tuple(VARIANT_LEVELS)
 
 
 @dataclass(frozen=True)
@@ -109,36 +136,29 @@ def layer_specs(
     variant: str,
     *,
     chords: bool = False,
-    beat_k: int = DEFAULT_BEAT_K,
-    bar_k: int = DEFAULT_BAR_K,
+    beat_k: int = HIERARCHY["beat"].default_k,
+    bar_k: int = HIERARCHY["bar"].default_k,
 ) -> dict[str, LayerSpec]:
-    """The LayerSpec for every level present in a variant."""
-    if variant not in VARIANTS:
+    """The LayerSpec for every level present in a variant, coarse to fine:
+    each level is conditioned on the profile levels above it, and with
+    ``chords`` every level no coarser than a beat gets chroma."""
+    if variant not in VARIANT_LEVELS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-    def spec(level, alphabet, bar_cond, beat_cond, with_chroma):
-        return LayerSpec(
-            level=level,
-            alphabet_size=alphabet,
-            bar_condition=bar_cond,
-            beat_condition=beat_cond,
-            chroma=with_chroma,
-            lookback_distances=LOOKBACK_DISTANCES[level],
-            position_bits=POSITION_BITS[level],
+    sizes = {"bar": bar_k, "beat": beat_k, "note": ALPHABET_SIZE}
+    levels = VARIANT_LEVELS[variant]
+    specs = {}
+    for index, name in enumerate(levels):
+        level, above = HIERARCHY[name], levels[:index]
+        specs[name] = LayerSpec(
+            level=name,
+            alphabet_size=sizes[name],
+            bar_condition=sizes["bar"] if "bar" in above else 0,
+            beat_condition=sizes["beat"] if "beat" in above else 0,
+            chroma=chords and LEVEL_STEPS[name] <= LEVEL_STEPS["beat"],
+            lookback_distances=level.lookback_distances,
+            position_bits=level.position_bits,
         )
-
-    if variant == "3L":
-        return {
-            "bar": spec("bar", bar_k, 0, 0, False),
-            "beat": spec("beat", beat_k, bar_k, 0, chords),
-            "note": spec("note", ALPHABET_SIZE, bar_k, beat_k, chords),
-        }
-    if variant == "2L":
-        return {
-            "beat": spec("beat", beat_k, 0, 0, chords),
-            "note": spec("note", ALPHABET_SIZE, 0, beat_k, chords),
-        }
-    return {"note": spec("note", ALPHABET_SIZE, 0, 0, chords)}
+    return specs
 
 
 def profile_levels(variant: str) -> tuple[str, ...]:
@@ -193,21 +213,12 @@ def chord_chroma_by_beat(
     vectors = [chord.chroma_vector() for chord in ordered]
     active = -1
     for beat in range(n_beats):
-        step = beat * STEPS_PER_BEAT
+        step = beat * LEVEL_STEPS["beat"]
         while active + 1 < len(onsets) and onsets[active + 1] <= step:
             active += 1
         if active >= 0:
             out[beat] = vectors[active]
     return out
-
-
-# Positions of each level that one bar and one beat cover, for fanning the
-# per-bar profiles and the per-beat profiles and chroma out to the level.
-FAN_OUT_REPEATS = {
-    "bar": (1, 1),
-    "beat": (BEATS_PER_BAR, 1),
-    "note": (STEPS_PER_BAR, STEPS_PER_BEAT),
-}
 
 
 def condition_block(
@@ -221,25 +232,23 @@ def condition_block(
 
     ``profiles`` maps each profile level the spec is conditioned on to its
     indices, per bar for "bar" and per beat for "beat"; chroma is given per
-    beat. Each is fanned out to the level's positions. Missing chroma is
-    rejected like any other length mismatch.
+    beat. Each is fanned out to the level's positions: one symbol of a
+    coarser level covers as many positions as it has grid steps per step of
+    this level. Missing chroma is rejected like any other length mismatch.
     """
     if not spec.condition_dim:
         return None
-    per_bar, per_beat = FAN_OUT_REPEATS[spec.level]
+    steps = LEVEL_STEPS[spec.level]
     parts = []
-    for name, size, repeat in (
-        ("bar", spec.bar_condition, per_bar),
-        ("beat", spec.beat_condition, per_beat),
-    ):
+    for name, size in (("bar", spec.bar_condition), ("beat", spec.beat_condition)):
         if size:
             if name not in profiles:
                 raise ValueError(f"{spec.level} layer requires {name} profile indices")
-            block = one_hot_matrix(fan_out(profiles[name], repeat), size)
+            block = one_hot_matrix(fan_out(profiles[name], LEVEL_STEPS[name] // steps), size)
             parts.append((f"{name} profiles cover", block))
     if spec.chroma:
         chroma = np.zeros((0, CHROMA_DIM)) if chroma_by_beat is None else chroma_by_beat
-        parts.append(("chroma covers", np.repeat(chroma, per_beat, axis=0)))
+        parts.append(("chroma covers", np.repeat(chroma, LEVEL_STEPS["beat"] // steps, axis=0)))
     for what, part in parts:
         if len(part) != length:
             raise ValueError(f"{what} {len(part)} positions, need {length}")

@@ -19,11 +19,7 @@ from ..neural import (
 )
 from .datasets import TrainingSequence, pad_batch
 from .evaluation import evaluate_layer
-from .specs import LayerSpec
-
-# Deterministic per-level offsets applied to the user seed so the three
-# layers train on distinct but reproducible random streams.
-LEVEL_SEED_OFFSETS = {"bar": 101, "beat": 202, "note": 303}
+from .specs import HIERARCHY, LayerSpec
 
 # Bound on the global L2 norm of each step's gradients.
 CLIP_NORM = 5.0
@@ -183,8 +179,8 @@ def train_layer(
 
 
 def layer_config(base: TrainConfig, level: str) -> TrainConfig:
-    """The per-level config: same settings, level-specific seed stream."""
-    return replace(base, seed=base.seed + LEVEL_SEED_OFFSETS[level])
+    """The per-level config: same settings, the level's own seed stream."""
+    return replace(base, seed=base.seed + HIERARCHY[level].seed_offset)
 
 
 def curves_to_csv(curves: list[dict]) -> str:

@@ -2,7 +2,8 @@
 
 A grid step is *eventful* (1) if it carries a note-on or a note-off, else 0.
 Cutting the binarized sequence into widths of 4 gives beat clips, widths of
-16 bar clips. Clip collections are clustered (k-means++ seeding, restarted
+16 bar clips: the profile levels, :data:`PROFILE_WIDTHS`, are those coarser
+than a note. Clip collections are clustered (k-means++ seeding, restarted
 Lloyd iterations, deterministic under a seed) into a ProfileCodebook whose
 centroid indices are the profile vocabulary used to condition generation.
 
@@ -26,17 +27,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .artifacts import write
-from .encode import NO_EVENT, MelodyGrid, STEPS_PER_BAR
+from .encode import LEVEL_STEPS, NO_EVENT, MelodyGrid
 
-BEAT_WIDTH = 4
-BAR_WIDTH = 16
-DEFAULT_BEAT_K = 8
-DEFAULT_BAR_K = 16
+# Each profile level, a codebook's kind, and the width of its clips.
+PROFILE_WIDTHS = MappingProxyType({level: n for level, n in LEVEL_STEPS.items() if n > 1})
+BEAT_WIDTH = PROFILE_WIDTHS["beat"]
+BAR_WIDTH = PROFILE_WIDTHS["bar"]
 DEFAULT_RESTARTS = 10
 # Lloyd iterations per start; a start that has not converged by then stops.
 MAX_ITERATIONS = 100
@@ -352,17 +354,17 @@ def kmeans(
 class ProfileCodebook:
     """A clustering result frozen for reuse: the profile vocabulary."""
 
-    kind: str  # "beat" or "bar"
+    kind: str  # a profile level, "bar" or "beat"
     centroids: np.ndarray  # (k, width)
     seed: int
     iterations: int
     wcss: float
 
     def __post_init__(self) -> None:
-        if self.kind not in ("beat", "bar"):
+        if self.kind not in PROFILE_WIDTHS:
             raise ValueError(f"unknown codebook kind {self.kind!r}")
         self.centroids = np.asarray(self.centroids, dtype=np.float64)
-        expected = BEAT_WIDTH if self.kind == "beat" else BAR_WIDTH
+        expected = PROFILE_WIDTHS[self.kind]
         if self.centroids.ndim != 2 or self.centroids.shape[1] != expected:
             raise ValueError(
                 f"{self.kind} codebook centroids must be (k, {expected})"
@@ -373,6 +375,11 @@ class ProfileCodebook:
     @property
     def k(self) -> int:
         return len(self.centroids)
+
+    def expect_kind(self, kind: str) -> None:
+        """Reject this codebook unless it holds ``kind`` profiles."""
+        if self.kind != kind:
+            raise ValueError(f"the {kind} codebook holds {self.kind} profiles")
 
     @property
     def width(self) -> int:
@@ -395,13 +402,16 @@ class ProfileCodebook:
             raise ValueError(f"a codebook must be a JSON object, not {type(obj).__name__}")
         if obj.get("schema") != CODEBOOK_SCHEMA:
             raise ValueError(f"unsupported codebook schema {obj.get('schema')}")
-        return cls(
+        codebook = cls(
             kind=obj["kind"],
             centroids=np.array(obj["centroids"], dtype=np.float64),
             seed=obj["seed"],
             iterations=obj["iterations"],
             wcss=obj["wcss"],
         )
+        if obj["k"] != codebook.k:
+            raise ValueError(f"k is {obj['k']}, but the codebook holds {codebook.k} centroids")
+        return codebook
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -410,8 +420,11 @@ class ProfileCodebook:
         write(Path(path), (self.dumps() + "\n").encode("utf-8"))
 
     @classmethod
-    def load(cls, path: str | Path) -> "ProfileCodebook":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    def load(cls, path: str | Path, kind: str) -> "ProfileCodebook":
+        """The codebook saved at ``path``, which must hold ``kind`` profiles."""
+        codebook = cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        codebook.expect_kind(kind)
+        return codebook
 
 
 def build_codebook(
@@ -423,8 +436,6 @@ def build_codebook(
     restarts: int = DEFAULT_RESTARTS,
 ) -> ProfileCodebook:
     """Cluster clips of one kind ("beat" or "bar") into a codebook."""
-    if kind not in ("beat", "bar"):
-        raise ValueError(f"unknown codebook kind {kind!r}")
     fit = kmeans(clips, k, seed=seed, restarts=restarts)
     return ProfileCodebook(
         kind=kind,

@@ -4,11 +4,12 @@
     python tests/support/tree_ab.py neural OTHER/src --cases 300
     python tests/support/tree_ab.py decode OTHER/src --cases 40
     python tests/support/tree_ab.py profiles OTHER/src --cases 1000
+    python tests/support/tree_ab.py features OTHER/src --cases 600
 
 ``OTHER/src`` is the ``src`` directory of another checkout, for example a
 ``git worktree`` of the parent commit; it is compared with this checkout's
 ``src``. Each tree is imported apart from the other by :func:`import_tree`.
-Four checks:
+Five checks:
 
     normalize   ``encode.normalize_sheet`` and ``corpus.pitch_in_range_fraction``
                 on random lead sheets: keys -7..7, pitches across 0..127 and
@@ -26,6 +27,13 @@ Four checks:
                 and ``profiles.elbow_report`` on random 0/1 clip sets of beat
                 and bar width: centroid bytes, labels, objective and iteration
                 count, compared with ``np.array_equal``
+    features    on random grids, chord tracks and codebook sizes, for every
+                variant with and without chords (the case seed picks them in
+                turn): the ``to_dict()`` of every ``layer_specs`` and
+                ``variant_specs`` spec, each level's ``condition_block``,
+                ``layer_features`` rows at single positions of random
+                histories, and the inputs and targets of ``build_datasets``,
+                compared with ``np.array_equal``
 
 It prints the number of cases and of differences, and the first differences;
 the exit status is 1 when any case differs. ``decode`` also prints how many
@@ -155,6 +163,60 @@ def profiles_case(tree: ModuleType, seed: int) -> list[tuple[str, np.ndarray]]:
     return out + [("elbow", np.array([[row["k"], row["wcss"]] for row in elbow]))]
 
 
+def features_case(tree: ModuleType, seed: int) -> list[tuple[str, np.ndarray]]:
+    """Named feature arrays of one variant and chord setting on 1-3 random
+    pieces; ``seed`` modulo 6 picks the variant and whether chords are on."""
+    specs_module, rng = tree.hrnn.specs, np.random.default_rng(seed)
+    variant = specs_module.VARIANTS[seed % len(specs_module.VARIANTS)]
+    chords = bool(seed // len(specs_module.VARIANTS) % 2)
+    encode, grids, tracks = tree.encode, [], []
+    for _ in range(int(rng.integers(1, 4))):
+        pitches, events, sounding = rng.integers(0, encode.N_PITCHES, size=2), [], False
+        for _ in range(16 * int(rng.integers(1, 4))):
+            kind = int(rng.integers(0, 3 if sounding else 2))
+            events.append((int(rng.choice(pitches)), encode.NO_EVENT, encode.NOTE_OFF)[kind])
+            sounding = kind == 0 or (sounding and kind == 1)
+        grids.append(tree.encode.MelodyGrid(tuple(events)))
+        kinds = sorted(tree.leadsheet.CHORD_KIND_INTERVALS)
+        tracks.append(tuple(
+            tree.leadsheet.chord_from_kind(int(rng.integers(0, len(events) + 8)),
+                                           int(rng.integers(12)), kinds[rng.integers(len(kinds))])
+            for _ in range(int(rng.integers(0, 5)))))
+    codebooks = {}
+    for kind, width in (("beat", tree.profiles.BEAT_WIDTH), ("bar", tree.profiles.BAR_WIDTH)):
+        rows = np.unique(rng.integers(0, 2, size=(int(rng.integers(1, 6)), width)), axis=0)
+        codebooks[kind] = tree.profiles.ProfileCodebook(kind, rows.astype(np.float64), seed=0,
+                                                        iterations=0, wcss=0.0)
+    specs = specs_module.layer_specs(variant, chords=chords, beat_k=codebooks["beat"].k,
+                                     bar_k=codebooks["bar"].k)
+    out = [(f"layer_specs.{level}", np.array(repr(spec.to_dict())))
+           for level, spec in specs.items()]
+    specs = specs_module.variant_specs(variant, chords=chords, codebooks=codebooks)
+    out += [(f"variant_specs.{level}", np.array(repr(spec.to_dict())))
+            for level, spec in specs.items()]
+    for piece, (grid, track) in enumerate(zip(grids, tracks)):
+        profiles = tree.profiles.profile_sequences(grid, codebooks)
+        chroma = specs_module.chord_chroma_by_beat(track, grid.n_bars * 4)
+        for level, spec in specs.items():
+            length = len({**profiles, "note": grid.events}[level])
+            conditions = specs_module.condition_block(
+                spec, length, profiles=profiles, chroma_by_beat=chroma if spec.chroma else None)
+            name = f"piece{piece}.{level}"
+            out.append((f"{name}.conditions", np.zeros(0) if conditions is None else conditions))
+            histories = rng.integers(0, spec.alphabet_size, size=(int(rng.integers(1, 4)), length))
+            for position in rng.integers(0, length, size=4):
+                out.append((f"{name}.row{position}", specs_module.layer_features(
+                    spec, histories, int(position), int(position) + 1, conditions)))
+    datasets = tree.hrnn.build_datasets(grids, variant, beat_codebook=codebooks["beat"],
+                                        bar_codebook=codebooks["bar"], chord_tracks=tracks,
+                                        chords=chords)
+    for level, sequences in datasets.items():
+        for piece, sequence in enumerate(sequences):
+            out += [(f"datasets.{level}.{piece}.inputs", sequence.inputs),
+                    (f"datasets.{level}.{piece}.targets", sequence.targets)]
+    return out
+
+
 def _arrays_equal(a: list, b: list) -> bool:
     return [name for name, _ in a] == [name for name, _ in b] and all(
         x.shape == y.shape and np.array_equal(x, y) for (_, x), (_, y) in zip(a, b))
@@ -247,6 +309,10 @@ def compare(check: str, tree_a: ModuleType, tree_b: ModuleType, cases: int) -> l
         differences = [f"case seed {case}" for case in range(cases)
                        if not _arrays_equal(profiles_case(tree_a, case),
                                             profiles_case(tree_b, case))]
+    elif check == "features":
+        differences = [f"case seed {case}" for case in range(cases)
+                       if not _arrays_equal(features_case(tree_a, case),
+                                            features_case(tree_b, case))]
     else:
         raise ValueError(f"unknown check {check!r}")
     return differences
@@ -254,7 +320,7 @@ def compare(check: str, tree_a: ModuleType, tree_b: ModuleType, cases: int) -> l
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("check", choices=("normalize", "neural", "decode", "profiles"))
+    parser.add_argument("check", choices=("normalize", "neural", "decode", "profiles", "features"))
     parser.add_argument("other", type=Path, help="the src directory of the other tree")
     parser.add_argument("--cases", type=int, default=1000)
     args = parser.parse_args(argv)

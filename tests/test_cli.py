@@ -336,6 +336,24 @@ class TestTrain:
         assert f"{work / 'beat_codebook.json'}: " in err
         assert "melodygen profiles" in err
 
+    @pytest.mark.parametrize("damage, problem", [
+        ("beat codebook", "the bar codebook holds beat profiles"),
+        ("k 99", "k is 99, but the codebook holds 2 centroids"),
+    ])
+    def test_codebook_of_another_shape_names_the_file(
+        self, pipeline, tmp_path, capsys, damage, problem
+    ):
+        beat = (pipeline / "beat_codebook.json").read_text()
+        work = damaged_copy(
+            pipeline, tmp_path, "bar_codebook.json",
+            (lambda text: beat) if damage == "beat codebook"
+            else edited_json(lambda book: book.update(k=99)),
+        )
+        capsys.readouterr()
+        assert main(["train", "--work-dir", str(work), *TINY_TRAIN]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"{work / 'bar_codebook.json'}: {problem}; re-run `melodygen profiles`" in err
+
     @pytest.mark.parametrize("variant, files", [
         ("1L", {"manifest.json", "note.ckpt"}),
         ("2L", {"manifest.json", "note.ckpt", "beat.ckpt", "beat_codebook.json"}),

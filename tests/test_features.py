@@ -116,6 +116,30 @@ class TestLayerSpecs:
         assert specs["note"].bar_condition == 9
         assert specs["note"].beat_condition == 5
 
+    # Every level of every variant at beat_k=5 and bar_k=9: alphabet, bar and
+    # beat condition, chroma when chord-conditioned, lookback, position bits.
+    PINNED = {
+        "1L": [("note", 38, 0, 0, True, [16, 32], 4)],
+        "2L": [("beat", 5, 0, 0, True, [4, 8], 2), ("note", 38, 0, 5, True, [16, 32], 4)],
+        "3L": [
+            ("bar", 9, 0, 0, False, [2, 4], 0),
+            ("beat", 5, 9, 0, True, [4, 8], 2),
+            ("note", 38, 9, 5, True, [16, 32], 4),
+        ],
+    }
+
+    @pytest.mark.parametrize("chords", [False, True])
+    @pytest.mark.parametrize("variant", ["1L", "2L", "3L"])
+    def test_every_variant_pinned(self, variant, chords):
+        specs = layer_specs(variant, chords=chords, beat_k=5, bar_k=9)
+        assert [spec.to_dict() for spec in specs.values()] == [
+            {"level": level, "alphabet_size": alphabet, "bar_condition": bar,
+             "beat_condition": beat, "chroma": chords and chroma,
+             "lookback_distances": lookback, "position_bits": bits}
+            for level, alphabet, bar, beat, chroma, lookback, bits in self.PINNED[variant]
+        ]
+        assert list(specs) == [spec.level for spec in specs.values()]
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             layer_specs("4L")

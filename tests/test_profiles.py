@@ -483,10 +483,22 @@ class TestCodebook:
         codebook = build_codebook(self.clips(), "beat", 6, seed=4)
         path = tmp_path / "beat.json"
         codebook.save(path)
-        loaded = ProfileCodebook.load(path)
+        loaded = ProfileCodebook.load(path, "beat")
         assert loaded.kind == codebook.kind
         assert np.array_equal(loaded.centroids, codebook.centroids)
         assert loaded.wcss == codebook.wcss
+
+    def test_load_rejects_another_kind(self, tmp_path):
+        path = tmp_path / "bar.json"
+        build_codebook(self.clips(), "beat", 6, seed=4).save(path)
+        with pytest.raises(ValueError, match="the bar codebook holds beat profiles"):
+            ProfileCodebook.load(path, "bar")
+
+    @pytest.mark.parametrize("k", [5, 7, 99])
+    def test_k_must_count_the_centroids(self, k):
+        stored = build_codebook(self.clips(), "beat", 6, seed=4).to_dict()
+        with pytest.raises(ValueError, match=f"k is {k}, but the codebook holds 6 centroids"):
+            ProfileCodebook.from_dict({**stored, "k": k})
 
     def test_save_is_deterministic(self, tmp_path):
         first = build_codebook(self.clips(), "beat", 6, seed=4)

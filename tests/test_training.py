@@ -9,9 +9,8 @@ import pytest
 from melodygen.encode import grid_encode
 from melodygen.hrnn import training
 from melodygen.hrnn.datasets import TrainingSequence, build_datasets
-from melodygen.hrnn.specs import layer_specs
+from melodygen.hrnn.specs import HIERARCHY, layer_specs
 from melodygen.hrnn.training import (
-    LEVEL_SEED_OFFSETS,
     EarlyStopping,
     curves_to_csv,
     layer_config,
@@ -318,9 +317,9 @@ class TestStepAllocations:
 class TestLayerConfig:
     def test_per_level_seed_offsets(self):
         base = tiny_config(seed=1000)
-        assert layer_config(base, "bar").seed == 1000 + LEVEL_SEED_OFFSETS["bar"]
-        assert layer_config(base, "beat").seed == 1000 + LEVEL_SEED_OFFSETS["beat"]
-        assert layer_config(base, "note").seed == 1000 + LEVEL_SEED_OFFSETS["note"]
+        assert layer_config(base, "bar").seed == 1000 + HIERARCHY["bar"].seed_offset
+        assert layer_config(base, "beat").seed == 1000 + HIERARCHY["beat"].seed_offset
+        assert layer_config(base, "note").seed == 1000 + HIERARCHY["note"].seed_offset
 
     def test_base_config_is_not_mutated(self):
         base = tiny_config(seed=5)
@@ -328,7 +327,7 @@ class TestLayerConfig:
         assert base.seed == 5
 
     def test_offsets_are_distinct(self):
-        assert len(set(LEVEL_SEED_OFFSETS.values())) == 3
+        assert len({level.seed_offset for level in HIERARCHY.values()}) == 3
 
 
 class TestCurvesCsv:

@@ -22,6 +22,7 @@ def test_this_tree_against_itself_has_no_differences():
     assert tree_ab.compare("normalize", *trees, cases=500) == []
     assert tree_ab.compare("neural", *trees, cases=20) == []
     assert tree_ab.compare("profiles", *trees, cases=20) == []
+    assert tree_ab.compare("features", *trees, cases=24) == []
     report = tree_ab.compare_decode(*trees, cases=4)
     assert report.differences == [] and report.worst_relative == 0.0
     assert report.equal_sequences == report.sequences == 4 * 2 * 3
@@ -38,7 +39,10 @@ def test_a_changed_tree_shows_differences(monkeypatch):
 
     monkeypatch.setattr(changed.hrnn.generation, "log_softmax", sharper)
     monkeypatch.setattr(changed.profiles, "MAX_ITERATIONS", 1)
-    for check, cases in (("normalize", 200), ("neural", 4), ("decode", 2), ("profiles", 2)):
+    monkeypatch.setattr(changed.hrnn.specs, "one_hot_matrix",
+                        lambda events, size: 1.0 - changed.encode.one_hot_matrix(events, size))
+    for check, cases in (("normalize", 200), ("neural", 4), ("decode", 2), ("profiles", 2),
+                         ("features", 6)):
         assert tree_ab.compare(check, same, changed, cases)
 
 
