@@ -168,6 +168,16 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="the beat codebook holds bar profiles"):
             HrnnModel(variant="2L", level_params=model.level_params, codebooks={"beat": bar})
 
+    def test_saved_codebook_of_another_level_names_the_file(self, tmp_path):
+        save_bundle(make_model("3L"), tmp_path / "bundle")
+        beat, _ = codebooks()
+        beat.save(tmp_path / "bundle" / "bar_codebook.json")
+        with pytest.raises(ArtifactError, match=(
+            "bar_codebook.json: the bar codebook holds beat profiles; "
+            "re-run `melodygen train --variant 3L`"
+        )):
+            load_bundle(tmp_path / "bundle", "3L")
+
     def test_params_for_unknown_level_rejected(self):
         model = make_model("1L")
         extra = dict(model.level_params)
