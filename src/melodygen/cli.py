@@ -47,7 +47,7 @@ import numpy as np
 from . import __version__
 from .artifacts import read, replace_dir, write, write_json
 from .corpus import CorpusError, dumps_grids, loads_grids, scan_corpus
-from .encode import NO_EVENT, grid_decode, grid_encode, normalize_sheet, sustain_extend
+from .encode import MAX_BARS, grid_decode, grid_encode, normalize_sheet, sustain_extend
 from .hrnn import (
     GenerationPlan,
     HrnnModel,
@@ -81,9 +81,8 @@ EXIT_ERROR = 1
 EXIT_EMPTY = 2
 
 KMEANS_SEED_OFFSET = 7
-# Upper bounds of `generate --bars` and `--beam-width`: decoding time and the
-# condition blocks grow with the bars, and the beam's rows with its width.
-MAX_BARS = 1024
+# Upper bound of `generate --beam-width`: the beam's rows grow with its width.
+# `--bars` takes 1..MAX_BARS, the grid encoder's bound.
 MAX_BEAM_WIDTH = 64
 
 # Options that only say where files are read or written; the config hash
@@ -172,17 +171,23 @@ def _load_codebooks(work: Path, variant: str) -> dict[str, ProfileCodebook]:
     }
 
 
-def _datasets(work: Path, ids: list[str], variant: str, codebooks: dict, chords: bool):
-    """The listed pieces' grids, and their datasets per level for ``variant``."""
-    grids, chord_tracks = _load_encoded(work, ids)
-    return grids, build_datasets(
-        grids,
-        variant,
-        **{f"{level}_codebook": codebook for level, codebook in codebooks.items()},
-        chord_tracks=chord_tracks,
-        chords=chords,
-        piece_ids=ids,
-    )
+def _datasets(work: Path, splits: list[list[str]], variant: str, codebooks: dict, chords: bool):
+    """For each list of piece ids, the pieces' grids and their datasets per
+    level for ``variant``; grids.json is read once for all the lists."""
+    grids, chord_tracks = _load_encoded(work, [piece for ids in splits for piece in ids])
+    out, start = [], 0
+    for ids in splits:
+        part = slice(start, start + len(ids))
+        start = part.stop
+        out.append((grids[part], build_datasets(
+            grids[part],
+            variant,
+            **{f"{level}_codebook": codebook for level, codebook in codebooks.items()},
+            chord_tracks=chord_tracks[part],
+            chords=chords,
+            piece_ids=ids,
+        )))
+    return out
 
 
 def cmd_ingest(args) -> int:
@@ -274,21 +279,22 @@ def cmd_train(args) -> int:
     codebooks = _load_codebooks(work, args.variant)
     if not manifest["train_ids"]:
         raise CliError("the training split is empty", EXIT_EMPTY)
-    _, datasets = _datasets(work, manifest["train_ids"], args.variant, codebooks, args.chords)
-    val_datasets = (
-        _datasets(work, manifest["validation_ids"], args.variant, codebooks, args.chords)[1]
-        if manifest["validation_ids"]
-        else None
+    splits = [manifest["train_ids"], manifest["validation_ids"]]
+    (_, datasets), (_, val_datasets) = _datasets(
+        work, splits, args.variant, codebooks, args.chords
     )
     stamp = _stamp(args)
     specs = variant_specs(args.variant, chords=args.chords, codebooks=codebooks)
 
     level_params, curves = {}, {}
-    for level, spec in specs.items():
+    # Finest level first: the note level's step holds the most memory, and it
+    # runs before any other level's trained parameters are held. Each level
+    # trains from its own seed stream, so the order changes no byte.
+    for level, spec in reversed(specs.items()):
         result = train_layer(
             spec,
             datasets[level],
-            val_datasets[level] if val_datasets else None,
+            val_datasets[level],
             layer_config(conf, level),
         )
         level_params[level] = result.params
@@ -437,13 +443,13 @@ def cmd_eval(args) -> int:
     ids = manifest["validation_ids"] or manifest["train_ids"]
     if not ids:
         raise CliError("no pieces to evaluate on", EXIT_EMPTY)
-    grids, datasets = _datasets(work, ids, model.variant, model.codebooks, model.chords)
+    ((grids, datasets),) = _datasets(work, [ids], model.variant, model.codebooks, model.chords)
     metrics: dict = {"levels": {}, "pieces": len(ids)}
     for level, sequences in datasets.items():
         metrics["levels"][level] = evaluate_layer(
             model.level_params[level],
             sequences,
-            no_event_index=NO_EVENT if level == "note" else None,
+            no_event_index=model.specs[level].no_event_index,
         )
 
     adherence = _generation_adherence(model, grids, args)
@@ -686,7 +692,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except Exception as exc:  # operational failures map to exit code 1
-        print(f"error: {exc}", file=sys.stderr)
+        # Some exceptions, MemoryError among them, carry no message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -33,6 +33,9 @@ ALPHABET_SIZE = 38
 
 STEPS_PER_QUARTER = 4
 STEPS_PER_BAR = 16
+# The most bars a grid may hold, encoded or generated: a grid's memory and
+# the time to decode it grow with its bars.
+MAX_BARS = 1024
 # The time scale of each level of the generator hierarchy, coarse to fine: the
 # grid steps one bar profile, beat (quarter note) profile or note event covers.
 LEVEL_STEPS = MappingProxyType({"bar": STEPS_PER_BAR, "beat": STEPS_PER_QUARTER, "note": 1})
@@ -149,13 +152,16 @@ def grid_encode(sheet: LeadSheet) -> MelodyGrid:
     rounding earlier. Notes that quantize to zero length are dropped; notes
     that quantize to the same onset keep the longest (then highest). Pitches
     are octave-folded into C2..B4. Overlap after quantization means the input
-    was not monophonic and raises ValueError.
+    was not monophonic and raises ValueError, as does a sheet of fewer than
+    1 or more than ``MAX_BARS`` bars, before anything is allocated.
 
     Onsets and ends are quantized from their integer numerators and
     denominators; ``Fraction`` arithmetic runs only to join ties.
     """
     if sheet.time_signature != (4, 4):
         raise ValueError(f"grid encoding requires 4/4, got {sheet.time_signature}")
+    if not 1 <= sheet.n_bars <= MAX_BARS:
+        raise ValueError(f"a lead sheet needs 1 to {MAX_BARS} bars, not {sheet.n_bars}")
     n_steps = sheet.n_bars * STEPS_PER_BAR
     quantized: list[GridNote] = []
     for pitch, onset, duration in merge_ties(sheet.notes):

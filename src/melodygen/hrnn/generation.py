@@ -176,7 +176,6 @@ def _decode_sequence(
         raise ValueError("primer must be non-empty and no longer than the sequence")
     if any(not 0 <= e < spec.alphabet_size for e in primer):
         raise ValueError("primer event outside the layer alphabet")
-    is_note = spec.level == "note"
     n_primer = len(primer)
     histories = np.zeros((1, length), dtype=np.int64)
     histories[0, :n_primer] = primer
@@ -190,7 +189,7 @@ def _decode_sequence(
         if position < n_primer:
             sounding = _sounding_after(sounding, histories[:, position])
             continue
-        if is_note:
+        if spec.grid_events:
             logits[~sounding, NOTE_OFF] = -np.inf
         logp = log_softmax(logits)
         if mode == "beam":

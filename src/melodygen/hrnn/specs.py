@@ -43,7 +43,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..encode import ALPHABET_SIZE, LEVEL_STEPS, STEPS_PER_BAR, one_hot_matrix
+from ..encode import ALPHABET_SIZE, LEVEL_STEPS, NO_EVENT, STEPS_PER_BAR, one_hot_matrix
 from ..leadsheet import ChordSymbol
 from ..profiles import PROFILE_WIDTHS, ProfileCodebook
 
@@ -107,6 +107,18 @@ class LayerSpec:
             raise ValueError(f"unknown level {self.level!r}")
         if self.alphabet_size < 1:
             raise ValueError("alphabet_size must be positive")
+
+    @property
+    def grid_events(self) -> bool:
+        """True when the level's symbols are the grid's events, not profile
+        indices: decoding then masks the note-off while nothing sounds, and
+        scoring reports no-event predictions apart."""
+        return self.level == "note"
+
+    @property
+    def no_event_index(self) -> int | None:
+        """The symbol that scoring reports apart, or None."""
+        return NO_EVENT if self.grid_events else None
 
     @property
     def condition_dim(self) -> int:

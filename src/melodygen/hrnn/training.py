@@ -6,7 +6,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..encode import NO_EVENT
 from ..neural import (
     GeneratorParams,
     TrainConfig,
@@ -87,7 +86,6 @@ def train_layer(
         seed=config.seed,
     )
     adam = init_adam(params, learning_rate=config.learning_rate)
-    no_event = NO_EVENT if spec.level == "note" else None
 
     stopper = EarlyStopping(config.patience)
     # The final iteration is always evaluated, so this is always replaced.
@@ -126,6 +124,8 @@ def train_layer(
         del result, inputs, targets, mask
         recent_norms.append(clip_global_norm(grads, CLIP_NORM))
         adam_update(params, grads, adam)
+        # Spent: the next step's backward then never runs beside them.
+        del grads
 
         # The last iteration is evaluated even off the grid, so that the
         # returned weights are never ones no evaluation has scored.
@@ -141,7 +141,7 @@ def train_layer(
             recent_norms = []
             workspace = None
             eval_on = val_sequences if val_sequences else train_sequences
-            metrics = evaluate_layer(params, eval_on, no_event_index=no_event)
+            metrics = evaluate_layer(params, eval_on, no_event_index=spec.no_event_index)
             prefix = "val" if val_sequences else "train_set"
             for key, value in metrics.items():
                 row[f"{prefix}_{key}"] = value

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import shutil
 import stat
+import weakref
 
 import numpy as np
 import pytest
@@ -370,6 +371,40 @@ class TestTrain:
         manifest = json.loads((bundle / "manifest.json").read_text())
         assert set(manifest["levels"]) == levels
         assert set(manifest["codebooks"]) == levels - {"note"}
+
+    def test_note_level_trains_first_with_no_other_level_held(
+        self, pipeline, tmp_path, capsys, monkeypatch
+    ):
+        work = tmp_path / "work"
+        shutil.copytree(pipeline, work)
+        real, trained, held = cli.train_layer, [], {}
+
+        def tracked(spec, *args, **kwargs):
+            held[spec.level] = [level for level, ref in trained if ref() is not None]
+            result = real(spec, *args, **kwargs)
+            trained.append((spec.level, weakref.ref(result.params)))
+            return result
+
+        monkeypatch.setattr(cli, "train_layer", tracked)
+        capsys.readouterr()
+        assert main(["train", "--work-dir", str(work), *TINY_TRAIN]) == EXIT_OK
+        assert held == {"note": [], "beat": ["note"], "bar": ["note", "beat"]}
+        printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert printed[:3] == ["note", "beat", "bar"]
+
+    def test_grids_are_read_once(self, pipeline, tmp_path, monkeypatch):
+        work = tmp_path / "work"
+        shutil.copytree(pipeline, work)
+        real, reads = cli.loads_grids, []
+
+        def counted(data, ids):
+            reads.append(list(ids))
+            return real(data, ids)
+
+        monkeypatch.setattr(cli, "loads_grids", counted)
+        assert main(["train", "--work-dir", str(work), *TINY_TRAIN]) == EXIT_OK
+        manifest = json.loads((work / "manifest.json").read_text())
+        assert reads == [manifest["train_ids"] + manifest["validation_ids"]]
 
     def test_1L_needs_no_profiles(self, tmp_path):
         corpus, work = tmp_path / "corpus", tmp_path / "work"
@@ -1068,6 +1103,15 @@ class TestArgumentHandling:
 
     def test_missing_required_option_exits_two(self):
         assert main(["ingest"]) == EXIT_EMPTY
+
+    def test_an_error_without_a_message_is_named_by_its_type(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "scan_corpus", out_of_memory)
+        capsys.readouterr()
+        assert ingest(tmp_path, tmp_path / "work") == EXIT_ERROR
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
     def test_config_hash_is_stable_and_order_free(self):
         a = config_hash({"x": 1, "y": [1, 2]})

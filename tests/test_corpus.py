@@ -15,6 +15,7 @@ from melodygen.corpus import (
     scan_corpus,
     split_ids,
 )
+from melodygen.encode import MAX_BARS
 from melodygen.leadsheet import LeadSheet, RawNote, dumps_leadsheet
 from melodygen.musicxml import REJECT_TIME_SIGNATURE, REJECT_WEAK_BEAT
 from support.musicxml_builder import simple_score, attributes_xml, measure_xml, note_xml, score_xml
@@ -142,6 +143,19 @@ class TestScanCorpus:
         assert detail in rejection["detail"]
         assert sorted(scan.encoded) == scan.manifest.accepted_ids == sorted(scan.sheets)
         assert "bad" not in scan.manifest.train_ids + scan.manifest.validation_ids
+
+    @pytest.mark.parametrize("n_bars, notes", [(0, ()), (1_000_000_000, ((60, 0, 1),))])
+    def test_bar_count_outside_the_grid_bound_is_rejected_by_piece(self, tmp_path, n_bars, notes):
+        corpus = self.make_corpus(tmp_path)
+        raw = tuple(RawNote(p, Fraction(on), Fraction(d)) for p, on, d in notes)
+        sheet = LeadSheet("bars", 0, (4, 4), False, n_bars, raw)
+        (corpus / "bars.json").write_text(dumps_leadsheet(sheet))
+        scan = scan_corpus(corpus, split_seed=1)
+        assert scan.manifest.rejections["bars"] == {
+            "reason": REJECT_UNENCODABLE,
+            "detail": f"a lead sheet needs 1 to {MAX_BARS} bars, not {n_bars}",
+        }
+        assert scan.manifest.accepted_ids == ["good1", "good2", "nested/good3"]
 
     def test_split_partitions_accepted(self, tmp_path):
         scan = scan_corpus(self.make_corpus(tmp_path), split_seed=1)

@@ -85,6 +85,11 @@ class TestLayerSpecs:
         # note: 38 + 16 + 8 + (76 + 2 + 4)
         assert specs["note"].input_dim == 144
 
+    def test_only_the_note_level_holds_grid_events(self):
+        rules = {level: (spec.grid_events, spec.no_event_index)
+                 for level, spec in layer_specs("3L").items()}
+        assert rules == {"bar": (False, None), "beat": (False, None), "note": (True, NO_EVENT)}
+
     def test_chord_conditioning_adds_chroma_to_beat_and_note(self):
         specs = layer_specs("3L", chords=True, beat_k=8, bar_k=16)
         assert specs["bar"].input_dim == 50  # bar level never sees chords

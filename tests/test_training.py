@@ -264,6 +264,29 @@ class TestForwardCacheLifetime:
         assert alive_at_evaluation == [0, 0, 0]
 
 
+class TestGradientLifetime:
+    """A step's gradients are freed once Adam has applied them."""
+
+    def test_no_spent_gradient_is_alive_when_the_next_backward_starts(self, monkeypatch):
+        original_backward = training.backward
+        spent: list[weakref.ref] = []
+        alive_at_backward = []
+
+        def recording_backward(*args, **kwargs):
+            alive_at_backward.append(sum(ref() is not None for ref in spent))
+            grads = original_backward(*args, **kwargs)
+            spent[:] = [weakref.ref(array) for array in grads.values()]
+            return grads
+
+        monkeypatch.setattr(training, "backward", recording_backward)
+        train_layer(
+            layer_specs("1L")["note"], note_dataset(), None,
+            tiny_config(n_lstm_layers=2, max_iterations=6, eval_every=3),
+        )
+        assert alive_at_backward == [0] * 6
+        assert len(spent) > 0 and all(ref() is None for ref in spent)
+
+
 class TestStepAllocations:
     """Steps after the first, up to the next evaluation, reuse the first one's buffers."""
 
