@@ -96,9 +96,7 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config_file(path: str) -> dict:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -238,16 +236,13 @@ def cmd_profiles(args) -> int:
     # Fine to coarse: the beat codebook is built, saved and printed first.
     clips = {level: np.concatenate([cut_clips(b, PROFILE_WIDTHS[level]) for b in binary])
              for level in PROFILE_LEVELS[::-1]}
-    try:
-        codebooks = {level: build_codebook(c, level, getattr(args, f"{level}_k"), seed=seed)
-                     for level, c in clips.items()}
-        if args.elbow:
-            low, high = args.elbow
-            report = {level: elbow_report(c, range(low, high + 1), seed=seed)
-                      for level, c in clips.items()}
-            report.update(_stamp(args))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    codebooks = {level: build_codebook(c, level, getattr(args, f"{level}_k"), seed=seed)
+                 for level, c in clips.items()}
+    if args.elbow:
+        low, high = args.elbow
+        report = {level: elbow_report(c, range(low, high + 1), seed=seed)
+                  for level, c in clips.items()}
+        report.update(_stamp(args))
     for level, codebook in codebooks.items():
         codebook.save(work / f"{level}_codebook.json")
     for level, codebook in codebooks.items():
@@ -302,11 +297,11 @@ def cmd_train(args) -> int:
             f"# tool_version={stamp['tool_version']} config_hash={stamp['config_hash']}\n"
             + curves_to_csv(result.curves)
         )
-        last = result.curves[-1] if result.curves else {}
+        last = result.curves[-1]
         print(
             f"{level}: {result.iterations_run} iterations ({result.stop_reason}), "
             f"best at {result.best_iteration}, "
-            f"val loss {last.get('val_loss', float('nan')):.4f}"
+            f"val loss {last['val_loss']:.4f}"
             if "val_loss" in last
             else f"{level}: {result.iterations_run} iterations ({result.stop_reason})"
         )
@@ -385,10 +380,7 @@ def cmd_generate(args) -> int:
         fixed_profiles=fixed,
         chords=primer_chords if model.chords else (),
     )
-    try:
-        result = generate(model.level_params, model.specs, plan)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    result = generate(model.level_params, model.specs, plan)
 
     stamp = _stamp(args)
     out_path = Path(args.out) if args.out else work / "generated" / f"melody_{args.seed}.mid"
@@ -422,8 +414,6 @@ def _primer_piece(manifest, rng, primer_piece: str | None) -> str:
         if primer_piece not in manifest["accepted_ids"]:
             raise CliError(f"primer piece {primer_piece!r} is not in the corpus", EXIT_EMPTY)
         return primer_piece
-    if not pool:
-        raise CliError("no pieces available to draw a primer from", EXIT_EMPTY)
     return pool[int(rng.integers(len(pool)))]
 
 
@@ -441,8 +431,6 @@ def cmd_eval(args) -> int:
     manifest = _manifest(work)
     _check_split(work, model, manifest)
     ids = manifest["validation_ids"] or manifest["train_ids"]
-    if not ids:
-        raise CliError("no pieces to evaluate on", EXIT_EMPTY)
     ((grids, datasets),) = _datasets(work, [ids], model.variant, model.codebooks, model.chords)
     metrics: dict = {"levels": {}, "pieces": len(ids)}
     for level, sequences in datasets.items():
@@ -543,16 +531,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"melodygen {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text)
-
-    p = add_command("ingest", "parse a corpus directory into the work dir")
+    p = sub.add_parser("ingest", help="parse a corpus directory into the work dir")
     p.add_argument("--corpus-dir", required=True)
     p.add_argument("--work-dir", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_ingest)
 
-    p = add_command("profiles", "build rhythm-profile codebooks")
+    p = sub.add_parser("profiles", help="build rhythm-profile codebooks")
     p.add_argument("--work-dir", required=True)
     for level in PROFILE_LEVELS[::-1]:
         p.add_argument(f"--{level}-k", type=_int_in(1), default=HIERARCHY[level].default_k)
@@ -566,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_profiles)
 
-    p = add_command("train", "train the generator hierarchy")
+    p = sub.add_parser("train", help="train the generator hierarchy")
     p.add_argument("--work-dir", required=True)
     p.add_argument("--variant", choices=VARIANTS, default="3L")
     p.add_argument("--chords", action="store_true", help="condition on chord chroma")
@@ -580,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
-    p = add_command("generate", "decode a melody from a trained bundle")
+    p = sub.add_parser("generate", help="decode a melody from a trained bundle")
     p.add_argument("--work-dir", required=True)
     p.add_argument("--variant", choices=VARIANTS, default="3L")
     p.add_argument("--bars", type=_int_in(1, MAX_BARS), default=16)
@@ -596,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_generate)
 
-    p = add_command("eval", "teacher-forcing metrics on the validation split")
+    p = sub.add_parser("eval", help="teacher-forcing metrics on the validation split")
     p.add_argument("--work-dir", required=True)
     p.add_argument("--variant", choices=VARIANTS, default="3L")
     p.add_argument("--temperature", type=float, default=GenerationPlan.temperature)
@@ -605,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
-    p = add_command("export-midi", "render a cached lead-sheet JSON to MIDI")
+    p = sub.add_parser("export-midi", help="render a cached lead-sheet JSON to MIDI")
     p.add_argument("--leadsheet", required=True, help="path to a lead-sheet JSON file")
     _add_midi_options(p)
     _add_common(p)

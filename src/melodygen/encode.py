@@ -43,7 +43,7 @@ LEVEL_STEPS = MappingProxyType({"bar": STEPS_PER_BAR, "beat": STEPS_PER_QUARTER,
 
 @dataclass(frozen=True)
 class MelodyGrid:
-    """An immutable event sequence whose length is a whole number of bars."""
+    """An immutable event sequence of 1 to ``MAX_BARS`` whole bars."""
 
     events: tuple[int, ...]
 
@@ -52,6 +52,8 @@ class MelodyGrid:
             raise ValueError(
                 f"grid length {len(self.events)} is not a multiple of {STEPS_PER_BAR}"
             )
+        if not 1 <= self.n_bars <= MAX_BARS:
+            raise ValueError(f"a grid holds 1 to {MAX_BARS} bars, not {self.n_bars}")
         sounding = False
         for step, event in enumerate(self.events):
             if not 0 <= event < ALPHABET_SIZE:

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..encode import NO_EVENT, MelodyGrid
 from ..neural import GeneratorParams, forward_sequence
-from ..profiles import ProfileCodebook, assign_many, binarize, cut_clips
+from ..profiles import ProfileCodebook, binarize, profile_sequences
 from .datasets import TrainingSequence, pad_batch
 
 # Sequences per forward pass of an evaluation.
@@ -99,13 +99,13 @@ def profile_adherence(
     """Fraction of clips whose re-assigned profile matches the intended one.
 
     Measures how closely a generated melody followed the profile sequence it
-    was conditioned on: binarize the output, cut it at the codebook's width,
-    assign each clip to its nearest centroid, and compare.
+    was conditioned on: the melody's own profile sequence under the codebook
+    (:func:`profiles.profile_sequences`), compared position by position.
     """
-    clips = cut_clips(binarize(grid), codebook.width)
+    assigned = profile_sequences(grid, {codebook.kind: codebook})[codebook.kind]
     intended = np.asarray(intended, dtype=np.int64)
-    if len(clips) != len(intended):
+    if len(assigned) != len(intended):
         raise ValueError(
-            f"melody has {len(clips)} clips but {len(intended)} intended profiles"
+            f"melody has {len(assigned)} clips but {len(intended)} intended profiles"
         )
-    return float((assign_many(clips, codebook) == intended).mean())
+    return float((assigned == intended).mean())

@@ -43,7 +43,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..encode import N_PITCHES, NOTE_OFF, MelodyGrid
+from ..encode import MAX_BARS, N_PITCHES, NOTE_OFF, MelodyGrid
 from ..leadsheet import ChordSymbol
 from ..neural import GeneratorParams, LstmState, log_softmax, lstm_step
 from .specs import (
@@ -86,6 +86,8 @@ class GenerationPlan:
             object.__setattr__(self, name, frozen)
         if self.bars < 1:
             raise ValueError("bars must be >= 1")
+        if self.bars > MAX_BARS:
+            raise ValueError(f"bars must be <= {MAX_BARS}, got {self.bars}")
         if self.mode not in ("sample", "beam"):
             raise ValueError(f"unknown generation mode {self.mode!r}")
         if not math.isfinite(self.temperature):
@@ -172,8 +174,6 @@ def _decode_sequence(
     note-off symbol's logit is masked out before normalization, so every
     decoded sequence is a structurally valid melody grid by construction.
     """
-    if not 0 < len(primer) <= length:
-        raise ValueError("primer must be non-empty and no longer than the sequence")
     if any(not 0 <= e < spec.alphabet_size for e in primer):
         raise ValueError("primer event outside the layer alphabet")
     n_primer = len(primer)
@@ -249,14 +249,16 @@ def generate(
                 raise ValueError(f"this variant has no {level} level to fix profiles for")
             continue
         spec = specs[level]
-        profile = level in PROFILE_LEVELS
         if fixed is not None:
             events = np.asarray(fixed, dtype=np.int64)
+            if events.min() < 0 or events.max() >= spec.alphabet_size:
+                raise ValueError(f"{level} profile index outside the codebook")
             trace["levels"][level] = {"fixed": [int(v) for v in events]}
         else:
             if level not in plan.primers:
                 raise ValueError(
-                    f"{level} layer needs a primer profile or fixed profiles" if profile
+                    f"{level} layer needs a primer profile or fixed profiles"
+                    if level in PROFILE_LEVELS
                     else f"a one-beat primer ({HIERARCHY[level].primer_length} note events)"
                     " is required"
                 )
@@ -285,11 +287,6 @@ def generate(
                 "events": [int(e) for e in events],
                 "log_probs": [None if math.isnan(lp) else lp for lp in logprobs],
             }
-        if events.min() < 0 or events.max() >= spec.alphabet_size:
-            raise ValueError(
-                f"{level} profile index outside the codebook" if profile
-                else "note event outside the alphabet"
-            )
         outputs[level] = events
 
     note = outputs.pop("note")

@@ -166,7 +166,6 @@ def train_layer(
                     stop_reason = "target-accuracy"
                     break
 
-    final_train_loss = curves[-1]["train_loss"] if curves else float("nan")
     return LayerTrainResult(
         params=best_params,
         curves=curves,
@@ -174,7 +173,7 @@ def train_layer(
         best_iteration=best_iteration,
         best_val_loss=best_val_loss,
         stop_reason=stop_reason,
-        final_train_loss=final_train_loss,
+        final_train_loss=curves[-1]["train_loss"],
     )
 
 

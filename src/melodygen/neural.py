@@ -379,13 +379,12 @@ def _rows(x, scale, s, scratch) -> np.ndarray:
     return rows
 
 
-def _project(x, scale, w, out, scratch, b=None) -> None:
-    """out = (x * scale) @ w + b over (T, B, .) arrays; scale and b may be None."""
+def _project(x, scale, w, out, scratch, b) -> None:
+    """out = (x * scale) @ w + b over (T, B, .) arrays; scale may be None."""
     for s in _row_blocks(*x.shape[:2]):
         block = out[s].reshape(-1, w.shape[1])
         np.matmul(_rows(x, scale, s, scratch).reshape(-1, w.shape[0]), w, out=block)
-        if b is not None:
-            block += b
+        block += b
 
 
 def _weight_grad(x, scale, d, out, scratch) -> None:

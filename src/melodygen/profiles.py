@@ -433,10 +433,9 @@ def build_codebook(
     k: int,
     *,
     seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
 ) -> ProfileCodebook:
     """Cluster clips of one kind ("beat" or "bar") into a codebook."""
-    fit = kmeans(clips, k, seed=seed, restarts=restarts)
+    fit = kmeans(clips, k, seed=seed)
     return ProfileCodebook(
         kind=kind,
         centroids=fit.centroids,

@@ -20,9 +20,11 @@ Five checks:
                 the parameters ``load_checkpoint`` reads back, compared with
                 ``np.array_equal``
     decode      ``generation.generate`` in sample and beam mode on random
-                small 3L models, with and without chords: the event sequence
+                small 3L models, with and without chords, some with the bar
+                or the beat level fixed to tiled profiles: the event sequence
                 of every level, and each chosen symbol's log-prob within
-                ``DECODE_BOUND``
+                ``DECODE_BOUND``; then the ``ValueError`` text of three bad
+                requests on each model (see :func:`rejection_case`)
     profiles    ``profiles.kmeans``, with and without ``initial_centroids``,
                 and ``profiles.elbow_report`` on random 0/1 clip sets of beat
                 and bar width: centroid bytes, labels, objective and iteration
@@ -37,7 +39,8 @@ Five checks:
 
 It prints the number of cases and of differences, and the first differences;
 the exit status is 1 when any case differs. ``decode`` also prints how many
-event sequences are equal and the largest relative log-prob difference.
+event sequences and rejections are equal and the largest relative log-prob
+difference.
 """
 
 from __future__ import annotations
@@ -230,12 +233,13 @@ DECODE_BOUND = 1e-11
 DECODE_MODES = ("sample", "beam")
 
 
-def decode_case(tree: ModuleType, seed: int, mode: str) -> dict[str, tuple[list, list]]:
-    """(events, log-probs) per level of one 3L ``generate`` call."""
-    hrnn, rng = tree.hrnn, np.random.default_rng(seed)
+def _decode_model(tree: ModuleType, seed: int):
+    """The rng, chord setting, specs and random parameters of one decode case:
+    a small 3L model."""
+    rng = np.random.default_rng(seed)
     chords = bool(seed % 2)
-    specs = hrnn.specs.layer_specs("3L", chords=chords, beat_k=int(rng.integers(2, 6)),
-                                   bar_k=int(rng.integers(2, 5)))
+    specs = tree.hrnn.specs.layer_specs("3L", chords=chords, beat_k=int(rng.integers(2, 6)),
+                                        bar_k=int(rng.integers(2, 5)))
     hidden, layers = int(rng.integers(2, 17)), int(rng.integers(1, 4))
     params = {}
     for offset, (level, spec) in enumerate(specs.items()):
@@ -244,22 +248,71 @@ def decode_case(tree: ModuleType, seed: int, mode: str) -> dict[str, tuple[list,
         for name, arr in params[level].named_arrays():
             if "w_" in name:
                 arr *= 10.0  # uniform in +-0.8: peaked distributions, saturating gates
+    return rng, chords, specs, params
+
+
+def _primers(tree: ModuleType, note: int) -> dict[str, tuple[int, ...]]:
+    return {"bar": (0,), "beat": (0,), "note": (note, *(tree.encode.NO_EVENT,) * 3)}
+
+
+def decode_case(tree: ModuleType, seed: int, mode: str) -> dict[str, tuple[list, list]]:
+    """(events, log-probs) per level of one 3L ``generate`` call. A case seed
+    of 1 or 2 modulo 3 fixes the bar or the beat level to a random pattern of
+    1-3 profiles, tiled; a fixed level's log-probs are empty."""
+    rng, chords, specs, params = _decode_model(tree, seed)
+    generation = tree.hrnn.generation
     bars = int(rng.integers(1, 4))
     track = tuple(tree.leadsheet.chord_from_kind(4 * beat, int(rng.integers(12)), "major")
                   for beat in range(4 * bars)) if chords else ()
-    plan = hrnn.generation.GenerationPlan(
-        bars=bars, mode=mode, beam_width=int(rng.integers(1, 6)), seed=seed, chords=track,
-        primers={"bar": (0,), "beat": (0,), "note": (int(rng.integers(tree.encode.N_PITCHES)),
-                                                     *(tree.encode.NO_EVENT,) * 3)},
-    )
-    levels = hrnn.generation.generate(params, specs, plan).trace["levels"]
-    return {level: (view["events"], view["log_probs"]) for level, view in levels.items()}
+    beam_width = int(rng.integers(1, 6))
+    primers = _primers(tree, int(rng.integers(tree.encode.N_PITCHES)))
+    fixed = {}
+    if seed % 3:
+        level = ("bar", "beat")[seed % 3 - 1]
+        pattern = rng.integers(0, specs[level].alphabet_size, size=int(rng.integers(1, 4)))
+        fixed[level] = generation.tile_profiles(
+            [int(v) for v in pattern], tree.hrnn.specs.HIERARCHY[level].positions(bars))
+    plan = generation.GenerationPlan(bars=bars, mode=mode, beam_width=beam_width, seed=seed,
+                                     chords=track, primers=primers, fixed_profiles=fixed)
+    levels = generation.generate(params, specs, plan).trace["levels"]
+    return {level: (view["fixed"], []) if "fixed" in view else (view["events"], view["log_probs"])
+            for level, view in levels.items()}
+
+
+def rejection_case(tree: ModuleType, seed: int) -> list[str]:
+    """The ``ValueError`` text, or "accepted", of three bad one-bar requests on
+    one decode case's model: a fixed bar or beat profile index equal to its
+    codebook size, no note primer, and a primer symbol one past its level's
+    alphabet (the bar, beat or note level in turn)."""
+    _, _, specs, params = _decode_model(tree, seed)
+    generation, hierarchy = tree.hrnn.generation, tree.hrnn.specs.HIERARCHY
+    fixed_level = ("bar", "beat")[seed % 2]
+    bad_level = ("bar", "beat", "note")[seed % 3]
+    primers = _primers(tree, 0)
+    bad_primer = (specs[bad_level].alphabet_size, *primers[bad_level][1:])
+    requests = [
+        {"primers": primers, "fixed_profiles": {
+            fixed_level: (specs[fixed_level].alphabet_size,) * hierarchy[fixed_level].positions(1)}},
+        {"primers": {"bar": (0,), "beat": (0,)}},
+        {"primers": {**primers, bad_level: bad_primer}},
+    ]
+    texts = []
+    for fields in requests:
+        try:
+            generation.generate(params, specs, generation.GenerationPlan(bars=1, seed=seed,
+                                                                         **fields))
+            texts.append("accepted")
+        except ValueError as exc:
+            texts.append(str(exc))
+    return texts
 
 
 @dataclass
 class DecodeReport:
     sequences: int = 0
     equal_sequences: int = 0
+    rejections: int = 0
+    equal_rejections: int = 0
     worst_relative: float = 0.0
     differences: list[str] = field(default_factory=list)
 
@@ -267,9 +320,17 @@ class DecodeReport:
 def compare_decode(tree_a: ModuleType, tree_b: ModuleType, cases: int) -> DecodeReport:
     """Decode ``cases`` seeds in each mode with both trees. Log-probs are
     compared where the event sequences agree; a case differs when a sequence
-    differs or a log-prob exceeds ``DECODE_BOUND``."""
+    differs, a log-prob exceeds ``DECODE_BOUND`` or a bad request's error
+    text differs."""
     report = DecodeReport()
     for case in range(cases):
+        for index, (a, b) in enumerate(zip(rejection_case(tree_a, case),
+                                           rejection_case(tree_b, case))):
+            report.rejections += 1
+            if a == b:
+                report.equal_rejections += 1
+            else:
+                report.differences.append(f"case seed {case} bad request {index}: {a!r} / {b!r}")
         for mode in DECODE_MODES:
             a, b = decode_case(tree_a, case, mode), decode_case(tree_b, case, mode)
             for level, (events, logps) in a.items():
@@ -329,6 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         report = compare_decode(*trees, args.cases)
         differences = report.differences
         print(f"decode: {report.equal_sequences} of {report.sequences} event sequences equal; "
+              f"{report.equal_rejections} of {report.rejections} rejections equal; "
               f"largest relative log-prob difference {report.worst_relative:.3g} "
               f"(bound {DECODE_BOUND:g})")
     else:

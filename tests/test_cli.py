@@ -23,6 +23,7 @@ from melodygen.leadsheet import (
     dumps_leadsheet,
     loads_leadsheet,
 )
+from melodygen.neural import CHECKPOINT_META_KEY
 from melodygen.synthetic import synthetic_corpus
 from support.midi_reader import read_midi
 from support.musicxml_builder import harmony_xml, simple_score
@@ -231,6 +232,48 @@ class TestEncodedAtIngest:
         err = capsys.readouterr().err
         assert named in err and "melodygen ingest" in err
 
+    @pytest.mark.parametrize("bars", [0, cli.MAX_BARS + 1])
+    def test_stored_grid_outside_the_bar_bound_names_the_piece(self, tmp_path, capsys, bars):
+        corpus, work = tmp_path / "corpus", tmp_path / "work"
+        write_corpus(corpus, n_pieces=6)
+        assert ingest(corpus, work) == EXIT_OK
+        piece = json.loads((work / "manifest.json").read_text())["train_ids"][0]
+        path = work / "grids.json"
+        doc = json.loads(path.read_text())
+        doc["pieces"][piece]["events"] = [37] * 16 * bars
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["train", "--work-dir", str(work), "--variant", "1L", *TINY_TRAIN])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {path}: piece {piece!r} is malformed: a grid holds 1 to {cli.MAX_BARS} "
+            f"bars, not {bars}; re-run `melodygen ingest`\n"
+        )
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda doc: doc.update(schema=2), "not a schema-1 grids document"),
+        (lambda doc: doc.update(pieces=[]), "field 'pieces' must be an object"),
+        (lambda doc: doc["pieces"]["synthetic-0000"].update(chords={}),
+         "piece 'synthetic-0000' is malformed: field 'chords' must be a list"),
+        (lambda doc: doc["pieces"]["synthetic-0000"].update(chords=[
+            {"onset_step": 4, "root": 0, "chroma": [0, 4, 7]},
+            {"onset_step": 0, "root": 7, "chroma": [2, 7, 11]},
+        ]), "piece 'synthetic-0000' is malformed: chords must be strictly sorted by onset_step"),
+    ], ids=["schema 2", "pieces a list", "chords an object", "chords out of order"])
+    def test_damaged_grids_document_exits_one_naming_what(self, tmp_path, capsys, damage, named):
+        corpus, work = tmp_path / "corpus", tmp_path / "work"
+        write_corpus(corpus, n_pieces=6)
+        assert ingest(corpus, work) == EXIT_OK
+        assert "synthetic-0000" in json.loads((work / "manifest.json").read_text())["train_ids"]
+        path = work / "grids.json"
+        doc = json.loads(path.read_text())
+        damage(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["profiles", "--work-dir", str(work), "--beat-k", "2", "--bar-k", "2"])
+        assert code == EXIT_ERROR
+        assert f"error: {path}: {named}; re-run `melodygen ingest`" in capsys.readouterr().err
+
     def test_unencodable_piece_is_rejected_by_id(self, tmp_path, capsys):
         corpus, work = tmp_path / "corpus", tmp_path / "work"
         write_corpus(corpus, n_pieces=8)
@@ -304,6 +347,20 @@ class TestProfiles:
         assert main([
             "profiles", "--work-dir", str(pipeline), "--elbow", "banana",
         ]) == EXIT_EMPTY
+
+    def test_elbow_range_out_of_order_exits_two(self, pipeline, capsys):
+        code = main(["profiles", "--work-dir", str(pipeline), "--elbow", "5:3"])
+        assert code == EXIT_EMPTY
+        assert "argument --elbow: expected 1 <= LOW <= HIGH" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["profiles", "train"])
+    def test_empty_training_split_exits_two(self, pipeline, tmp_path, capsys, command):
+        work = damaged_copy(
+            pipeline, tmp_path, "manifest.json", edited_json(lambda m: m.update(train_ids=[]))
+        )
+        capsys.readouterr()
+        assert main([command, "--work-dir", str(work)]) == EXIT_EMPTY
+        assert capsys.readouterr().err == "error: the training split is empty\n"
 
 
 class TestTrain:
@@ -406,6 +463,25 @@ class TestTrain:
         manifest = json.loads((work / "manifest.json").read_text())
         assert reads == [manifest["train_ids"] + manifest["validation_ids"]]
 
+    def test_one_piece_trains_without_validation(self, tmp_path, capsys):
+        corpus, work = tmp_path / "corpus", tmp_path / "work"
+        write_corpus(corpus, n_pieces=1)
+        assert ingest(corpus, work) == EXIT_OK
+        capsys.readouterr()
+        assert main(["train", "--work-dir", str(work), "--variant", "1L", *TINY_TRAIN]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "note: 2 iterations (max-iterations)"
+
+    def test_codebook_of_another_schema_names_the_file(self, pipeline, tmp_path, capsys):
+        work = damaged_copy(
+            pipeline, tmp_path, "beat_codebook.json", edited_json(lambda c: c.update(schema=2))
+        )
+        capsys.readouterr()
+        assert main(["train", "--work-dir", str(work), *TINY_TRAIN]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {work / 'beat_codebook.json'}: unsupported codebook schema 2; "
+            "re-run `melodygen profiles`\n"
+        )
+
     def test_1L_needs_no_profiles(self, tmp_path):
         corpus, work = tmp_path / "corpus", tmp_path / "work"
         write_corpus(corpus, n_pieces=3)
@@ -490,6 +566,18 @@ class TestGenerate:
         ])
         assert code == EXIT_EMPTY
         assert "outside codebook" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, problem", [
+        ("a", "must be a comma-separated list of integers"),
+        (",", "is empty"),
+    ])
+    def test_fixed_profiles_without_an_integer_exit_two(self, pipeline, capsys, value, problem):
+        code = main([
+            "generate", "--work-dir", str(pipeline), "--bars", "2",
+            "--fixed-beat-profiles", value,
+        ])
+        assert code == EXIT_EMPTY
+        assert capsys.readouterr().err == f"error: --fixed-beat-profiles {problem}\n"
 
     @pytest.mark.parametrize("variant, level", [("1L", "bar"), ("1L", "beat"), ("2L", "bar")])
     def test_fixed_profiles_of_a_missing_level_exit_two(
@@ -896,6 +984,20 @@ class TestReadErrorsNameTheFile:
         err = capsys.readouterr().err
         assert str(path) in err and "melodygen train --variant 3L`" in err
 
+    def test_checkpoint_of_no_layers(self, pipeline, tmp_path, capsys):
+        work = tmp_path / "work"
+        shutil.copytree(pipeline, work)
+        path = work / "model" / "3L" / "note.ckpt"
+        arrays, meta = load_arrays(path)
+        meta[CHECKPOINT_META_KEY]["n_layers"] = 0
+        save_arrays(path, arrays, meta)
+        capsys.readouterr()
+        assert main(["eval", "--work-dir", str(work)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {path}: at least one LSTM layer is required; "
+            "re-run `melodygen train --variant 3L`\n"
+        )
+
     def test_lead_sheet(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"id": "bad"}')
@@ -945,6 +1047,20 @@ class TestConfigFile:
         ])
         assert code == EXIT_EMPTY
         assert named in capsys.readouterr().err
+
+    def test_missing_config_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        code = main(["ingest", "--corpus-dir", str(tmp_path), "--work-dir", str(tmp_path / "w"),
+                     "--config", str(path)])
+        assert code == EXIT_EMPTY
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file: ") and str(path) in err
+
+    def test_config_without_a_value_exits_two(self, tmp_path, capsys):
+        code = main(["ingest", "--corpus-dir", str(tmp_path), "--work-dir", str(tmp_path / "w"),
+                     "--config"])
+        assert code == EXIT_EMPTY
+        assert "argument --config: expected one argument" in capsys.readouterr().err
 
     def test_config_may_give_a_required_option(self, pipeline, tmp_path):
         config = tmp_path / "config.json"

@@ -157,6 +157,34 @@ class TestScanCorpus:
         }
         assert scan.manifest.accepted_ids == ["good1", "good2", "nested/good3"]
 
+    @pytest.mark.parametrize("name, edit, detail", [
+        ("chroma.json", lambda doc: doc.update(chords=[{"onset_step": 0, "root": 0,
+                                                        "chroma": [0, 4, 12]}]),
+         "chroma entries must be pitch classes 0..11"),
+        ("bars.json", lambda doc: doc.update(n_bars=-1), "n_bars must be >= 0"),
+        ("key.json", lambda doc: doc.update(key_fifths=9), "key_fifths 9 outside -7..7"),
+    ])
+    def test_invalid_json_sheet_is_rejected_by_id(self, tmp_path, name, edit, detail):
+        corpus = self.make_corpus(tmp_path)
+        doc = json.loads(json_sheet("ignored-id"))
+        edit(doc)
+        (corpus / name).write_text(json.dumps(doc))
+        scan = scan_corpus(corpus, split_seed=1)
+        rejection = scan.manifest.rejections[name.removesuffix(".json")]
+        assert rejection["reason"] == "unreadable" and detail in rejection["detail"]
+        assert scan.manifest.accepted_ids == ["good1", "good2", "nested/good3"]
+
+    def test_musicxml_note_of_zero_duration_is_rejected_by_id(self, tmp_path):
+        corpus = self.make_corpus(tmp_path)
+        (corpus / "still.xml").write_text(score_xml([measure_xml(
+            attributes_xml(divisions=4) + note_xml(60, 0) + note_xml(62, 16)
+        )]))
+        scan = scan_corpus(corpus, split_seed=1)
+        assert scan.manifest.rejections["still"] == {
+            "reason": "unreadable", "detail": "note duration must be positive, got 0",
+        }
+        assert scan.manifest.accepted_ids == ["good1", "good2", "nested/good3"]
+
     def test_split_partitions_accepted(self, tmp_path):
         scan = scan_corpus(self.make_corpus(tmp_path), split_seed=1)
         m = scan.manifest

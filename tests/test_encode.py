@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from melodygen.encode import (
     ALPHABET_SIZE,
+    MAX_BARS,
     NO_EVENT,
     NOTE_OFF,
     N_PITCHES,
@@ -105,6 +106,16 @@ class TestMelodyGrid:
             MelodyGrid(tuple([NO_EVENT] * 15))
         grid = MelodyGrid(tuple([NO_EVENT] * 32))
         assert grid.n_bars == 2 and len(grid) == 32
+
+    @pytest.mark.parametrize("bars", [0, MAX_BARS + 1])
+    def test_bar_count_outside_the_bound_rejected(self, bars):
+        with pytest.raises(ValueError, match=f"a grid holds 1 to {MAX_BARS} bars, not {bars}$"):
+            MelodyGrid((NO_EVENT,) * STEPS_PER_BAR * bars)
+        MelodyGrid((NO_EVENT,) * STEPS_PER_BAR * MAX_BARS)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="1 to"):
+            MelodyGrid(())
 
     def test_event_range_checked(self):
         with pytest.raises(ValueError, match="alphabet"):

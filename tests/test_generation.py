@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from melodygen.encode import ALPHABET_SIZE, NO_EVENT, NOTE_OFF, N_PITCHES, MelodyGrid
+from melodygen.encode import ALPHABET_SIZE, MAX_BARS, NO_EVENT, NOTE_OFF, N_PITCHES, MelodyGrid
 from melodygen.hrnn import generation
 from melodygen.hrnn.generation import GenerationPlan, generate, tile_profiles
 from melodygen.hrnn.specs import layer_specs
@@ -61,6 +61,12 @@ class TestPlanValidation:
     def test_bad_bars(self):
         with pytest.raises(ValueError, match="bars"):
             make_plan(bars=0)
+
+    @pytest.mark.parametrize("bars", [MAX_BARS + 1, 10**9])
+    def test_bars_above_the_grid_bound(self, bars):
+        with pytest.raises(ValueError, match=f"bars must be <= {MAX_BARS}, got {bars}"):
+            make_plan(bars=bars)
+        assert make_plan(bars=MAX_BARS).bars == MAX_BARS
 
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
@@ -442,6 +448,16 @@ class TestFixedProfiles:
         params, specs = make_model()
         with pytest.raises(ValueError, match="one-beat primer"):
             generate(params, specs, make_plan(primers={"bar": (0,), "beat": (0,)}))
+
+    @pytest.mark.parametrize("level, primer", [
+        ("bar", (BAR_K,)),
+        ("beat", (-1,)),
+        ("note", (ALPHABET_SIZE, NO_EVENT, NO_EVENT, NO_EVENT)),
+    ])
+    def test_primer_symbol_outside_the_alphabet_rejected(self, level, primer):
+        params, specs = make_model()
+        with pytest.raises(ValueError, match="primer event outside the layer alphabet"):
+            generate(params, specs, make_plan(primers={**PRIMERS, level: primer}))
 
 
 class TestChordConditioning:

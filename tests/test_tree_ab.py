@@ -72,3 +72,34 @@ def test_neural_compares_copies_and_checkpoints(monkeypatch, change):
         load = neural.load_checkpoint
         monkeypatch.setattr(neural, "load_checkpoint", lambda path: _shifted_copy(load(path)))
     assert tree_ab.compare("neural", same, changed, 2) == ["case seed 0", "case seed 1"]
+
+
+def test_decode_fixes_levels_and_compares_the_rejections(monkeypatch):
+    tree = tree_ab.import_tree(tree_ab.THIS_SRC)
+    # A fixed level has no log-probs; a decoded one has one per position.
+    for seed, fixed in ((0, None), (1, "bar"), (2, "beat")):
+        for mode in tree_ab.DECODE_MODES:
+            levels = tree_ab.decode_case(tree, seed, mode)
+            assert [level for level, (_, logps) in levels.items() if not logps] == (
+                [fixed] if fixed else [])
+    assert tree_ab.rejection_case(tree, 0) == [
+        "bar profile index outside the codebook",
+        "a one-beat primer (4 note events) is required",
+        "primer event outside the layer alphabet",
+    ]
+    assert tree_ab.rejection_case(tree, 1)[0] == "beat profile index outside the codebook"
+
+    changed = tree_ab.import_tree(tree_ab.THIS_SRC)
+    generate = changed.hrnn.generation.generate
+
+    def reworded(*args):
+        try:
+            return generate(*args)
+        except ValueError as exc:
+            raise ValueError(f"{exc}.") from None
+
+    monkeypatch.setattr(changed.hrnn.generation, "generate", reworded)
+    report = tree_ab.compare_decode(tree, changed, cases=3)
+    assert report.rejections == 9 and report.equal_rejections == 0
+    assert report.equal_sequences == report.sequences == 3 * 2 * 3
+    assert len(report.differences) == 9
