@@ -82,7 +82,7 @@ EXIT_EMPTY = 2
 
 KMEANS_SEED_OFFSET = 7
 # Upper bound of `generate --beam-width`: the beam's rows grow with its width.
-# `--bars` takes 1..MAX_BARS, the grid encoder's bound.
+# `--bars` takes 1..MAX_BARS, the bound of every grid and generation plan.
 MAX_BEAM_WIDTH = 64
 
 # Options that only say where files are read or written; the config hash
