@@ -129,6 +129,7 @@ def pad_batch(
     """
     if not sequences:
         raise ValueError("cannot pad an empty batch")
+    workspace = {} if workspace is None else workspace
     longest = max(len(s.targets) for s in sequences)
     batch = len(sequences)
     dim = sequences[0].inputs.shape[1]

@@ -48,11 +48,13 @@ def evaluate_layer(
     sequences: list[TrainingSequence],
     *,
     no_event_index: int | None = None,
+    workspace: dict | None = None,
 ) -> dict[str, float]:
     """Loss and accuracies of one layer over a sequence list (no dropout).
 
     It runs in chunks of ``EVAL_BATCH`` sequences; the loss is weighted by
-    steps, not by sequences or chunks.
+    steps, not by sequences or chunks. With a ``workspace`` the chunks take
+    their buffers from it (see :func:`melodygen.neural.take_buffer`).
     """
     if not sequences:
         raise ValueError("nothing to evaluate")
@@ -62,9 +64,9 @@ def evaluate_layer(
     targets: list[np.ndarray] = []
     for start in range(0, len(sequences), EVAL_BATCH):
         chunk = sequences[start : start + EVAL_BATCH]
-        inputs, batch_targets, mask = pad_batch(chunk)
+        inputs, batch_targets, mask = pad_batch(chunk, workspace=workspace)
         result = forward_sequence(
-            params, inputs, batch_targets, mask=mask, collect_cache=False
+            params, inputs, batch_targets, mask=mask, collect_cache=False, workspace=workspace
         )
         total_nll += result.loss * result.n_valid
         total_steps += result.n_valid

@@ -71,9 +71,9 @@ def train_layer(
     ``max_iterations`` (or until ``stop_at_accuracy`` is reached on the
     training set, for deliberate overfitting runs).
 
-    The steps between two evaluations share one workspace (see
+    The steps and the evaluations share one workspace (see
     :func:`melodygen.neural.take_buffer`), sized for the longest training
-    sequence, so that only the first of them allocates its buffers.
+    sequence, so that only the first step allocates its buffers.
     """
     if not train_sequences:
         raise ValueError("no training sequences")
@@ -99,13 +99,9 @@ def train_layer(
     stop_reason = "max-iterations"
     iteration = 0
     longest = max(len(s.targets) for s in train_sequences)
-    # The steps' buffers, reused from step to step and dropped before each
-    # evaluation, so that evaluating never runs beside them.
-    workspace = None
+    workspace = {"max_steps": longest}
 
     for iteration in range(1, config.max_iterations + 1):
-        if workspace is None:
-            workspace = {"max_steps": longest}
         picks = rng.integers(0, len(train_sequences), size=config.batch_size)
         batch = [train_sequences[j] for j in picks]
         inputs, targets, mask = pad_batch(batch, workspace=workspace)
@@ -120,7 +116,8 @@ def train_layer(
         )
         grads = backward(params, result.cache)
         recent_losses.append(result.loss)
-        # Views of the workspace: dropping them lets the release free it.
+        # Views of the workspace: dropping them frees a buffer that an
+        # evaluation outgrows.
         del result, inputs, targets, mask
         recent_norms.append(clip_global_norm(grads, CLIP_NORM))
         adam_update(params, grads, adam)
@@ -139,9 +136,9 @@ def train_layer(
             }
             recent_losses = []
             recent_norms = []
-            workspace = None
             eval_on = val_sequences if val_sequences else train_sequences
-            metrics = evaluate_layer(params, eval_on, no_event_index=spec.no_event_index)
+            metrics = evaluate_layer(params, eval_on, no_event_index=spec.no_event_index,
+                                     workspace=workspace)
             prefix = "val" if val_sequences else "train_set"
             for key, value in metrics.items():
                 row[f"{prefix}_{key}"] = value

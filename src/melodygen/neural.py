@@ -60,10 +60,11 @@ A ``workspace`` dict lets consecutive passes reuse their buffers: the padded
 batch, dropout masks, gates, cells, outputs, logits (which backward reuses
 for the logit gradients), probs and one row block of scratch (which backward
 also uses for the up-going gradient). Arrays taken from a workspace are
-views, valid until the next pass through it; a training loop drops its
-workspace before it evaluates, which releases them all. Adam updates its
-moments in place and works in blocks of rows, so that its temporaries stay
-small beside a workspace that is still held.
+views, valid until the next pass through it. A training run keeps one
+workspace for its steps and its evaluations alike: every pass writes each
+buffer before reading it, so a pass gives the same bits on reused buffers as
+on fresh ones. Adam updates its moments in place and works in blocks of rows,
+so that its temporaries stay small beside the workspace.
 
 Checkpoints hold the parameters and the layer count; optimizer state is not
 saved.
@@ -296,7 +297,7 @@ class ForwardResult:
 
 
 def take_buffer(
-    workspace: dict | None,
+    workspace: dict,
     name: str,
     shape: tuple[int, ...],
     dtype=np.float64,
@@ -309,12 +310,9 @@ def take_buffer(
     A ``shape`` that spans ``steps`` time steps gets room for the
     workspace's ``"max_steps"``, so that later, longer batches fit. The
     workspace counts its ``"takes"``, by which :func:`backward` tells that
-    a cache's buffers were handed out again. Without a workspace, a new
-    array.
+    a cache's buffers were handed out again.
     """
     size = math.prod(shape)
-    if workspace is None:
-        return np.empty(shape, dtype)
     workspace["takes"] = workspace.get("takes", 0) + 1
     store = workspace.get(name)
     if store is None or store.dtype != dtype or store.size < size:

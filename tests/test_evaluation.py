@@ -1,9 +1,14 @@
 """Teacher-forcing metrics and rhythm-adherence measures."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melodygen.encode import NO_EVENT, MelodyGrid, grid_encode
+from melodygen.hrnn import evaluation
 from melodygen.hrnn.datasets import TrainingSequence, build_datasets, pad_batch
 from melodygen.hrnn.evaluation import (
     EVAL_BATCH,
@@ -12,7 +17,7 @@ from melodygen.hrnn.evaluation import (
     profile_adherence,
     rhythm_match_fraction,
 )
-from melodygen.neural import forward_sequence, init_params
+from melodygen.neural import backward, forward_sequence, init_params
 from melodygen.profiles import binarize, build_codebook, cut_clips
 from melodygen.synthetic import synthetic_corpus
 
@@ -110,6 +115,53 @@ class TestEvaluateLayer:
         params = init_params(6, 8, 5, n_layers=1, seed=1)
         with pytest.raises(ValueError, match="nothing to evaluate"):
             evaluate_layer(params, [])
+
+
+class TestBorrowedWorkspace:
+    """An evaluation through the workspace of training steps gives the metrics
+    of a fresh one, also where it must grow the steps' buffers."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        layers=st.integers(1, 3),
+        batch=st.integers(1, 3),
+        train_lengths=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+        extra_steps=st.integers(1, 5),
+        extra_pieces=st.integers(0, 4),
+        eval_batch=st.sampled_from([4, EVAL_BATCH]),
+    )
+    def test_borrowed_buffers_give_fresh_metrics(
+        self, seed, layers, batch, train_lengths, extra_steps, extra_pieces, eval_batch
+    ):
+        rng = np.random.default_rng(seed)
+        din, nout = 6, 5
+        params = init_params(din, 4, nout, n_layers=layers, seed=seed % 7)
+
+        def piece(n):
+            inputs = (rng.random((n, din)) < 0.3).astype(np.uint8)
+            return TrainingSequence(inputs, rng.integers(0, nout, size=n))
+
+        train = [piece(n) for n in train_lengths]
+        longest = max(train_lengths)
+        # One piece longer than every training piece, and more pieces than a
+        # training batch holds: every chunk is wider than the batch.
+        val = [piece(longest + extra_steps)]
+        val += [piece(int(n)) for n in rng.integers(1, longest + extra_steps + 1,
+                                                     size=batch + extra_pieces)]
+        workspace = {"max_steps": longest}
+        for _ in range(2):
+            picks = rng.integers(0, len(train), size=batch)
+            inputs, targets, mask = pad_batch([train[j] for j in picks], workspace=workspace)
+            result = forward_sequence(params, inputs, targets, mask=mask, dropout=0.5,
+                                      rng=rng, workspace=workspace)
+            backward(params, result.cache)
+        sizes = {name: workspace[name].size for name in ("inputs", "logits")}
+        with mock.patch.object(evaluation, "EVAL_BATCH", eval_batch):
+            borrowed = evaluate_layer(params, val, no_event_index=0, workspace=workspace)
+            fresh = evaluate_layer(params, val, no_event_index=0)
+        assert borrowed == fresh
+        assert all(workspace[name].size > size for name, size in sizes.items())
 
 
 class TestRhythmMatch:

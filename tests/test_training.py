@@ -288,9 +288,10 @@ class TestGradientLifetime:
 
 
 class TestStepAllocations:
-    """Steps after the first, up to the next evaluation, reuse the first one's buffers."""
+    """Only a run's first step allocates its buffers; later steps and the
+    evaluations reuse them."""
 
-    def test_later_steps_allocate_at_most_a_row_block(self, monkeypatch):
+    def test_later_steps_and_evaluations_allocate_at_most_a_row_block(self, monkeypatch):
         spec = layer_specs("1L")["note"]
         rng = np.random.default_rng(0)
 
@@ -302,8 +303,9 @@ class TestStepAllocations:
         sequences = [piece(32) for _ in range(60)] + [piece(128)]
         config = tiny_config(batch_size=32, n_lstm_layers=2, dropout=0.5,
                              max_iterations=15, eval_every=5)
-        steps, growth = [], []
+        steps, growth, evaluations = [], [], []
         original_pad, original_adam = training.pad_batch, training.adam_update
+        original_evaluate = training.evaluate_layer
 
         def pad_batch(*args, **kwargs):
             growth.append(tracemalloc.get_traced_memory()[0])
@@ -317,8 +319,16 @@ class TestStepAllocations:
             growth[-1] = tracemalloc.get_traced_memory()[1] - growth[-1]
             return updated
 
+        def evaluate_layer(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            metrics = original_evaluate(*args, **kwargs)
+            evaluations.append(tracemalloc.get_traced_memory()[1] - start)
+            return metrics
+
         monkeypatch.setattr(training, "pad_batch", pad_batch)
         monkeypatch.setattr(training, "adam_update", adam_update)
+        monkeypatch.setattr(training, "evaluate_layer", evaluate_layer)
         tracemalloc.start()
         try:
             train_layer(spec, sequences, sequences[:4], config)
@@ -330,11 +340,10 @@ class TestStepAllocations:
         # (T, B, H) array on top of them would not.
         row_block = GEMM_ROWS * max(spec.input_dim, 4 * config.hidden_size,
                                     spec.alphabet_size) * 8
-        first = [0, 5, 10]  # each first step after an evaluation allocates anew
         assert steps[0] < max(steps[1:5]) == 128
-        assert all(growth[i] > 4 * row_block for i in first)
-        later = [g for i, g in enumerate(growth) if i not in first]
-        assert max(later) <= row_block, later
+        assert growth[0] > 4 * row_block
+        assert max(growth[1:]) <= row_block, growth
+        assert len(evaluations) == 3 and max(evaluations) <= row_block, evaluations
 
 
 class TestLayerConfig:
