@@ -143,8 +143,20 @@ class GeneratorParams:
     b_out: np.ndarray  # (n_outputs,)
 
     def __post_init__(self) -> None:
+        """Every layer has one hidden size H, each above the first takes H
+        inputs, and the projection maps H to ``b_out.size`` outputs."""
         if not self.layers:
             raise ValueError("at least one LSTM layer is required")
+        hidden = self.hidden_size
+        for index, layer in enumerate(self.layers):
+            if layer.hidden_size != hidden or (index and layer.input_dim != hidden):
+                raise ValueError(f"LSTM layer {index} takes {layer.input_dim} inputs to hidden "
+                                 f"size {layer.hidden_size}; every layer has layer 0's hidden "
+                                 f"size {hidden}, and each above it takes that many inputs")
+        if self.w_out.shape != (hidden, *self.b_out.shape):
+            raise ValueError(f"output arrays w_out {self.w_out.shape} and b_out "
+                             f"{self.b_out.shape} do not map hidden size {hidden} to "
+                             "one output count")
 
     @property
     def input_dim(self) -> int:

@@ -91,6 +91,18 @@ def pipeline(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def two_layer(pipeline, tmp_path_factory):
+    """A copy of ``pipeline`` whose 3L bundle has two LSTM layers per level."""
+    work = tmp_path_factory.mktemp("two_layer") / "work"
+    shutil.copytree(pipeline, work)
+    assert main([
+        "train", "--work-dir", str(work), "--variant", "3L", "--hidden-size", "4",
+        "--lstm-layers", "2", "--batch-size", "4", "--max-iterations", "2", "--eval-every", "2",
+    ]) == EXIT_OK
+    return work
+
+
+@pytest.fixture(scope="module")
 def every_variant(tmp_path_factory):
     """A work directory with a tiny bundle of every variant."""
     root = tmp_path_factory.mktemp("variants")
@@ -997,6 +1009,25 @@ class TestReadErrorsNameTheFile:
             f"error: {path}: at least one LSTM layer is required; "
             "re-run `melodygen train --variant 3L`\n"
         )
+
+    @pytest.mark.parametrize("name, cut", [
+        ("b_out", lambda array: array[:1]),
+        ("w_out", lambda array: array[:-1]),
+        ("lstm1.w_x", lambda array: array[: len(array) // 2]),
+    ], ids=["one output bias", "projection one row short", "second layer half its inputs"])
+    def test_checkpoint_of_mismatched_shapes(self, two_layer, tmp_path, capsys, name, cut):
+        work = tmp_path / "work"
+        shutil.copytree(two_layer, work)
+        path = work / "model" / "3L" / "note.ckpt"
+        arrays, meta = load_arrays(path)
+        arrays[name] = cut(arrays[name])
+        save_arrays(path, arrays, meta)
+        capsys.readouterr()
+        for command in ("generate", "eval"):
+            assert main([command, "--work-dir", str(work), "--variant", "3L"]) == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and err.endswith(
+                "; re-run `melodygen train --variant 3L`\n"), err
 
     def test_lead_sheet(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
