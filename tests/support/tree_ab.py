@@ -1,10 +1,11 @@
-"""Compare two source trees of ``melodygen`` on random inputs, bit for bit.
+"""Compare two source trees of ``melodygen``: bit for bit on random inputs, or in speed.
 
     python tests/support/tree_ab.py normalize OTHER/src --cases 20000
     python tests/support/tree_ab.py neural OTHER/src --cases 300
     python tests/support/tree_ab.py decode OTHER/src --cases 40
     python tests/support/tree_ab.py profiles OTHER/src --cases 1000
     python tests/support/tree_ab.py features OTHER/src --cases 600
+    python tests/support/tree_ab.py time generate OTHER/src --rounds 10
 
 ``OTHER/src`` is the ``src`` directory of another checkout, for example a
 ``git worktree`` of the parent commit; it is compared with this checkout's
@@ -41,19 +42,34 @@ It prints the number of cases and of differences, and the first differences;
 the exit status is 1 when any case differs. ``decode`` also prints how many
 event sequences and rejections are equal and the largest relative log-prob
 difference.
+
+``time generate`` times both trees instead, in one process: a library
+``generate`` sample request and a beam-5 request for 16 bars on a 3L model
+with ``init_params`` weights at H=256 and L=2. Each round runs the trees in
+the order other, this, this, other, each turn making two calls, and keeps
+each tree's fastest call. For each request it prints each tree's
+median over the rounds, the median of the rounds' ratios this/other, and
+the rounds each tree won; then ``os.getloadavg()`` before and after the run.
+It is evidence to quote with its command line, not a gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
+import math
+import os
 import random
+import statistics
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
+from typing import Callable
 
 import numpy as np
 
@@ -349,6 +365,70 @@ def compare_decode(tree_a: ModuleType, tree_b: ModuleType, cases: int) -> Decode
     return report
 
 
+# The shape of the ``time generate`` requests: the CLI's defaults.
+TIME_BARS = 16
+TIME_HIDDEN = 256
+TIME_LAYERS = 2
+TIME_BEAM_WIDTH = 5
+TIME_CALLS_PER_TURN = 2
+
+
+def generate_requests(tree: ModuleType) -> dict[str, Callable[[], object]]:
+    """The timed requests on one tree, by name: a sample and a beam request
+    for ``TIME_BARS`` bars on a 3L model of ``init_params`` weights."""
+    specs = tree.hrnn.specs.layer_specs("3L")
+    params = {level: tree.neural.init_params(spec.input_dim, TIME_HIDDEN, spec.alphabet_size,
+                                             n_layers=TIME_LAYERS, seed=offset)
+              for offset, (level, spec) in enumerate(specs.items())}
+    generation = tree.hrnn.generation
+    requests = {}
+    for name, fields in (("sample", {"mode": "sample"}),
+                         (f"beam-{TIME_BEAM_WIDTH}", {"mode": "beam",
+                                                     "beam_width": TIME_BEAM_WIDTH})):
+        plan = generation.GenerationPlan(bars=TIME_BARS, primers=_primers(tree, 12), **fields)
+        requests[name] = functools.partial(generation.generate, params, specs, plan)
+    return requests
+
+
+# The order of the two trees' turns within a round.
+ROUND_ORDER = (0, 1, 1, 0)
+
+
+def time_rounds(calls: tuple[Callable[[], object], Callable[[], object]], rounds: int,
+                per_turn: int, clock: Callable[[], float] = time.perf_counter
+                ) -> tuple[list[float], list[float]]:
+    """Each side's fastest call in each round; the sides take turns in
+    ``ROUND_ORDER``, each turn making ``per_turn`` calls."""
+    fastest: tuple[list[float], list[float]] = ([], [])
+    for _ in range(rounds):
+        best = [math.inf, math.inf]
+        for side in ROUND_ORDER:
+            for _ in range(per_turn):
+                start = clock()
+                calls[side]()
+                best[side] = min(best[side], clock() - start)
+        for side, seconds in enumerate(best):
+            fastest[side].append(seconds)
+    return fastest
+
+
+def time_summary(name: str, other: list[float], this: list[float]) -> str:
+    """One line: each tree's median, the median ratio this/other and the
+    rounds each tree won (ties count for neither)."""
+    ratio = statistics.median(b / a for a, b in zip(other, this))
+    return (f"{name}: median other {statistics.median(other) * 1e3:.1f} ms, "
+            f"this {statistics.median(this) * 1e3:.1f} ms; median ratio this/other "
+            f"{ratio:.3f}; rounds won: other {sum(a < b for a, b in zip(other, this))}, "
+            f"this {sum(b < a for a, b in zip(other, this))} of {len(other)}")
+
+
+def time_generate(other: ModuleType, this: ModuleType, rounds: int) -> list[str]:
+    """The summary line of each ``generate_requests`` request."""
+    pairs = zip(generate_requests(other).items(), generate_requests(this).values())
+    return [time_summary(name, *time_rounds((a, b), rounds, TIME_CALLS_PER_TURN))
+            for (name, a), b in pairs]
+
+
 def compare(check: str, tree_a: ModuleType, tree_b: ModuleType, cases: int) -> list[str]:
     """Run ``check`` on both trees' packages; the cases that differ."""
     differences = []
@@ -381,11 +461,28 @@ def compare(check: str, tree_a: ModuleType, tree_b: ModuleType, cases: int) -> l
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("check", choices=("normalize", "neural", "decode", "profiles", "features"))
-    parser.add_argument("other", type=Path, help="the src directory of the other tree")
-    parser.add_argument("--cases", type=int, default=1000)
+    sub = parser.add_subparsers(dest="check", required=True)
+    other_help = "the src directory of the other tree"
+    for check in ("normalize", "neural", "decode", "profiles", "features"):
+        compared = sub.add_parser(check)
+        compared.add_argument("other", type=Path, help=other_help)
+        compared.add_argument("--cases", type=int, default=1000)
+    timed = sub.add_parser("time")
+    timed.add_argument("stage", choices=("generate",))
+    timed.add_argument("other", type=Path, help=other_help)
+    timed.add_argument("--rounds", type=int, default=10)
     args = parser.parse_args(argv)
     trees = import_tree(args.other), import_tree(THIS_SRC)
+    if args.check == "time":
+        before = os.getloadavg()
+        lines = time_generate(*trees, args.rounds)
+        after = os.getloadavg()
+        print(f"time {args.stage}: {args.rounds} rounds of turns other, this, this, other; "
+              f"calls per turn: {TIME_CALLS_PER_TURN}")
+        print("\n".join(lines))
+        print("load average before {:.2f} {:.2f} {:.2f}, after {:.2f} {:.2f} {:.2f}".format(
+            *before, *after))
+        return 0
     if args.check == "decode":
         report = compare_decode(*trees, args.cases)
         differences = report.differences

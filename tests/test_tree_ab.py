@@ -103,3 +103,40 @@ def test_decode_fixes_levels_and_compares_the_rejections(monkeypatch):
     assert report.rejections == 9 and report.equal_rejections == 0
     assert report.equal_sequences == report.sequences == 3 * 2 * 3
     assert len(report.differences) == 9
+
+
+def test_time_rounds_alternate_the_trees_and_keep_each_ones_fastest_call():
+    turns, durations = [], iter([3, 1, 2, 5, 4, 6, 7, 1, 2, 2, 9, 8, 1, 1, 3, 3])
+    now = [0]
+
+    def clock():
+        return now[0]
+
+    def call(side):
+        def run():
+            turns.append(side)
+            now[0] += next(durations)
+        return run
+
+    fastest = tree_ab.time_rounds((call("a"), call("b")), rounds=2, per_turn=2, clock=clock)
+    assert turns == ["a", "a", "b", "b", "b", "b", "a", "a"] * 2
+    assert fastest == ([1, 2], [2, 1])
+
+
+def test_time_summary_fields():
+    line = tree_ab.time_summary("sample", [1.0, 2.0, 3.0], [0.5, 2.0, 4.5])
+    assert line == ("sample: median other 2000.0 ms, this 2000.0 ms; median ratio this/other "
+                    "1.000; rounds won: other 1, this 1 of 3")
+
+
+def test_time_generate_runs_an_a_a_round(monkeypatch, capsys):
+    monkeypatch.setattr(tree_ab, "TIME_BARS", 1)
+    monkeypatch.setattr(tree_ab, "TIME_HIDDEN", 4)
+    monkeypatch.setattr(tree_ab, "TIME_LAYERS", 1)
+    assert tree_ab.main(["time", "generate", str(tree_ab.THIS_SRC), "--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("time generate: 1 rounds of turns other, this, this, other; "
+                        "calls per turn: 2")
+    assert [line.split(":")[0] for line in lines[1:3]] == ["sample", "beam-5"]
+    assert all("rounds won: other" in line and line.endswith(" of 1") for line in lines[1:3])
+    assert lines[3].startswith("load average before ") and ", after " in lines[3]
