@@ -148,7 +148,9 @@ def train_layer(
                 val_loss = metrics["loss"]
                 if val_loss < best_val_loss:
                     best_val_loss = val_loss
-                    best_params = params.copy()
+                    # No step follows the last iteration, so its weights stay.
+                    last = iteration == config.max_iterations
+                    best_params = params if last else params.copy()
                     best_iteration = iteration
                 if stopper.update(val_loss):
                     stop_reason = "early-stopping"

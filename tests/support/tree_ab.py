@@ -370,7 +370,6 @@ TIME_BARS = 16
 TIME_HIDDEN = 256
 TIME_LAYERS = 2
 TIME_BEAM_WIDTH = 5
-TIME_CALLS_PER_TURN = 2
 
 
 def generate_requests(tree: ModuleType) -> dict[str, Callable[[], object]]:
@@ -390,8 +389,9 @@ def generate_requests(tree: ModuleType) -> dict[str, Callable[[], object]]:
     return requests
 
 
-# The order of the two trees' turns within a round.
+# The order of the two trees' turns within a round, and the calls per turn.
 ROUND_ORDER = (0, 1, 1, 0)
+TIME_CALLS_PER_TURN = 2
 
 
 def time_rounds(calls: tuple[Callable[[], object], Callable[[], object]], rounds: int,

@@ -9,6 +9,7 @@ import pytest
 from melodygen.encode import grid_encode
 from melodygen.hrnn import training
 from melodygen.hrnn.datasets import TrainingSequence, build_datasets
+from melodygen.hrnn.evaluation import evaluate_layer
 from melodygen.hrnn.specs import HIERARCHY, layer_specs
 from melodygen.hrnn.training import (
     EarlyStopping,
@@ -16,7 +17,7 @@ from melodygen.hrnn.training import (
     layer_config,
     train_layer,
 )
-from melodygen.neural import GEMM_ROWS, TrainConfig, init_params
+from melodygen.neural import GEMM_ROWS, GeneratorParams, TrainConfig, init_params
 from melodygen.synthetic import synthetic_corpus
 
 
@@ -141,6 +142,23 @@ class TestTrainLayer:
         best_row = int(np.argmin(val_losses))
         assert result.best_iteration == result.curves[best_row]["iteration"]
         assert result.best_val_loss == pytest.approx(min(val_losses))
+
+    @pytest.mark.parametrize("overrides, copied", [
+        (dict(hidden_size=48, learning_rate=0.02, max_iterations=4000, patience=2), True),
+        (dict(max_iterations=10, eval_every=20), False),
+    ], ids=["stopped after its best iteration", "best at the last iteration"])
+    def test_returned_params_score_the_best_validation_loss(self, monkeypatch, overrides, copied):
+        made = []
+        copy = GeneratorParams.copy
+        monkeypatch.setattr(GeneratorParams, "copy", lambda self: made.append(1) or copy(self))
+        sequences = note_dataset(n_pieces=6, seed=77)
+        spec = layer_specs("1L")["note"]
+        result = train_layer(spec, sequences[:1], sequences[1:], tiny_config(**overrides))
+        scored = evaluate_layer(result.params, sequences[1:], no_event_index=spec.no_event_index)
+        assert scored["loss"] == result.best_val_loss
+        # No step follows the last iteration, so its weights are returned uncopied.
+        assert (result.best_iteration < result.iterations_run) is copied
+        assert bool(made) is copied
 
     def test_early_stopping_reason_reported(self):
         # Train on one piece, validate on a very different one: validation
