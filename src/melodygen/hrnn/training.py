@@ -148,9 +148,8 @@ def train_layer(
                 val_loss = metrics["loss"]
                 if val_loss < best_val_loss:
                     best_val_loss = val_loss
-                    # No step follows the last iteration, so its weights stay.
-                    last = iteration == config.max_iterations
-                    best_params = params if last else params.copy()
+                    # No step follows the last iteration, so its weights need no copy.
+                    best_params = params if iteration == config.max_iterations else params.copy()
                     best_iteration = iteration
                 if stopper.update(val_loss):
                     stop_reason = "early-stopping"
