@@ -5,15 +5,14 @@ symbol sequence as targets, and inputs assembled from the previous symbol,
 the conditions coming down the hierarchy (taken from the data during
 training), and the lookback block.
 
-Every input entry is 0 or 1, so the sequences store their inputs as uint8:
-an eighth of the float64 bytes. :func:`pad_batch` keeps that dtype in the
-padded batches; the LSTM casts one row block at a time to float64 for its
-matrix products.
+Every input entry is 0 or 1, so the sequences store their inputs as bits,
+packed along the feature axis: ceil(D/8) bytes a row, about a sixty-fourth
+of the float64 bytes. :func:`pad_batch` unpacks them into uint8 batches; the
+LSTM casts one row block at a time to float64 for its matrix products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -31,22 +30,33 @@ from .specs import (
 )
 
 
-@dataclass
 class TrainingSequence:
-    """One piece prepared for one level: (T, D) inputs, (T,) targets.
+    """One piece prepared for one level: (T, D) 0/1 inputs, (T,) targets.
 
-    :func:`build_datasets` stores uint8 inputs; any numeric dtype pads.
+    The inputs are kept bit-packed along D; ``inputs`` unpacks them as uint8.
     """
 
-    inputs: np.ndarray
-    targets: np.ndarray
-    piece_id: str = ""
+    def __init__(self, inputs: np.ndarray, targets: np.ndarray, piece_id: str = "") -> None:
+        inputs = np.asarray(inputs)
+        name = f"training sequence {piece_id!r}" if piece_id else "training sequence"
+        if inputs.ndim != 2:
+            raise ValueError(f"{name}: inputs must be (T, D), not {inputs.ndim}-D")
+        if len(inputs) != len(targets):
+            raise ValueError(f"{name}: inputs and targets must have equal length")
+        if len(inputs) == 0:
+            raise ValueError(f"{name}: empty training sequence")
+        ones = inputs == 1
+        if not (ones | (inputs == 0)).all():
+            raise ValueError(f"{name}: inputs must be all 0s and 1s")
+        self.packed = np.packbits(ones, axis=1)
+        self.width = inputs.shape[1]
+        self.targets = np.asarray(targets)
+        self.piece_id = piece_id
 
-    def __post_init__(self) -> None:
-        if len(self.inputs) != len(self.targets):
-            raise ValueError("inputs and targets must have equal length")
-        if len(self.inputs) == 0:
-            raise ValueError("empty training sequence")
+    @property
+    def inputs(self) -> np.ndarray:
+        """The (T, D) uint8 inputs, unpacked."""
+        return np.unpackbits(self.packed, axis=1, count=self.width)
 
 
 def piece_level_sequences(
@@ -78,7 +88,7 @@ def piece_level_sequences(
             events,
             profiles=profiles,
             chroma_by_beat=chroma if spec.chroma else None,
-        ).astype(np.uint8)
+        )
         out[level] = TrainingSequence(inputs, np.asarray(events), piece_id)
     return out
 
@@ -121,20 +131,21 @@ def pad_batch(
     *,
     workspace: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack variable-length sequences into (T, B, D) inputs with a validity mask.
+    """Stack variable-length sequences into (T, B, D) uint8 inputs with a validity mask.
 
-    The inputs keep the sequences' dtype. Padding is trailing: padded steps
-    carry zero inputs, target 0, mask 0. With a ``workspace`` the arrays are
-    views of its buffers (see :func:`melodygen.neural.take_buffer`).
+    Padding is trailing: padded steps carry zero inputs, target 0, mask 0.
+    With a ``workspace`` the arrays are views of its buffers (see
+    :func:`melodygen.neural.take_buffer`).
     """
     if not sequences:
         raise ValueError("cannot pad an empty batch")
+    widths = sorted({s.width for s in sequences})
+    if len(widths) > 1:
+        raise ValueError(f"cannot pad sequences of input widths {widths} into one batch")
     workspace = {} if workspace is None else workspace
     longest = max(len(s.targets) for s in sequences)
     batch = len(sequences)
-    dim = sequences[0].inputs.shape[1]
-    dtype = np.result_type(*(s.inputs.dtype for s in sequences))
-    inputs = take_buffer(workspace, "inputs", (longest, batch, dim), dtype, steps=longest)
+    inputs = take_buffer(workspace, "inputs", (longest, batch, *widths), np.uint8, steps=longest)
     targets = take_buffer(workspace, "targets", (longest, batch), np.int64, steps=longest)
     mask = take_buffer(workspace, "mask", (longest, batch), steps=longest)
     for j, seq in enumerate(sequences):

@@ -50,21 +50,24 @@ block of the first layer's input is cast to float64 just before its GEMM.
 The sequence pass runs layer by layer over a layer-major (L, T, B, .) cache.
 Only ``m_prev @ w_m`` (forward) and ``da @ w_m.T`` (backward) stay in the time
 loop; the input and output projections and the weight gradients are GEMMs
-over all T*B rows, in blocks of ``GEMM_ROWS``. The log-softmax runs in place:
-the logits buffer holds the shifted logits and then log p, the probs buffer
-their exp and then p. Gate gradients overwrite the cached gates, so
-:func:`backward` consumes its cache; the gradient reaching a layer from above
-is computed one row block at a time, as the reverse time loop reaches it.
+over all T*B rows, in blocks of ``GEMM_ROWS``. The log-softmax runs in place
+in one buffer: it holds the logits, then the shifted logits, then log p and
+then p, and each row block's exp is summed in the scratch block. Backward
+forms the logit gradients over the cached probabilities and the gate
+gradients over the cached gates, so :func:`backward` consumes its cache, and
+``ForwardResult.probs`` holds p only until then; the gradient reaching a
+layer from above is computed one row block at a time, as the reverse time
+loop reaches it.
 
 A ``workspace`` dict lets consecutive passes reuse their buffers: the padded
-batch, dropout masks, gates, cells, outputs, logits (which backward reuses
-for the logit gradients), probs and one row block of scratch (which backward
-also uses for the up-going gradient). Arrays taken from a workspace are
-views, valid until the next pass through it. A training run keeps one
-workspace for its steps and its evaluations alike: every pass writes each
-buffer before reading it, so a pass gives the same bits on reused buffers as
-on fresh ones. Adam updates its moments in place and works in blocks of rows,
-so that its temporaries stay small beside the workspace.
+batch, dropout masks, gates, cells, outputs, probs and one row block of
+scratch (which backward also uses for the up-going gradient). There is no
+separate logits buffer. Arrays taken from a workspace are views, valid until
+the next pass through it. A training run keeps one workspace for its steps
+and its evaluations alike: every pass writes each buffer before reading it,
+so a pass gives the same bits on reused buffers as on fresh ones. Adam
+updates its moments in place and works in blocks of rows, so that its
+temporaries stay small beside the workspace.
 
 Checkpoints hold the parameters and the layer count; optimizer state is not
 saved.
@@ -467,7 +470,7 @@ def forward_sequence(
     outs = take_buffer(space, "outs", (kept, steps, batch, hidden), steps=steps)
     layer_outs = [outs[l % kept] for l in range(n_layers)]
     feeds = _feeds(inputs, layer_outs, dropout_masks)
-    scratch = _block_scratch(space, steps, batch, max(inputs.shape[2], hidden))
+    scratch = _block_scratch(space, steps, batch, max(inputs.shape[2], hidden, params.n_outputs))
     zeros = np.zeros((batch, hidden))
     recurrent = np.empty((batch, 4 * hidden))
     for l, layer in enumerate(params.layers):
@@ -478,17 +481,20 @@ def forward_sequence(
             if t:
                 a[t] += np.matmul(m[t - 1], w_m, out=recurrent)
             _cell(a[t], c[t - 1] if t else zeros, c[t], m[t])
-    shape = (steps, batch, params.n_outputs)
-    logits = take_buffer(space, "logits", shape, steps=steps)
-    probs = take_buffer(space, "probs", shape, steps=steps)
-    _project(*feeds[-1], params.w_out, logits, scratch, params.b_out)
+    probs = take_buffer(space, "probs", (steps, batch, params.n_outputs), steps=steps)
+    _project(*feeds[-1], params.w_out, probs, scratch, params.b_out)
 
-    # log_softmax in place: logits become the shifted logits, then log p.
-    logits -= logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=probs)
-    logits -= np.log(probs.sum(axis=-1, keepdims=True))
-    np.exp(logits, out=probs)
-    picked = np.take_along_axis(logits, targets[:, :, None], axis=2)[:, :, 0]
+    # log_softmax in place: the logits become the shifted logits, then log p.
+    probs -= probs.max(axis=-1, keepdims=True)
+    total = np.empty((steps, batch, 1))
+    for s in _row_blocks(steps, batch):
+        block = probs[s]
+        exp = scratch[: block.size].reshape(block.shape)
+        np.exp(block, out=exp)
+        exp.sum(axis=-1, keepdims=True, out=total[s])
+    probs -= np.log(total, out=total)
+    picked = np.take_along_axis(probs, targets[:, :, None], axis=2)[:, :, 0]
+    np.exp(probs, out=probs)
     loss = float(-(picked * mask).sum() / n_valid)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss; training diverged")
@@ -506,13 +512,14 @@ def forward_sequence(
 def backward(params: GeneratorParams, cache: dict) -> dict[str, np.ndarray]:
     """Exact gradients of the mean NLL from a cached forward pass.
 
-    The gate gradients overwrite the cached gate activations, so a cache
-    serves one call only; a second call raises ``ValueError``, as does a
-    call after the cache's workspace has handed its buffers out again.
+    The logit and gate gradients overwrite the cached probabilities and gate
+    activations, so a cache serves one call only; a second call raises
+    ``ValueError``, as does a call after the cache's workspace has handed its
+    buffers out again.
     """
     if cache["consumed"]:
-        raise ValueError("forward cache already consumed: backward overwrote its gates "
-                         "with their gradients; run forward_sequence again")
+        raise ValueError("forward cache already consumed: backward overwrote its probabilities "
+                         "and gates with their gradients; run forward_sequence again")
     space = cache["workspace"]
     if space["takes"] != cache["takes"]:
         raise ValueError("forward cache outdated: its workspace was used again after "
@@ -522,11 +529,9 @@ def backward(params: GeneratorParams, cache: dict) -> dict[str, np.ndarray]:
     feeds = _feeds(inputs, outs, cache["dropout_masks"])
     steps, batch, dim = inputs.shape
     hidden = params.hidden_size
-    scratch = _block_scratch(space, steps, batch, max(dim, hidden))
+    scratch = _block_scratch(space, steps, batch, max(dim, hidden, params.n_outputs))
 
-    # The logits buffer is free once forward has read the loss off it.
-    dlogits = take_buffer(space, "logits", cache["probs"].shape, steps=steps)
-    np.copyto(dlogits, cache["probs"])
+    dlogits = cache["probs"]
     dlogits[np.arange(steps)[:, None], np.arange(batch), cache["targets"]] -= 1.0
     dlogits *= (cache["mask"] / cache["n_valid"])[:, :, None]
 
@@ -587,8 +592,8 @@ def loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """Loss, gradients and probabilities of one forward and backward pass."""
     result = forward_sequence(params, inputs, targets, mask=mask)
-    grads = backward(params, result.cache)
-    return result.loss, grads, result.probs
+    probs = result.probs.copy()
+    return result.loss, backward(params, result.cache), probs
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:

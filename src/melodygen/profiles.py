@@ -109,6 +109,9 @@ def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # absolute error is below d times half the smallest subnormal per dot product.
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
+# Uncertain (start, row) pairs per diff-form block of ``_nearest``: its
+# (pairs, k, d) temporaries stay this size however many rows tie.
+TIE_BLOCK = 1024
 
 
 def _screen(
@@ -148,9 +151,10 @@ def _nearest(points: np.ndarray, norms: np.ndarray, centroids: np.ndarray) -> np
     """
     labels, uncertain = _screen(points, norms, centroids)
     starts, rows = np.nonzero(uncertain)
-    if len(rows):
-        diff = points[rows][:, None, :] - centroids[starts]
-        labels[starts, rows] = np.einsum("nkd,nkd->nk", diff, diff).argmin(axis=1)
+    for block in range(0, len(rows), TIE_BLOCK):
+        a, r = starts[block : block + TIE_BLOCK], rows[block : block + TIE_BLOCK]
+        diff = points[r][:, None, :] - centroids[a]
+        labels[a, r] = np.einsum("nkd,nkd->nk", diff, diff).argmin(axis=1)
     return labels
 
 

@@ -6,6 +6,7 @@
     python tests/support/tree_ab.py profiles OTHER/src --cases 1000
     python tests/support/tree_ab.py features OTHER/src --cases 600
     python tests/support/tree_ab.py time generate OTHER/src --rounds 10
+    python tests/support/tree_ab.py time train-step OTHER/src --rounds 10
 
 ``OTHER/src`` is the ``src`` directory of another checkout, for example a
 ``git worktree`` of the parent commit; it is compared with this checkout's
@@ -51,6 +52,11 @@ each tree's fastest call. For each request it prints each tree's
 median over the rounds, the median of the rounds' ratios this/other, and
 the rounds each tree won; then ``os.getloadavg()`` before and after the run.
 It is evidence to quote with its command line, not a gate.
+
+``time train-step`` times, in the same rounds, one note-level ``train_layer``
+iteration of batch 64 with its evaluation, on a 3L chord model at the
+pipeline workload's shape (H=32, L=1) and at the CLI's (H=256, L=2). Each
+tree builds its own datasets of one synthetic corpus before the rounds.
 """
 
 from __future__ import annotations
@@ -422,9 +428,49 @@ def time_summary(name: str, other: list[float], this: list[float]) -> str:
             f"this {sum(b < a for a, b in zip(other, this))} of {len(other)}")
 
 
-def time_generate(other: ModuleType, this: ModuleType, rounds: int) -> list[str]:
-    """The summary line of each ``generate_requests`` request."""
-    pairs = zip(generate_requests(other).items(), generate_requests(this).values())
+# The ``time train-step`` corpus, split 90/10 as ingest splits it, and model shapes.
+TRAIN_STEP_PIECES = 80
+TRAIN_STEP_VAL_PIECES = 8
+TRAIN_STEP_BARS = 8
+TRAIN_STEP_BATCH = 64
+TRAIN_STEP_SHAPES = {"pipeline H=32 L=1": (32, 1), "cli H=256 L=2": (256, 2)}
+
+
+def train_step_requests(tree: ModuleType) -> dict[str, Callable[[], object]]:
+    """The timed requests on one tree, by name: one note-level ``train_layer``
+    iteration and its evaluation per ``TRAIN_STEP_SHAPES`` shape, on a 3L
+    chord model with codebooks of the default sizes."""
+    sheets = tree.synthetic.synthetic_corpus(TRAIN_STEP_PIECES, seed=0, n_bars=TRAIN_STEP_BARS)
+    grids = [tree.encode.grid_encode(tree.encode.normalize_sheet(sheet)) for sheet in sheets]
+    profiles, hierarchy = tree.profiles, tree.hrnn.specs.HIERARCHY
+    codebooks = {
+        level: profiles.build_codebook(
+            np.concatenate([profiles.cut_clips(profiles.binarize(grid), width) for grid in grids]),
+            level, hierarchy[level].default_k)
+        for level, width in profiles.PROFILE_WIDTHS.items()
+    }
+    notes = tree.hrnn.build_datasets(
+        grids, "3L", beat_codebook=codebooks["beat"], bar_codebook=codebooks["bar"],
+        chord_tracks=[sheet.chords for sheet in sheets], chords=True)["note"]
+    train, val = notes[:-TRAIN_STEP_VAL_PIECES], notes[-TRAIN_STEP_VAL_PIECES:]
+    spec = tree.hrnn.specs.variant_specs("3L", chords=True, codebooks=codebooks)["note"]
+    requests = {}
+    for name, (hidden, layers) in TRAIN_STEP_SHAPES.items():
+        config = tree.neural.TrainConfig(max_iterations=1, eval_every=1,
+                                         batch_size=TRAIN_STEP_BATCH, hidden_size=hidden,
+                                         n_lstm_layers=layers)
+        requests[name] = functools.partial(tree.hrnn.training.train_layer, spec, train, val,
+                                           config)
+    return requests
+
+
+TIMED_STAGES = {"generate": generate_requests, "train-step": train_step_requests}
+
+
+def time_stage(stage: str, other: ModuleType, this: ModuleType, rounds: int) -> list[str]:
+    """The summary line of each request of ``stage``."""
+    requests = TIMED_STAGES[stage]
+    pairs = zip(requests(other).items(), requests(this).values())
     return [time_summary(name, *time_rounds((a, b), rounds, TIME_CALLS_PER_TURN))
             for (name, a), b in pairs]
 
@@ -468,14 +514,14 @@ def main(argv: list[str] | None = None) -> int:
         compared.add_argument("other", type=Path, help=other_help)
         compared.add_argument("--cases", type=int, default=1000)
     timed = sub.add_parser("time")
-    timed.add_argument("stage", choices=("generate",))
+    timed.add_argument("stage", choices=tuple(TIMED_STAGES))
     timed.add_argument("other", type=Path, help=other_help)
     timed.add_argument("--rounds", type=int, default=10)
     args = parser.parse_args(argv)
     trees = import_tree(args.other), import_tree(THIS_SRC)
     if args.check == "time":
         before = os.getloadavg()
-        lines = time_generate(*trees, args.rounds)
+        lines = time_stage(args.stage, *trees, args.rounds)
         after = os.getloadavg()
         print(f"time {args.stage}: {args.rounds} rounds of turns other, this, this, other; "
               f"calls per turn: {TIME_CALLS_PER_TURN}")

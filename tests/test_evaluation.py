@@ -101,7 +101,8 @@ class TestEvaluateLayer:
         rng = np.random.default_rng(4)
         params = init_params(6, 8, 5, n_layers=1, seed=1)
         seqs = [
-            TrainingSequence(rng.normal(size=(n, 6)), rng.integers(0, 5, size=n))
+            TrainingSequence((rng.random((n, 6)) < 0.5).astype(np.float64),
+                             rng.integers(0, 5, size=n))
             for n in rng.integers(1, 12, size=EVAL_BATCH + 6)
         ]
         split = evaluate_layer(params, seqs)
@@ -156,7 +157,7 @@ class TestBorrowedWorkspace:
             result = forward_sequence(params, inputs, targets, mask=mask, dropout=0.5,
                                       rng=rng, workspace=workspace)
             backward(params, result.cache)
-        sizes = {name: workspace[name].size for name in ("inputs", "logits")}
+        sizes = {name: workspace[name].size for name in ("inputs", "probs")}
         with mock.patch.object(evaluation, "EVAL_BATCH", eval_batch):
             borrowed = evaluate_layer(params, val, no_event_index=0, workspace=workspace)
             fresh = evaluate_layer(params, val, no_event_index=0)

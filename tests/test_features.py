@@ -5,9 +5,11 @@ serialized with a layout version), so these tests nail down exact dimensions
 and block placement, not just shapes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from melodygen.encode import (
     ALPHABET_SIZE,
@@ -483,7 +485,7 @@ class TestTrainingSequenceAndPadding:
     def test_pad_batch_layout(self):
         seqs = [
             TrainingSequence(np.ones((2, 3)), np.array([1, 2])),
-            TrainingSequence(np.full((4, 3), 2.0), np.array([3, 4, 5, 6])),
+            TrainingSequence(np.ones((4, 3)), np.array([3, 4, 5, 6])),
         ]
         inputs, targets, mask = pad_batch(seqs)
         assert inputs.shape == (4, 2, 3)
@@ -497,6 +499,61 @@ class TestTrainingSequenceAndPadding:
     def test_pad_batch_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             pad_batch([])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        width=st.integers(1, 200),
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+        dtype=st.sampled_from([np.uint8, np.int64, np.float64, np.bool_]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(width=1, lengths=[1], dtype=np.float64, seed=0)
+    @example(width=8, lengths=[3, 3], dtype=np.uint8, seed=1)
+    @example(width=200, lengths=[40, 1, 40], dtype=np.bool_, seed=2)
+    def test_stored_rows_round_trip_and_pad_as_the_dense_rows(self, width, lengths, dtype, seed):
+        rng = np.random.default_rng(seed)
+        rows = [(rng.random((n, width)) < rng.random()).astype(dtype) for n in lengths]
+        sequences = [TrainingSequence(r, rng.integers(0, 9, size=len(r))) for r in rows]
+        for r, s in zip(rows, sequences):
+            assert s.inputs.dtype == np.uint8 and s.inputs.shape == r.shape
+            assert np.array_equal(s.inputs, r)
+        longest = max(lengths)
+        dense = np.zeros((longest, len(rows), width), dtype=np.uint8)
+        dense_targets = np.zeros((longest, len(rows)), dtype=np.int64)
+        dense_mask = np.zeros((longest, len(rows)))
+        for j, (r, s) in enumerate(zip(rows, sequences)):
+            dense[: len(r), j] = r
+            dense_targets[: len(r), j] = s.targets
+            dense_mask[: len(r), j] = 1.0
+        # A workspace that held a longer batch of ones: every padded entry is rewritten.
+        ones = TrainingSequence(np.ones((longest + 1, width)), np.ones(longest + 1, np.int64))
+        workspace = {}
+        pad_batch([ones] * (len(rows) + 1), workspace=workspace)
+        for padded in (pad_batch(sequences), pad_batch(sequences, workspace=workspace)):
+            inputs, targets, mask = padded
+            assert inputs.dtype == np.uint8 and np.array_equal(inputs, dense)
+            assert targets.dtype == np.int64 and np.array_equal(targets, dense_targets)
+            assert mask.dtype == np.float64 and np.array_equal(mask, dense_mask)
+
+    @pytest.mark.parametrize("inputs, message", [
+        (np.array([[0.0, 2.0]]), "all 0s and 1s"),
+        (np.array([[0.5, 1.0]]), "all 0s and 1s"),
+        (np.array([[-1, 0]]), "all 0s and 1s"),
+        (np.array([[np.nan, 1.0]]), "all 0s and 1s"),
+        (np.zeros(3), r"\(T, D\), not 1-D"),
+        (np.zeros((2, 3, 4)), r"\(T, D\), not 3-D"),
+    ])
+    def test_inputs_that_are_not_rows_of_0s_and_1s_are_rejected(self, inputs, message):
+        with pytest.raises(ValueError, match=rf"training sequence 'p7': inputs must be {message}"):
+            TrainingSequence(inputs, np.zeros(len(inputs), dtype=np.int64), "p7")
+
+    def test_pad_batch_rejects_mixed_input_widths(self):
+        seqs = [
+            TrainingSequence(np.ones((2, 5)), np.array([1, 2])),
+            TrainingSequence(np.ones((2, 3)), np.array([3, 4])),
+        ]
+        with pytest.raises(ValueError, match=r"input widths \[3, 5\] into one batch"):
+            pad_batch(seqs)
 
 
 def random_grid(rng, n_bars):
@@ -546,7 +603,38 @@ def oracle_condition(spec, position, bar_idx, beat_idx, chroma):
 
 
 class TestStoredInputs:
-    """Datasets hold every input as a uint8 0/1 and pad into uint8 batches."""
+    """Datasets hold every input as one bit and pad into uint8 batches."""
+
+    # Bytes a stored sequence may hold besides its packed rows and targets:
+    # its object and two array headers, about 800 bytes with CPython 3.11.
+    SEQUENCE_OVERHEAD = 2048
+
+    def test_datasets_hold_a_bit_per_input(self):
+        sheets = synthetic_corpus(6, seed=5, n_bars=4)
+        grids = [grid_encode(sheet) for sheet in sheets]
+        rng = np.random.default_rng(5)
+        books = {"beat": random_codebook(rng, "beat", BEAT_WIDTH),
+                 "bar": random_codebook(rng, "bar", BAR_WIDTH)}
+
+        def build():
+            return build_datasets(grids, "3L", beat_codebook=books["beat"],
+                                  bar_codebook=books["bar"],
+                                  chord_tracks=[sheet.chords for sheet in sheets], chords=True)
+
+        build()  # fills any cache the builders keep
+        tracemalloc.start()
+        try:
+            datasets = build()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        specs = variant_specs("3L", chords=True, codebooks=books)
+        allowed = sum(
+            len(s.targets) * -(-specs[level].input_dim // 8) + s.targets.nbytes
+            + self.SEQUENCE_OVERHEAD
+            for level, sequences in datasets.items() for s in sequences
+        )
+        assert held <= allowed, (held, allowed)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -592,8 +680,9 @@ class TestStoredInputs:
             from_floats = pad_batch(
                 [TrainingSequence(row, s.targets) for row, s in zip(rows, sequences)]
             )
-            # The batch keeps the stored uint8; targets and mask keep their dtypes.
-            assert padded[0].dtype == np.uint8 and from_floats[0].dtype == np.float64
+            # Inputs pad as uint8 from stored float rows too; targets and mask
+            # keep their dtypes.
+            assert padded[0].dtype == from_floats[0].dtype == np.uint8
             for got, want in zip(padded, from_floats):
                 assert np.array_equal(got, want)
             for got, want in zip(padded[1:], from_floats[1:]):

@@ -1,5 +1,8 @@
 """Rhythm-profile clustering, verified against exhaustive enumeration."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -408,7 +411,11 @@ class TestCertifiedScreen:
         )
         points = data.draw(hnp.arrays(np.float64, (u, d), elements=values))
         centroids = data.draw(hnp.arrays(np.float64, (n_starts, k, d), elements=values))
-        with np.errstate(over="ignore", invalid="ignore"):
+        # Small blocks split the uncertain pairs across several blocks.
+        block = data.draw(st.sampled_from([1, 4, profiles.TIE_BLOCK]))
+        with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(
+            profiles, "TIE_BLOCK", block
+        ):
             norms = np.einsum("ud,ud->u", points, points)
             labels, uncertain = _screen(points, norms, centroids)
             nearest = _nearest(points, norms, centroids)
@@ -417,6 +424,28 @@ class TestCertifiedScreen:
             )
         assert np.array_equal(labels[~uncertain], expected[~uncertain])
         assert np.array_equal(nearest, expected)
+
+    @pytest.mark.parametrize("rows", [2048, 8192])
+    def test_tie_fallback_memory_does_not_grow_with_the_tied_rows(self, rows):
+        # Equal centroids tie every (start, row) pair, so every pair takes the
+        # diff form, and the screen's own peak grows with the rows.
+        n_starts, k, d = 2, 8, BAR_WIDTH
+        points = np.random.default_rng(rows).integers(0, 2, size=(rows, d)).astype(np.float64)
+        norms = np.einsum("ud,ud->u", points, points)
+        centroids = np.full((n_starts, k, d), 0.5)
+        peaks = []
+        for labelling in (_screen, _nearest):
+            tracemalloc.start()
+            try:
+                result = labelling(points, norms, centroids)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert result.shape == (n_starts, rows) and not result.any()
+        # One block's (pairs, k, d) centroid gather and differences, and room
+        # for its smaller temporaries.
+        bound = 3 * profiles.TIE_BLOCK * k * d * 8
+        assert peaks[1] - peaks[0] <= bound, peaks
 
 
 class TestDistinctRows:

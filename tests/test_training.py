@@ -363,6 +363,23 @@ class TestStepAllocations:
         assert max(growth[1:]) <= row_block, growth
         assert len(evaluations) == 3 and max(evaluations) <= row_block, evaluations
 
+    def test_the_workspace_holds_the_step_buffers_and_no_others(self, monkeypatch):
+        workspaces = []
+        original = training.evaluate_layer
+
+        def evaluate_layer(*args, workspace, **kwargs):
+            workspaces.append(workspace)
+            return original(*args, workspace=workspace, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate_layer", evaluate_layer)
+        sequences = note_dataset()
+        config = tiny_config(dropout=0.5, max_iterations=2, eval_every=1)
+        train_layer(layer_specs("1L")["note"], sequences, sequences[:2], config)
+        assert len(workspaces) == 2 and workspaces[0] is workspaces[1]
+        buffers = {name for name, value in workspaces[0].items() if isinstance(value, np.ndarray)}
+        assert buffers == {"inputs", "targets", "mask", "dropout_masks", "gates", "cells", "outs",
+                           "probs", "rows"}
+
 
 class TestLayerConfig:
     def test_per_level_seed_offsets(self):

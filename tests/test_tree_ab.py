@@ -140,3 +140,18 @@ def test_time_generate_runs_an_a_a_round(monkeypatch, capsys):
     assert [line.split(":")[0] for line in lines[1:3]] == ["sample", "beam-5"]
     assert all("rounds won: other" in line and line.endswith(" of 1") for line in lines[1:3])
     assert lines[3].startswith("load average before ") and ", after " in lines[3]
+
+
+def test_time_train_step_runs_an_a_a_round(monkeypatch, capsys):
+    monkeypatch.setattr(tree_ab, "TRAIN_STEP_PIECES", 20)
+    monkeypatch.setattr(tree_ab, "TRAIN_STEP_VAL_PIECES", 2)
+    monkeypatch.setattr(tree_ab, "TRAIN_STEP_BARS", 2)
+    monkeypatch.setattr(tree_ab, "TRAIN_STEP_BATCH", 2)
+    monkeypatch.setattr(tree_ab, "TRAIN_STEP_SHAPES", {"tiny": (4, 1), "two layers": (4, 2)})
+    assert tree_ab.main(["time", "train-step", str(tree_ab.THIS_SRC), "--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("time train-step: 1 rounds of turns other, this, this, other; "
+                        "calls per turn: 2")
+    assert [line.split(":")[0] for line in lines[1:3]] == ["tiny", "two layers"]
+    assert all("rounds won: other" in line and line.endswith(" of 1") for line in lines[1:3])
+    assert lines[3].startswith("load average before ") and ", after " in lines[3]
