@@ -426,6 +426,8 @@ def _primer_of(grid, model) -> dict[str, tuple[int, ...]]:
 
 
 def cmd_eval(args) -> int:
+    # --temperature is checked on every run, adherence generations or none.
+    _generation_plan(bars=1, temperature=args.temperature)
     work = Path(args.work_dir)
     model = load_bundle(work / "model" / args.variant, args.variant)
     manifest = _manifest(work)

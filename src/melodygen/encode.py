@@ -205,22 +205,19 @@ def grid_encode(sheet: LeadSheet) -> MelodyGrid:
     return MelodyGrid(tuple(events))
 
 
-def grid_decode(grid: MelodyGrid | Sequence[int]) -> list[GridNote]:
+def grid_decode(grid: MelodyGrid) -> list[GridNote]:
     """Decode a grid back into (pitch, onset_step, duration_steps) notes.
 
     A sounding note ends at the next note-on, at a note-off, or at the end of
-    the grid. A note-off with nothing sounding is invalid.
+    the grid; a ``MelodyGrid`` holds no note-off with nothing sounding.
     """
-    events = grid.events if isinstance(grid, MelodyGrid) else tuple(grid)
     notes: list[GridNote] = []
     open_pitch: int | None = None
     open_step = 0
-    for step, event in enumerate(events):
+    for step, event in enumerate(grid.events):
         if event == NO_EVENT:
             continue
         if event == NOTE_OFF:
-            if open_pitch is None:
-                raise ValueError(f"note-off at step {step} with nothing sounding")
             notes.append((open_pitch, open_step, step - open_step))
             open_pitch = None
         else:
@@ -229,7 +226,7 @@ def grid_decode(grid: MelodyGrid | Sequence[int]) -> list[GridNote]:
             open_pitch = PITCH_MIN + event
             open_step = step
     if open_pitch is not None:
-        notes.append((open_pitch, open_step, len(events) - open_step))
+        notes.append((open_pitch, open_step, len(grid) - open_step))
     return notes
 
 

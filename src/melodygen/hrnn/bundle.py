@@ -118,6 +118,9 @@ def load_bundle(directory: str | Path, variant: str) -> HrnnModel:
                 f"{manifest.get('feature_layout_version')}, this build expects "
                 f"{FEATURE_LAYOUT_VERSION}"
             )
+        chords = manifest["chords"]
+        if type(chords) is not bool:
+            raise ValueError(f"field 'chords' must be true or false, not {type(chords).__name__}")
         levels = _object(manifest["levels"], "field 'levels'")
         codebooks = _object(manifest["codebooks"], "field 'codebooks'")
         level_params = {}
@@ -134,7 +137,7 @@ def load_bundle(directory: str | Path, variant: str) -> HrnnModel:
                             lambda path: ProfileCodebook.load(path, level))
                 for level, name in codebooks.items()
             },
-            chords=manifest["chords"],
+            chords=chords,
             metadata=manifest.get("metadata", {}),
         )
         # The manifest's specs are a record of the layout the weights were

@@ -70,11 +70,9 @@ def evaluate_layer(
         )
         total_nll += result.loss * result.n_valid
         total_steps += result.n_valid
-        argmax = result.probs.argmax(axis=2)
-        for j, seq in enumerate(chunk):
-            n = len(seq.targets)
-            predictions.append(argmax[:n, j])
-            targets.append(seq.targets)
+        valid = mask > 0
+        predictions.append(result.probs.argmax(axis=2)[valid])
+        targets.append(batch_targets[valid])
     metrics = classification_metrics(
         np.concatenate(predictions),
         np.concatenate(targets),

@@ -28,10 +28,7 @@ Both modes are deterministic given the plan's seed, and a plan cannot change
 after it is checked. Beam search breaks ties on (-score, parent, symbol). A
 multi-row step sums its products in a different order than single-row
 steps, so beam log-probabilities can differ from a per-hypothesis search in
-the last bits. :func:`neural.lstm_step` reads each layer's stacked weights
-in one product, so log-probabilities in both modes also differ from those
-of builds before it in their last bits; the same seed still gives the same
-bytes within a build.
+the last bits. The same seed gives the same bytes within a build.
 """
 
 from __future__ import annotations

@@ -217,20 +217,13 @@ def chord_chroma_by_beat(
     The active chord at beat q is the latest chord whose onset_step is at or
     before step 4q; beats before the first chord get a zero vector.
     """
-    out = np.zeros((n_beats, CHROMA_DIM), dtype=np.float64)
-    if not chords:
-        return out
     ordered = sorted(chords, key=lambda chord: chord.onset_step)
-    onsets = [chord.onset_step for chord in ordered]
-    vectors = [chord.chroma_vector() for chord in ordered]
-    active = -1
-    for beat in range(n_beats):
-        step = beat * LEVEL_STEPS["beat"]
-        while active + 1 < len(onsets) and onsets[active + 1] <= step:
-            active += 1
-        if active >= 0:
-            out[beat] = vectors[active]
-    return out
+    # The last row, zeros, is the one index -1 picks: no chord has begun.
+    table = np.array([*(chord.chroma_vector() for chord in ordered), (0,) * CHROMA_DIM],
+                     dtype=np.float64)
+    active = np.searchsorted([chord.onset_step for chord in ordered],
+                             np.arange(n_beats) * LEVEL_STEPS["beat"], side="right") - 1
+    return table[active]
 
 
 def condition_block(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -181,23 +183,13 @@ def layer_config(base: TrainConfig, level: str) -> TrainConfig:
 
 
 def curves_to_csv(curves: list[dict]) -> str:
-    """Render curve rows as CSV (stable column order)."""
+    """Render curve rows as CSV, columns in first-seen order; a missing or
+    None cell is empty, and a float is written as ``repr`` writes it."""
     if not curves:
         return ""
-    columns: list[str] = []
-    for row in curves:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    lines = [",".join(columns)]
-    for row in curves:
-        lines.append(",".join(_csv_cell(row.get(key)) for key in columns))
-    return "\n".join(lines) + "\n"
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    text = io.StringIO()
+    writer = csv.DictWriter(text, list(dict.fromkeys(k for row in curves for k in row)),
+                            lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(curves)
+    return text.getvalue()

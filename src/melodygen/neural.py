@@ -31,9 +31,7 @@ are 0/1 with a few ones, so the first layer reads a few rows of ``w_x``
 instead of all D; a zero column adds nothing, so this holds for any input.
 Above it, one (2H, 4H) product replaces two (H, 4H) ones: on a 2-core Xeon
 with OpenBLAS 0.3.31, a matrix-vector product ran on both threads only above
-about 4.6e5 elements, which one (H, 4H) block at H=256 is not. Either form
-sums in another order than separate products would, so decode logits can
-differ from earlier builds' in their last bits.
+about 4.6e5 elements, which one (H, 4H) block at H=256 is not.
 
 Dropout (inverted, scale 1/keep) is applied to up-going connections only:
 each layer's output as it feeds the next layer and the projection. The
@@ -50,9 +48,9 @@ block of the first layer's input is cast to float64 just before its GEMM.
 The sequence pass runs layer by layer over a layer-major (L, T, B, .) cache.
 Only ``m_prev @ w_m`` (forward) and ``da @ w_m.T`` (backward) stay in the time
 loop; the input and output projections and the weight gradients are GEMMs
-over all T*B rows, in blocks of ``GEMM_ROWS``. The log-softmax runs in place
-in one buffer: it holds the logits, then the shifted logits, then log p and
-then p, and each row block's exp is summed in the scratch block. Backward
+over all T*B rows, in blocks of ``GEMM_ROWS``. One buffer, ``probs``, holds
+the logits until each row block's :func:`log_softmax` turns them into log p
+in place, and then p; no exp goes through the scratch block. Backward
 forms the logit gradients over the cached probabilities and the gate
 gradients over the cached gates, so :func:`backward` consumes its cache, and
 ``ForwardResult.probs`` holds p only until then; the gradient reaching a
@@ -61,13 +59,12 @@ loop reaches it.
 
 A ``workspace`` dict lets consecutive passes reuse their buffers: the padded
 batch, dropout masks, gates, cells, outputs, probs and one row block of
-scratch (which backward also uses for the up-going gradient). There is no
-separate logits buffer. Arrays taken from a workspace are views, valid until
-the next pass through it. A training run keeps one workspace for its steps
-and its evaluations alike: every pass writes each buffer before reading it,
-so a pass gives the same bits on reused buffers as on fresh ones. Adam
-updates its moments in place and works in blocks of rows, so that its
-temporaries stay small beside the workspace.
+scratch (which backward also uses for the up-going gradient). Arrays taken
+from a workspace are views, valid until the next pass through it. A training
+run keeps one workspace for its steps and its evaluations alike: every pass
+writes each buffer before reading it, so a pass gives the same bits on
+reused buffers as on fresh ones. Adam updates its moments in place and works
+in blocks of rows, so that its temporaries stay small beside the workspace.
 
 Checkpoints hold the parameters and the layer count; optimizer state is not
 saved.
@@ -94,10 +91,12 @@ ADAM_EPSILON = 1e-8
 ADAM_BLOCK = 1 << 16
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable log-softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def log_softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Stable log-softmax over the last axis, written into ``out`` if given
+    (which may be ``logits`` itself); the values are the same either way."""
+    out = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    out -= np.log(np.exp(out).sum(axis=-1, keepdims=True))
+    return out
 
 
 class LstmLayerParams:
@@ -470,7 +469,7 @@ def forward_sequence(
     outs = take_buffer(space, "outs", (kept, steps, batch, hidden), steps=steps)
     layer_outs = [outs[l % kept] for l in range(n_layers)]
     feeds = _feeds(inputs, layer_outs, dropout_masks)
-    scratch = _block_scratch(space, steps, batch, max(inputs.shape[2], hidden, params.n_outputs))
+    scratch = _block_scratch(space, steps, batch, max(inputs.shape[2], hidden))
     zeros = np.zeros((batch, hidden))
     recurrent = np.empty((batch, 4 * hidden))
     for l, layer in enumerate(params.layers):
@@ -484,15 +483,8 @@ def forward_sequence(
     probs = take_buffer(space, "probs", (steps, batch, params.n_outputs), steps=steps)
     _project(*feeds[-1], params.w_out, probs, scratch, params.b_out)
 
-    # log_softmax in place: the logits become the shifted logits, then log p.
-    probs -= probs.max(axis=-1, keepdims=True)
-    total = np.empty((steps, batch, 1))
     for s in _row_blocks(steps, batch):
-        block = probs[s]
-        exp = scratch[: block.size].reshape(block.shape)
-        np.exp(block, out=exp)
-        exp.sum(axis=-1, keepdims=True, out=total[s])
-    probs -= np.log(total, out=total)
+        log_softmax(probs[s], out=probs[s])
     picked = np.take_along_axis(probs, targets[:, :, None], axis=2)[:, :, 0]
     np.exp(probs, out=probs)
     loss = float(-(picked * mask).sum() / n_valid)
@@ -529,7 +521,7 @@ def backward(params: GeneratorParams, cache: dict) -> dict[str, np.ndarray]:
     feeds = _feeds(inputs, outs, cache["dropout_masks"])
     steps, batch, dim = inputs.shape
     hidden = params.hidden_size
-    scratch = _block_scratch(space, steps, batch, max(dim, hidden, params.n_outputs))
+    scratch = _block_scratch(space, steps, batch, max(dim, hidden))
 
     dlogits = cache["probs"]
     dlogits[np.arange(steps)[:, None], np.arange(batch), cache["targets"]] -= 1.0

@@ -50,10 +50,9 @@ CODEBOOK_SCHEMA = 1
 _MONOTONE_SLACK = 1e-10
 
 
-def binarize(grid: MelodyGrid | Sequence[int]) -> np.ndarray:
+def binarize(grid: MelodyGrid) -> np.ndarray:
     """1 where the grid carries any event (note-on or note-off), else 0."""
-    events = grid.to_array() if isinstance(grid, MelodyGrid) else np.asarray(grid)
-    return (events != NO_EVENT).astype(np.int8)
+    return (grid.to_array() != NO_EVENT).astype(np.int8)
 
 
 def cut_clips(binary: np.ndarray, width: int) -> np.ndarray:
@@ -406,6 +405,11 @@ class ProfileCodebook:
             raise ValueError(f"a codebook must be a JSON object, not {type(obj).__name__}")
         if obj.get("schema") != CODEBOOK_SCHEMA:
             raise ValueError(f"unsupported codebook schema {obj.get('schema')}")
+        # Integers exclude booleans; wcss may be either kind of number.
+        for key, kinds in (("k", (int,)), ("seed", (int,)), ("iterations", (int,)),
+                           ("wcss", (int, float))):
+            if type(obj[key]) not in kinds:
+                raise ValueError(f"field '{key}' has wrong type {type(obj[key]).__name__}")
         codebook = cls(
             kind=obj["kind"],
             centroids=np.array(obj["centroids"], dtype=np.float64),

@@ -49,8 +49,10 @@ difference.
 with ``init_params`` weights at H=256 and L=2. Each round runs the trees in
 the order other, this, this, other, each turn making two calls, and keeps
 each tree's fastest call. For each request it prints each tree's
-median over the rounds, the median of the rounds' ratios this/other, and
-the rounds each tree won; then ``os.getloadavg()`` before and after the run.
+median over the rounds, the median of the rounds' ratios this/other with
+its 95% bootstrap interval (:func:`median_interval`), and the rounds each
+tree won; then ``os.getloadavg()`` before and after the run, and a warning
+when the 1-minute load before it was at least half of ``os.cpu_count()``.
 It is evidence to quote with its command line, not a gate.
 
 ``time train-step`` times, in the same rounds, one note-level ``train_layer``
@@ -418,13 +420,31 @@ def time_rounds(calls: tuple[Callable[[], object], Callable[[], object]], rounds
     return fastest
 
 
+# Resamples of the bootstrap interval of the median ratio, and their seed.
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
+
+
+def median_interval(ratios: list[float]) -> tuple[float, float]:
+    """The 95% percentile-bootstrap interval of the median of ``ratios``:
+    ``BOOTSTRAP_RESAMPLES`` resamples with replacement, seeded, so that a
+    summary line is reproducible."""
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(BOOTSTRAP_RESAMPLES))
+    last = BOOTSTRAP_RESAMPLES - 1
+    return medians[round(0.025 * last)], medians[round(0.975 * last)]
+
+
 def time_summary(name: str, other: list[float], this: list[float]) -> str:
-    """One line: each tree's median, the median ratio this/other and the
-    rounds each tree won (ties count for neither)."""
-    ratio = statistics.median(b / a for a, b in zip(other, this))
+    """One line: each tree's median, the median ratio this/other with its
+    bootstrap interval and the rounds each tree won (ties count for neither)."""
+    ratios = [b / a for a, b in zip(other, this)]
+    low, high = median_interval(ratios)
     return (f"{name}: median other {statistics.median(other) * 1e3:.1f} ms, "
             f"this {statistics.median(this) * 1e3:.1f} ms; median ratio this/other "
-            f"{ratio:.3f}; rounds won: other {sum(a < b for a, b in zip(other, this))}, "
+            f"{statistics.median(ratios):.3f} (95% interval [{low:.3f}, {high:.3f}]); "
+            f"rounds won: other {sum(a < b for a, b in zip(other, this))}, "
             f"this {sum(b < a for a, b in zip(other, this))} of {len(other)}")
 
 
@@ -528,6 +548,10 @@ def main(argv: list[str] | None = None) -> int:
         print("\n".join(lines))
         print("load average before {:.2f} {:.2f} {:.2f}, after {:.2f} {:.2f} {:.2f}".format(
             *before, *after))
+        cores = os.cpu_count() or 1
+        if before[0] >= cores / 2:
+            print(f"warning: the 1-minute load average before the run, {before[0]:.2f}, is at "
+                  f"least half of the {cores} cores: another job shares the box")
         return 0
     if args.check == "decode":
         report = compare_decode(*trees, args.cases)

@@ -494,6 +494,27 @@ class TestTrain:
             "re-run `melodygen profiles`\n"
         )
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("k", 3.0, "float"),
+        ("seed", "x", "str"),
+        ("seed", True, "bool"),
+        ("iterations", 2.5, "float"),
+        ("wcss", "abc", "str"),
+    ])
+    def test_codebook_field_of_another_type_names_the_file(
+        self, pipeline, tmp_path, capsys, field, value, kind
+    ):
+        work = damaged_copy(pipeline, tmp_path, "beat_codebook.json",
+                            edited_json(lambda book: book.update({field: value})))
+        capsys.readouterr()
+        argv = ["train", "--work-dir", str(work), "--variant", "2L", *TINY_TRAIN]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {work / 'beat_codebook.json'}: field '{field}' has wrong type {kind}; "
+            "re-run `melodygen profiles`\n"
+        )
+        assert not (work / "model" / "2L").exists()
+
     def test_1L_needs_no_profiles(self, tmp_path):
         corpus, work = tmp_path / "corpus", tmp_path / "work"
         write_corpus(corpus, n_pieces=3)
@@ -686,6 +707,31 @@ class TestEval:
         for command in ("eval", "generate"):
             assert main([command, "--work-dir", str(work)]) == EXIT_ERROR
             assert "melodygen train --variant 3L" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, problem", [
+        (["--variant", "1L", "--temperature", "-5"], "temperature must be >= 0"),
+        (["--variant", "3L", "--adherence-samples", "0", "--temperature", "nan"],
+         "temperature must be finite, got nan"),
+    ], ids=["1L", "no adherence samples"])
+    def test_temperature_is_checked_without_adherence_generations(
+        self, every_variant, capsys, argv, problem
+    ):
+        capsys.readouterr()
+        assert main(["eval", "--work-dir", str(every_variant), *argv]) == EXIT_EMPTY
+        assert capsys.readouterr().err == f"error: {problem}\n"
+
+    @pytest.mark.parametrize("value", [0, "no", None])
+    def test_manifest_chords_of_another_type_names_the_file(
+        self, pipeline, tmp_path, capsys, value
+    ):
+        work = damaged_copy(pipeline, tmp_path, "model/3L/manifest.json",
+                            edited_json(lambda manifest: manifest.update(chords=value)))
+        capsys.readouterr()
+        assert main(["eval", "--work-dir", str(work), "--variant", "3L"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {work / 'model' / '3L' / 'manifest.json'}: field 'chords' must be true "
+            f"or false, not {type(value).__name__}; re-run `melodygen train --variant 3L`\n"
+        )
 
     def test_failed_adherence_generation_is_recorded(self, pipeline, capsys, monkeypatch):
         def reject(*args, **kwargs):

@@ -486,10 +486,6 @@ class TestGridDecode:
         notes = grid_decode(MelodyGrid(tuple(events)))
         assert notes == [(60, 0, 4), (62, 4, 2), (64, 8, 8)]
 
-    def test_decode_raw_sequence_checks_note_off(self):
-        with pytest.raises(ValueError):
-            grid_decode([NOTE_OFF] * 16)
-
     def test_empty_grid(self):
         assert grid_decode(MelodyGrid(tuple([NO_EVENT] * 16))) == []
 

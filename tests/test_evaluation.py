@@ -97,7 +97,9 @@ class TestEvaluateLayer:
 
     def test_loss_weights_steps_not_sequences(self):
         # Evaluating in chunks must give the step-weighted results of one
-        # whole batch, with unequal sequence lengths in the mix.
+        # whole batch, with unequal sequence lengths in the mix. Padded steps
+        # have target 0, here the no-event index, so counting them would move
+        # no_event_accuracy.
         rng = np.random.default_rng(4)
         params = init_params(6, 8, 5, n_layers=1, seed=1)
         seqs = [
@@ -105,12 +107,16 @@ class TestEvaluateLayer:
                              rng.integers(0, 5, size=n))
             for n in rng.integers(1, 12, size=EVAL_BATCH + 6)
         ]
-        split = evaluate_layer(params, seqs)
+        split = evaluate_layer(params, seqs, no_event_index=0)
         inputs, targets, mask = pad_batch(seqs)
         whole = forward_sequence(params, inputs, targets, mask=mask, collect_cache=False)
-        correct = (whole.probs.argmax(axis=2) == targets) * mask
+        predicted = whole.probs.argmax(axis=2)
+        events = (targets != 0) * mask
         assert split["loss"] == pytest.approx(whole.loss, rel=1e-12)
-        assert split["combined_accuracy"] == pytest.approx(correct.sum() / mask.sum(), rel=1e-12)
+        assert split["combined_accuracy"] == ((predicted == targets) * mask).sum() / mask.sum()
+        assert split["no_event_accuracy"] == (
+            ((predicted == 0) == (targets == 0)) * mask).sum() / mask.sum()
+        assert split["event_accuracy"] == ((predicted == targets) * events).sum() / events.sum()
 
     def test_empty_rejected(self):
         params = init_params(6, 8, 5, n_layers=1, seed=1)

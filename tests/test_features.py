@@ -248,6 +248,20 @@ class TestFanOut:
         assert out.tolist() == [2, 2, 2, 2]
 
 
+def scanned_chroma_by_beat(chords, n_beats):
+    """Reference for ``chord_chroma_by_beat``: the chords, stably sorted by
+    onset, scanned once as the beats advance."""
+    out = np.zeros((n_beats, 12))
+    ordered = sorted(chords, key=lambda chord: chord.onset_step)
+    active = -1
+    for beat in range(n_beats):
+        while active + 1 < len(ordered) and ordered[active + 1].onset_step <= 4 * beat:
+            active += 1
+        if active >= 0:
+            out[beat] = ordered[active].chroma_vector()
+    return out
+
+
 class TestChordChroma:
     def test_beats_before_first_chord_are_zero(self):
         chords = (chord_from_kind(8, 0, "major"),)  # enters at beat 2
@@ -277,6 +291,25 @@ class TestChordChroma:
 
     def test_no_chords_gives_zeros(self):
         assert not chord_chroma_by_beat((), 8).any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_beats=st.integers(0, 12),
+        chords=st.lists(
+            st.tuples(st.integers(0, 60), st.integers(0, 11),
+                      st.sampled_from(sorted(CHORD_KIND_INTERVALS))),
+            max_size=8,
+        ),
+    )
+    @example(n_beats=0, chords=[(0, 0, "major")])
+    @example(n_beats=4,
+             chords=[(4, 0, "major"), (4, 7, "minor"), (0, 2, "major"), (99, 5, "major")])
+    def test_equals_a_scan_of_the_chords_in_onset_order(self, n_beats, chords):
+        # Unsorted tracks, repeated onsets and onsets past the last beat.
+        track = [chord_from_kind(*chord) for chord in chords]
+        out = chord_chroma_by_beat(track, n_beats)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, scanned_chroma_by_beat(track, n_beats))
 
 
 class TestBuildLayerInputs:

@@ -86,9 +86,6 @@ class TestBinarize:
         binary = binarize(MelodyGrid(tuple(events)))
         assert binary.tolist() == [1, 0, 1, 0] * 4
 
-    def test_accepts_raw_sequences(self):
-        assert binarize([NO_EVENT, 0, 35, NO_EVENT]).tolist() == [0, 1, 1, 0]
-
 
 class TestCutClips:
     def test_beat_and_bar_widths(self):

@@ -417,3 +417,16 @@ class TestCurvesCsv:
 
     def test_empty_curves(self):
         assert curves_to_csv([]) == ""
+
+    def test_bytes_of_missing_none_and_non_finite_cells(self):
+        curves = [
+            {"iteration": 1, "loss": float("nan"), "norm": None},
+            {"iteration": 2, "loss": float("inf"), "extra": 0.1 + 0.2},
+            {"loss": -float("inf"), "norm": 0.5},
+        ]
+        assert curves_to_csv(curves) == (
+            "iteration,loss,norm,extra\n"
+            "1,nan,,\n"
+            "2,inf,,0.30000000000000004\n"
+            ",-inf,0.5,\n"
+        )

@@ -1,5 +1,6 @@
 """The tree A/B helper: this tree against itself, and a changed copy."""
 
+import statistics
 import sys
 
 import pytest
@@ -126,7 +127,28 @@ def test_time_rounds_alternate_the_trees_and_keep_each_ones_fastest_call():
 def test_time_summary_fields():
     line = tree_ab.time_summary("sample", [1.0, 2.0, 3.0], [0.5, 2.0, 4.5])
     assert line == ("sample: median other 2000.0 ms, this 2000.0 ms; median ratio this/other "
-                    "1.000; rounds won: other 1, this 1 of 3")
+                    "1.000 (95% interval [0.500, 1.500]); rounds won: other 1, this 1 of 3")
+
+
+def test_median_interval_is_seeded_and_holds_the_median():
+    ratios = [0.9, 1.1, 1.0, 0.95, 1.2, 1.05, 0.98, 1.01, 1.3, 0.97]
+    low, high = tree_ab.median_interval(ratios)
+    assert (low, high) == tree_ab.median_interval(ratios)
+    assert min(ratios) <= low <= statistics.median(ratios) <= high <= max(ratios)
+
+
+@pytest.mark.parametrize("load, warned", [(0.99, False), (1.0, True), (3.5, True)])
+def test_time_warns_when_the_box_is_busy(monkeypatch, capsys, load, warned):
+    monkeypatch.setattr(tree_ab.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(tree_ab.os, "getloadavg", lambda: (load, 0.5, 0.25))
+    monkeypatch.setattr(tree_ab, "time_stage", lambda *args: ["sample: timed"])
+    assert tree_ab.main(["time", "generate", str(tree_ab.THIS_SRC), "--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "sample: timed"
+    assert lines[2].startswith(f"load average before {load:.2f} ")
+    assert lines[3:] == ([f"warning: the 1-minute load average before the run, {load:.2f}, "
+                          "is at least half of the 2 cores: another job shares the box"]
+                         if warned else [])
 
 
 def test_time_generate_runs_an_a_a_round(monkeypatch, capsys):
