@@ -6,6 +6,13 @@ block filling it succeeds. So a stage that fails or is killed leaves its old
 outputs as they were. Nothing is fsynced: this guards against a failed
 stage, not against power loss. Files and directories get the modes a plain
 write under the process umask gives. :func:`read` is the one checked reader.
+
+Every JSON document a stage reads, artifact or ``--config`` file, is parsed
+by :func:`parse`, and its fields are read by :func:`require`. A field has
+exactly the type asked for: JSON's true and false are no integers, though
+Python's ``bool`` subclasses ``int``, and an integer is no float unless the
+kind says ``int | float``. :func:`expect_schema` reads ``"schema"`` as an
+integer. Each of them raises one :class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -15,11 +22,63 @@ import os
 import shutil
 from contextlib import contextmanager
 from pathlib import Path
+from types import GenericAlias
 from typing import Callable, Iterator
 
 
 class ArtifactError(ValueError):
     """A missing or malformed artifact, named with the command that makes it."""
+
+
+class SchemaError(ValueError):
+    """A JSON document that is malformed or violates its schema."""
+
+
+def parse(data: bytes | str) -> dict:
+    """The JSON object ``data`` holds. Malformed or undecodable JSON, nesting
+    deeper than the recursion limit, an integer over Python's digit limit and
+    a top level that is no object raise a SchemaError."""
+    try:
+        doc = json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from None
+    if type(doc) is not dict:
+        raise SchemaError(f"the document must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def require(obj: dict, key, kind, where: str = ""):
+    """``obj[key]``, of exactly the type ``kind``: a type, a union such as
+    ``int | float`` or a ``list[...]`` of either. ``where`` prefixes the
+    field name in a SchemaError (``"notes[0]."``)."""
+    try:
+        value = obj[key]
+    except KeyError:
+        raise SchemaError(f"missing field '{where}{key}'") from None
+    if type(value) is kind or _has_type(value, kind):
+        return value
+    if type(kind) is GenericAlias and type(value) is list:
+        raise SchemaError(f"field '{where}{key}' must be {kind}")
+    raise SchemaError(f"field '{where}{key}' has wrong type {type(value).__name__}")
+
+
+def _has_type(value, kind) -> bool:
+    if type(kind) is not GenericAlias:
+        return type(value) in getattr(kind, "__args__", ())  # a union of types
+    if type(value) is not list:
+        return False
+    item = kind.__args__[0]  # list[item]
+    for v in value:
+        if type(v) is not item and not _has_type(v, item):
+            return False
+    return True
+
+
+def expect_schema(doc: dict, version: int) -> None:
+    """Reject a document whose ``"schema"`` is not the integer ``version``."""
+    schema = require(doc, "schema", int)
+    if schema != version:
+        raise SchemaError(f"unsupported schema version {schema} (this build reads {version})")
 
 
 def write(path: Path, data: bytes) -> None:

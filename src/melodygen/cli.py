@@ -45,8 +45,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .artifacts import read, replace_dir, write, write_json
-from .corpus import CorpusError, dumps_grids, loads_grids, scan_corpus
+from .artifacts import (
+    SchemaError,
+    expect_schema,
+    parse,
+    read,
+    replace_dir,
+    require,
+    write,
+    write_json,
+)
+from .corpus import MANIFEST_SCHEMA, CorpusError, dumps_grids, loads_grids, scan_corpus
 from .encode import MAX_BARS, grid_decode, grid_encode, normalize_sheet, sustain_extend
 from .hrnn import (
     GenerationPlan,
@@ -98,14 +107,9 @@ class CliError(Exception):
 
 def _load_config_file(path: str) -> dict:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        return parse(Path(path).read_bytes())
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}", EXIT_EMPTY)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config file is not valid JSON: {exc}", EXIT_EMPTY)
-    if not isinstance(obj, dict):
-        raise CliError("config file must hold a JSON object", EXIT_EMPTY)
-    return obj
 
 
 def config_hash(config: dict) -> str:
@@ -135,10 +139,10 @@ def _manifest(work: Path) -> dict:
     ``"sha256"`` the digest of its bytes."""
     def load(path: Path) -> dict:
         data = path.read_bytes()
-        manifest = json.loads(data)
+        manifest = parse(data)
+        expect_schema(manifest, MANIFEST_SCHEMA)
         for key in ("accepted_ids", "train_ids", "validation_ids"):
-            if not isinstance(manifest, dict) or not isinstance(manifest.get(key), list):
-                raise ValueError(f"no {key} list")
+            require(manifest, key, list[str])
         return {**manifest, "sha256": hashlib.sha256(data).hexdigest()}
 
     return read(work / "manifest.json", "ingest", load)
@@ -642,13 +646,9 @@ def _config_argv(config: dict, command: argparse.ArgumentParser) -> list[str]:
             )
         flag = action.option_strings[0]
         if action.nargs == 0:
-            if not isinstance(value, bool):
-                raise CliError(f"config key {key!r} must be true or false", EXIT_EMPTY)
-            argv += [flag] if value else []
-        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
-            argv.append(f"{flag}={value}")
+            argv += [flag] if require(config, key, bool) else []
         else:
-            raise CliError(f"config key {key!r} must be a string or a number", EXIT_EMPTY)
+            argv.append(f"{flag}={require(config, key, str | int | float)}")
     return argv
 
 
@@ -664,7 +664,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
             if isinstance(action, argparse._SubParsersAction)
         )
         if argv[0] in commands:
-            prefix = _config_argv(_load_config_file(path), commands[argv[0]])
+            try:
+                prefix = _config_argv(_load_config_file(path), commands[argv[0]])
+            except SchemaError as exc:
+                raise CliError(f"config file {path}: {exc}", EXIT_EMPTY) from None
             argv = argv[:1] + prefix + argv[1:]
     return parser.parse_args(argv)
 

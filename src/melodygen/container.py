@@ -24,14 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write
+from .artifacts import SchemaError, parse, require, write
 
 MAGIC = b"MGENCKPT"
 FORMAT_VERSION = 1
-
-
-class ContainerError(ValueError):
-    """The file is not a valid array container."""
 
 
 def pack_arrays(arrays: dict[str, np.ndarray], meta: dict | None = None) -> bytes:
@@ -67,56 +63,43 @@ def unpack_arrays(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
     """Inverse of :func:`pack_arrays`. The arrays are views of ``data``,
     read-only when it is ``bytes``: a caller that keeps one copies it."""
     if len(data) < 20 or data[:8] != MAGIC:
-        raise ContainerError("not an array container (bad magic)")
+        raise SchemaError("not an array container (bad magic)")
     (version,) = struct.unpack_from("<I", data, 8)
     if version != FORMAT_VERSION:
-        raise ContainerError(f"unsupported container version {version}")
+        raise SchemaError(f"unsupported container version {version}")
     (header_len,) = struct.unpack_from("<Q", data, 12)
     header_end = 20 + header_len
     if header_end > len(data):
-        raise ContainerError("truncated container header")
-    try:
-        header = json.loads(data[20:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContainerError(f"corrupt container header: {exc}") from exc
-    if not isinstance(header, dict) or not isinstance(header.get("arrays"), list):
-        raise ContainerError('corrupt container header: no "arrays" list')
-    meta = header.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ContainerError('corrupt container header: "meta" is not an object')
+        raise SchemaError("truncated container header")
+    header = parse(data[20:header_end])
+    meta = require(header, "meta", dict) if "meta" in header else {}
     arrays: dict[str, np.ndarray] = {}
-    for position, entry in enumerate(header["arrays"]):
+    for position, entry in enumerate(require(header, "arrays", list[dict])):
         name, shape, start, nbytes = _checked_entry(entry, position, len(data) - header_end)
         if name in arrays:
-            raise ContainerError(f"duplicate array {name!r}")
+            raise SchemaError(f"duplicate array {name!r}")
         arr = np.frombuffer(data, dtype="<f8", count=nbytes // 8, offset=header_end + start)
         try:
             arrays[name] = arr.reshape(shape)
         except ValueError as exc:  # more dimensions than numpy supports
-            raise ContainerError(f"array {name!r}: {exc}") from exc
+            raise SchemaError(f"array {name!r}: {exc}") from exc
     return arrays, meta
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _checked_entry(entry, position: int, payload_size: int) -> tuple[str, list[int], int, int]:
+def _checked_entry(entry: dict, position: int, payload_size: int) -> tuple[str, list, int, int]:
     """An index entry's (name, shape, offset, nbytes), validated against the payload."""
-    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-        raise ContainerError(f"array entry {position} has no name")
-    name = entry["name"]
-    shape, start, nbytes = entry.get("shape"), entry.get("offset"), entry.get("nbytes")
-    if not isinstance(shape, list) or not all(map(_is_count, shape)):
-        raise ContainerError(f"array {name!r} has an invalid shape {shape!r}")
-    if not _is_count(start) or not _is_count(nbytes):
-        raise ContainerError(f"array {name!r} has an invalid offset or size")
+    where = f"arrays[{position}]."
+    name = require(entry, "name", str, where)
+    shape = require(entry, "shape", list[int], where)
+    start, nbytes = require(entry, "offset", int, where), require(entry, "nbytes", int, where)
+    if min(shape + [start, nbytes]) < 0:
+        raise SchemaError(f"array {name!r} has a negative shape, offset or size")
     if nbytes != 8 * math.prod(shape):
-        raise ContainerError(
+        raise SchemaError(
             f"array {name!r}: shape {shape} does not match its {nbytes} bytes"
         )
     if start + nbytes > payload_size:
-        raise ContainerError(f"truncated payload for array {name!r}")
+        raise SchemaError(f"truncated payload for array {name!r}")
     return name, shape, start, nbytes
 
 

@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .artifacts import expect_schema, parse, require
 from .encode import (
     PITCH_MAX,
     PITCH_MIN,
@@ -133,34 +134,22 @@ def loads_grids(data: str | bytes, ids: list[str]) -> list[EncodedPiece]:
     Every returned entry is validated as a MelodyGrid and a sorted track of
     ChordSymbols. A missing or malformed entry raises ValueError naming it.
     """
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != GRIDS_SCHEMA:
-        raise ValueError(f"not a schema-{GRIDS_SCHEMA} grids document")
-    pieces = doc.get("pieces")
-    if not isinstance(pieces, dict):
-        raise ValueError("field 'pieces' must be an object")
+    doc = parse(data)
+    expect_schema(doc, GRIDS_SCHEMA)
+    pieces = require(doc, "pieces", dict)
     out = []
     for piece_id in ids:
-        if piece_id not in pieces:
-            raise ValueError(f"piece {piece_id!r} is missing")
+        entry = require(pieces, piece_id, dict, "pieces.")
         try:
-            out.append(_encoded_from_dict(pieces[piece_id]))
+            out.append(_encoded_from_dict(entry))
         except ValueError as exc:
             raise ValueError(f"piece {piece_id!r} is malformed: {exc}") from exc
     return out
 
 
-def _encoded_from_dict(entry) -> EncodedPiece:
-    if not isinstance(entry, dict):
-        raise ValueError("entry must be an object")
-    events, chords = entry.get("events"), entry.get("chords")
-    if not isinstance(events, list) or not all(type(e) is int for e in events):
-        raise ValueError("field 'events' must be a list of integers")
-    if not isinstance(chords, list):
-        raise ValueError("field 'chords' must be a list")
+def _encoded_from_dict(entry: dict) -> EncodedPiece:
+    events = require(entry, "events", list[int])
+    chords = require(entry, "chords", list)
     track = tuple(chord_from_dict(chord, f"chords[{i}]") for i, chord in enumerate(chords))
     if any(b.onset_step <= a.onset_step for a, b in zip(track, track[1:])):
         raise ValueError("chords must be strictly sorted by onset_step")

@@ -14,11 +14,10 @@ bundles.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..artifacts import read, write_json
+from ..artifacts import expect_schema, parse, read, require, write_json
 from ..neural import GeneratorParams, load_checkpoint, save_checkpoint
 from ..profiles import ProfileCodebook
 from .specs import FEATURE_LAYOUT_VERSION, LayerSpec, profile_levels, variant_specs
@@ -95,12 +94,6 @@ def save_bundle(model: HrnnModel, directory: str | Path) -> None:
     write_json(directory / "manifest.json", manifest)
 
 
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
-    return value
-
-
 def load_bundle(directory: str | Path, variant: str) -> HrnnModel:
     """The ``variant`` model a bundle directory holds. A missing or malformed
     file, or a manifest that does not list exactly the variant's levels and
@@ -109,33 +102,29 @@ def load_bundle(directory: str | Path, variant: str) -> HrnnModel:
     producer = f"train --variant {variant}"
 
     def load(manifest_path: Path) -> HrnnModel:
-        manifest = _object(json.loads(manifest_path.read_bytes()), "the manifest")
-        if manifest.get("schema") != BUNDLE_SCHEMA:
-            raise ValueError(f"unsupported bundle schema {manifest.get('schema')}")
-        if manifest.get("feature_layout_version") != FEATURE_LAYOUT_VERSION:
+        manifest = parse(manifest_path.read_bytes())
+        expect_schema(manifest, BUNDLE_SCHEMA)
+        layout = require(manifest, "feature_layout_version", int)
+        if layout != FEATURE_LAYOUT_VERSION:
             raise ValueError(
-                "bundle was built with feature layout "
-                f"{manifest.get('feature_layout_version')}, this build expects "
+                f"bundle was built with feature layout {layout}, this build expects "
                 f"{FEATURE_LAYOUT_VERSION}"
             )
-        chords = manifest["chords"]
-        if type(chords) is not bool:
-            raise ValueError(f"field 'chords' must be true or false, not {type(chords).__name__}")
-        levels = _object(manifest["levels"], "field 'levels'")
-        codebooks = _object(manifest["codebooks"], "field 'codebooks'")
+        chords = require(manifest, "chords", bool)
+        levels = require(manifest, "levels", dict)
+        codebooks = require(manifest, "codebooks", dict)
         level_params = {}
-        for level, entry in levels.items():
-            entry = _object(entry, f"the {level} level entry")
-            if entry.get("checkpoint") is None:
-                raise ValueError(f"the {level} level names no checkpoint")
-            level_params[level] = read(directory / entry["checkpoint"], producer, load_checkpoint)
+        for level in levels:
+            entry = require(levels, level, dict, "levels.")
+            checkpoint = require(entry, "checkpoint", str, f"levels.{level}.")
+            level_params[level] = read(directory / checkpoint, producer, load_checkpoint)
         model = HrnnModel(
             variant=variant,
             level_params=level_params,
             codebooks={
-                level: read(directory / name, producer,
+                level: read(directory / require(codebooks, level, str, "codebooks."), producer,
                             lambda path: ProfileCodebook.load(path, level))
-                for level, name in codebooks.items()
+                for level in codebooks
             },
             chords=chords,
             metadata=manifest.get("metadata", {}),

@@ -42,6 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable
 
+from .artifacts import SchemaError, expect_schema, parse, require
+
 SCHEMA_VERSION = 1
 
 # Chord-tone intervals in semitones above the root for the chord kinds the
@@ -58,10 +60,6 @@ CHORD_KIND_INTERVALS: dict[str, tuple[int, ...]] = {
     "suspended-second": (0, 2, 7),
     "suspended-fourth": (0, 5, 7),
 }
-
-
-class SchemaError(ValueError):
-    """A JSON lead sheet violated the cache schema."""
 
 
 @dataclass(frozen=True)
@@ -181,42 +179,19 @@ def _fraction_to_json(value: Fraction) -> list[int]:
     return [value.numerator, value.denominator]
 
 
-# Integers are checked with ``type(value) is int``: JSON's true and false are
-# no integers, though Python's ``bool`` subclasses ``int``.
-
-
-def _require(obj: dict, key: str, kind: type, where: str = "") -> Any:
-    """``obj[key]``, of exactly the type ``kind``; ``where`` prefixes the
-    field name in a SchemaError (``"notes[0]."``)."""
-    if key not in obj:
-        raise SchemaError(f"missing field '{where}{key}'")
-    value = obj[key]
-    if type(value) is not kind:
-        raise SchemaError(f"field '{where}{key}' has wrong type {type(value).__name__}")
-    return value
-
-
-def _flag(obj: dict, key: str, where: str) -> bool:
-    """An optional boolean field, False when absent."""
-    value = obj.get(key, False)
-    if type(value) is not bool:
-        raise SchemaError(f"field '{where}{key}' must be a boolean")
-    return value
+# Made once: each evaluation of ``list[int]`` builds a new alias object.
+_INTS = list[int]
 
 
 def _fraction(obj: dict, key: str, where: str) -> Fraction:
     """The ``[numerator, denominator]`` pair ``obj[key]`` as a Fraction."""
-    value = obj.get(key)
-    if not (
-        isinstance(value, list)
-        and len(value) == 2
-        and type(value[0]) is int
-        and type(value[1]) is int
-    ):
-        raise SchemaError(f"field '{where}{key}' must be a [numerator, denominator] pair")
-    if value[1] <= 0:
+    try:
+        numerator, denominator = require(obj, key, _INTS, where)
+    except ValueError:
+        raise SchemaError(f"field '{where}{key}' must be a [numerator, denominator] pair") from None
+    if denominator <= 0:
         raise SchemaError(f"field '{where}{key}' has non-positive denominator")
-    return Fraction(value[0], value[1])
+    return Fraction(numerator, denominator)
 
 
 def leadsheet_to_dict(sheet: LeadSheet) -> dict:
@@ -254,14 +229,12 @@ def chord_from_dict(entry: Any, field: str) -> ChordSymbol:
     if not isinstance(entry, dict):
         raise SchemaError(f"field '{field}' must be an object")
     where = f"{field}."
-    chroma = _require(entry, "chroma", list, where)
-    if not all(type(pc) is int for pc in chroma):
-        raise SchemaError(f"field '{field}.chroma' must be integers")
+    chroma = tuple(require(entry, "chroma", list[int], where))
     try:
         return ChordSymbol(
-            onset_step=_require(entry, "onset_step", int, where),
-            root_pitch_class=_require(entry, "root", int, where),
-            chroma=tuple(chroma),
+            onset_step=require(entry, "onset_step", int, where),
+            root_pitch_class=require(entry, "root", int, where),
+            chroma=chroma,
         )
     except ValueError as exc:
         if isinstance(exc, SchemaError):
@@ -272,40 +245,39 @@ def chord_from_dict(entry: Any, field: str) -> ChordSymbol:
 def leadsheet_from_dict(obj: dict) -> LeadSheet:
     if not isinstance(obj, dict):
         raise SchemaError("lead sheet document must be a JSON object")
-    schema = _require(obj, "schema", int)
-    if schema != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema version {schema}")
-    ts = _require(obj, "time_signature", list)
-    if len(ts) != 2 or not all(type(part) is int for part in ts):
+    expect_schema(obj, SCHEMA_VERSION)
+    ts = require(obj, "time_signature", list[int])
+    if len(ts) != 2:
         raise SchemaError("field 'time_signature' must be a pair of integers")
     notes = []
-    for i, entry in enumerate(_require(obj, "notes", list)):
+    for i, entry in enumerate(require(obj, "notes", list)):
         if not isinstance(entry, dict):
             raise SchemaError(f"field 'notes[{i}]' must be an object")
         where = f"notes[{i}]."
         try:
             notes.append(
                 RawNote(
-                    midi_pitch=_require(entry, "pitch", int, where),
+                    midi_pitch=require(entry, "pitch", int, where),
                     onset=_fraction(entry, "onset", where),
                     duration=_fraction(entry, "duration", where),
-                    tie_start=_flag(entry, "tie_start", where),
-                    tie_stop=_flag(entry, "tie_stop", where),
+                    # The tie flags are optional, False when absent.
+                    tie_start="tie_start" in entry and require(entry, "tie_start", bool, where),
+                    tie_stop="tie_stop" in entry and require(entry, "tie_stop", bool, where),
                 )
             )
         except ValueError as exc:
             if isinstance(exc, SchemaError):
                 raise
             raise SchemaError(f"invalid note at notes[{i}]: {exc}") from exc
-    raw_chords = _require(obj, "chords", list) if "chords" in obj else []
+    raw_chords = require(obj, "chords", list) if "chords" in obj else []
     chords = [chord_from_dict(entry, f"chords[{i}]") for i, entry in enumerate(raw_chords)]
     try:
         return LeadSheet(
-            id=_require(obj, "id", str),
-            key_fifths=_require(obj, "key_fifths", int),
+            id=require(obj, "id", str),
+            key_fifths=require(obj, "key_fifths", int),
             time_signature=(ts[0], ts[1]),
-            pickup=_require(obj, "pickup", bool),
-            n_bars=_require(obj, "n_bars", int),
+            pickup=require(obj, "pickup", bool),
+            n_bars=require(obj, "n_bars", int),
             notes=tuple(notes),
             chords=tuple(chords),
         )
@@ -321,10 +293,4 @@ def dumps_leadsheet(sheet: LeadSheet) -> str:
 
 
 def loads_leadsheet(data: str | bytes) -> LeadSheet:
-    try:
-        obj = json.loads(data)
-    except (ValueError, RecursionError) as exc:
-        # Besides malformed JSON: undecodable bytes, integers over Python's
-        # digit limit and nesting deeper than the recursion limit.
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    return leadsheet_from_dict(obj)
+    return leadsheet_from_dict(parse(data))

@@ -79,6 +79,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import require
 from .container import load_arrays, save_arrays
 
 DEFAULT_INIT_SCALE = 0.08
@@ -754,14 +755,14 @@ def load_checkpoint(path: str | Path) -> GeneratorParams:
     """Parameters that own their memory; the stored arrays are views of the
     file's bytes."""
     arrays, header = load_arrays(path)
-    info = header[CHECKPOINT_META_KEY]
+    info = require(header, CHECKPOINT_META_KEY, dict)
     # Older checkpoints record their cell activation; only tanh cells remain.
     activation = info.get("cell_activation", "tanh")
     if activation != "tanh":
         raise ValueError(f"checkpoint uses the {activation!r} cell activation; "
                          "only 'tanh' cells are supported")
     layers = []
-    for index in range(info["n_layers"]):
+    for index in range(require(info, "n_layers", int)):
         w_x, w_m, b = (arrays[f"lstm{index}.{part}"] for part in ("w_x", "w_m", "b"))
         if w_m.shape[0] != b.size // 4:
             raise ValueError(f"checkpoint layer {index}: w_m {w_m.shape} and b {b.shape} "

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import write
+from .artifacts import expect_schema, parse, require, write
 from .encode import LEVEL_STEPS, NO_EVENT, MelodyGrid
 
 # Each profile level, a codebook's kind, and the width of its clips.
@@ -372,6 +372,9 @@ class ProfileCodebook:
             raise ValueError(
                 f"{self.kind} codebook centroids must be (k, {expected})"
             )
+        # Centroids are means of 0/1 clips; a NaN fails both comparisons.
+        if not ((self.centroids >= 0) & (self.centroids <= 1)).all():
+            raise ValueError(f"{self.kind} codebook centroids must lie in [0, 1]")
         if len(np.unique(self.centroids, axis=0)) != len(self.centroids):
             raise ValueError("codebook centroids must be pairwise distinct")
 
@@ -401,24 +404,18 @@ class ProfileCodebook:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ProfileCodebook":
-        if not isinstance(obj, dict):
-            raise ValueError(f"a codebook must be a JSON object, not {type(obj).__name__}")
-        if obj.get("schema") != CODEBOOK_SCHEMA:
-            raise ValueError(f"unsupported codebook schema {obj.get('schema')}")
-        # Integers exclude booleans; wcss may be either kind of number.
-        for key, kinds in (("k", (int,)), ("seed", (int,)), ("iterations", (int,)),
-                           ("wcss", (int, float))):
-            if type(obj[key]) not in kinds:
-                raise ValueError(f"field '{key}' has wrong type {type(obj[key]).__name__}")
+        expect_schema(obj, CODEBOOK_SCHEMA)
+        k = require(obj, "k", int)
+        centroids = require(obj, "centroids", list[list[int | float]])
         codebook = cls(
-            kind=obj["kind"],
-            centroids=np.array(obj["centroids"], dtype=np.float64),
-            seed=obj["seed"],
-            iterations=obj["iterations"],
-            wcss=obj["wcss"],
+            kind=require(obj, "kind", str),
+            centroids=np.array(centroids, dtype=np.float64),
+            seed=require(obj, "seed", int),
+            iterations=require(obj, "iterations", int),
+            wcss=require(obj, "wcss", int | float),
         )
-        if obj["k"] != codebook.k:
-            raise ValueError(f"k is {obj['k']}, but the codebook holds {codebook.k} centroids")
+        if k != codebook.k:
+            raise ValueError(f"k is {k}, but the codebook holds {codebook.k} centroids")
         return codebook
 
     def dumps(self) -> str:
@@ -430,7 +427,7 @@ class ProfileCodebook:
     @classmethod
     def load(cls, path: str | Path, kind: str) -> "ProfileCodebook":
         """The codebook saved at ``path``, which must hold ``kind`` profiles."""
-        codebook = cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        codebook = cls.from_dict(parse(Path(path).read_bytes()))
         codebook.expect_kind(kind)
         return codebook
 

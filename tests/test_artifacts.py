@@ -7,7 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from melodygen.artifacts import ArtifactError, read, replace_dir, write, write_json
+from melodygen.artifacts import (
+    ArtifactError,
+    SchemaError,
+    expect_schema,
+    parse,
+    read,
+    replace_dir,
+    require,
+    write,
+    write_json,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "melodygen"
 
@@ -117,6 +127,89 @@ class TestRead:
         assert str(info.value) == (
             f"missing {tmp_path / 'inner.json'}; run `melodygen profiles` first"
         )
+
+
+class TestParse:
+    @pytest.mark.parametrize("data", [b'{"a": [1, {"b": null}]}', '{"a": [1, {"b": null}]}'])
+    def test_returns_the_object(self, data):
+        assert parse(data) == {"a": [1, {"b": None}]}
+
+    @pytest.mark.parametrize("data, problem", [
+        pytest.param(b"{", "not valid JSON: Expecting property name", id="malformed"),
+        pytest.param(b'{"a": "\xff"}', "not valid JSON: 'utf-8' codec can't decode",
+                     id="not UTF-8"),
+        pytest.param(b"[" * 200_000, "not valid JSON: maximum recursion depth", id="too deep"),
+        pytest.param(b'{"a": ' + b"1" * 5000 + b"}", "not valid JSON: Exceeds the limit",
+                     id="over the digit limit"),
+        pytest.param(b"[1, 2]", "the document must be a JSON object, not list", id="a list"),
+        pytest.param(b"3", "the document must be a JSON object, not int", id="a number"),
+    ])
+    def test_every_failure_is_a_schema_error(self, data, problem):
+        with pytest.raises(SchemaError) as info:
+            parse(data)
+        assert str(info.value).startswith(problem)
+
+
+class TestRequire:
+    @pytest.mark.parametrize("value, kind", [
+        (3, int), (True, bool), ("x", str), (2.5, float), ({}, dict), ([], list[int]),
+        (3, int | float), (2.5, int | float), ([1, 2], list[int]),
+        ([[0, 0.5], []], list[list[int | float]]),
+    ])
+    def test_returns_a_value_of_the_kind(self, value, kind):
+        assert require({"f": value}, "f", kind) is value
+
+    @pytest.mark.parametrize("value, kind, problem", [
+        (True, int, "field 'notes[0].f' has wrong type bool"),
+        (1, bool, "field 'notes[0].f' has wrong type int"),
+        (3, float, "field 'notes[0].f' has wrong type int"),
+        (3.0, int, "field 'notes[0].f' has wrong type float"),
+        (False, int | float, "field 'notes[0].f' has wrong type bool"),
+        ("3", int | float, "field 'notes[0].f' has wrong type str"),
+        ({}, list[int], "field 'notes[0].f' has wrong type dict"),
+        ([1, True], list[int], "field 'notes[0].f' must be list[int]"),
+        ([[0.5, "1"]], list[list[int | float]],
+         "field 'notes[0].f' must be list[list[int | float]]"),
+        ([0.5], list[list[int | float]], "field 'notes[0].f' must be list[list[int | float]]"),
+    ])
+    def test_names_a_field_of_another_type(self, value, kind, problem):
+        with pytest.raises(SchemaError) as info:
+            require({"f": value}, "f", kind, "notes[0].")
+        assert str(info.value) == problem
+
+    def test_names_a_missing_field(self):
+        with pytest.raises(SchemaError) as info:
+            require({"g": 1}, "f", int, "notes[0].")
+        assert str(info.value) == "missing field 'notes[0].f'"
+
+
+class TestExpectSchema:
+    def test_accepts_the_version(self):
+        expect_schema({"schema": 2}, 2)
+
+    @pytest.mark.parametrize("doc, problem", [
+        ({}, "missing field 'schema'"),
+        ({"schema": True}, "field 'schema' has wrong type bool"),
+        ({"schema": 1.0}, "field 'schema' has wrong type float"),
+        ({"schema": "1"}, "field 'schema' has wrong type str"),
+        ({"schema": 2}, "unsupported schema version 2 (this build reads 1)"),
+    ])
+    def test_rejects_anything_else(self, doc, problem):
+        with pytest.raises(SchemaError) as info:
+            expect_schema(doc, 1)
+        assert str(info.value) == problem
+
+
+def test_only_the_artifact_module_parses_json():
+    """Every JSON document the package reads goes through ``artifacts.parse``."""
+    offenders = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "artifacts.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "json.load" in line
+    ]
+    assert offenders == []
 
 
 def test_only_the_artifact_module_writes_files():

@@ -137,7 +137,7 @@ class TestModelValidation:
     def test_level_without_checkpoint_rejected(self, tmp_path):
         save_bundle(make_model("3L"), tmp_path / "bundle")
         edit_manifest(tmp_path / "bundle", lambda m: m["levels"]["bar"].pop("checkpoint"))
-        with pytest.raises(ValueError, match="manifest.json: the bar level names no checkpoint"):
+        with pytest.raises(ValueError, match="manifest.json: missing field .levels.bar.checkpoint."):
             load_bundle(tmp_path / "bundle", "3L")
 
     @pytest.mark.parametrize("variant, extra", [("1L", "bar"), ("1L", "beat"), ("2L", "bar")])

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import shutil
 import stat
+import struct
 import weakref
 
 import numpy as np
@@ -69,9 +70,15 @@ def ingest(corpus, work, *extra):
     return main(["ingest", "--corpus-dir", str(corpus), "--work-dir", str(work), *extra])
 
 
+# Every file of a `pipeline` work directory, with its bytes, as its ingest,
+# profiles and train wrote it.
+PIPELINE_FILES = {}
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """One ingested + profiled + trained work directory, shared read-only."""
+    """One ingested + profiled + trained work directory, shared read-only: a
+    test that runs a command in it takes ``pipeline_copy``."""
     root = tmp_path_factory.mktemp("pipeline")
     corpus = root / "corpus"
     work = root / "work"
@@ -87,6 +94,15 @@ def pipeline(tmp_path_factory):
         "--max-iterations", "12", "--eval-every", "6", "--dropout", "0.0",
         "--seed", "1",
     ]) == EXIT_OK
+    PIPELINE_FILES[work] = snapshot(work)
+    return work
+
+
+@pytest.fixture
+def pipeline_copy(pipeline, tmp_path):
+    """A copy of ``pipeline`` for one test to run commands in."""
+    work = tmp_path / "work"
+    shutil.copytree(pipeline, work)
     return work
 
 
@@ -263,10 +279,10 @@ class TestEncodedAtIngest:
         )
 
     @pytest.mark.parametrize("damage, named", [
-        (lambda doc: doc.update(schema=2), "not a schema-1 grids document"),
-        (lambda doc: doc.update(pieces=[]), "field 'pieces' must be an object"),
+        (lambda doc: doc.update(schema=2), "unsupported schema version 2 (this build reads 1)"),
+        (lambda doc: doc.update(pieces=[]), "field 'pieces' has wrong type list"),
         (lambda doc: doc["pieces"]["synthetic-0000"].update(chords={}),
-         "piece 'synthetic-0000' is malformed: field 'chords' must be a list"),
+         "piece 'synthetic-0000' is malformed: field 'chords' has wrong type dict"),
         (lambda doc: doc["pieces"]["synthetic-0000"].update(chords=[
             {"onset_step": 4, "root": 0, "chroma": [0, 4, 7]},
             {"onset_step": 0, "root": 7, "chroma": [2, 7, 11]},
@@ -352,7 +368,7 @@ class TestProfiles:
         capsys.readouterr()
         assert main(["profiles", "--work-dir", str(work)]) == EXIT_ERROR
         err = capsys.readouterr().err
-        assert f"{work / 'manifest.json'}: no train_ids list" in err
+        assert f"{work / 'manifest.json'}: missing field 'train_ids'" in err
         assert "melodygen ingest" in err
 
     def test_bad_elbow_argument_exits_two(self, pipeline):
@@ -490,7 +506,8 @@ class TestTrain:
         capsys.readouterr()
         assert main(["train", "--work-dir", str(work), *TINY_TRAIN]) == EXIT_ERROR
         assert capsys.readouterr().err == (
-            f"error: {work / 'beat_codebook.json'}: unsupported codebook schema 2; "
+            f"error: {work / 'beat_codebook.json'}: "
+            "unsupported schema version 2 (this build reads 1); "
             "re-run `melodygen profiles`\n"
         )
 
@@ -515,6 +532,27 @@ class TestTrain:
         )
         assert not (work / "model" / "2L").exists()
 
+    @pytest.mark.parametrize("entry, problem", [
+        (float("nan"), "beat codebook centroids must lie in [0, 1]"),
+        (1.5, "beat codebook centroids must lie in [0, 1]"),
+        ("1", "field 'centroids' must be list[list[int | float]]"),
+        (True, "field 'centroids' must be list[list[int | float]]"),
+    ])
+    def test_codebook_centroid_of_another_value_names_the_file(
+        self, pipeline, tmp_path, capsys, entry, problem
+    ):
+        def damage(book):
+            book["centroids"][0][0] = entry
+
+        work = damaged_copy(pipeline, tmp_path, "beat_codebook.json", edited_json(damage))
+        capsys.readouterr()
+        argv = ["train", "--work-dir", str(work), "--variant", "2L", *TINY_TRAIN]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {work / 'beat_codebook.json'}: {problem}; re-run `melodygen profiles`\n"
+        )
+        assert not (work / "model" / "2L").exists()
+
     def test_1L_needs_no_profiles(self, tmp_path):
         corpus, work = tmp_path / "corpus", tmp_path / "work"
         write_corpus(corpus, n_pieces=3)
@@ -533,14 +571,14 @@ class TestTrain:
 
 
 class TestGenerate:
-    def test_writes_midi_and_trace(self, pipeline):
+    def test_writes_midi_and_trace(self, pipeline_copy):
         code = main([
-            "generate", "--work-dir", str(pipeline), "--variant", "3L",
+            "generate", "--work-dir", str(pipeline_copy), "--variant", "3L",
             "--bars", "2", "--seed", "9",
         ])
         assert code == EXIT_OK
-        midi_path = pipeline / "generated" / "melody_9.mid"
-        trace_path = pipeline / "generated" / "melody_9.json"
+        midi_path = pipeline_copy / "generated" / "melody_9.mid"
+        trace_path = pipeline_copy / "generated" / "melody_9.json"
         assert midi_path.exists() and trace_path.exists()
         parsed = read_midi(midi_path.read_bytes())
         assert parsed.format == 0 and parsed.division == 480
@@ -550,51 +588,51 @@ class TestGenerate:
         assert trace["plan"]["bars"] == 2
         assert len(trace["levels"]["note"]["events"]) == 32
         assert len(trace["config_hash"]) == 16
-        manifest = json.loads((pipeline / "manifest.json").read_text())
+        manifest = json.loads((pipeline_copy / "manifest.json").read_text())
         assert trace["primer_piece"] in manifest["validation_ids"]  # drawn from the seed
 
-    def test_same_seed_same_bytes(self, pipeline, tmp_path):
+    def test_same_seed_same_bytes(self, pipeline_copy, tmp_path):
         outs = []
         for name in ("a.mid", "b.mid"):
             out = tmp_path / name
             assert main([
-                "generate", "--work-dir", str(pipeline), "--bars", "2",
+                "generate", "--work-dir", str(pipeline_copy), "--bars", "2",
                 "--seed", "33", "--out", str(out),
             ]) == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_different_seeds_differ(self, pipeline, tmp_path):
+    def test_different_seeds_differ(self, pipeline_copy, tmp_path):
         melodies = []
         for seed in ("101", "102"):
             out = tmp_path / f"{seed}.mid"
             main([
-                "generate", "--work-dir", str(pipeline), "--bars", "2",
+                "generate", "--work-dir", str(pipeline_copy), "--bars", "2",
                 "--seed", seed, "--out", str(out),
             ])
             melodies.append(out.read_bytes())
         assert melodies[0] != melodies[1]
 
-    def test_beam_mode(self, pipeline, tmp_path):
+    def test_beam_mode(self, pipeline_copy, tmp_path):
         out = tmp_path / "beam.mid"
         assert main([
-            "generate", "--work-dir", str(pipeline), "--bars", "2",
+            "generate", "--work-dir", str(pipeline_copy), "--bars", "2",
             "--mode", "beam", "--beam-width", "2", "--out", str(out),
         ]) == EXIT_OK
         assert out.exists()
 
-    def test_fixed_beat_profiles_tile(self, pipeline, tmp_path):
+    def test_fixed_beat_profiles_tile(self, pipeline_copy, tmp_path):
         out = tmp_path / "fixed.mid"
         assert main([
-            "generate", "--work-dir", str(pipeline), "--bars", "2",
+            "generate", "--work-dir", str(pipeline_copy), "--bars", "2",
             "--fixed-beat-profiles", "0,1", "--out", str(out), "--seed", "3",
         ]) == EXIT_OK
         trace = json.loads(out.with_suffix(".json").read_text())
         assert trace["levels"]["beat"] == {"fixed": [0, 1, 0, 1, 0, 1, 0, 1]}
 
-    def test_fixed_profile_out_of_range_exits_two(self, pipeline, capsys):
+    def test_fixed_profile_out_of_range_exits_two(self, pipeline_copy, capsys):
         code = main([
-            "generate", "--work-dir", str(pipeline), "--bars", "2",
+            "generate", "--work-dir", str(pipeline_copy), "--bars", "2",
             "--fixed-beat-profiles", "7",
         ])
         assert code == EXIT_EMPTY
@@ -604,9 +642,11 @@ class TestGenerate:
         ("a", "must be a comma-separated list of integers"),
         (",", "is empty"),
     ])
-    def test_fixed_profiles_without_an_integer_exit_two(self, pipeline, capsys, value, problem):
+    def test_fixed_profiles_without_an_integer_exit_two(
+        self, pipeline_copy, capsys, value, problem
+    ):
         code = main([
-            "generate", "--work-dir", str(pipeline), "--bars", "2",
+            "generate", "--work-dir", str(pipeline_copy), "--bars", "2",
             "--fixed-beat-profiles", value,
         ])
         assert code == EXIT_EMPTY
@@ -630,48 +670,48 @@ class TestGenerate:
         assert f"--fixed-{level}-profiles" in err and f"no {level} level" in err
         assert not out.exists()
 
-    def test_primer_piece_must_exist(self, pipeline, capsys):
+    def test_primer_piece_must_exist(self, pipeline_copy, capsys):
         code = main([
-            "generate", "--work-dir", str(pipeline), "--bars", "2",
+            "generate", "--work-dir", str(pipeline_copy), "--bars", "2",
             "--primer-piece", "not-a-piece",
         ])
         assert code == EXIT_EMPTY
 
-    def test_primer_piece_is_used(self, pipeline, tmp_path):
-        manifest = json.loads((pipeline / "manifest.json").read_text())
+    def test_primer_piece_is_used(self, pipeline_copy, tmp_path):
+        manifest = json.loads((pipeline_copy / "manifest.json").read_text())
         piece_id = manifest["train_ids"][0]
         out = tmp_path / "primed.mid"
         assert main([
-            "generate", "--work-dir", str(pipeline), "--bars", "2",
+            "generate", "--work-dir", str(pipeline_copy), "--bars", "2",
             "--primer-piece", piece_id, "--out", str(out), "--seed", "4",
         ]) == EXIT_OK
         trace = json.loads(out.with_suffix(".json").read_text())
         assert trace["primer_piece"] == piece_id
 
-    def test_tempo_flag_lands_in_the_file(self, pipeline, tmp_path):
+    def test_tempo_flag_lands_in_the_file(self, pipeline_copy, tmp_path):
         out = tmp_path / "slow.mid"
         main([
-            "generate", "--work-dir", str(pipeline), "--bars", "2",
+            "generate", "--work-dir", str(pipeline_copy), "--bars", "2",
             "--tempo", "90", "--out", str(out), "--seed", "8",
         ])
         assert read_midi(out.read_bytes()).tempo_us == 666666
 
-    def test_missing_model_exits_one(self, pipeline, capsys):
+    def test_missing_model_exits_one(self, pipeline_copy, capsys):
         code = main([
-            "generate", "--work-dir", str(pipeline), "--variant", "1L", "--bars", "2",
+            "generate", "--work-dir", str(pipeline_copy), "--variant", "1L", "--bars", "2",
         ])
         assert code == EXIT_ERROR
         assert "melodygen train" in capsys.readouterr().err
 
 
 class TestEval:
-    def test_metrics_file(self, pipeline):
+    def test_metrics_file(self, pipeline_copy):
         code = main([
-            "eval", "--work-dir", str(pipeline), "--variant", "3L",
+            "eval", "--work-dir", str(pipeline_copy), "--variant", "3L",
             "--adherence-samples", "2", "--seed", "2",
         ])
         assert code == EXIT_OK
-        metrics = json.loads((pipeline / "metrics_3L.json").read_text())
+        metrics = json.loads((pipeline_copy / "metrics_3L.json").read_text())
         assert set(metrics["levels"]) == {"bar", "beat", "note"}
         note = metrics["levels"]["note"]
         assert {"loss", "combined_accuracy", "no_event_accuracy", "event_accuracy"} <= set(note)
@@ -681,11 +721,11 @@ class TestEval:
         assert "generation_adherence" in metrics
         assert len(metrics["config_hash"]) == 16
 
-    def test_missing_model_exits_one(self, pipeline):
-        assert main(["eval", "--work-dir", str(pipeline), "--variant", "2L"]) == EXIT_ERROR
+    def test_missing_model_exits_one(self, pipeline_copy):
+        assert main(["eval", "--work-dir", str(pipeline_copy), "--variant", "2L"]) == EXIT_ERROR
 
     @pytest.mark.parametrize("variant, edit, named", [
-        ("3L", lambda m: m["levels"]["bar"].pop("checkpoint"), "the bar level"),
+        ("3L", lambda m: m["levels"]["bar"].pop("checkpoint"), "levels.bar.checkpoint"),
         ("2L", lambda m: m["codebooks"].update(bar="../../bar_codebook.json"), "['bar']"),
     ], ids=["level without checkpoint", "codebook of a level the variant lacks"])
     def test_bundle_off_its_variant_exits_one(
@@ -729,21 +769,21 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--work-dir", str(work), "--variant", "3L"]) == EXIT_ERROR
         assert capsys.readouterr().err == (
-            f"error: {work / 'model' / '3L' / 'manifest.json'}: field 'chords' must be true "
-            f"or false, not {type(value).__name__}; re-run `melodygen train --variant 3L`\n"
+            f"error: {work / 'model' / '3L' / 'manifest.json'}: field 'chords' has wrong type "
+            f"{type(value).__name__}; re-run `melodygen train --variant 3L`\n"
         )
 
-    def test_failed_adherence_generation_is_recorded(self, pipeline, capsys, monkeypatch):
+    def test_failed_adherence_generation_is_recorded(self, pipeline_copy, capsys, monkeypatch):
         def reject(*args, **kwargs):
             raise ValueError("primer event outside the layer alphabet")
 
         monkeypatch.setattr("melodygen.cli.generate", reject)
         code = main([
-            "eval", "--work-dir", str(pipeline), "--variant", "3L",
+            "eval", "--work-dir", str(pipeline_copy), "--variant", "3L",
             "--adherence-samples", "2", "--seed", "2",
         ])
         assert code == EXIT_OK
-        metrics = json.loads((pipeline / "metrics_3L.json").read_text())
+        metrics = json.loads((pipeline_copy / "metrics_3L.json").read_text())
         error = metrics["generation_adherence"]["error"]
         assert "seed 2" in error and "outside the layer alphabet" in error
         assert error in capsys.readouterr().err
@@ -1082,13 +1122,94 @@ class TestReadErrorsNameTheFile:
         assert f"{path}: missing field 'schema'" in capsys.readouterr().err
 
 
+def deeply_nested(data):
+    return b"[" * 200_000
+
+
+def not_utf8(data):
+    return data.replace(b'"', b'"\xff', 1)
+
+
+def with_schema(value):
+    def damage(data):
+        doc = json.loads(data)
+        doc["schema"] = value
+        return json.dumps(doc).encode()
+
+    return damage
+
+
+def in_header(damage):
+    """``damage`` applied to the JSON header of an array container."""
+    def damage_header(data):
+        (length,) = struct.unpack_from("<Q", data, 12)
+        header = damage(data[20:20 + length])
+        return data[:12] + struct.pack("<Q", len(header)) + header + data[20 + length:]
+
+    return damage_header
+
+
+# Each file a command reads as JSON: the command that reads it first, and the
+# exit code that rejects it. "leadsheet" is a cached lead sheet of ingest.
+READERS = {
+    "manifest.json": (["profiles"], EXIT_ERROR),
+    "grids.json": (["profiles"], EXIT_ERROR),
+    "beat_codebook.json": (["train", "--variant", "2L", *TINY_TRAIN], EXIT_ERROR),
+    "bar_codebook.json": (["train", "--variant", "3L", *TINY_TRAIN], EXIT_ERROR),
+    "model/3L/manifest.json": (["eval", "--adherence-samples", "0"], EXIT_ERROR),
+    "model/3L/note.ckpt": (["eval", "--adherence-samples", "0"], EXIT_ERROR),
+    "leadsheet": (["export-midi"], EXIT_ERROR),
+    "config.json": (["eval", "--adherence-samples", "0"], EXIT_EMPTY),
+}
+DAMAGES = {
+    "deeply nested": deeply_nested,
+    "not UTF-8": not_utf8,
+    "schema true": with_schema(True),
+    "schema 1.0": with_schema(1.0),
+}
+# The checkpoint's header and the config file hold no "schema".
+REJECTION_MATRIX = [
+    (name, damage)
+    for name in READERS
+    for damage in DAMAGES
+    if "schema" not in damage or name not in ("model/3L/note.ckpt", "config.json")
+]
+
+
+class TestRejectionMatrix:
+    @pytest.mark.parametrize("name, damage", REJECTION_MATRIX,
+                             ids=[f"{name}: {damage}" for name, damage in REJECTION_MATRIX])
+    def test_damaged_file_exits_with_its_code_naming_it(
+        self, pipeline_copy, tmp_path, capsys, name, damage
+    ):
+        work = pipeline_copy
+        command, code = READERS[name]
+        argv = list(command)
+        if name == "leadsheet":
+            path = sorted((work / "leadsheets").glob("*.json"))[0]
+            argv += ["--leadsheet", str(path), "--out", str(tmp_path / "piece.mid")]
+        else:
+            path = work / name
+            argv += ["--work-dir", str(work)]
+        if name == "config.json":
+            path.write_text(json.dumps({"seed": 3}))
+            argv += ["--config", str(path)]
+        damage = DAMAGES[damage]
+        path.write_bytes(in_header(damage)(path.read_bytes()) if name.endswith(".ckpt")
+                         else damage(path.read_bytes()))
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err, err
+
+
 class TestConfigFile:
-    def test_config_fills_defaults_but_explicit_flags_win(self, pipeline, tmp_path):
+    def test_config_fills_defaults_but_explicit_flags_win(self, pipeline_copy, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"bars": 3, "temperature": 0.5, "seed": 55}))
         out = tmp_path / "c.mid"
         assert main([
-            "generate", "--work-dir", str(pipeline), "--config", str(config),
+            "generate", "--work-dir", str(pipeline_copy), "--config", str(config),
             "--bars", "2", "--out", str(out),
         ]) == EXIT_OK
         trace = json.loads(out.with_suffix(".json").read_text())
@@ -1096,12 +1217,12 @@ class TestConfigFile:
         assert trace["plan"]["temperature"] == 0.5  # config beat the default
         assert trace["plan"]["seed"] == 55
 
-    def test_dashed_keys_are_accepted(self, pipeline, tmp_path):
+    def test_dashed_keys_are_accepted(self, pipeline_copy, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"beam-width": 2, "mode": "beam"}))
         out = tmp_path / "d.mid"
         assert main([
-            "generate", "--work-dir", str(pipeline), "--config", str(config),
+            "generate", "--work-dir", str(pipeline_copy), "--config", str(config),
             "--bars", "2", "--out", str(out),
         ]) == EXIT_OK
         trace = json.loads(out.with_suffix(".json").read_text())
@@ -1115,11 +1236,11 @@ class TestConfigFile:
         ({"sustain": 1}, "sustain"),
         ({"out": None}, "out"),
     ])
-    def test_bad_config_key_or_value_exits_two(self, pipeline, tmp_path, capsys, config, named):
+    def test_bad_config_key_or_value_exits_two(self, pipeline_copy, tmp_path, capsys, config, named):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         code = main([
-            "generate", "--work-dir", str(pipeline), "--config", str(path),
+            "generate", "--work-dir", str(pipeline_copy), "--config", str(path),
             "--bars", "2", "--out", str(tmp_path / "x.mid"),
         ])
         assert code == EXIT_EMPTY
@@ -1139,9 +1260,9 @@ class TestConfigFile:
         assert code == EXIT_EMPTY
         assert "argument --config: expected one argument" in capsys.readouterr().err
 
-    def test_config_may_give_a_required_option(self, pipeline, tmp_path):
+    def test_config_may_give_a_required_option(self, pipeline_copy, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"work_dir": str(pipeline), "sustain": True}))
+        config.write_text(json.dumps({"work_dir": str(pipeline_copy), "sustain": True}))
         out = tmp_path / "w.mid"
         assert main([
             "generate", "--config", str(config), "--bars", "2", "--out", str(out),
@@ -1149,20 +1270,20 @@ class TestConfigFile:
         trace = json.loads(out.with_suffix(".json").read_text())
         assert trace["config"]["sustain"] is True
 
-    def test_invalid_config_json_exits_two(self, pipeline, tmp_path):
+    def test_invalid_config_json_exits_two(self, pipeline_copy, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{broken")
         code = main([
-            "generate", "--work-dir", str(pipeline), "--config", str(config),
+            "generate", "--work-dir", str(pipeline_copy), "--config", str(config),
             "--bars", "2",
         ])
         assert code == EXIT_EMPTY
 
-    def test_config_must_be_an_object(self, pipeline, tmp_path):
+    def test_config_must_be_an_object(self, pipeline_copy, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]")
         code = main([
-            "generate", "--work-dir", str(pipeline), "--config", str(config),
+            "generate", "--work-dir", str(pipeline_copy), "--config", str(config),
             "--bars", "2",
         ])
         assert code == EXIT_EMPTY
@@ -1314,8 +1435,15 @@ class TestArgumentHandling:
 
 
 class TestSeedDefault:
-    def test_omitted_seed_means_zero(self, pipeline):
+    def test_omitted_seed_means_zero(self, pipeline_copy):
         assert main([
-            "generate", "--work-dir", str(pipeline), "--bars", "2",
+            "generate", "--work-dir", str(pipeline_copy), "--bars", "2",
         ]) == EXIT_OK
-        assert (pipeline / "generated" / "melody_0.mid").exists()
+        assert (pipeline_copy / "generated" / "melody_0.mid").exists()
+
+
+class TestPipelineStaysReadOnly:
+    """Last in the module, so that every test of ``pipeline`` ran before it."""
+
+    def test_pipeline_holds_exactly_what_its_commands_wrote(self, pipeline):
+        assert snapshot(pipeline) == PIPELINE_FILES[pipeline]

@@ -1,6 +1,7 @@
 """The deterministic array container."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from melodygen.artifacts import SchemaError
 from melodygen.container import (
     FORMAT_VERSION,
     MAGIC,
-    ContainerError,
     load_arrays,
     pack_arrays,
     save_arrays,
@@ -101,73 +102,75 @@ class TestDeterminism:
 
 class TestErrors:
     def test_bad_magic(self):
-        with pytest.raises(ContainerError, match="magic"):
+        with pytest.raises(SchemaError, match="magic"):
             unpack_arrays(b"NOTMAGIC" + b"\x00" * 30)
 
     def test_too_short(self):
-        with pytest.raises(ContainerError):
+        with pytest.raises(SchemaError):
             unpack_arrays(MAGIC)
 
     def test_bad_version(self):
         data = bytearray(pack_arrays(example_arrays()))
         data[8] = FORMAT_VERSION + 1
-        with pytest.raises(ContainerError, match="version"):
+        with pytest.raises(SchemaError, match="version"):
             unpack_arrays(bytes(data))
 
     def test_truncated_payload(self):
         data = pack_arrays(example_arrays())
-        with pytest.raises(ContainerError, match="truncated"):
+        with pytest.raises(SchemaError, match="truncated"):
             unpack_arrays(data[:-8])
 
     def test_corrupt_header(self):
         data = bytearray(pack_arrays({"a": np.zeros(2)}))
         data[21] = 0xFF  # stomp inside the JSON header
-        with pytest.raises(ContainerError):
+        with pytest.raises(SchemaError):
             unpack_arrays(bytes(data))
 
     def test_header_without_arrays(self):
-        with pytest.raises(ContainerError, match="arrays"):
+        with pytest.raises(SchemaError, match="arrays"):
             unpack_arrays(container_with_header({"meta": {}}))
 
     def test_header_that_is_not_an_object(self):
-        with pytest.raises(ContainerError, match="arrays"):
+        with pytest.raises(SchemaError, match="must be a JSON object, not list"):
             unpack_arrays(container_with_header([1, 2]))
 
     def test_meta_that_is_not_an_object(self):
-        with pytest.raises(ContainerError, match="meta"):
+        with pytest.raises(SchemaError, match="meta"):
             unpack_arrays(container_with_header({"meta": [], "arrays": []}))
 
     def test_shape_that_does_not_match_nbytes(self):
         entry = {"name": "weights", "shape": [3, 4], "offset": 0, "nbytes": 16}
         data = container_with_header({"arrays": [entry]}, bytes(16))
-        with pytest.raises(ContainerError, match="'weights'.*does not match"):
+        with pytest.raises(SchemaError, match="'weights'.*does not match"):
             unpack_arrays(data)
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("shape", [2, -1]), ("shape", [2.0]), ("shape", 2), ("offset", -8),
-         ("offset", True), ("nbytes", "16"), ("nbytes", None)],
+        "field, value, named",
+        [("shape", [2, -1], "'bias'"), ("shape", [2.0], "arrays[0].shape"),
+         ("shape", 2, "arrays[0].shape"), ("offset", -8, "'bias'"),
+         ("offset", True, "arrays[0].offset"), ("nbytes", "16", "arrays[0].nbytes"),
+         ("nbytes", None, "arrays[0].nbytes")],
     )
-    def test_malformed_entry_names_the_array(self, field, value):
+    def test_malformed_entry_names_the_array(self, field, value, named):
         entry = {"name": "bias", "shape": [2], "offset": 0, "nbytes": 16}
         entry[field] = value
-        with pytest.raises(ContainerError, match="'bias'"):
+        with pytest.raises(SchemaError, match=re.escape(named)):
             unpack_arrays(container_with_header({"arrays": [entry]}, bytes(16)))
 
     def test_more_dimensions_than_numpy_supports(self):
         entry = {"name": "deep", "shape": [1] * 65, "offset": 0, "nbytes": 8}
-        with pytest.raises(ContainerError, match="'deep'"):
+        with pytest.raises(SchemaError, match="'deep'"):
             unpack_arrays(container_with_header({"arrays": [entry]}, bytes(8)))
 
     def test_entry_without_a_name(self):
         entry = {"shape": [2], "offset": 0, "nbytes": 16}
-        with pytest.raises(ContainerError, match="entry 0"):
+        with pytest.raises(SchemaError, match=re.escape("missing field 'arrays[0].name'")):
             unpack_arrays(container_with_header({"arrays": [entry]}, bytes(16)))
 
     def test_duplicate_names(self):
         entry = {"name": "bias", "shape": [1], "offset": 0, "nbytes": 8}
         data = container_with_header({"arrays": [entry, entry]}, bytes(8))
-        with pytest.raises(ContainerError, match="duplicate array 'bias'"):
+        with pytest.raises(SchemaError, match="duplicate array 'bias'"):
             unpack_arrays(data)
 
 
@@ -187,7 +190,7 @@ class TestCorruptionProperties:
     def test_every_truncated_prefix_is_rejected(self, arrays, meta):
         data = pack_arrays(arrays, meta)
         for end in range(len(data)):
-            with pytest.raises(ContainerError):
+            with pytest.raises(SchemaError):
                 unpack_arrays(data[:end])
 
     @settings(max_examples=40, deadline=None)
@@ -199,5 +202,5 @@ class TestCorruptionProperties:
             changed[position] = (changed[position] + delta) % 256
             try:
                 unpack_arrays(bytes(changed))
-            except ContainerError:
+            except SchemaError:
                 pass

@@ -1,5 +1,6 @@
 """Rhythm-profile clustering, verified against exhaustive enumeration."""
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -504,6 +505,30 @@ class TestCodebook:
     def test_distinct_centroids_required(self):
         with pytest.raises(ValueError, match="distinct"):
             ProfileCodebook("beat", np.zeros((2, 4)), 0, 1, 0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.25, 1.5])
+    def test_centroids_lie_in_the_unit_interval(self, value):
+        centroids = np.array([[0.0, 1.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        centroids[0, 2] = value
+        problem = "beat codebook centroids must lie in [0, 1]"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            ProfileCodebook("beat", centroids, 0, 1, 0.0)
+
+    @pytest.mark.parametrize("entry", ["1", True, None])
+    def test_centroid_entries_are_numbers(self, entry):
+        stored = build_codebook(self.clips(), "beat", 6, seed=4).to_dict()
+        stored["centroids"][2][1] = entry
+        with pytest.raises(ValueError, match=re.escape(
+            "field 'centroids' must be list[list[int | float]]"
+        )):
+            ProfileCodebook.from_dict(stored)
+
+    def test_integer_centroid_entries_load_as_floats(self):
+        stored = build_codebook(self.clips(), "beat", 6, seed=4).to_dict()
+        stored["centroids"][0] = [round(v) for v in stored["centroids"][0]]
+        loaded = ProfileCodebook.from_dict(stored)
+        assert loaded.centroids.dtype == np.float64
+        assert loaded.centroids[0].tolist() == stored["centroids"][0]
 
     def test_json_round_trip(self, tmp_path):
         codebook = build_codebook(self.clips(), "beat", 6, seed=4)
