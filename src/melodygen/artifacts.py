@@ -63,11 +63,14 @@ def require(obj: dict, key, kind, where: str = ""):
 
 
 def _has_type(value, kind) -> bool:
+    """Whether ``value`` is of the union or ``list[...]`` ``kind``."""
     if type(kind) is not GenericAlias:
-        return type(value) in getattr(kind, "__args__", ())  # a union of types
+        return type(value) in getattr(kind, "__args__", ())
     if type(value) is not list:
         return False
-    item = kind.__args__[0]  # list[item]
+    item = kind.__args__[0]
+    # A loop, not all() over a generator: this runs twice per note of every
+    # lead sheet, where the generator would double the check's cost.
     for v in value:
         if type(v) is not item and not _has_type(v, item):
             return False

@@ -70,15 +70,10 @@ def ingest(corpus, work, *extra):
     return main(["ingest", "--corpus-dir", str(corpus), "--work-dir", str(work), *extra])
 
 
-# Every file of a `pipeline` work directory, with its bytes, as its ingest,
-# profiles and train wrote it.
-PIPELINE_FILES = {}
-
-
 @pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """One ingested + profiled + trained work directory, shared read-only: a
-    test that runs a command in it takes ``pipeline_copy``."""
+def pipeline_and_files(tmp_path_factory):
+    """One ingested + profiled + trained work directory, and every file that
+    its ingest, profiles and train wrote, with its bytes."""
     root = tmp_path_factory.mktemp("pipeline")
     corpus = root / "corpus"
     work = root / "work"
@@ -94,8 +89,14 @@ def pipeline(tmp_path_factory):
         "--max-iterations", "12", "--eval-every", "6", "--dropout", "0.0",
         "--seed", "1",
     ]) == EXIT_OK
-    PIPELINE_FILES[work] = snapshot(work)
-    return work
+    return work, snapshot(work)
+
+
+@pytest.fixture(scope="module")
+def pipeline(pipeline_and_files):
+    """The work directory of ``pipeline_and_files``, shared read-only: a test
+    that runs a command in it takes ``pipeline_copy``."""
+    return pipeline_and_files[0]
 
 
 @pytest.fixture
@@ -1445,5 +1446,6 @@ class TestSeedDefault:
 class TestPipelineStaysReadOnly:
     """Last in the module, so that every test of ``pipeline`` ran before it."""
 
-    def test_pipeline_holds_exactly_what_its_commands_wrote(self, pipeline):
-        assert snapshot(pipeline) == PIPELINE_FILES[pipeline]
+    def test_pipeline_holds_exactly_what_its_commands_wrote(self, pipeline_and_files):
+        work, files = pipeline_and_files
+        assert snapshot(work) == files
