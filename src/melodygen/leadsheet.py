@@ -229,7 +229,7 @@ def chord_from_dict(entry: Any, field: str) -> ChordSymbol:
     if not isinstance(entry, dict):
         raise SchemaError(f"field '{field}' must be an object")
     where = f"{field}."
-    chroma = tuple(require(entry, "chroma", list[int], where))
+    chroma = tuple(require(entry, "chroma", _INTS, where))
     try:
         return ChordSymbol(
             onset_step=require(entry, "onset_step", int, where),
@@ -246,7 +246,7 @@ def leadsheet_from_dict(obj: dict) -> LeadSheet:
     if not isinstance(obj, dict):
         raise SchemaError("lead sheet document must be a JSON object")
     expect_schema(obj, SCHEMA_VERSION)
-    ts = require(obj, "time_signature", list[int])
+    ts = require(obj, "time_signature", _INTS)
     if len(ts) != 2:
         raise SchemaError("field 'time_signature' must be a pair of integers")
     notes = []
