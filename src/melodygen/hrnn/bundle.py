@@ -127,7 +127,7 @@ def load_bundle(directory: str | Path, variant: str) -> HrnnModel:
                 for level in codebooks
             },
             chords=chords,
-            metadata=manifest.get("metadata", {}),
+            metadata=require(manifest, "metadata", dict) if "metadata" in manifest else {},
         )
         # The manifest's specs are a record of the layout the weights were
         # trained on; each must equal the one this build derives.

@@ -765,12 +765,22 @@ class TestEval:
     def test_manifest_chords_of_another_type_names_the_file(
         self, pipeline, tmp_path, capsys, value
     ):
+        self.check_manifest_field_of_another_type(pipeline, tmp_path, capsys, "chords", value)
+
+    @pytest.mark.parametrize("value", [[], "x"])
+    def test_manifest_metadata_of_another_type_names_the_file(
+        self, pipeline, tmp_path, capsys, value
+    ):
+        self.check_manifest_field_of_another_type(pipeline, tmp_path, capsys, "metadata", value)
+
+    @staticmethod
+    def check_manifest_field_of_another_type(pipeline, tmp_path, capsys, key, value):
         work = damaged_copy(pipeline, tmp_path, "model/3L/manifest.json",
-                            edited_json(lambda manifest: manifest.update(chords=value)))
+                            edited_json(lambda manifest: manifest.update({key: value})))
         capsys.readouterr()
         assert main(["eval", "--work-dir", str(work), "--variant", "3L"]) == EXIT_ERROR
         assert capsys.readouterr().err == (
-            f"error: {work / 'model' / '3L' / 'manifest.json'}: field 'chords' has wrong type "
+            f"error: {work / 'model' / '3L' / 'manifest.json'}: field '{key}' has wrong type "
             f"{type(value).__name__}; re-run `melodygen train --variant 3L`\n"
         )
 
